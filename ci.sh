@@ -16,6 +16,22 @@ cargo test -q
 echo "== cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "== benchmark package: cargo test --release --manifest-path perfbench/Cargo.toml"
+# perfbench is a workspace of its own, so the workspace run above never
+# reaches its tests (metric names against BENCHMARK.json, the serve-mix
+# schedule, the table1 grid fingerprint). It builds where run.py does.
+CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml
+
+echo "== benchmark answers: table1 at all 48 walk seeds matches perfbench/expected"
+# Energy, status and final-simulation counters of every table1 cell at
+# every walk seed a run can reach. A faster search may change node
+# counts and timings, never one of these lines.
+rm -f /tmp/casa_table1_expected.txt
+CARGO_TARGET_DIR=.bench_build cargo run --release -q --manifest-path perfbench/Cargo.toml --bin perfbench -- \
+  --workload table1 --expected-out /tmp/casa_table1_expected.txt
+cmp /tmp/casa_table1_expected.txt perfbench/expected/table1.txt \
+  || { echo "table1 outputs differ from perfbench/expected/table1.txt"; exit 1; }
+
 echo "== cargo doc --no-deps -p casa-obs"
 cargo doc --no-deps -p casa-obs
 

@@ -14,11 +14,51 @@
 //! w_ij = (m_ij + m_ji)·(E_miss − E_hit)               ≥ 0
 //! ```
 //!
-//! subject to `Σ_{i∈T} S_i ≤ C`. Because every term is non-negative,
-//! an item's saving never exceeds its *optimistic* saving
-//! `a_i + Σ_j w_ij`, and a fractional knapsack over optimistic
-//! savings is an admissible upper bound — the classic knapsack bound,
-//! here applied to a quadratic objective.
+//! subject to `Σ_{i∈T} S_i ≤ C`.
+//!
+//! # Search
+//!
+//! A depth-first search over the candidates in a **static order** —
+//! optimistic density `(a_i + Σ_j w_ij) / S_i`, best first — that
+//! tries *take* before *skip* at every position. A node whose path
+//! saves more than the incumbent by over `1e-9` becomes the incumbent;
+//! a node whose bound on every completion cannot do that is pruned.
+//! Two admissible bounds are tested:
+//!
+//! * The **fractional bound**: the path's savings plus the fractional
+//!   knapsack over the optimistic savings `a_i + Σ_j w_ij` of the
+//!   positions left. Every term is non-negative, so an item never
+//!   saves more than that. It counts each pair in full at both
+//!   endpoints, and keeps pairs a chosen partner already covers.
+//! * The **pair bound**, switched on at the first clock poll (node
+//!   4096) of a search that has not closed. Pairs a chosen object
+//!   covers drop out, objects that no longer fit drop out, and each
+//!   pair between two undecided objects is split by a multiplier
+//!   `α_p ∈ [0,1]`:
+//!
+//!   ```text
+//!   w·[x_i ∨ x_j] ≤ (1−α)·w·(x_i + x_j) + α·w      for every α ∈ [0,1]
+//!   ```
+//!
+//!   (with neither, one or both endpoints chosen it reads `0 ≤ α·w`,
+//!   `w ≤ w` or `w ≤ (2−α)·w`). What is left is a linear
+//!   knapsack over values `v_i(α)` plus a constant `K(α)`, and LP
+//!   duality bounds it by
+//!   `λ·cap_left + K(α) + Σ_i max(0, v_i(α) − λ·S_i)` for every
+//!   `λ ≥ 0`. `α` and `λ` are fixed once per solve by a bounded
+//!   subgradient pass over the root relaxation (the split is the
+//!   Lagrangian relaxation of the tight linearization `y ≤ x_i + x_j`,
+//!   as in Caprara, Pisinger & Toth's quadratic-knapsack bounds); each
+//!   node takes the smallest dual form over a short ladder of
+//!   multiples of that `λ`. `v_i`, `K` and the sums are kept
+//!   incrementally with an undo log, so the test costs O(1) per node.
+//!
+//! Pruning only drops subtrees that cannot strictly improve the
+//! incumbent, and the order of the search never changes. The sequence
+//! of adopted incumbents (objective and set) is therefore exactly the
+//! one an exhaustive take-first DFS adopts; a stronger bound only
+//! lowers the node ids at which they are adopted. The pair bound
+//! carries a round-off margin so this also holds in floating point.
 //!
 //! The search is **anytime**: [`allocate_bb_budgeted`] takes a
 //! [`Budget`] and an optional warm start, always returns its best
@@ -39,6 +79,29 @@ const DEFAULT_NODE_BUDGET: u64 = 50_000_000;
 
 /// How often (in nodes) the DFS polls wall-clock budgets.
 const CLOCK_POLL_MASK: u64 = 0xFFF;
+
+/// The pair bound switches on at the first clock poll: a solve that
+/// closes or stops before it never pays for the multiplier pass.
+const PAIR_BOUND_FROM_NODE: u64 = CLOCK_POLL_MASK + 1;
+
+/// The capacity duals the pair bound tries at every node, as multiples
+/// of the root relaxation's critical density `λ`. Any `λ ≥ 0` gives an
+/// admissible bound; deeper nodes often want a different one than the
+/// root, lower where the search skipped the densest objects and higher
+/// where it took them, and three rungs cost three live sums.
+const LAMBDA_LADDER: [f64; RUNGS] = [1.5, 1.0, 2.0 / 3.0];
+const RUNGS: usize = 3;
+
+/// Iteration cap of the subgradient pass that fixes the pair split.
+const SUBGRADIENT_ITERS: usize = 100;
+
+/// Non-improving subgradient iterations before the step halves.
+const SUBGRADIENT_STALL: usize = 5;
+
+/// Round-off margin of the pair bound, relative to the total
+/// optimistic savings (which caps every term it sums): far above the
+/// error of its incremental sums, far below any gap worth pruning.
+const PAIR_BOUND_ROUNDOFF: f64 = 1e-9;
 
 /// Outcome of a budgeted CASA branch & bound: the incumbent allocation
 /// plus proof quality.
@@ -244,7 +307,8 @@ impl SavingsModel {
 }
 
 /// Exactly solve the CASA allocation for a scratchpad of `capacity`
-/// bytes.
+/// bytes: the depth-first branch & bound of the module docs, run to
+/// completion.
 ///
 /// Runs in the paper's "< 1 s" regime for every benchmark in this
 /// repository (see `benches/solver.rs`); worst-case exponential like
@@ -259,11 +323,6 @@ pub fn allocate_bb(model: &EnergyModel<'_>, capacity: u32) -> Allocation {
         &Obs::disabled(),
     )
     .allocation
-}
-
-/// [`allocate_bb`] with observability (unlimited budget).
-pub fn allocate_bb_obs(model: &EnergyModel<'_>, capacity: u32, obs: &Obs) -> Allocation {
-    allocate_bb_budgeted(model, capacity, &Budget::unlimited(), None, obs).allocation
 }
 
 /// Anytime CASA branch & bound: solve within `budget`, optionally
@@ -284,46 +343,28 @@ pub fn allocate_bb_budgeted(
     warm_start: Option<&[bool]>,
     obs: &Obs,
 ) -> BbOutcome {
-    allocate_bb_recorded(
-        model,
-        capacity,
-        budget,
-        warm_start,
-        obs,
-        &SessionRecorder::disabled(),
-    )
-}
-
-/// [`allocate_bb_budgeted`] with a [`SessionRecorder`]: the static
-/// branch order, the initial (greedy-vs-warm) incumbent as entry 0,
-/// every DFS incumbent adoption, and the stop disposition land in the
-/// recorder's decision log for session capture and offline replay.
-pub fn allocate_bb_recorded(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    budget: &Budget,
-    warm_start: Option<&[bool]>,
-    obs: &Obs,
-    rec: &SessionRecorder,
-) -> BbOutcome {
     allocate_bb_traced(
         model,
         capacity,
         budget,
         warm_start,
         obs,
-        rec,
+        &SessionRecorder::disabled(),
         &TreeRecorder::disabled(),
     )
 }
 
-/// [`allocate_bb_recorded`] with search-tree telemetry: every DFS node
-/// entry, branch, fractional-bound prune, and incumbent adoption lands
-/// in `tree` as a [`TreeEvent`]. Node id is the DFS visit counter and
+/// [`allocate_bb_budgeted`] with session and search-tree capture.
+///
+/// `rec` receives the static branch order, the initial (greedy-vs-warm)
+/// incumbent as entry 0, every DFS incumbent adoption, and the stop
+/// disposition, for session capture and offline replay. `tree`
+/// receives every DFS node entry, branch, bound prune, and incumbent
+/// adoption as a [`TreeEvent`]. Node id is the DFS visit counter and
 /// depth is the position in the static branch order; bounds are
-/// **savings** (maximization orientation — larger is better), matching
-/// the objective this solver proves against. Capture changes no search
-/// decision: with a node budget the event log is deterministic.
+/// **savings** (maximization orientation — larger is better) and are
+/// the bound the prune test applied at that node. Capture changes no
+/// search decision: with a node budget both logs are deterministic.
 pub fn allocate_bb_traced(
     model: &EnergyModel<'_>,
     capacity: u32,
@@ -332,6 +373,31 @@ pub fn allocate_bb_traced(
     obs: &Obs,
     rec: &SessionRecorder,
     tree: &TreeRecorder,
+) -> BbOutcome {
+    solve(
+        model,
+        capacity,
+        budget,
+        warm_start,
+        obs,
+        rec,
+        tree,
+        PAIR_BOUND_FROM_NODE,
+    )
+}
+
+/// [`allocate_bb_traced`] with the node at which the pair bound
+/// switches on as a parameter (tests move it to the root).
+#[allow(clippy::too_many_arguments)]
+fn solve(
+    model: &EnergyModel<'_>,
+    capacity: u32,
+    budget: &Budget,
+    warm_start: Option<&[bool]>,
+    obs: &Obs,
+    rec: &SessionRecorder,
+    tree: &TreeRecorder,
+    pair_from: u64,
 ) -> BbOutcome {
     let sm = SavingsModel::new(model, capacity);
     let n = sm.n;
@@ -354,9 +420,11 @@ pub fn allocate_bb_traced(
     rec.record_incumbent(0, best_sav, best_chosen.clone());
 
     // DFS over `order` positions: at each position decide take/skip.
-    // State: current savings (exact), pairs already counted, capacity.
+    // State: current savings (exact), pairs already counted, capacity,
+    // and (once on) the pair bound.
     struct Search<'s> {
         sm: &'s SavingsModel,
+        capacity: u32,
         nodes: u64,
         incumbents: u64,
         node_budget: u64,
@@ -365,6 +433,12 @@ pub fn allocate_bb_traced(
         stopped: Option<BudgetKind>,
         best_sav: f64,
         best_chosen: Vec<bool>,
+        /// Node at which the pair bound switches on.
+        pair_from: u64,
+        pair: Option<PairBound>,
+        /// Pairs the path covers, in the order it covered them: each take
+        /// pops its own back off on return.
+        covered: Vec<usize>,
         obs: &'s Obs,
         rec: &'s SessionRecorder,
         tree: &'s TreeRecorder,
@@ -401,11 +475,14 @@ pub fn allocate_bb_traced(
                     }
                 }
             }
-            // Optimistic local bound (savings orientation): only worth
-            // computing when the tree is being captured — the search
-            // itself re-derives it at the prune check below.
+            if self.nodes == self.pair_from {
+                self.switch_on_pair_bound(pos, chosen);
+            }
+            // The node's bound (savings orientation): only worth computing
+            // here when the tree is being captured — the prune test below
+            // evaluates it lazily.
             let local_bound = if self.tree.is_enabled() {
-                let b = cur_sav + self.sm.fractional_bound(pos, cap_left);
+                let b = self.node_bound(pos, cap_left, cur_sav);
                 self.tree.record(TreeEvent {
                     kind: TreeEventKind::Open,
                     node: self.nodes,
@@ -447,7 +524,7 @@ pub fn allocate_bb_traced(
             if pos >= self.sm.order.len() {
                 return;
             }
-            if cur_sav + self.sm.fractional_bound(pos, cap_left) <= self.best_sav + 1e-9 {
+            if self.prunes(pos, cap_left, cur_sav) {
                 if self.tree.is_enabled() {
                     self.tree.record(TreeEvent {
                         kind: TreeEventKind::PruneBound,
@@ -460,7 +537,8 @@ pub fn allocate_bb_traced(
                 }
                 return; // prune
             }
-            let i = self.sm.order[pos];
+            let sm = self.sm;
+            let i = sm.order[pos];
             if self.tree.is_enabled() {
                 self.tree.record(TreeEvent {
                     kind: TreeEventKind::Branch,
@@ -472,31 +550,76 @@ pub fn allocate_bb_traced(
                 });
             }
             // Branch 1: take i (if it fits).
-            if self.sm.sizes[i] <= cap_left {
-                let mut gained = self.sm.a[i];
-                let mut newly: Vec<usize> = Vec::new();
-                for &p in &self.sm.incident[i] {
+            if sm.sizes[i] <= cap_left {
+                let cap_after = cap_left - sm.sizes[i];
+                let mark = self.covered.len();
+                let mut gained = sm.a[i];
+                for &p in &sm.incident[i] {
                     if !pair_counted[p] {
                         pair_counted[p] = true;
-                        newly.push(p);
-                        gained += self.sm.pairs[p].2;
+                        self.covered.push(p);
+                        gained += sm.pairs[p].2;
                     }
                 }
+                if let Some(pb) = &mut self.pair {
+                    pb.decide(sm, pos, true, cap_after);
+                }
                 chosen[i] = true;
-                self.dfs(
-                    pos + 1,
-                    cap_left - self.sm.sizes[i],
-                    cur_sav + gained,
-                    chosen,
-                    pair_counted,
-                );
+                self.dfs(pos + 1, cap_after, cur_sav + gained, chosen, pair_counted);
                 chosen[i] = false;
-                for p in newly {
+                for p in self.covered.drain(mark..) {
                     pair_counted[p] = false;
+                }
+                if let Some(pb) = &mut self.pair {
+                    pb.undo(sm, pos);
                 }
             }
             // Branch 2: skip i.
+            if let Some(pb) = &mut self.pair {
+                pb.decide(sm, pos, false, cap_left);
+            }
             self.dfs(pos + 1, cap_left, cur_sav, chosen, pair_counted);
+            if let Some(pb) = &mut self.pair {
+                pb.undo(sm, pos);
+            }
+        }
+
+        /// Build the pair bound for the path to `pos`. Runs once per
+        /// solve from inside the recursion, so it stays out of line:
+        /// inlined, its locals would widen every DFS frame.
+        #[cold]
+        #[inline(never)]
+        fn switch_on_pair_bound(&mut self, pos: usize, chosen: &[bool]) {
+            self.pair = Some(PairBound::new(
+                self.sm,
+                self.capacity,
+                self.best_sav,
+                pos,
+                chosen,
+            ));
+        }
+
+        /// Whether no completion of the path at `pos` can beat the
+        /// incumbent by more than the adoption threshold. The O(1) pair
+        /// bound goes first; the fractional bound decides otherwise.
+        fn prunes(&self, pos: usize, cap_left: u32, cur_sav: f64) -> bool {
+            let threshold = self.best_sav + 1e-9;
+            if let Some(pb) = &self.pair {
+                if pb.bound(cur_sav, cap_left) <= threshold {
+                    return true;
+                }
+            }
+            cur_sav + self.sm.fractional_bound(pos, cap_left) <= threshold
+        }
+
+        /// The bound `prunes` compares against the incumbent: the
+        /// smaller of the fractional and (once on) the pair bound.
+        fn node_bound(&self, pos: usize, cap_left: u32, cur_sav: f64) -> f64 {
+            let fractional = cur_sav + self.sm.fractional_bound(pos, cap_left);
+            match &self.pair {
+                Some(pb) => fractional.min(pb.bound(cur_sav, cap_left)),
+                None => fractional,
+            }
         }
     }
 
@@ -510,6 +633,7 @@ pub fn allocate_bb_traced(
     };
     let mut search = Search {
         sm: &sm,
+        capacity,
         nodes: 0,
         incumbents: 0,
         node_budget: budget.max_nodes.unwrap_or(DEFAULT_NODE_BUDGET),
@@ -518,6 +642,9 @@ pub fn allocate_bb_traced(
         stopped: pre_stopped,
         best_sav,
         best_chosen,
+        pair_from,
+        pair: None,
+        covered: Vec::new(),
         obs,
         rec,
         tree,
@@ -573,6 +700,355 @@ pub fn allocate_bb_traced(
     }
 }
 
+/// Where an object stands on the current DFS path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    /// A candidate whose position the path has not reached yet.
+    Open,
+    /// On the scratchpad: decided *take*, or a free (zero-size) item.
+    Taken,
+    /// Never on the scratchpad: decided *skip*, or not a candidate.
+    Out,
+}
+
+/// The state of the pair bound before one depth's decision.
+#[derive(Debug, Clone, Copy, Default)]
+struct Mark {
+    undo_v: usize,
+    undo_live: usize,
+    k: f64,
+    t: [f64; RUNGS],
+    fit: usize,
+}
+
+/// The node-local pair bound of the module docs. The split shares and
+/// the `λ` ladder are fixed once per solve; `v_i`, `K` and the live
+/// sums follow the DFS path through [`PairBound::decide`] /
+/// [`PairBound::undo`], so [`PairBound::bound`] is O(1).
+struct PairBound {
+    /// Capacity duals `λ`, one live sum each.
+    lambdas: [f64; RUNGS],
+    /// Per pair: endpoint share `(1 − α_p)·w_p`.
+    share: Vec<f64>,
+    /// Per pair: constant share `α_p·w_p`.
+    rest: Vec<f64>,
+    /// Per object and `λ`: `λ·S_i`.
+    cost: Vec<[f64; RUNGS]>,
+    /// Per object: `v_i(α)` given the path's decisions.
+    v: Vec<f64>,
+    fate: Vec<Fate>,
+    /// Open and still fits the capacity left.
+    live: Vec<bool>,
+    /// `K(α)`: constant shares of the pairs whose endpoints are both
+    /// open.
+    k: f64,
+    /// Per `λ`: `Σ_{live i} max(0, v_i − λ·S_i)`.
+    t: [f64; RUNGS],
+    /// Candidates, largest first: `by_size[fit..]` fit the capacity
+    /// left.
+    by_size: Vec<usize>,
+    fit: usize,
+    /// Undo log: overwritten `v_i` values, objects that left `live`.
+    undo_v: Vec<(usize, f64)>,
+    undo_live: Vec<usize>,
+    /// Per depth: the state before that depth's decision.
+    marks: Vec<Mark>,
+    /// Round-off allowance added to every bound.
+    slack: f64,
+}
+
+impl PairBound {
+    /// Fix the multipliers on the root relaxation (Polyak steps toward
+    /// `target`, the incumbent's savings), then replay the decisions
+    /// of the DFS path to `pos`, which `chosen` holds.
+    fn new(sm: &SavingsModel, capacity: u32, target: f64, pos: usize, chosen: &[bool]) -> Self {
+        let (share, lambda) = root_multipliers(sm, capacity, target);
+        let lambdas = LAMBDA_LADDER.map(|f| f * lambda);
+        let rest: Vec<f64> = sm
+            .pairs
+            .iter()
+            .zip(&share)
+            .map(|(&(_, _, w), &s)| w - s)
+            .collect();
+        let mut fate = vec![Fate::Out; sm.n];
+        for &i in &sm.free {
+            fate[i] = Fate::Taken;
+        }
+        let mut v = vec![0.0; sm.n];
+        let mut live = vec![false; sm.n];
+        for &i in &sm.order {
+            fate[i] = Fate::Open;
+            v[i] = sm.a[i];
+            live[i] = true;
+        }
+        let mut k = 0.0;
+        for (p, &(i, j, w)) in sm.pairs.iter().enumerate() {
+            match (fate[i], fate[j]) {
+                (Fate::Open, Fate::Open) => {
+                    v[i] += share[p];
+                    v[j] += share[p];
+                    k += rest[p];
+                }
+                (Fate::Open, Fate::Out) => v[i] += w,
+                (Fate::Out, Fate::Open) => v[j] += w,
+                _ => {}
+            }
+        }
+        let cost: Vec<[f64; RUNGS]> = sm
+            .sizes
+            .iter()
+            .map(|&s| lambdas.map(|l| l * f64::from(s)))
+            .collect();
+        let mut t = [0.0; RUNGS];
+        for &i in &sm.order {
+            for (tq, c) in t.iter_mut().zip(cost[i]) {
+                *tq += (v[i] - c).max(0.0);
+            }
+        }
+        let mut by_size = sm.order.clone();
+        by_size.sort_by_key(|&i| (std::cmp::Reverse(sm.sizes[i]), i));
+        let scale: f64 = sm.opt.iter().sum();
+        let mut pb = PairBound {
+            lambdas,
+            share,
+            rest,
+            cost,
+            v,
+            fate,
+            live,
+            k,
+            t,
+            by_size,
+            fit: 0,
+            undo_v: Vec::new(),
+            undo_live: Vec::new(),
+            marks: vec![Mark::default(); sm.order.len()],
+            slack: PAIR_BOUND_ROUNDOFF * scale,
+        };
+        let mut cap_left = capacity;
+        for (q, &i) in sm.order[..pos].iter().enumerate() {
+            if chosen[i] {
+                cap_left -= sm.sizes[i];
+            }
+            pb.decide(sm, q, chosen[i], cap_left);
+        }
+        pb
+    }
+
+    /// Drop a live object from the live sums.
+    fn retire(&mut self, i: usize) {
+        if self.live[i] {
+            for (t, c) in self.t.iter_mut().zip(self.cost[i]) {
+                *t -= (self.v[i] - c).max(0.0);
+            }
+            self.live[i] = false;
+            self.undo_live.push(i);
+        }
+    }
+
+    /// Decide the object at depth `pos` (take or skip), leaving
+    /// `cap_after` bytes: pairs it covers leave the bound, pairs it
+    /// rejects move whole onto the open partner, and objects that no
+    /// longer fit leave the live sums.
+    fn decide(&mut self, sm: &SavingsModel, pos: usize, take: bool, cap_after: u32) {
+        self.marks[pos] = Mark {
+            undo_v: self.undo_v.len(),
+            undo_live: self.undo_live.len(),
+            k: self.k,
+            t: self.t,
+            fit: self.fit,
+        };
+        let i = sm.order[pos];
+        self.fate[i] = if take { Fate::Taken } else { Fate::Out };
+        self.retire(i);
+        for &p in &sm.incident[i] {
+            let (a, b, _) = sm.pairs[p];
+            let j = if a == i { b } else { a };
+            if self.fate[j] != Fate::Open {
+                continue;
+            }
+            self.k -= self.rest[p];
+            let old = self.v[j];
+            let new = if take {
+                old - self.share[p]
+            } else {
+                old + self.rest[p]
+            };
+            self.undo_v.push((j, old));
+            self.v[j] = new;
+            if self.live[j] {
+                for (t, c) in self.t.iter_mut().zip(self.cost[j]) {
+                    *t += (new - c).max(0.0) - (old - c).max(0.0);
+                }
+            }
+        }
+        while let Some(&j) = self.by_size.get(self.fit) {
+            if sm.sizes[j] <= cap_after {
+                break;
+            }
+            self.fit += 1;
+            self.retire(j);
+        }
+    }
+
+    /// Restore the state from before the decision at depth `pos`,
+    /// bit for bit.
+    fn undo(&mut self, sm: &SavingsModel, pos: usize) {
+        let mark = self.marks[pos];
+        for (j, old) in self.undo_v.drain(mark.undo_v..).rev() {
+            self.v[j] = old;
+        }
+        for j in self.undo_live.drain(mark.undo_live..) {
+            self.live[j] = true;
+        }
+        self.k = mark.k;
+        self.t = mark.t;
+        self.fit = mark.fit;
+        self.fate[sm.order[pos]] = Fate::Open;
+    }
+
+    /// Upper bound on the savings of every completion of the path, for
+    /// a path worth `cur_sav` with `cap_left` bytes left.
+    fn bound(&self, cur_sav: f64, cap_left: u32) -> f64 {
+        let cap = f64::from(cap_left);
+        let dual = self
+            .lambdas
+            .iter()
+            .zip(&self.t)
+            .map(|(&l, &t)| l * cap + t)
+            .fold(f64::INFINITY, f64::min);
+        cur_sav + self.k + dual + self.slack
+    }
+}
+
+/// Fix the pair split and the capacity dual on the root relaxation.
+///
+/// Minimizes `L(α) = K(α) + max{Σ v_i(α)·x_i : Σ S_i·x_i ≤ C, 0 ≤ x ≤ 1}`
+/// over the pairs between two candidates with a bounded projected
+/// subgradient pass (Polyak steps toward `target`, halved after
+/// stalls), starting from the even split `α = ½`. Every other pair has
+/// at most one endpoint that can still be chosen, so its whole weight
+/// stays on that endpoint. Returns each pair's endpoint share
+/// `(1 − α_p)·w_p` and the critical density `λ` of the best
+/// relaxation seen, which makes the dual form equal `L(α)` at the root.
+fn root_multipliers(sm: &SavingsModel, capacity: u32, target: f64) -> (Vec<f64>, f64) {
+    let mut open = vec![false; sm.n];
+    for &i in &sm.order {
+        open[i] = true;
+    }
+    let mut free = vec![false; sm.n];
+    for &i in &sm.free {
+        free[i] = true;
+    }
+    // What each candidate is worth whatever α is: a_i plus the pairs
+    // whose partner is never chosen (pairs with a free partner are
+    // covered from the start).
+    let mut base = vec![0.0; sm.n];
+    for &i in &sm.order {
+        base[i] = sm.a[i];
+    }
+    let mut split = Vec::new();
+    for (p, &(i, j, w)) in sm.pairs.iter().enumerate() {
+        match (open[i], open[j]) {
+            (true, true) => split.push(p),
+            (true, false) if !free[j] => base[i] += w,
+            (false, true) if !free[i] => base[j] += w,
+            _ => {}
+        }
+    }
+    let mut share: Vec<f64> = sm.pairs.iter().map(|&(_, _, w)| w).collect();
+    for &p in &split {
+        share[p] = 0.5 * sm.pairs[p].2;
+    }
+
+    let mut v = base.clone();
+    let mut x = vec![0.0; sm.n];
+    let mut by_density = sm.order.clone();
+    let mut best_value = f64::INFINITY;
+    let mut best = (share.clone(), 0.0);
+    let mut theta = 1.0;
+    let mut stall = 0;
+    for _ in 0..SUBGRADIENT_ITERS {
+        let mut k = 0.0;
+        for &i in &sm.order {
+            v[i] = base[i];
+        }
+        for &p in &split {
+            let (i, j, w) = sm.pairs[p];
+            v[i] += share[p];
+            v[j] += share[p];
+            k += w - share[p];
+        }
+        let (fill, lambda) = fractional_fill(&mut by_density, &v, &sm.sizes, capacity, &mut x);
+        let value = k + fill;
+        if value < best_value {
+            best_value = value;
+            best = (share.clone(), lambda);
+            stall = 0;
+        } else {
+            stall += 1;
+            if stall == SUBGRADIENT_STALL {
+                theta *= 0.5;
+                stall = 0;
+            }
+        }
+        let excess = value - target;
+        let norm: f64 = split
+            .iter()
+            .map(|&p| {
+                let (i, j, _) = sm.pairs[p];
+                (x[i] + x[j] - 1.0).powi(2)
+            })
+            .sum();
+        if excess <= 0.0 || norm == 0.0 {
+            break; // the bound meets the incumbent, or α is stationary
+        }
+        let step = theta * excess / norm;
+        for &p in &split {
+            let (i, j, w) = sm.pairs[p];
+            share[p] = (share[p] - step * (x[i] + x[j] - 1.0)).clamp(0.0, w);
+        }
+    }
+    best
+}
+
+/// Fractional knapsack over `items`, which it re-sorts by density
+/// `v_i / S_i` (best first, ties by index): fills `x` with the optimal
+/// fractions and returns the relaxation's value and its critical
+/// density `λ` (0 when everything fits).
+fn fractional_fill(
+    items: &mut [usize],
+    v: &[f64],
+    sizes: &[u32],
+    capacity: u32,
+    x: &mut [f64],
+) -> (f64, f64) {
+    // `x` holds the densities while sorting; the fill overwrites it.
+    for &i in items.iter() {
+        x[i] = v[i] / f64::from(sizes[i]);
+    }
+    items.sort_unstable_by(|&p, &q| x[q].total_cmp(&x[p]).then(p.cmp(&q)));
+    let mut cap = f64::from(capacity);
+    let mut value = 0.0;
+    let mut lambda = 0.0;
+    let mut full = false;
+    for &i in items.iter() {
+        let s = f64::from(sizes[i]);
+        x[i] = if full {
+            0.0
+        } else if s <= cap {
+            cap -= s;
+            1.0
+        } else {
+            full = true;
+            lambda = v[i] / s;
+            cap / s
+        };
+        value += v[i] * x[i];
+    }
+    (value, lambda)
+}
+
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)]
 mod tests {
@@ -580,6 +1056,7 @@ mod tests {
     use crate::casa_ilp::{allocate_ilp, Linearization};
     use crate::conflict::ConflictGraph;
     use casa_energy::EnergyTable;
+    use casa_ilp::tree::TreeLog;
     use casa_ilp::SolverOptions;
     use std::collections::HashMap;
 
@@ -791,6 +1268,48 @@ mod tests {
         assert!(used <= 64, "infeasible warm start leaked into outcome");
     }
 
+    /// Solve with tree capture, switching the pair bound on at node
+    /// `pair_from` (`u64::MAX`: never).
+    fn traced(m: &EnergyModel<'_>, cap: u32, pair_from: u64) -> (BbOutcome, TreeLog) {
+        let tree = TreeRecorder::with_cap(1 << 16);
+        let out = solve(
+            m,
+            cap,
+            &Budget::unlimited(),
+            None,
+            &Obs::disabled(),
+            &SessionRecorder::disabled(),
+            &tree,
+            pair_from,
+        );
+        (out, tree.take().unwrap())
+    }
+
+    /// The capture invariants every traced solve keeps.
+    fn assert_tree_consistent(out: &BbOutcome, log: &TreeLog) {
+        assert_eq!(log.nodes, out.allocation.solver_nodes);
+        let opens = log
+            .events
+            .iter()
+            .filter(|e| e.kind == TreeEventKind::Open)
+            .count() as u64;
+        assert_eq!(opens, log.nodes, "one open event per DFS visit");
+        // Savings orientation: a prune-by-bound fires exactly when the
+        // bound the search applied cannot beat the incumbent.
+        for e in log
+            .events
+            .iter()
+            .filter(|e| e.kind == TreeEventKind::PruneBound)
+        {
+            assert!(
+                e.bound <= e.best + 1e-9,
+                "pruned with bound {} above best {}",
+                e.bound,
+                e.best
+            );
+        }
+    }
+
     #[test]
     fn tree_capture_is_deterministic_and_changes_no_decision() {
         let g = graph(
@@ -816,37 +1335,312 @@ mod tests {
         let (out, log) = run();
         let plain = allocate_bb(&m, 128);
         assert_eq!(out.allocation, plain, "capture must not steer the search");
-        assert_eq!(log.nodes, out.allocation.solver_nodes);
-        let opens = log
-            .events
-            .iter()
-            .filter(|e| e.kind == TreeEventKind::Open)
-            .count() as u64;
-        assert_eq!(opens, log.nodes, "one open event per DFS visit");
+        assert_tree_consistent(&out, &log);
         assert!(log
             .events
             .iter()
             .any(|e| e.kind == TreeEventKind::Branch && e.var.is_some()));
-        // Savings orientation: a prune-by-bound fires exactly when the
-        // subtree's optimistic savings cannot beat the incumbent.
-        for e in log
-            .events
-            .iter()
-            .filter(|e| e.kind == TreeEventKind::PruneBound)
-        {
-            assert!(
-                e.bound <= e.best + 1e-9,
-                "pruned with bound {} above best {}",
-                e.bound,
-                e.best
-            );
-        }
         let (_, log2) = run();
         assert_eq!(
             casa_ilp::tree::tree_log_json(&log),
             casa_ilp::tree::tree_log_json(&log2),
             "same instance, same tree bytes"
         );
+
+        // Two conflict pairs, room for three objects. The fractional
+        // bound counts each pair at both endpoints and keeps counting
+        // it once one endpoint covers it; the pair bound does neither.
+        // With the pair bound on from the root, it prunes nodes the
+        // fractional bound has to branch on.
+        let g = graph(
+            vec![800, 1700, 1100, 1100],
+            vec![64, 64, 64, 64],
+            &[(0, 3, 300), (3, 0, 300), (1, 2, 600), (2, 1, 600)],
+        );
+        let m = EnergyModel::new(&g, &t);
+        let (out, log) = traced(&m, 192, 1);
+        let (base, base_log) = traced(&m, 192, u64::MAX);
+        assert_tree_consistent(&out, &log);
+        assert_tree_consistent(&base, &base_log);
+        assert_eq!(out.allocation.on_spm, base.allocation.on_spm);
+        assert!(out.allocation.solver_nodes < base.allocation.solver_nodes);
+        // Both searches walk the same nodes until the first prune only
+        // the pair bound makes: there one prunes, the other branches.
+        let at = log
+            .events
+            .iter()
+            .zip(&base_log.events)
+            .position(|(a, b)| a.kind != b.kind)
+            .expect("the pair bound must prune a node the fractional bound branches on");
+        let (pruned, branched) = (&log.events[at], &base_log.events[at]);
+        assert_eq!(pruned.kind, TreeEventKind::PruneBound);
+        assert_eq!(branched.kind, TreeEventKind::Branch);
+        assert_eq!(pruned.node, branched.node);
+        assert!(
+            pruned.bound < branched.bound,
+            "it prunes with its own bound"
+        );
+    }
+
+    /// Seeded instance of `n` objects with sparse conflicts, a few
+    /// self-conflicts and zero-size objects, whose last `dups` objects
+    /// copy earlier ones (edges included) so that savings tie exactly.
+    fn random_instance(next: &mut impl FnMut() -> u64, n: usize, dups: usize) -> ConflictGraph {
+        let base = n - dups;
+        let mut fetches: Vec<u64> = (0..base).map(|_| next() % 2000).collect();
+        let mut sizes: Vec<u32> = (0..base)
+            .map(|_| {
+                if next().is_multiple_of(16) {
+                    0
+                } else {
+                    (next() % 12 + 1) as u32 * 8
+                }
+            })
+            .collect();
+        let mut edges = HashMap::new();
+        for i in 0..base {
+            for j in 0..base {
+                if next().is_multiple_of(if i == j { 6 } else { 3 }) {
+                    edges.insert((i, j), next() % 300 + 1);
+                }
+            }
+        }
+        for d in base..n {
+            let src = (next() as usize) % base;
+            fetches.push(fetches[src]);
+            sizes.push(sizes[src]);
+            let copies: Vec<((usize, usize), u64)> = edges
+                .iter()
+                .filter(|(&(i, j), _)| i == src || j == src)
+                .map(|(&(i, j), &w)| {
+                    let f = |k: usize| if k == src { d } else { k };
+                    ((f(i), f(j)), w)
+                })
+                .collect();
+            edges.extend(copies);
+        }
+        ConflictGraph::from_parts(fetches, sizes, edges)
+    }
+
+    /// Best savings over every completion of `chosen` by the
+    /// candidates at positions `pos..` that fits `cap_left`.
+    fn best_completion(sm: &SavingsModel, pos: usize, cap_left: u32, chosen: &[bool]) -> f64 {
+        let rest = &sm.order[pos..];
+        let mut set = chosen.to_vec();
+        let mut best = f64::NEG_INFINITY;
+        for mask in 0u32..1 << rest.len() {
+            let mut used = 0u32;
+            for (b, &i) in rest.iter().enumerate() {
+                set[i] = mask >> b & 1 == 1;
+                if set[i] {
+                    used += sm.sizes[i];
+                }
+            }
+            if used <= cap_left {
+                best = best.max(sm.exact_savings(&set));
+            }
+        }
+        best
+    }
+
+    /// Every value the pair bound tracks along the path, bit for bit.
+    fn pair_state(pb: &PairBound) -> (Vec<u64>, u64, Vec<u64>, Vec<bool>, Vec<Fate>, usize) {
+        (
+            pb.v.iter().map(|x| x.to_bits()).collect(),
+            pb.k.to_bits(),
+            pb.t.iter().map(|x| x.to_bits()).collect(),
+            pb.live.clone(),
+            pb.fate.clone(),
+            pb.fit,
+        )
+    }
+
+    #[test]
+    fn pair_bound_is_admissible_at_random_partial_assignments() {
+        let mut state: u64 = 2004;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let t = table();
+        for case in 0..120 {
+            let n = (next() % 11 + 2) as usize;
+            let dups = if case % 3 == 0 {
+                (next() as usize) % (n / 2 + 1)
+            } else {
+                0
+            };
+            let g = random_instance(&mut next, n, dups);
+            let m = EnergyModel::new(&g, &t);
+            let cap = (next() % 160 + 8) as u32;
+            let sm = SavingsModel::new(&m, cap);
+            let greedy = sm.exact_savings(&sm.greedy_chosen(cap));
+            for trial in 0..6 {
+                // A random path: positions before `pos` decided, each
+                // take only where it fits.
+                let pos = (next() as usize) % (sm.order.len() + 1);
+                let mut chosen = vec![false; n];
+                for &i in &sm.free {
+                    chosen[i] = true;
+                }
+                let mut cap_left = cap;
+                for &i in &sm.order[..pos] {
+                    if sm.sizes[i] <= cap_left && next() % 2 == 0 {
+                        chosen[i] = true;
+                        cap_left -= sm.sizes[i];
+                    }
+                }
+                // The multipliers come from a Polyak target; any target
+                // must give an admissible bound.
+                let target = if trial % 2 == 0 { greedy } else { 0.0 };
+                let mut pb = PairBound::new(&sm, cap, target, pos, &chosen);
+                let before = pair_state(&pb);
+                // Walk on down a random path, checking every node.
+                let mut depth = pos;
+                loop {
+                    let bound = pb.bound(sm.exact_savings(&chosen), cap_left);
+                    let truth = best_completion(&sm, depth, cap_left, &chosen);
+                    assert!(
+                        bound >= truth,
+                        "case {case}: bound {bound} below best completion {truth} at depth {depth}"
+                    );
+                    if depth == sm.order.len() || next() % 4 == 0 {
+                        break;
+                    }
+                    let i = sm.order[depth];
+                    let take = sm.sizes[i] <= cap_left && next() % 2 == 0;
+                    if take {
+                        chosen[i] = true;
+                        cap_left -= sm.sizes[i];
+                    }
+                    pb.decide(&sm, depth, take, cap_left);
+                    depth += 1;
+                }
+                for q in (pos..depth).rev() {
+                    pb.undo(&sm, q);
+                }
+                assert_eq!(
+                    pair_state(&pb),
+                    before,
+                    "case {case}: undo must restore the state"
+                );
+            }
+        }
+    }
+
+    /// The incumbent log of an exhaustive take-first DFS over the same
+    /// static order with no pruning at all: the greedy seed, then every
+    /// strict improvement, as (objective bits, set).
+    fn exhaustive_log(m: &EnergyModel<'_>, cap: u32) -> Vec<(u64, Vec<bool>)> {
+        struct Exhaustive<'a> {
+            sm: &'a SavingsModel,
+            chosen: Vec<bool>,
+            counted: Vec<bool>,
+            best: f64,
+            log: Vec<(u64, Vec<bool>)>,
+        }
+        impl Exhaustive<'_> {
+            fn go(&mut self, pos: usize, cap_left: u32, cur: f64) {
+                if cur > self.best + 1e-9 {
+                    self.best = cur;
+                    self.log.push((cur.to_bits(), self.chosen.clone()));
+                }
+                let sm = self.sm;
+                let Some(&i) = sm.order.get(pos) else {
+                    return;
+                };
+                if sm.sizes[i] <= cap_left {
+                    let mut gained = sm.a[i];
+                    let mut newly = Vec::new();
+                    for &p in &sm.incident[i] {
+                        if !self.counted[p] {
+                            self.counted[p] = true;
+                            newly.push(p);
+                            gained += sm.pairs[p].2;
+                        }
+                    }
+                    self.chosen[i] = true;
+                    self.go(pos + 1, cap_left - sm.sizes[i], cur + gained);
+                    self.chosen[i] = false;
+                    for p in newly {
+                        self.counted[p] = false;
+                    }
+                }
+                self.go(pos + 1, cap_left, cur);
+            }
+        }
+        let sm = SavingsModel::new(m, cap);
+        let seed = sm.greedy_chosen(cap);
+        let best = sm.exact_savings(&seed);
+        let mut dfs = Exhaustive {
+            sm: &sm,
+            chosen: vec![false; sm.n],
+            counted: vec![false; sm.pairs.len()],
+            best,
+            log: vec![(best.to_bits(), seed)],
+        };
+        let mut cur = 0.0;
+        for &i in &sm.free {
+            dfs.chosen[i] = true;
+            cur += sm.a[i];
+            for &p in &sm.incident[i] {
+                if !dfs.counted[p] {
+                    dfs.counted[p] = true;
+                    cur += sm.pairs[p].2;
+                }
+            }
+        }
+        dfs.go(0, cap, cur);
+        dfs.log
+    }
+
+    #[test]
+    fn decision_log_matches_exhaustive_take_first_dfs() {
+        let mut state: u64 = 11;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let t = table();
+        for case in 0..150 {
+            let n = (next() % 11 + 2) as usize;
+            let dups = if case % 3 == 0 {
+                (next() as usize) % (n / 2 + 1)
+            } else {
+                0
+            };
+            let g = random_instance(&mut next, n, dups);
+            let m = EnergyModel::new(&g, &t);
+            let cap = (next() % 160 + 8) as u32;
+            let want = exhaustive_log(&m, cap);
+            for pair_from in [1, 2, PAIR_BOUND_FROM_NODE, u64::MAX] {
+                let rec = SessionRecorder::enabled();
+                let tree = TreeRecorder::disabled();
+                let out = solve(
+                    &m,
+                    cap,
+                    &Budget::unlimited(),
+                    None,
+                    &Obs::disabled(),
+                    &rec,
+                    &tree,
+                    pair_from,
+                );
+                assert!(out.is_optimal());
+                let got: Vec<(u64, Vec<bool>)> = rec
+                    .take()
+                    .unwrap()
+                    .incumbents
+                    .into_iter()
+                    .map(|inc| (inc.objective_bits, inc.on_spm))
+                    .collect();
+                assert_eq!(got, want, "case {case}, pair bound from node {pair_from}");
+            }
+        }
     }
 
     #[test]
