@@ -32,8 +32,10 @@ CARGO_TARGET_DIR=.bench_build cargo run --release -q --manifest-path perfbench/C
 cmp /tmp/casa_table1_expected.txt perfbench/expected/table1.txt \
   || { echo "table1 outputs differ from perfbench/expected/table1.txt"; exit 1; }
 
-echo "== cargo doc --no-deps -p casa-obs"
-cargo doc --no-deps -p casa-obs
+echo "== cargo doc --workspace --no-deps, warnings denied"
+# Every crate's docs, with broken or private intra-doc links as errors:
+# deleting a public item must not leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== observability smoke: sweep --smoke --trace-out"
 rm -f /tmp/casa_trace.json
@@ -62,7 +64,7 @@ grep -q '"verdict":"pass"' /tmp/casa_regress.json \
 echo "== flight recorder: deliberate panic must leave a readable dump"
 # CASA_SELFTEST_PANIC makes the sweep bin panic after the grid runs;
 # the installed panic hook must write the flight ring to the sink,
-# and diag --flight must round-trip it back into a table.
+# and diag flight must round-trip it back into a table.
 rm -f /tmp/casa_flight.json
 if (cd /tmp && CASA_TRACE=1 CASA_SELFTEST_PANIC=1 cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke --history-out /tmp/casa_selftest_history.jsonl --flight-dump /tmp/casa_flight.json) 2>/dev/null; then
   echo "self-test panic did not fire"; exit 1
@@ -161,7 +163,7 @@ echo "== request observability: id echo, journal, slow-capture, byte-identity"
 # Boot casa-server with a 100 ms slow-request threshold and the
 # slow-request self-test armed (requests whose id starts with "slow-"
 # sleep 300 ms in the handler). Then: (1) POST /solve with an explicit
-# X-Casa-Request-Id — diag --post asserts the echo; (2) the request
+# X-Casa-Request-Id — diag post asserts the echo; (2) the request
 # journal must contain that id with full solve attribution (cache
 # outcome, gap); (3) a "slow-" request must cross the threshold and
 # leave a flight dump tagged with its id; (4) a second server with the

@@ -13,9 +13,9 @@
 //! diag                       # workload calibration tables (no subcommand)
 //! ```
 //!
-//! `replay` loads a recorded `.casa-session` (or its `.json` sibling),
-//! re-executes the solve from the recorded decision log, and asserts
-//! layout, energy, gap and report byte-equivalence — exit 0 and a
+//! `replay` loads a recorded `.casa-session`, re-executes the solve
+//! from the recorded decision log, and asserts layout, energy, gap
+//! and report byte-equivalence — exit 0 and a
 //! `replay <file>: status=.. gap=.. nodes=..` line on success, exit 1
 //! with the first mismatch otherwise. `--divergence` instead re-solves
 //! from scratch and pinpoints the first decision where the fresh
@@ -59,10 +59,6 @@
 //! conflict-graph density, model fidelity) used to tune the synthetic
 //! benchmarks; `--trace-out <path>` (or `CASA_TRACE=1`) instruments
 //! the flows and appends a per-phase span-tree table.
-//!
-//! The pre-subcommand spellings (`--render-trace`, `--flight`,
-//! `--probe`, `--probe-quick`, `--tail`, `--post`) keep working as
-//! aliases with a deprecation note on stderr.
 
 use casa_bench::experiments::{paper_sizes, LINE_SIZE};
 use casa_bench::runner::{cli_obs, cli_value, prepared};
@@ -148,7 +144,7 @@ fn parse_flight_dump(json: &str) -> (Vec<FlightEvent>, u64, u64) {
 fn probe(addr: &str, quick: bool) {
     let addr: SocketAddr = addr
         .parse()
-        .unwrap_or_else(|e| panic!("--probe takes host:port, got {addr}: {e}"));
+        .unwrap_or_else(|e| panic!("probe takes host:port, got {addr}: {e}"));
     let t = Duration::from_secs(5);
     let get = |path: &str| -> (u16, String) {
         http_get(&addr, path, t).unwrap_or_else(|e| panic!("GET {path} on {addr}: {e}"))
@@ -640,12 +636,6 @@ const USAGE: &str = "diag subcommands:\n\
     \x20 explain <path> [--top <n>]                           render a captured explain document\n\
     \x20 (no subcommand)                                      workload calibration tables\n";
 
-/// Note a deprecated `--flag` spelling on stderr, pointing at the
-/// subcommand that replaced it.
-fn deprecation_note(old: &str, new: &str) {
-    eprintln!("note: `{old}` is deprecated; use `diag {new}`");
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
@@ -683,33 +673,6 @@ fn main() {
             return;
         }
         _ => {}
-    }
-    // Pre-subcommand `--flag` spellings: honored, with a nudge.
-    let mut args = argv.iter().cloned();
-    while let Some(a) = args.next() {
-        if a == "--render-trace" {
-            deprecation_note(&a, "render-trace <path>");
-            return render_trace_cmd(&args.next().expect("--render-trace needs a path"));
-        }
-        if a == "--flight" {
-            deprecation_note(&a, "flight <path>");
-            return flight_cmd(&args.next().expect("--flight needs a path"));
-        }
-        if a == "--probe" || a == "--probe-quick" {
-            deprecation_note(&a, "probe <addr> [--quick]");
-            let target = args.next().unwrap_or_else(|| panic!("{a} needs host:port"));
-            return probe(&target, a == "--probe-quick");
-        }
-        if a == "--tail" {
-            deprecation_note(&a, "tail <addr>");
-            return tail(&args.next().expect("--tail needs host:port"));
-        }
-        if a == "--post" {
-            deprecation_note(&a, "post <addr> <body-file>");
-            let target = args.next().expect("--post needs host:port");
-            let body_path = args.next().expect("--post needs a body file");
-            return post_solve(&target, &body_path);
-        }
     }
     let cli = cli_obs();
     for spec in mediabench::all() {

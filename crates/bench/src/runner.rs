@@ -32,11 +32,9 @@ const VALUE_FLAGS: &[&str] = &[
     "--tree-out",
     "--ts-out",
     "--session-dir",
-    "--render-trace",
     "--budget-nodes",
     "--budget-ms",
     "--flight-dump",
-    "--flight",
     "--history-out",
     "--history",
     "--k",
@@ -46,8 +44,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--serve-addr-file",
     "--serve-linger-ms",
     "--det-out",
-    "--probe",
-    "--probe-quick",
     "--expect",
     "--listen",
     "--addr-file",
@@ -66,7 +62,7 @@ const VALUE_FLAGS: &[&str] = &[
 
 /// The value following `--<name>` on the command line, if present.
 /// Shared by the binaries for their value-taking flags; a flag listed
-/// in [`VALUE_FLAGS`] stays invisible to [`cli_scale`].
+/// in `VALUE_FLAGS` stays invisible to [`cli_scale`].
 ///
 /// # Panics
 ///

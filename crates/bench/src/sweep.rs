@@ -173,18 +173,18 @@ pub struct CellResult {
     /// Per-cell logical-tick time-series (flow phase progress, solver
     /// convergence). Empty when observability is off. Exported by
     /// [`SweepReport::timeseries_json`] after a grid-order merge;
-    /// never part of [`CellResult::json`] in either view.
+    /// never part of `CellResult::json` in either view.
     pub timeseries: TimeSeriesSnapshot,
     /// The cell's B&B search-tree log as a `casa_tree` JSON document,
     /// when tree capture is on ([`SweepGrid::set_capture_trees`]) and
     /// the cell's allocator actually runs a tree search. Exported by
-    /// [`SweepReport::tree_json`]; never part of [`CellResult::json`].
+    /// [`SweepReport::tree_json`]; never part of `CellResult::json`.
     pub tree: Option<String>,
     /// The cell's decision-provenance document as a `casa_explain`
     /// JSON document, when explain capture is on
     /// ([`SweepGrid::set_capture_explain`]) and the cell is a
     /// scratchpad cell. Exported by [`SweepReport::explain_json`];
-    /// never part of [`CellResult::json`] in either view.
+    /// never part of `CellResult::json` in either view.
     pub explain: Option<String>,
 }
 
@@ -942,7 +942,7 @@ impl SweepReport {
     /// `{"casa_tree_sweep":1,"cells":[{"key":...,"tree":...},...]}` in
     /// grid order, listing only cells that captured a tree (what
     /// `sweep --tree-out` writes). The `key` is the cell's
-    /// [`cell_stem`], the same stem session capture uses, and `tree`
+    /// `cell_stem`, the same stem session capture uses, and `tree`
     /// is the cell's embedded `casa_tree` document.
     pub fn tree_json(&self) -> String {
         let cells: Vec<String> = self
@@ -964,7 +964,7 @@ impl SweepReport {
     /// document: `{"casa_explain_sweep":1,"cells":[{"key":...,
     /// "explain":...},...]}` in grid order, listing only cells that
     /// captured one (what `sweep --explain-out` writes). The `key` is
-    /// the cell's [`cell_stem`], the same stem session and tree capture
+    /// the cell's `cell_stem`, the same stem session and tree capture
     /// use, and `explain` is the cell's embedded `casa_explain`
     /// document.
     pub fn explain_json(&self) -> String {

@@ -60,7 +60,7 @@
 //! lowers the node ids at which they are adopted. The pair bound
 //! carries a round-off margin so this also holds in floating point.
 //!
-//! The search is **anytime**: [`allocate_bb_budgeted`] takes a
+//! The search is **anytime**: [`allocate_bb_traced`] takes a
 //! [`Budget`] and an optional warm start, always returns its best
 //! incumbent, and reports the proven optimality gap (in energy units)
 //! from the root fractional bound when the budget stops it early.
@@ -312,22 +312,26 @@ impl SavingsModel {
 ///
 /// Runs in the paper's "< 1 s" regime for every benchmark in this
 /// repository (see `benches/solver.rs`); worst-case exponential like
-/// any exact solver for an NP-complete problem. For bounded-effort
-/// solves use [`allocate_bb_budgeted`].
+/// any exact solver for an NP-complete problem. For bounded-effort,
+/// warm-started or recorded solves use [`allocate_bb_traced`], which
+/// this calls with an unlimited budget and nothing captured.
 pub fn allocate_bb(model: &EnergyModel<'_>, capacity: u32) -> Allocation {
-    allocate_bb_budgeted(
+    allocate_bb_traced(
         model,
         capacity,
         &Budget::unlimited(),
         None,
         &Obs::disabled(),
+        &SessionRecorder::disabled(),
+        &TreeRecorder::disabled(),
     )
     .allocation
 }
 
 /// Anytime CASA branch & bound: solve within `budget`, optionally
 /// seeded with a `warm_start` scratchpad set (one flag per object;
-/// infeasible or mis-sized warm starts are ignored).
+/// infeasible or mis-sized warm starts are ignored), with session and
+/// search-tree capture.
 ///
 /// The search keeps a feasible incumbent from t=0 — the better of the
 /// built-in density-greedy fill and the warm start — so budget
@@ -336,25 +340,6 @@ pub fn allocate_bb(model: &EnergyModel<'_>, capacity: u32) -> Allocation {
 /// with `core.bb.nodes` / `core.bb.incumbents` counters, `bb.incumbent`
 /// instant events, a `core.bb.gap` gauge, and a
 /// `core.engine.budget.<kind>` counter when a budget dimension fires.
-pub fn allocate_bb_budgeted(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    budget: &Budget,
-    warm_start: Option<&[bool]>,
-    obs: &Obs,
-) -> BbOutcome {
-    allocate_bb_traced(
-        model,
-        capacity,
-        budget,
-        warm_start,
-        obs,
-        &SessionRecorder::disabled(),
-        &TreeRecorder::disabled(),
-    )
-}
-
-/// [`allocate_bb_budgeted`] with session and search-tree capture.
 ///
 /// `rec` receives the static branch order, the initial (greedy-vs-warm)
 /// incumbent as entry 0, every DFS incumbent adoption, and the stop
@@ -365,6 +350,8 @@ pub fn allocate_bb_budgeted(
 /// **savings** (maximization orientation — larger is better) and are
 /// the bound the prune test applied at that node. Capture changes no
 /// search decision: with a node budget both logs are deterministic.
+/// Pass [`SessionRecorder::disabled`] and [`TreeRecorder::disabled`]
+/// to capture nothing.
 pub fn allocate_bb_traced(
     model: &EnergyModel<'_>,
     capacity: u32,
@@ -1186,7 +1173,15 @@ mod tests {
         let t = table();
         let m = EnergyModel::new(&g, &t);
         let full = allocate_bb(&m, 128);
-        let out = allocate_bb_budgeted(&m, 128, &Budget::nodes(1), None, &Obs::disabled());
+        let out = allocate_bb_traced(
+            &m,
+            128,
+            &Budget::nodes(1),
+            None,
+            &Obs::disabled(),
+            &SessionRecorder::disabled(),
+            &TreeRecorder::disabled(),
+        );
         assert_eq!(out.stopped_by, Some(BudgetKind::Nodes));
         assert!(out.gap.is_finite() && out.gap >= 0.0);
         // The incumbent (greedy fill) is feasible and within the gap
@@ -1221,7 +1216,15 @@ mod tests {
         let mut last_gap = f64::INFINITY;
         let mut budget = 1u64;
         loop {
-            let out = allocate_bb_budgeted(&m, 160, &Budget::nodes(budget), None, &Obs::disabled());
+            let out = allocate_bb_traced(
+                &m,
+                160,
+                &Budget::nodes(budget),
+                None,
+                &Obs::disabled(),
+                &SessionRecorder::disabled(),
+                &TreeRecorder::disabled(),
+            );
             assert!(out.gap >= 0.0);
             assert!(out.gap <= last_gap + 1e-9, "gap grew at budget {budget}");
             last_gap = out.gap;
@@ -1247,12 +1250,14 @@ mod tests {
         let t = table();
         let m = EnergyModel::new(&g, &t);
         let full = allocate_bb(&m, 128);
-        let out = allocate_bb_budgeted(
+        let out = allocate_bb_traced(
             &m,
             128,
             &Budget::nodes(1),
             Some(&full.on_spm),
             &Obs::disabled(),
+            &SessionRecorder::disabled(),
+            &TreeRecorder::disabled(),
         );
         assert_eq!(
             out.allocation.predicted_energy, full.predicted_energy,
@@ -1260,7 +1265,15 @@ mod tests {
         );
         // Oversized warm starts are ignored, not adopted.
         let bad = vec![true; 3];
-        let out2 = allocate_bb_budgeted(&m, 64, &Budget::nodes(1), Some(&bad), &Obs::disabled());
+        let out2 = allocate_bb_traced(
+            &m,
+            64,
+            &Budget::nodes(1),
+            Some(&bad),
+            &Obs::disabled(),
+            &SessionRecorder::disabled(),
+            &TreeRecorder::disabled(),
+        );
         let used: u32 = (0..g.len())
             .filter(|&i| out2.allocation.on_spm[i])
             .map(|i| g.size_of(i))
@@ -1654,12 +1667,14 @@ mod tests {
         let m = EnergyModel::new(&g, &t);
         let token = CancelToken::new();
         token.cancel();
-        let out = allocate_bb_budgeted(
+        let out = allocate_bb_traced(
             &m,
             128,
             &Budget::unlimited().with_cancel(token),
             None,
             &Obs::disabled(),
+            &SessionRecorder::disabled(),
+            &TreeRecorder::disabled(),
         );
         assert_eq!(out.stopped_by, Some(BudgetKind::Cancelled));
         assert!(out.allocation.predicted_energy.is_some());

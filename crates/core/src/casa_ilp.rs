@@ -27,6 +27,7 @@ use casa_ilp::engine::{Budget, BudgetKind, SearchRecorder, SolveRequest};
 use casa_ilp::model::VarKind;
 use casa_ilp::tree::TreeRecorder;
 use casa_ilp::{ConstraintOp, Model, Sense, SolveError, SolverOptions, Var};
+use casa_obs::Obs;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -41,22 +42,12 @@ pub enum Linearization {
 }
 
 /// Build the CASA ILP for `model` and a scratchpad of `capacity`
-/// bytes. Returns the ILP plus the `l(x_i)` variables in object
-/// order. Exposed separately from [`allocate_ilp`] so tests and
-/// benches can inspect the formulation.
-pub fn build_model(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    lin: Linearization,
-) -> (Model, Vec<Var>) {
-    let (ilp, l, _) = build_model_parts(model, capacity, lin);
-    (ilp, l)
-}
-
-/// [`build_model`] variant that also returns the linearization
-/// variables `L(x_i,x_j)` keyed by unordered object pair — needed to
-/// translate a scratchpad set into a full warm-start vector (see
-/// [`warm_start_values`]).
+/// bytes. Returns the ILP, the `l(x_i)` variables in object order, and
+/// the linearization variables `L(x_i,x_j)` keyed by unordered object
+/// pair — the last two translate a scratchpad set into a full
+/// warm-start vector (see [`warm_start_values`]). Exposed separately
+/// from [`allocate_ilp`] so tests, benches and the explain layer can
+/// inspect the formulation.
 #[allow(clippy::needless_range_loop)] // parallel arrays indexed together
 #[allow(clippy::type_complexity)] // (model, selection vars, pair vars) is the natural shape
 pub fn build_model_parts(
@@ -169,7 +160,10 @@ pub fn warm_start_values(
     values
 }
 
-/// Solve the CASA allocation exactly via the generic ILP solver.
+/// Solve the CASA allocation exactly via the generic ILP solver. For
+/// budgeted, warm-started or recorded solves use
+/// [`allocate_ilp_traced`], which this calls with an unlimited budget
+/// and nothing captured.
 ///
 /// # Errors
 ///
@@ -181,33 +175,16 @@ pub fn allocate_ilp(
     lin: Linearization,
     options: &SolverOptions,
 ) -> Result<Allocation, SolveError> {
-    allocate_ilp_obs(model, capacity, lin, options, &casa_obs::Obs::disabled())
-}
-
-/// [`allocate_ilp`] with observability: model construction happens
-/// under a `solve.ilp.build` span, and the branch & bound runs through
-/// the engine ([`SolveRequest::observe`]), so `ilp.bb.nodes` /
-/// `ilp.bb.incumbents` / `ilp.simplex.pivots` counters and
-/// `bb.incumbent` instant events land in `obs`.
-///
-/// # Errors
-///
-/// Propagates solver failures exactly like [`allocate_ilp`].
-pub fn allocate_ilp_obs(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    lin: Linearization,
-    options: &SolverOptions,
-    obs: &casa_obs::Obs,
-) -> Result<Allocation, SolveError> {
-    allocate_ilp_budgeted(
+    allocate_ilp_traced(
         model,
         capacity,
         lin,
         options,
         &Budget::unlimited(),
         None,
-        obs,
+        &Obs::disabled(),
+        &SessionRecorder::disabled(),
+        &TreeRecorder::disabled(),
     )
     .map(|outcome| outcome.allocation)
 }
@@ -226,70 +203,30 @@ pub struct IlpOutcome {
 
 /// Anytime CASA ILP: solve within `budget`, optionally warm-started
 /// from a scratchpad set (translated to a full assignment through
-/// [`warm_start_values`]). Budget exhaustion with an incumbent returns
-/// `Ok` with the proven gap; only incumbent-less exhaustion or real
-/// solver trouble is an error.
+/// [`warm_start_values`]; a mis-sized one is ignored). Budget
+/// exhaustion with an incumbent returns `Ok` with the proven gap; only
+/// incumbent-less exhaustion or real solver trouble is an error.
+///
+/// Observability: model construction runs under a `solve.ilp.build`
+/// span and the search under `solve.ilp`, through the engine
+/// ([`SolveRequest::observe`]), so the `ilp.bb.nodes`,
+/// `ilp.bb.incumbents` and `ilp.simplex.pivots` counters and the
+/// `bb.incumbent` instant events land in `obs`.
+///
+/// `rec` receives the engine's search log translated into allocation
+/// terms — branched variable indices, incumbents as scratchpad sets
+/// (through the `l` variables), bound improvements, and the stop
+/// disposition — including on error paths, so a failed solve still
+/// leaves its partial log behind. `tree` receives the engine's
+/// per-node open/branch/prune/incumbent events (see
+/// [`casa_ilp::tree`]). Note the orientation difference from the
+/// specialized B&B: the ILP minimizes energy, so tree bounds here are
+/// energy lower bounds (smaller is better).
 ///
 /// # Errors
 ///
 /// Propagates [`SolveError`] from the engine — see
 /// [`SolveRequest::solve`].
-pub fn allocate_ilp_budgeted(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    lin: Linearization,
-    options: &SolverOptions,
-    budget: &Budget,
-    warm_start: Option<&[bool]>,
-    obs: &casa_obs::Obs,
-) -> Result<IlpOutcome, SolveError> {
-    allocate_ilp_recorded(
-        model,
-        capacity,
-        lin,
-        options,
-        budget,
-        warm_start,
-        obs,
-        &SessionRecorder::disabled(),
-    )
-}
-
-/// [`allocate_ilp_budgeted`] with a [`SessionRecorder`]: the engine's
-/// raw search log (branched variable indices, incumbents as full
-/// assignments, bound improvements) is translated into allocation
-/// terms — incumbent assignments become scratchpad sets through the
-/// `l` variables — and streamed into `rec`, including on error paths
-/// so a failed solve still leaves its partial log behind.
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_ilp_recorded(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    lin: Linearization,
-    options: &SolverOptions,
-    budget: &Budget,
-    warm_start: Option<&[bool]>,
-    obs: &casa_obs::Obs,
-    rec: &SessionRecorder,
-) -> Result<IlpOutcome, SolveError> {
-    allocate_ilp_traced(
-        model,
-        capacity,
-        lin,
-        options,
-        budget,
-        warm_start,
-        obs,
-        rec,
-        &TreeRecorder::disabled(),
-    )
-}
-
-/// [`allocate_ilp_recorded`] with search-tree telemetry: the engine's
-/// per-node open/branch/prune/incumbent events stream into `tree`
-/// (see [`casa_ilp::tree`]). Note the orientation difference from the
-/// specialized B&B: the ILP minimizes energy, so tree bounds here are
-/// energy lower bounds (smaller is better).
 #[allow(clippy::too_many_arguments)]
 pub fn allocate_ilp_traced(
     model: &EnergyModel<'_>,
@@ -298,7 +235,7 @@ pub fn allocate_ilp_traced(
     options: &SolverOptions,
     budget: &Budget,
     warm_start: Option<&[bool]>,
-    obs: &casa_obs::Obs,
+    obs: &Obs,
     rec: &SessionRecorder,
     tree: &TreeRecorder,
 ) -> Result<IlpOutcome, SolveError> {
@@ -468,8 +405,8 @@ mod tests {
         let g = thrash_graph();
         let t = table();
         let m = EnergyModel::new(&g, &t);
-        let (paper, _) = build_model(&m, 64, Linearization::Paper);
-        let (tight, _) = build_model(&m, 64, Linearization::Tight);
+        let (paper, ..) = build_model_parts(&m, 64, Linearization::Paper);
+        let (tight, ..) = build_model_parts(&m, 64, Linearization::Tight);
         assert!(integer_var_count(&paper) > integer_var_count(&tight));
         assert_eq!(integer_var_count(&tight), 3); // just the l_i
     }
@@ -481,7 +418,7 @@ mod tests {
         let g = ConflictGraph::from_parts(vec![10], vec![32], e);
         let t = table();
         let m = EnergyModel::new(&g, &t);
-        let (ilp, _) = build_model(&m, 32, Linearization::Paper);
+        let (ilp, ..) = build_model_parts(&m, 32, Linearization::Paper);
         // No L variable should exist: 1 binary var only.
         assert_eq!(ilp.num_vars(), 1);
         let a = allocate_ilp(&m, 32, Linearization::Paper, &SolverOptions::default()).unwrap();

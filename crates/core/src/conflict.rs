@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 /// The profiled conflict graph.
 ///
 /// Stored as a CSR (compressed sparse row) adjacency built once at
-/// construction: row `i` of [`Self::adj`] holds `(j, m_ij)` sorted by
+/// construction: row `i` of `adj` holds `(j, m_ij)` sorted by
 /// `j`, so edge lookups are a binary search, per-object conflict sums
 /// are precomputed, and every iteration order is deterministic (the
 /// seed version filtered a `HashMap` per call, which was O(E) per

@@ -109,13 +109,8 @@ impl AllocOutcome {
 }
 
 /// Run `kind` on `model` under `budget`, degrading gracefully instead
-/// of failing.
-///
-/// The CASA ILP variants are warm-started from the greedy incumbent,
-/// so a feasible answer exists from the first node; the specialized
-/// B&B seeds its own greedy incumbent internally. Heuristic and
-/// baseline allocators ignore the budget (they are effectively
-/// instantaneous) and report completion-sense status.
+/// of failing: [`allocate_traced`] with no warm start and nothing
+/// captured.
 pub fn allocate_budgeted(
     model: &EnergyModel<'_>,
     capacity: u32,
@@ -123,68 +118,43 @@ pub fn allocate_budgeted(
     budget: &Budget,
     obs: &Obs,
 ) -> AllocOutcome {
-    allocate_budgeted_warm(model, capacity, kind, budget, None, obs)
-}
-
-/// [`allocate_budgeted`] with an externally supplied warm-start
-/// allocation (one flag per object). The warm start is advisory: it is
-/// adopted only when it fits `capacity` and beats the solver's own
-/// greedy incumbent, so a stale or infeasible hint can never make the
-/// answer worse. Allocators without warm-start support ignore it.
-///
-/// This is the solution cache's seeding hook: a cached optimum for a
-/// *capacity-adjacent* request becomes the incumbent, which tightens
-/// pruning from node zero and guarantees the degraded answer is at
-/// least as good as the hint.
-pub fn allocate_budgeted_warm(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    kind: AllocatorKind,
-    budget: &Budget,
-    warm: Option<&[bool]>,
-    obs: &Obs,
-) -> AllocOutcome {
-    allocate_recorded(
-        model,
-        capacity,
-        kind,
-        budget,
-        warm,
-        obs,
-        &SessionRecorder::disabled(),
-    )
-}
-
-/// [`allocate_budgeted_warm`] with a [`SessionRecorder`]: the exact
-/// allocators (specialized B&B and the ILP variants) stream their
-/// decision log — branch order, incumbents, bound updates, stop
-/// disposition — into `rec` for session capture and offline replay.
-/// Heuristic allocators record nothing; replay re-executes them.
-pub fn allocate_recorded(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    kind: AllocatorKind,
-    budget: &Budget,
-    warm: Option<&[bool]>,
-    obs: &Obs,
-    rec: &SessionRecorder,
-) -> AllocOutcome {
     allocate_traced(
         model,
         capacity,
         kind,
         budget,
-        warm,
+        None,
         obs,
-        rec,
+        &SessionRecorder::disabled(),
         &TreeRecorder::disabled(),
     )
 }
 
-/// [`allocate_recorded`] with search-tree telemetry: the exact
-/// allocators (specialized B&B and the ILP variants) additionally
-/// stream per-node [`casa_ilp::tree::TreeEvent`]s into `tree`.
-/// Heuristic allocators have no search tree and record nothing there.
+/// Run `kind` on `model` under `budget`, degrading gracefully instead
+/// of failing, with an optional warm start and decision capture.
+///
+/// The CASA ILP variants are warm-started from the greedy incumbent,
+/// so a feasible answer exists from the first node; the specialized
+/// B&B seeds its own greedy incumbent internally. Heuristic and
+/// baseline allocators ignore the budget (they are effectively
+/// instantaneous) and report completion-sense status.
+///
+/// `warm` is an externally supplied warm-start allocation (one flag
+/// per object). It is advisory: it is adopted only when it fits
+/// `capacity` and beats the solver's own greedy incumbent, so a stale
+/// or infeasible hint can never make the answer worse. Allocators
+/// without warm-start support ignore it. This is the solution cache's
+/// seeding hook: a cached optimum for a *capacity-adjacent* request
+/// becomes the incumbent, which tightens pruning from node zero and
+/// guarantees the degraded answer is at least as good as the hint.
+///
+/// The exact allocators (specialized B&B and the ILP variants) stream
+/// their decision log — branch order, incumbents, bound updates, stop
+/// disposition — into `rec` for session capture and offline replay,
+/// and per-node [`casa_ilp::tree::TreeEvent`]s into `tree`. Heuristic
+/// allocators record nothing in either; replay re-executes them. Pass
+/// [`SessionRecorder::disabled`] and [`TreeRecorder::disabled`] to
+/// capture nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn allocate_traced(
     model: &EnergyModel<'_>,
@@ -496,13 +466,15 @@ mod tests {
             AllocatorKind::CasaIlpPaper,
             AllocatorKind::CasaIlpTight,
         ] {
-            let warm = allocate_budgeted_warm(
+            let warm = allocate_traced(
                 &model,
                 32,
                 kind,
                 &Budget::nodes(1),
                 Some(&opt.allocation.on_spm),
                 &Obs::disabled(),
+                &SessionRecorder::disabled(),
+                &TreeRecorder::disabled(),
             );
             let e_warm = model.total_energy(&warm.allocation.on_spm);
             let e_opt = model.total_energy(&opt.allocation.on_spm);
@@ -511,13 +483,15 @@ mod tests {
         // An infeasible hint (everything on SPM) is ignored, not
         // adopted: the answer still fits.
         let bogus = vec![true; g.len()];
-        let out = allocate_budgeted_warm(
+        let out = allocate_traced(
             &model,
             32,
             AllocatorKind::CasaBb,
             &Budget::unlimited(),
             Some(&bogus),
             &Obs::disabled(),
+            &SessionRecorder::disabled(),
+            &TreeRecorder::disabled(),
         );
         let used: u32 = (0..g.len())
             .filter(|&i| out.allocation.on_spm[i])

@@ -23,13 +23,15 @@
 //! [`EXPLAIN_SCHEMA`] rejected, truncation a clean error.
 
 use crate::allocation::Allocation;
-use crate::casa_bb::{allocate_bb_budgeted, SavingsModel};
+use crate::casa_bb::{allocate_bb_traced, SavingsModel};
 use crate::casa_ilp::{build_model_parts, Linearization};
 use crate::energy_model::EnergyModel;
 use crate::flow::AllocatorKind;
 use crate::server::allocator_tag;
+use crate::session::SessionRecorder;
 use casa_ilp::engine::Budget;
 use casa_ilp::simplex::{solve_lp, LpResult};
+use casa_ilp::tree::TreeRecorder;
 use casa_obs::{jnum, json_escape, Obs};
 use serde::json::Value;
 use std::error::Error;
@@ -370,12 +372,14 @@ pub fn explain_allocation(
             } else {
                 capacity.saturating_add(delta)
             };
-            let out = allocate_bb_budgeted(
+            let out = allocate_bb_traced(
                 model,
                 probe_cap,
                 &Budget::nodes(PROBE_NODE_BUDGET),
                 Some(&allocation.on_spm),
                 &Obs::disabled(),
+                &SessionRecorder::disabled(),
+                &TreeRecorder::disabled(),
             );
             let flipped: Vec<usize> = (0..n)
                 .filter(|&j| out.allocation.on_spm[j] != allocation.on_spm[j])

@@ -26,7 +26,6 @@ use crate::report::EnergyBreakdown;
 use crate::ross::{allocate_loop_cache, LoopCacheAssignment};
 use crate::session::SessionRecorder;
 use casa_energy::{EnergyTable, TechParams};
-use casa_ilp::SolveError;
 use casa_ir::{Profile, Program};
 use casa_mem::cache::CacheConfig;
 use casa_mem::loop_cache::PreloadError;
@@ -356,11 +355,6 @@ impl FlowReport {
 /// A workflow failure.
 #[derive(Debug)]
 pub enum FlowError {
-    /// The ILP solver failed. Since the budgeted engine degrades to
-    /// the greedy heuristic instead of failing, this no longer occurs
-    /// in the scratchpad flow; the variant remains so callers matching
-    /// on [`FlowError`] keep compiling.
-    Solve(SolveError),
     /// Loop-cache preloading failed (allocator produced ranges the
     /// controller rejects — a bug, surfaced rather than panicking).
     Preload(PreloadError),
@@ -369,19 +363,12 @@ pub enum FlowError {
 impl fmt::Display for FlowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FlowError::Solve(e) => write!(f, "allocation ILP failed: {e}"),
             FlowError::Preload(e) => write!(f, "loop-cache preload failed: {e}"),
         }
     }
 }
 
 impl Error for FlowError {}
-
-impl From<SolveError> for FlowError {
-    fn from(e: SolveError) -> Self {
-        FlowError::Solve(e)
-    }
-}
 
 impl From<PreloadError> for FlowError {
     fn from(e: PreloadError) -> Self {

@@ -81,8 +81,8 @@ pub use allocation::Allocation;
 pub use conflict::ConflictGraph;
 pub use energy_model::EnergyModel;
 pub use engine::{
-    allocate_budgeted, allocate_recorded, allocate_traced, AllocOutcome, AllocStatus, Budget,
-    BudgetKind, CancelToken, TreeRecorder,
+    allocate_budgeted, allocate_traced, AllocOutcome, AllocStatus, Budget, BudgetKind, CancelToken,
+    TreeRecorder,
 };
 pub use explain::{
     explain_allocation, explain_json, parse_explain, render_explain, ExplainDoc, ExplainError,

@@ -15,20 +15,15 @@
 //!
 //! # On-disk format
 //!
-//! Two sibling encodings, selected by file extension in
-//! [`Session::save`] / [`Session::load`]:
-//!
-//! * `.casa-session` (any extension other than `.json`) — compact
-//!   binary framing: an 8-byte magic `CASASESS`, a little-endian `u32`
-//!   schema number, then tagged sections (`u16` tag, `u64` payload
-//!   length, payload). Readers **skip unknown tags**, so newer writers
-//!   can add sections without breaking older readers; truncated input
-//!   is an error, exactly like the `bench::history` reader.
-//! * `.json` — one deterministic JSON object with sorted keys.
-//!   `f64` values travel as 16-digit hex bit patterns so the
-//!   round-trip is bit-exact regardless of the JSON number parser.
-//!   Readers ignore unknown keys and reject `schema` values above
-//!   their own.
+//! One compact binary framing, written by [`Session::save`] (by
+//! convention to a `.casa-session` file) and read by
+//! [`Session::load`]: an 8-byte magic `CASASESS`, a little-endian
+//! `u32` schema number, then tagged sections (`u16` tag, `u64` payload
+//! length, payload). `f64` values travel as their bit patterns, so the
+//! round-trip is bit-exact. Readers **skip unknown tags**, so newer
+//! writers can add sections without breaking older readers; schema
+//! numbers above their own and truncated input are errors, exactly
+//! like the `bench::history` reader.
 //!
 //! # Replay-equivalence guarantee
 //!
@@ -44,11 +39,10 @@
 use crate::allocation::Allocation;
 use crate::casa_bb::SavingsModel;
 use crate::energy_model::EnergyModel;
-use crate::engine::{allocate_recorded, AllocOutcome, AllocStatus, BudgetKind};
+use crate::engine::{allocate_traced, AllocOutcome, AllocStatus, BudgetKind, TreeRecorder};
 use crate::flow::AllocatorKind;
 use crate::server::{parse_request, response_json, ParsedRequest, SolveJob};
-use casa_obs::{jnum, json_escape, Obs};
-use serde::json::Value;
+use casa_obs::{jnum, Obs};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -556,276 +550,17 @@ impl Session {
         }
         Ok(s)
     }
-}
 
-// ---------------------------------------------------------------------------
-// JSON codec
-// ---------------------------------------------------------------------------
-
-fn hex_bits(bits: u64) -> String {
-    format!("{bits:016x}")
-}
-
-fn opt_str_json(v: &Option<String>) -> String {
-    match v {
-        Some(s) => format!("\"{}\"", json_escape(s)),
-        None => "null".to_string(),
-    }
-}
-
-fn flags_json(flags: &[bool]) -> String {
-    flags
-        .iter()
-        .map(|&b| if b { "1" } else { "0" })
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn juint(v: &Value, what: &str) -> Result<u64, SessionError> {
-    let n = v
-        .as_f64()
-        .ok_or_else(|| SessionError::Format(format!("{what} must be a number")))?;
-    if n < 0.0 || n.fract() != 0.0 || n > 9.007_199_254_740_992e15 {
-        return Err(SessionError::Format(format!(
-            "{what} must be a non-negative integer"
-        )));
-    }
-    Ok(n as u64)
-}
-
-fn jhex(v: &Value, what: &str) -> Result<u64, SessionError> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| SessionError::Format(format!("{what} must be a hex string")))?;
-    u64::from_str_radix(s, 16)
-        .map_err(|_| SessionError::Format(format!("{what} is not a 64-bit hex value")))
-}
-
-fn jflags(v: &Value, what: &str) -> Result<Vec<bool>, SessionError> {
-    v.as_array()
-        .ok_or_else(|| SessionError::Format(format!("{what} must be an array")))?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .map(|n| n != 0.0)
-                .ok_or_else(|| SessionError::Format(format!("{what} entries must be 0/1")))
-        })
-        .collect()
-}
-
-impl Session {
-    /// Serialize to the deterministic JSON sibling format (sorted
-    /// keys, `f64` bit patterns as hex strings).
-    pub fn to_json(&self) -> String {
-        let bounds = self
-            .log
-            .bounds
-            .iter()
-            .map(|b| {
-                format!(
-                    "{{\"bits\":\"{}\",\"node\":{}}}",
-                    hex_bits(b.value_bits),
-                    b.node
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let incumbents = self
-            .log
-            .incumbents
-            .iter()
-            .map(|i| {
-                format!(
-                    "{{\"node\":{},\"obj\":\"{}\",\"on_spm\":[{}]}}",
-                    i.node,
-                    hex_bits(i.objective_bits),
-                    flags_json(&i.on_spm)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let meta = self
-            .meta
-            .iter()
-            .map(|(k, v)| format!("[\"{}\",\"{}\"]", json_escape(k), json_escape(v)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let order = self
-            .log
-            .order
-            .iter()
-            .map(u32::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"bounds\":[{bounds}],\"energy\":\"{}\",\"gap\":\"{}\",\"incumbents\":[{incumbents}],\"layout\":[{}],\"log_nodes\":{},\"log_stop\":{},\"meta\":[{meta}],\"nodes\":{},\"order\":[{order}],\"reason\":{},\"report\":\"{}\",\"request\":\"{}\",\"schema\":{},\"status\":\"{}\",\"stopped_by\":{}}}",
-            hex_bits(self.energy_bits),
-            hex_bits(self.gap_bits),
-            flags_json(&self.layout),
-            self.log.nodes,
-            opt_str_json(&self.log.stop),
-            self.nodes,
-            opt_str_json(&self.reason),
-            json_escape(&self.report),
-            json_escape(&self.request),
-            self.schema,
-            json_escape(&self.status),
-            opt_str_json(&self.stopped_by),
-        )
-    }
-
-    /// Parse the JSON sibling format. Unknown keys are ignored
-    /// (forward compatibility); schema numbers above
-    /// [`SESSION_SCHEMA`] are rejected.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Format`] describing the first violation.
-    pub fn from_json(text: &str) -> Result<Session, SessionError> {
-        let v = serde::json::parse(text).map_err(|e| SessionError::Format(e.to_string()))?;
-        let schema = juint(
-            v.get("schema")
-                .ok_or_else(|| SessionError::Format("schema is required".to_string()))?,
-            "schema",
-        )? as u32;
-        if schema > SESSION_SCHEMA {
-            return Err(SessionError::Format(format!(
-                "unsupported session schema {schema} (this reader understands up to {SESSION_SCHEMA})"
-            )));
-        }
-        let req_str = |key: &str| -> Result<String, SessionError> {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| SessionError::Format(format!("{key} is required")))
-        };
-        let opt_str = |key: &str| -> Option<String> {
-            v.get(key).and_then(Value::as_str).map(str::to_string)
-        };
-        let mut s = Session {
-            schema,
-            request: req_str("request")?,
-            status: req_str("status")?,
-            report: req_str("report")?,
-            stopped_by: opt_str("stopped_by"),
-            reason: opt_str("reason"),
-            ..Session::default()
-        };
-        if let Some(e) = v.get("energy") {
-            s.energy_bits = jhex(e, "energy")?;
-        }
-        if let Some(g) = v.get("gap") {
-            s.gap_bits = jhex(g, "gap")?;
-        }
-        if let Some(l) = v.get("layout") {
-            s.layout = jflags(l, "layout")?;
-        }
-        if let Some(n) = v.get("nodes") {
-            s.nodes = juint(n, "nodes")?;
-        }
-        if let Some(n) = v.get("log_nodes") {
-            s.log.nodes = juint(n, "log_nodes")?;
-        }
-        s.log.stop = opt_str("log_stop");
-        if let Some(o) = v.get("order") {
-            s.log.order = o
-                .as_array()
-                .ok_or_else(|| SessionError::Format("order must be an array".to_string()))?
-                .iter()
-                .map(|x| juint(x, "order[]").map(|n| n as u32))
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(arr) = v.get("incumbents") {
-            for (k, i) in arr
-                .as_array()
-                .ok_or_else(|| SessionError::Format("incumbents must be an array".to_string()))?
-                .iter()
-                .enumerate()
-            {
-                let what = format!("incumbents[{k}]");
-                s.log.incumbents.push(Incumbent {
-                    node: juint(
-                        i.get("node")
-                            .ok_or_else(|| SessionError::Format(format!("{what}.node missing")))?,
-                        &what,
-                    )?,
-                    objective_bits: jhex(
-                        i.get("obj")
-                            .ok_or_else(|| SessionError::Format(format!("{what}.obj missing")))?,
-                        &what,
-                    )?,
-                    on_spm: jflags(
-                        i.get("on_spm").ok_or_else(|| {
-                            SessionError::Format(format!("{what}.on_spm missing"))
-                        })?,
-                        &what,
-                    )?,
-                });
-            }
-        }
-        if let Some(arr) = v.get("bounds") {
-            for (k, b) in arr
-                .as_array()
-                .ok_or_else(|| SessionError::Format("bounds must be an array".to_string()))?
-                .iter()
-                .enumerate()
-            {
-                let what = format!("bounds[{k}]");
-                s.log.bounds.push(BoundUpdate {
-                    node: juint(
-                        b.get("node")
-                            .ok_or_else(|| SessionError::Format(format!("{what}.node missing")))?,
-                        &what,
-                    )?,
-                    value_bits: jhex(
-                        b.get("bits")
-                            .ok_or_else(|| SessionError::Format(format!("{what}.bits missing")))?,
-                        &what,
-                    )?,
-                });
-            }
-        }
-        if let Some(arr) = v.get("meta") {
-            for (k, pair) in arr
-                .as_array()
-                .ok_or_else(|| SessionError::Format("meta must be an array".to_string()))?
-                .iter()
-                .enumerate()
-            {
-                let pair = pair
-                    .as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| SessionError::Format(format!("meta[{k}] must be a pair")))?;
-                let key = pair[0].as_str().ok_or_else(|| {
-                    SessionError::Format(format!("meta[{k}] key must be a string"))
-                })?;
-                let val = pair[1].as_str().ok_or_else(|| {
-                    SessionError::Format(format!("meta[{k}] value must be a string"))
-                })?;
-                s.meta.push((key.to_string(), val.to_string()));
-            }
-        }
-        Ok(s)
-    }
-
-    /// Write the session to `path`, picking the codec by extension:
-    /// `.json` gets the JSON sibling, everything else (by convention
-    /// `.casa-session`) the binary framing.
+    /// Write the session to `path` in the binary framing.
     ///
     /// # Errors
     ///
     /// [`SessionError::Io`] on filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), SessionError> {
-        let bytes = if is_json_path(path) {
-            self.to_json().into_bytes()
-        } else {
-            self.to_binary()
-        };
-        std::fs::write(path, bytes).map_err(SessionError::Io)
+        std::fs::write(path, self.to_binary()).map_err(SessionError::Io)
     }
 
-    /// Read a session from `path` (codec by extension, like
-    /// [`Session::save`]).
+    /// Read a session written by [`Session::save`] from `path`.
     ///
     /// # Errors
     ///
@@ -833,18 +568,8 @@ impl Session {
     /// [`SessionError::Format`] on malformed content.
     pub fn load(path: &Path) -> Result<Session, SessionError> {
         let bytes = std::fs::read(path).map_err(SessionError::Io)?;
-        if is_json_path(path) {
-            let text = String::from_utf8(bytes)
-                .map_err(|_| SessionError::Format("non-UTF-8 JSON session".to_string()))?;
-            Session::from_json(&text)
-        } else {
-            Session::from_binary(&bytes)
-        }
+        Session::from_binary(&bytes)
     }
-}
-
-fn is_json_path(path: &Path) -> bool {
-    path.extension().is_some_and(|e| e == "json")
 }
 
 // ---------------------------------------------------------------------------
@@ -1179,7 +904,7 @@ impl Session {
         let job = self.parsed_job()?;
         let model = EnergyModel::new(&job.graph, &job.table);
         let rec = SessionRecorder::enabled();
-        let _ = allocate_recorded(
+        let _ = allocate_traced(
             &model,
             job.capacity,
             job.allocator,
@@ -1187,6 +912,7 @@ impl Session {
             None,
             &Obs::disabled(),
             &rec,
+            &TreeRecorder::disabled(),
         );
         let fresh = rec.take().unwrap_or_default();
         Ok(diff_logs(&self.log, &fresh))
@@ -1336,7 +1062,7 @@ mod tests {
     fn record(job: &SolveJob) -> Session {
         let model = EnergyModel::new(&job.graph, &job.table);
         let rec = SessionRecorder::enabled();
-        let out = allocate_recorded(
+        let out = allocate_traced(
             &model,
             job.capacity,
             job.allocator,
@@ -1344,6 +1070,7 @@ mod tests {
             None,
             &Obs::disabled(),
             &rec,
+            &TreeRecorder::disabled(),
         );
         Session::capture(
             job,
@@ -1422,22 +1149,35 @@ mod tests {
 
     #[test]
     fn cold_recorded_session_has_no_divergence() {
-        let j = job(AllocatorKind::CasaBb, None);
-        let s = record(&j);
-        assert_eq!(s.divergence().expect("replayable"), None);
+        for kind in [
+            AllocatorKind::CasaBb,
+            AllocatorKind::CasaIlpPaper,
+            AllocatorKind::CasaIlpTight,
+            AllocatorKind::CasaGreedy,
+            AllocatorKind::Steinke,
+            AllocatorKind::None,
+        ] {
+            for nodes in [None, Some(1), Some(3)] {
+                let s = record(&job(kind, nodes));
+                assert_eq!(
+                    s.divergence().expect("replayable"),
+                    None,
+                    "{kind:?} at node budget {nodes:?}"
+                );
+            }
+        }
         // A perturbed log diverges, and the report says where.
-        let mut bad = s;
+        let mut bad = record(&job(AllocatorKind::CasaBb, None));
         bad.log.nodes += 1;
         let d = bad.divergence().expect("replayable").expect("diverges");
         assert!(d.contains("node count"), "{d}");
     }
 
     #[test]
-    fn binary_and_json_round_trips_are_identity() {
+    fn binary_round_trip_is_identity() {
         let j = job(AllocatorKind::CasaBb, Some(3));
         let s = record(&j);
         assert_eq!(Session::from_binary(&s.to_binary()).expect("binary"), s);
-        assert_eq!(Session::from_json(&s.to_json()).expect("json"), s);
     }
 
     #[test]
@@ -1456,41 +1196,31 @@ mod tests {
     }
 
     #[test]
-    fn newer_schema_is_rejected_by_both_codecs() {
+    fn newer_schema_is_rejected() {
         let mut s = record(&job(AllocatorKind::CasaGreedy, None));
         s.schema = SESSION_SCHEMA + 1;
         assert!(matches!(
             Session::from_binary(&s.to_binary()),
             Err(SessionError::Format(_))
         ));
-        assert!(matches!(
-            Session::from_json(&s.to_json()),
-            Err(SessionError::Format(_))
-        ));
     }
 
     #[test]
-    fn json_reader_ignores_unknown_keys() {
-        let s = record(&job(AllocatorKind::Steinke, None));
-        let text = s.to_json();
-        let extended = format!("{{\"added_in_v9\":[1,2,3],{}", &text[1..]);
-        assert_eq!(Session::from_json(&extended).expect("tolerant"), s);
-    }
-
-    #[test]
-    fn save_and_load_pick_codec_by_extension() {
-        let dir = std::env::temp_dir().join("casa-session-ext-test");
+    fn saved_session_loads_back_and_json_is_refused() {
+        let dir =
+            std::env::temp_dir().join(format!("casa-session-save-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let s = record(&job(AllocatorKind::CasaBb, None));
         let bin = dir.join("one.casa-session");
-        let json = dir.join("one.json");
-        s.save(&bin).expect("save binary");
-        s.save(&json).expect("save json");
-        assert_eq!(Session::load(&bin).expect("load binary"), s);
-        assert_eq!(Session::load(&json).expect("load json"), s);
+        s.save(&bin).expect("save");
+        assert_eq!(Session::load(&bin).expect("load"), s);
         assert!(std::fs::read(&bin)
             .expect("read")
             .starts_with(SESSION_MAGIC));
+        // A JSON file is not a session: a clean format error, no panic.
+        let json = dir.join("one.json");
+        std::fs::write(&json, s.report.as_bytes()).expect("write json");
+        assert!(matches!(Session::load(&json), Err(SessionError::Format(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,28 +1,25 @@
-//! Property tests for the `.casa-session` codecs (satellite of the
-//! record/replay PR):
+//! Property tests for the `.casa-session` binary codec:
 //!
-//! 1. Write → read is the identity for arbitrary sessions, through
-//!    both the binary framing and the JSON sibling — including f64 bit
-//!    patterns (NaN payloads travel as bits, not as parsed numbers)
-//!    and strings needing escapes.
-//! 2. Truncated binary input is always a clean `Format` error, never a
-//!    panic and never a silently shorter session.
-//! 3. Forward compatibility: a reader presented with sections/keys it
-//!    does not know skips them and still reconstructs the session.
+//! 1. Write → read is the identity for arbitrary sessions — including
+//!    f64 bit patterns (NaN payloads travel as bits) and strings with
+//!    quotes, control characters and non-ASCII.
+//! 2. Truncated input is always a clean `Format` error, never a panic
+//!    and never a silently shorter session.
+//! 3. Forward compatibility: a reader presented with sections it does
+//!    not know skips them and still reconstructs the session; a newer
+//!    schema number is refused.
 
 use casa_core::session::{BoundUpdate, DecisionLog, Incumbent};
 use casa_core::{Session, SessionError, SESSION_SCHEMA};
 use proptest::prelude::*;
 use proptest::TestRng;
 
-/// Printable-ish characters plus the ones that stress the JSON
-/// escaper: quotes, backslashes, control characters, non-ASCII.
+/// Printable-ish characters plus quotes, backslashes, control
+/// characters and non-ASCII.
 const ALPHABET: [char; 8] = ['a', '"', '\\', '\n', '\t', '\u{1}', 'µ', '→'];
 
-/// Node ids and node counts travel as plain JSON numbers, and the
-/// mini-parser reads numbers through f64 — so, like the writer, the
-/// generator stays below 2^53. Bit-pattern fields (`*_bits`) travel
-/// as hex strings and keep the full u64 range.
+/// A node id or node count; bit-pattern fields (`*_bits`) draw from
+/// the full u64 range instead.
 fn count(rng: &mut TestRng) -> u64 {
     (0u64..(1 << 53)).sample(rng)
 }
@@ -101,12 +98,6 @@ proptest! {
     }
 
     #[test]
-    fn json_round_trip_is_identity(s in ArbSession) {
-        let text = s.to_json();
-        prop_assert_eq!(Session::from_json(&text).expect("parses back"), s);
-    }
-
-    #[test]
     fn truncated_binary_is_a_clean_format_error(s in ArbSession, k in 1usize..=9) {
         // Every section ends with at least its own 10-byte header, so
         // shaving 1..=9 bytes always cuts *inside* the final section.
@@ -130,20 +121,9 @@ proptest! {
     }
 
     #[test]
-    fn unknown_json_keys_are_ignored(s in ArbSession, n in any::<u64>()) {
-        let text = s.to_json();
-        let extended = format!(
-            "{{\"added_by_a_future_writer\":{{\"x\":{n},\"y\":[1,2]}},{}",
-            &text[1..]
-        );
-        prop_assert_eq!(Session::from_json(&extended).expect("tolerant reader"), s);
-    }
-
-    #[test]
     fn newer_schema_is_refused(s in ArbSession, bump in 1u32..5) {
         let mut s = s;
         s.schema = SESSION_SCHEMA + bump;
         prop_assert!(Session::from_binary(&s.to_binary()).is_err());
-        prop_assert!(Session::from_json(&s.to_json()).is_err());
     }
 }

@@ -1,5 +1,6 @@
-//! Anytime solver engine: budgets, cancellation, warm starts, and
-//! gap-reporting outcomes on top of the branch-and-bound search.
+//! Anytime solver engine: best-first branch & bound over the integral
+//! variables of a [`Model`], with the simplex LP relaxation for bounds,
+//! plus budgets, cancellation, warm starts, and gap-reporting outcomes.
 //!
 //! The pre-engine entry points (a `solve` / `solve_obs` /
 //! `solve_with_stats` triplet, since removed) answered "what is the
@@ -20,7 +21,6 @@
 //! [`SolveOutcome::stopped_by`] so downstream serializers can redact
 //! wall-clock-dependent fields.
 
-use crate::branch_bound::{BbStats, SolverOptions};
 use crate::model::{Model, Sense};
 use crate::simplex::{solve_lp_counted, LpResult};
 use crate::solution::{Solution, SolveError, Status};
@@ -31,6 +31,44 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Tunables for the branch-and-bound search.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SolverOptions {
+    /// Integrality tolerance: a relaxation value within `int_tol` of
+    /// an integer counts as integral.
+    pub int_tol: f64,
+    /// Maximum number of branch-and-bound nodes to explore.
+    pub max_nodes: u64,
+    /// Absolute optimality gap at which a node is pruned against the
+    /// incumbent.
+    pub gap_tol: f64,
+}
+
+impl Default for SolverOptions {
+    fn default() -> Self {
+        SolverOptions {
+            int_tol: 1e-6,
+            max_nodes: 2_000_000,
+            gap_tol: 1e-9,
+        }
+    }
+}
+
+/// Search-effort statistics from one branch-and-bound run.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BbStats {
+    /// Branch-and-bound nodes popped (LP relaxations attempted).
+    pub nodes: u64,
+    /// Times a new incumbent replaced the previous best.
+    pub incumbent_updates: u64,
+    /// Simplex pivots summed over every node LP.
+    pub simplex_pivots: u64,
+    /// Best proven optimistic bound in the model's own orientation
+    /// (equals the objective when the search closed); `None` if no
+    /// finite bound was established.
+    pub best_bound: Option<f64>,
+}
 
 /// Cooperative cancellation handle, cheaply cloneable and shareable
 /// across threads (e.g. one token distributed to every sweep worker).
@@ -63,21 +101,6 @@ impl PartialEq for CancelToken {
     }
 }
 
-/// The root LP relaxation as provenance material: values, objective,
-/// and the dual information the simplex final basis carries for free.
-/// Everything is in the model's own orientation.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RootLp {
-    /// Relaxation value per model variable.
-    pub values: Vec<f64>,
-    /// Relaxation objective (an optimistic bound on the optimum).
-    pub objective: f64,
-    /// Shadow price per model constraint: `d(objective)/d(rhs_k)`.
-    pub duals: Vec<f64>,
-    /// Reduced cost per model variable over model constraints.
-    pub reduced_costs: Vec<f64>,
-}
-
 /// Everything the branch & bound decided during one search, in the
 /// order it decided it — the raw material of a replayable session
 /// (see `casa_core::session`).
@@ -95,14 +118,6 @@ pub struct SearchLog {
     pub stop: Option<BudgetKind>,
     /// Total nodes popped.
     pub nodes: u64,
-    /// The root relaxation with duals and reduced costs, captured the
-    /// first time the root LP solves to optimality (provenance for
-    /// `casa_core::explain`; `None` when the root never solved).
-    pub root_lp: Option<RootLp>,
-    /// Per-branch provenance: `(node, variable, LP relaxation value at
-    /// the moment of branching)`. Parallel to `branched` (which is
-    /// kept as the compact replay order for the session codec).
-    pub branch_events: Vec<(u64, u32, f64)>,
 }
 
 /// Recorder for the solver decision log, following the [`Obs`]
@@ -135,19 +150,8 @@ impl SearchRecorder {
         }
     }
 
-    fn branch(&self, node: u64, var: usize, lp_value: f64) {
-        self.with(|l| {
-            l.branched.push(var as u32);
-            l.branch_events.push((node, var as u32, lp_value));
-        });
-    }
-
-    fn root_lp(&self, root: &RootLp) {
-        self.with(|l| {
-            if l.root_lp.is_none() {
-                l.root_lp = Some(root.clone());
-            }
-        });
+    fn branch(&self, var: usize) {
+        self.with(|l| l.branched.push(var as u32));
     }
 
     fn incumbent(&self, node: u64, min_obj: f64, values: &[f64]) {
@@ -470,19 +474,7 @@ impl<'a> SolveRequest<'a> {
     ///   before any feasible integral point was found.
     /// * [`SolveError::IterationLimit`] — simplex failed to converge.
     pub fn solve(self) -> Result<SolveOutcome, SolveError> {
-        let mut stats = BbStats::default();
-        let result = search(
-            self.model,
-            &self.options,
-            &self.budget,
-            self.warm_start,
-            &self.obs,
-            &self.recorder,
-            &self.tree,
-            &mut stats,
-        );
-        self.export_obs(&result, &stats);
-        result
+        self.solve_with_stats().0
     }
 
     /// Like [`solve`](Self::solve), but also returns the stats
@@ -530,10 +522,8 @@ impl<'a> SolveRequest<'a> {
     }
 }
 
-/// The anytime best-first branch-and-bound search. This is the former
-/// `branch_bound::solve_inner` extended with warm starts and the
-/// budget clock; the node-expansion order is untouched, so unbudgeted
-/// engine runs reproduce the old `solve()` byte for byte.
+/// The anytime best-first branch-and-bound search: most-fractional
+/// branching, parent-bound pruning, warm starts and the budget clock.
 #[allow(clippy::too_many_arguments)]
 fn search(
     model: &Model,
@@ -687,21 +677,8 @@ fn search(
                 continue;
             }
             LpResult::Optimal {
-                values,
-                objective,
-                duals,
-                reduced_costs,
-            } => {
-                if nodes == 1 && rec.is_enabled() {
-                    rec.root_lp(&RootLp {
-                        values: values.clone(),
-                        objective,
-                        duals,
-                        reduced_costs,
-                    });
-                }
-                (values, objective)
-            }
+                values, objective, ..
+            } => (values, objective),
         };
         let min_obj = sense_sign * objective;
         if let Some((_, best)) = &incumbent {
@@ -773,7 +750,7 @@ fn search(
                 }
             }
             Some((i, x)) => {
-                rec.branch(nodes, i, x);
+                rec.branch(i);
                 if tree.is_enabled() {
                     tree.record(TreeEvent {
                         kind: TreeEventKind::Branch,
@@ -1236,34 +1213,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_captures_root_lp_and_branch_provenance() {
-        let (m, _, _) = branching_model();
-        let rec = SearchRecorder::enabled();
-        let out = SolveRequest::new(&m).record(&rec).solve().unwrap();
-        assert!(out.is_optimal());
-        let log = rec.take().unwrap();
-        let root = log.root_lp.expect("root LP solved to optimality");
-        // Model-oriented root relaxation bound of the max problem: at
-        // least the integer optimum, with the known LP value 4.6.
-        assert!((root.objective - 4.6).abs() < 1e-6, "{}", root.objective);
-        assert_eq!(root.values.len(), 2);
-        assert_eq!(root.duals.len(), 2);
-        assert_eq!(root.reduced_costs.len(), 2);
-        assert!(root.duals.iter().all(|d| d.is_finite()));
-        // Both constraints bind at the fractional vertex (12/5, 11/5).
-        assert!(root.duals.iter().all(|&d| d > 0.0), "{:?}", root.duals);
-        // Branch provenance parallels the compact order and records a
-        // genuinely fractional LP value for each branch decision.
-        assert_eq!(log.branch_events.len(), log.branched.len());
-        for (k, &(node, var, x)) in log.branch_events.iter().enumerate() {
-            assert_eq!(var, log.branched[k]);
-            assert!(node >= 1 && node <= log.nodes);
-            assert!((x - x.round()).abs() > 1e-6, "branch value fractional: {x}");
-        }
-        assert!(!log.branch_events.is_empty(), "fractional root must branch");
-    }
-
-    #[test]
     fn cancel_token_equality_is_identity() {
         let a = CancelToken::new();
         let b = a.clone();
@@ -1276,5 +1225,204 @@ mod tests {
         assert!(Budget::unlimited().is_unlimited());
         assert!(Budget::deadline(Duration::from_millis(1)).has_wall_clock());
         assert!(!Budget::nodes(5).has_wall_clock());
+    }
+
+    /// The solution of a budgetless, cold solve under `options`.
+    fn solve(model: &Model, options: &SolverOptions) -> Result<Solution, SolveError> {
+        SolveRequest::new(model)
+            .options(*options)
+            .solve()
+            .map(|outcome| outcome.solution)
+    }
+
+    #[test]
+    fn binary_knapsack_exact() {
+        // max 10a + 6b + 4c s.t. a+b+c <= 2 (binaries) -> 16.
+        let mut m = Model::maximize();
+        let a = m.binary("a");
+        let b = m.binary("b");
+        let c = m.binary("c");
+        m.set_objective([(a, 10.0), (b, 6.0), (c, 4.0)]);
+        m.add_constraint([(a, 1.0), (b, 1.0), (c, 1.0)], ConstraintOp::Le, 2.0);
+        let s = solve(&m, &SolverOptions::default()).unwrap();
+        assert_eq!(s.status(), Status::Optimal);
+        assert!((s.objective() - 16.0).abs() < 1e-6);
+        assert!(s.bool_value(a) && s.bool_value(b) && !s.bool_value(c));
+    }
+
+    #[test]
+    fn integer_variable_branching() {
+        // max x + y s.t. 2x + y <= 7, x + 3y <= 9, integer x,y >= 0.
+        // LP optimum fractional; integer optimum = 4 (e.g. x=3,y=1 or x=2,y=2).
+        let mut m = Model::maximize();
+        let x = m.integer("x", 0, 10);
+        let y = m.integer("y", 0, 10);
+        m.set_objective([(x, 1.0), (y, 1.0)]);
+        m.add_constraint([(x, 2.0), (y, 1.0)], ConstraintOp::Le, 7.0);
+        m.add_constraint([(x, 1.0), (y, 3.0)], ConstraintOp::Le, 9.0);
+        let s = solve(&m, &SolverOptions::default()).unwrap();
+        assert!((s.objective() - 4.0).abs() < 1e-6, "obj {}", s.objective());
+    }
+
+    #[test]
+    fn infeasible_integer_program() {
+        // x + y = 1.5 with binaries: LP feasible, no integral point.
+        let mut m = Model::minimize();
+        let x = m.binary("x");
+        let y = m.binary("y");
+        m.set_objective([(x, 1.0), (y, 1.0)]);
+        m.add_constraint([(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 1.5);
+        assert_eq!(
+            solve(&m, &SolverOptions::default()).unwrap_err(),
+            SolveError::Infeasible
+        );
+    }
+
+    #[test]
+    fn unbounded_reported() {
+        let mut m = Model::maximize();
+        let x = m.integer("x", 0, i64::MAX >> 8);
+        m.set_objective([(x, 1.0)]);
+        // Huge but finite domain: not unbounded, returns the ub.
+        let s = solve(&m, &SolverOptions::default()).unwrap();
+        assert!(s.objective() > 1e10);
+
+        let mut m2 = Model::maximize();
+        let y = m2.continuous("y", 0.0, f64::INFINITY);
+        let z = m2.binary("z");
+        m2.set_objective([(y, 1.0), (z, 1.0)]);
+        assert_eq!(
+            solve(&m2, &SolverOptions::default()).unwrap_err(),
+            SolveError::Unbounded
+        );
+    }
+
+    #[test]
+    fn mixed_integer_continuous() {
+        // min 3x + y, x binary, y continuous in [0, 10],
+        // s.t. x + y >= 1.5. Best: x=0, y=1.5 -> 1.5.
+        let mut m = Model::minimize();
+        let x = m.binary("x");
+        let y = m.continuous("y", 0.0, 10.0);
+        m.set_objective([(x, 3.0), (y, 1.0)]);
+        m.add_constraint([(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 1.5);
+        let s = solve(&m, &SolverOptions::default()).unwrap();
+        assert!((s.objective() - 1.5).abs() < 1e-6);
+        assert!(!s.bool_value(x));
+        assert!((s.value(y) - 1.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn node_limit_respected() {
+        // A problem needing branching, with max_nodes = 1: an
+        // incumbent in hand means Ok(Feasible); none means
+        // Err(NodeLimit).
+        let mut m = Model::maximize();
+        let x = m.integer("x", 0, 10);
+        let y = m.integer("y", 0, 10);
+        m.set_objective([(x, 1.0), (y, 1.0)]);
+        m.add_constraint([(x, 2.0), (y, 1.0)], ConstraintOp::Le, 7.0);
+        m.add_constraint([(x, 1.0), (y, 3.0)], ConstraintOp::Le, 9.0);
+        let opts = SolverOptions {
+            max_nodes: 1,
+            ..SolverOptions::default()
+        };
+        match solve(&m, &opts) {
+            Err(SolveError::NodeLimit { limit: 1 }) => {}
+            Ok(s) => assert_eq!(s.status(), Status::Feasible),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn incumbent_objective_matches_rounded_point() {
+        // With a loose integrality tolerance the root LP solution
+        // x = 0.95 already counts as integral; the incumbent must
+        // report the objective of the *rounded* point x = 1, not the
+        // raw LP objective 0.95.
+        let mut m = Model::minimize();
+        let x = m.integer("x", 0, 10);
+        m.set_objective([(x, 1.0)]);
+        m.add_constraint([(x, 1.0)], ConstraintOp::Ge, 0.95);
+        let opts = SolverOptions {
+            int_tol: 0.1,
+            ..SolverOptions::default()
+        };
+        let s = solve(&m, &opts).unwrap();
+        assert!((s.value(x) - 1.0).abs() < 1e-12);
+        assert!(
+            (s.objective() - 1.0).abs() < 1e-12,
+            "objective {} should equal the rounded point's objective",
+            s.objective()
+        );
+    }
+
+    #[test]
+    fn observed_solve_records_search_effort() {
+        let mut m = Model::maximize();
+        let x = m.integer("x", 0, 10);
+        let y = m.integer("y", 0, 10);
+        m.set_objective([(x, 1.0), (y, 1.0)]);
+        m.add_constraint([(x, 2.0), (y, 1.0)], ConstraintOp::Le, 7.0);
+        m.add_constraint([(x, 1.0), (y, 3.0)], ConstraintOp::Le, 9.0);
+        let obs = Obs::enabled();
+        let s = SolveRequest::new(&m)
+            .observe(&obs)
+            .solve()
+            .unwrap()
+            .solution;
+        let snap = obs.snapshot();
+        let counter = |name: &str| match snap.get(name) {
+            Some(casa_obs::MetricValue::Counter(v)) => *v,
+            other => panic!("{name}: expected counter, got {other:?}"),
+        };
+        assert_eq!(counter("ilp.bb.nodes"), s.nodes());
+        assert!(counter("ilp.bb.incumbents") >= 1);
+        assert!(counter("ilp.simplex.pivots") > 0);
+        match snap.get("ilp.bb.best_bound") {
+            Some(casa_obs::MetricValue::Gauge(b)) => {
+                assert!(
+                    (b - s.objective()).abs() < 1e-9,
+                    "closed search: bound = obj"
+                )
+            }
+            other => panic!("expected gauge, got {other:?}"),
+        }
+        // One instant event per incumbent improvement.
+        let incumbents = obs
+            .events()
+            .iter()
+            .filter(|e| e.name == "bb.incumbent")
+            .count() as u64;
+        assert_eq!(incumbents, counter("ilp.bb.incumbents"));
+    }
+
+    #[test]
+    fn stats_match_between_plain_and_observed_solve() {
+        let mut m = Model::maximize();
+        let a = m.binary("a");
+        let b = m.binary("b");
+        let c = m.binary("c");
+        m.set_objective([(a, 10.0), (b, 6.0), (c, 4.0)]);
+        m.add_constraint([(a, 1.0), (b, 1.0), (c, 1.0)], ConstraintOp::Le, 2.0);
+        let plain = solve(&m, &SolverOptions::default()).unwrap();
+        let (observed, stats) = SolveRequest::new(&m)
+            .observe(&Obs::enabled())
+            .solve_with_stats();
+        let observed = observed.unwrap().solution;
+        assert_eq!(plain.values(), observed.values());
+        assert_eq!(plain.nodes(), stats.nodes);
+    }
+
+    #[test]
+    fn objective_constant_carried_through() {
+        let mut m = Model::minimize();
+        let x = m.binary("x");
+        m.set_objective([(x, -2.0)]);
+        m.add_objective_constant(5.0);
+        let s = solve(&m, &SolverOptions::default()).unwrap();
+        // min -2x + 5 -> x=1, obj 3.
+        assert!((s.objective() - 3.0).abs() < 1e-9);
+        assert!(s.bool_value(x));
     }
 }

@@ -9,18 +9,14 @@
 //!   and binary variables,
 //! * a dense **two-phase primal simplex** ([`simplex`]) for LP
 //!   relaxations, with a Bland's-rule fallback against cycling,
-//! * **branch & bound** ([`branch_bound`]) over the integer variables,
-//!   best-first by relaxation bound, and
+//! * an **anytime branch & bound** ([`engine`]) over the integer
+//!   variables, best-first by relaxation bound, behind one budgeted
+//!   entry point ([`engine::SolveRequest`]) with wall-clock deadlines,
+//!   node limits, cooperative cancellation, warm starts, and
+//!   gap-reporting outcomes instead of hard failures,
+//! * bounded **search-tree telemetry** ([`tree`]) for that search, and
 //! * an exact **0/1 knapsack** dynamic program ([`knapsack`]) used by
-//!   the Steinke baseline allocator,
-//! * a **presolve** pass ([`presolve`]) — activity-based row
-//!   elimination and bound tightening — and
-//! * a **CPLEX LP-format writer** ([`lp_format`]) for cross-checking
-//!   formulations against external solvers,
-//! * an **anytime engine** ([`engine`]) — the single budgeted entry
-//!   point ([`engine::SolveRequest`]) with wall-clock deadlines, node
-//!   limits, cooperative cancellation, warm starts, and
-//!   gap-reporting outcomes instead of hard failures.
+//!   the Steinke baseline allocator.
 //!
 //! The solver is exact: property tests compare it against brute-force
 //! enumeration on small random instances.
@@ -47,25 +43,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod branch_bound;
 pub mod engine;
 pub mod knapsack;
-pub mod lp_format;
 pub mod model;
-pub mod presolve;
 pub mod simplex;
 pub mod solution;
 pub mod tree;
 
-pub use branch_bound::{BbStats, SolverOptions};
 pub use engine::{
-    Budget, BudgetKind, CancelToken, EngineStatus, RootLp, SearchLog, SearchRecorder, SolveOutcome,
-    SolveRequest,
+    BbStats, Budget, BudgetKind, CancelToken, EngineStatus, SearchLog, SearchRecorder,
+    SolveOutcome, SolveRequest, SolverOptions,
 };
 pub use knapsack::knapsack_01;
-pub use lp_format::to_lp_format;
 pub use model::{ConstraintOp, Model, Sense, Var};
-pub use presolve::{presolve, solve_presolved, solve_presolved_obs};
 pub use simplex::solve_lp_counted;
 pub use solution::{Solution, SolveError, Status};
 pub use tree::{

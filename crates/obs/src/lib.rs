@@ -5,7 +5,7 @@
 //!
 //! * **Metrics** ([`Registry`], [`Counter`], [`Gauge`], [`Histogram`])
 //!   — typed, `Send + Sync`, global-free. Snapshots are
-//!   [`BTreeMap`](std::collections::BTreeMap)s, so JSON export
+//!   [`BTreeMap`]s, so JSON export
 //!   iterates in sorted key order and is deterministic by
 //!   construction.
 //! * **Tracing** ([`TraceCollector`], RAII [`Span`] guards, instant

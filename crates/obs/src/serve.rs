@@ -55,7 +55,7 @@
 //!
 //! The std-only HTTP *client* helpers ([`http_get`], [`collect_sse`])
 //! and the exposition validator ([`validate_exposition`]) live here
-//! too so `diag --probe` and CI share one implementation.
+//! too so `diag probe` and CI share one implementation.
 //!
 //! [`Obs`]: crate::Obs
 //! [`Obs::dump_flight`]: crate::Obs::dump_flight
@@ -1333,7 +1333,7 @@ fn write_sse_frame(stream: &mut TcpStream, ev: &StreamEvent) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Std-only HTTP client (shared by `diag --probe` and tests)
+// Std-only HTTP client (shared by `diag probe` and tests)
 // ---------------------------------------------------------------------------
 
 /// `(status, response headers, body)` of one [`http_request`]
