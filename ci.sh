@@ -232,29 +232,83 @@ if grep -rn "#\[deprecated" crates src examples --include='*.rs'; then
   echo "deprecated item reintroduced"; exit 1
 fi
 
-echo "== record/replay: golden sessions from a smoke sweep"
-# A smoke sweep with --session-dir records one .casa-session (plus a
-# .report.json sibling) per scratchpad cell. Every session must replay
-# byte-identically offline: diag replay re-executes the decision log,
-# asserts the regenerated response equals the recording, and the
-# report it writes must match the sibling byte for byte. One cell also
-# goes through --divergence: a cold re-solve of a cold recording must
-# match the log decision for decision.
-rm -rf /tmp/casa_sessions
-rm -f /tmp/casa_replay_report.json
-(cd /tmp && cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke --session-dir /tmp/casa_sessions)
-ls /tmp/casa_sessions/*.casa-session >/dev/null 2>&1 \
+echo "== capture: worker byte-identity, golden replay, tree and explain renderers"
+# Capture is an output channel, never an input to the solve: the same
+# smoke grid runs under 1, 2 and 4 workers with --session-dir and
+# --ts-out. The deterministic report, the time-series and the whole
+# capture directory (sessions, reports, search trees, explain
+# documents) must be byte-identical across worker counts, and a
+# capture-free run must reproduce the same deterministic report. The
+# history records of the capture runs carry the per-cell top-regret
+# census. Every session must replay byte-identically offline: diag
+# replay re-executes the decision log, asserts the regenerated
+# response equals the recording, and the report it writes must match
+# the sibling byte for byte. One cell also goes through --divergence:
+# a cold re-solve of a cold recording must match the log decision for
+# decision. Finally diag tree and diag explain render the directory.
+rm -rf /tmp/casa_capture_ref /tmp/casa_capture_cur
+rm -f /tmp/casa_capture_history.jsonl /tmp/casa_det_ref.json /tmp/casa_ts_ref.json \
+      /tmp/casa_replay_report.json /tmp/casa_tree_render.txt /tmp/casa_explain_render.txt
+for T in 1 2 4; do
+  rm -rf /tmp/casa_capture_cur
+  rm -f /tmp/casa_det_cur.json /tmp/casa_ts_cur.json
+  (cd /tmp && CASA_SWEEP_THREADS=$T cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke \
+    --history-out /tmp/casa_capture_history.jsonl \
+    --det-out /tmp/casa_det_cur.json --session-dir /tmp/casa_capture_cur --ts-out /tmp/casa_ts_cur.json)
+  if [ ! -s /tmp/casa_det_ref.json ]; then
+    mv /tmp/casa_det_cur.json /tmp/casa_det_ref.json
+    mv /tmp/casa_ts_cur.json /tmp/casa_ts_ref.json
+    mv /tmp/casa_capture_cur /tmp/casa_capture_ref
+  else
+    cmp /tmp/casa_det_ref.json /tmp/casa_det_cur.json \
+      || { echo "deterministic report depends on CASA_SWEEP_THREADS=$T"; exit 1; }
+    cmp /tmp/casa_ts_ref.json /tmp/casa_ts_cur.json \
+      || { echo "time-series depend on CASA_SWEEP_THREADS=$T"; exit 1; }
+    diff -r /tmp/casa_capture_ref /tmp/casa_capture_cur \
+      || { echo "captured solves depend on CASA_SWEEP_THREADS=$T"; exit 1; }
+  fi
+done
+rm -f /tmp/casa_det_nocap.json
+(cd /tmp && cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke \
+  --history-out /tmp/casa_capture_history.jsonl --det-out /tmp/casa_det_nocap.json)
+cmp /tmp/casa_det_ref.json /tmp/casa_det_nocap.json \
+  || { echo "capture changed the deterministic report"; exit 1; }
+grep -q '"casa_timeseries":1' /tmp/casa_ts_ref.json \
+  || { echo "time-series document missing its schema tag"; exit 1; }
+grep -q '"explain_census":' /tmp/casa_capture_history.jsonl \
+  || { echo "history records of a capture run carry no census"; exit 1; }
+ls /tmp/casa_capture_ref/*.casa-session >/dev/null 2>&1 \
   || { echo "smoke sweep recorded no sessions"; exit 1; }
-for f in /tmp/casa_sessions/*.casa-session; do
+for f in /tmp/casa_capture_ref/*.casa-session; do
   rm -f /tmp/casa_replay_report.json
   cargo run --release -q -p casa-bench --bin diag -- replay "$f" --report-out /tmp/casa_replay_report.json \
     || { echo "replay mismatch for $f"; exit 1; }
   cmp /tmp/casa_replay_report.json "${f%.casa-session}.report.json" \
     || { echo "replayed report differs from the recorded sibling for $f"; exit 1; }
 done
-FIRST_SESSION="$(ls /tmp/casa_sessions/*.casa-session | head -n1)"
+FIRST_SESSION="$(ls /tmp/casa_capture_ref/*.casa-session | head -n1)"
 cargo run --release -q -p casa-bench --bin diag -- replay "$FIRST_SESSION" --divergence \
   || { echo "cold recording diverged from its own re-solve"; exit 1; }
+cargo run --release -q -p casa-bench --bin diag -- tree /tmp/casa_capture_ref > /tmp/casa_tree_render.txt \
+  || { echo "diag tree rejected the capture directory"; exit 1; }
+grep -q "spm_CasaBb" /tmp/casa_tree_render.txt \
+  || { echo "tree report lacks the B&B cell"; exit 1; }
+grep -q "incumbent" /tmp/casa_tree_render.txt \
+  || { echo "tree report lacks the incumbent convergence table"; exit 1; }
+# The same report as machine-readable JSON for downstream consumers.
+cargo run --release -q -p casa-bench --bin diag -- tree /tmp/casa_capture_ref --json | grep -q '"casa_tree_report_sweep":1' \
+  || { echo "diag tree --json did not emit the JSON convergence report"; exit 1; }
+cat /tmp/casa_capture_ref/*.explain.json | grep -q '"casa_explain":1' \
+  || { echo "explain documents missing their schema tag"; exit 1; }
+cargo run --release -q -p casa-bench --bin diag -- explain /tmp/casa_capture_ref --top 5 > /tmp/casa_explain_render.txt \
+  || { echo "diag explain rejected the capture directory"; exit 1; }
+grep -q "capacity shadow price:" /tmp/casa_explain_render.txt \
+  || { echo "explain report lacks the shadow-price line"; exit 1; }
+grep -q "top 5 by regret:" /tmp/casa_explain_render.txt \
+  || { echo "explain report lacks the regret table"; exit 1; }
+grep -q "flip distances" /tmp/casa_explain_render.txt \
+  || { echo "explain report lacks the flip-distance ranking"; exit 1; }
+rm -f /tmp/casa_capture_history.jsonl
 
 echo "== served capture: CASA_SESSION_DIR replay matches the journal"
 # casa-server with CASA_SESSION_DIR set captures each cache-miss solve
@@ -278,7 +332,7 @@ cargo run --release -q -p casa-bench --bin diag -- post "$CAP_ADDR" /tmp/casa_re
 cargo run --release -q -p casa-bench --bin diag -- tail "$CAP_ADDR" > /tmp/casa_cap_tail.txt \
   || { echo "capture journal tail failed"; kill $SERVER_PID; exit 1; }
 cargo run --release -q -p casa-bench --bin diag -- probe "$CAP_ADDR" \
-  --expect casa_server_sessions_captured_total --quit \
+  --expect casa_server_captures_total --quit \
   || { echo "capture probe failed"; kill $SERVER_PID; exit 1; }
 wait $SERVER_PID || { echo "capturing casa-server did not exit cleanly"; exit 1; }
 test -s /tmp/casa_srv_sessions/ci-replay-7.casa-session \
@@ -295,52 +349,6 @@ REPLAY_ATTR="$(grep -o "status=[^ ]* gap=[^ ]* nodes=[^ ]*" /tmp/casa_cap_replay
 test -n "$JOURNAL_ATTR" || { echo "journal has no solve attribution for ci-replay-7"; exit 1; }
 test "$JOURNAL_ATTR" = "$REPLAY_ATTR" \
   || { echo "replay attribution ($REPLAY_ATTR) differs from the journal ($JOURNAL_ATTR)"; exit 1; }
-
-echo "== solver introspection: tree + time-series capture, worker byte-identity"
-# Capture is an output channel, never an input to the solve: the same
-# smoke grid runs under 1, 2 and 4 workers with --tree-out and
-# --ts-out, and the search trees, the time-series, and the
-# deterministic report must all be byte-identical across worker
-# counts. A capture-free run must then reproduce the same
-# deterministic report (capture changes no allocation decision), and
-# diag tree must render the captured document as a convergence report.
-rm -f /tmp/casa_introspect_history.jsonl /tmp/casa_det_ref.json \
-      /tmp/casa_trees_ref.json /tmp/casa_ts_ref.json /tmp/casa_tree_render.txt
-for T in 1 2 4; do
-  rm -f /tmp/casa_det_cur.json /tmp/casa_trees_cur.json /tmp/casa_ts_cur.json
-  (cd /tmp && CASA_SWEEP_THREADS=$T cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke \
-    --history-out /tmp/casa_introspect_history.jsonl \
-    --det-out /tmp/casa_det_cur.json --tree-out /tmp/casa_trees_cur.json --ts-out /tmp/casa_ts_cur.json)
-  if [ ! -s /tmp/casa_det_ref.json ]; then
-    mv /tmp/casa_det_cur.json /tmp/casa_det_ref.json
-    mv /tmp/casa_trees_cur.json /tmp/casa_trees_ref.json
-    mv /tmp/casa_ts_cur.json /tmp/casa_ts_ref.json
-  else
-    cmp /tmp/casa_det_ref.json /tmp/casa_det_cur.json \
-      || { echo "deterministic report depends on CASA_SWEEP_THREADS=$T"; exit 1; }
-    cmp /tmp/casa_trees_ref.json /tmp/casa_trees_cur.json \
-      || { echo "captured search trees depend on CASA_SWEEP_THREADS=$T"; exit 1; }
-    cmp /tmp/casa_ts_ref.json /tmp/casa_ts_cur.json \
-      || { echo "time-series depend on CASA_SWEEP_THREADS=$T"; exit 1; }
-  fi
-done
-rm -f /tmp/casa_det_nocap.json
-(cd /tmp && cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke \
-  --history-out /tmp/casa_introspect_history.jsonl --det-out /tmp/casa_det_nocap.json)
-cmp /tmp/casa_det_ref.json /tmp/casa_det_nocap.json \
-  || { echo "tree/time-series capture changed the deterministic report"; exit 1; }
-grep -q '"casa_timeseries":1' /tmp/casa_ts_ref.json \
-  || { echo "time-series document missing its schema tag"; exit 1; }
-cargo run --release -q -p casa-bench --bin diag -- tree /tmp/casa_trees_ref.json > /tmp/casa_tree_render.txt \
-  || { echo "diag tree rejected the captured sweep document"; exit 1; }
-grep -q "spm_CasaBb" /tmp/casa_tree_render.txt \
-  || { echo "tree report lacks the B&B cell"; exit 1; }
-grep -q "incumbent" /tmp/casa_tree_render.txt \
-  || { echo "tree report lacks the incumbent convergence table"; exit 1; }
-# The same report as machine-readable JSON for downstream consumers.
-cargo run --release -q -p casa-bench --bin diag -- tree /tmp/casa_trees_ref.json --json | grep -q '"casa_tree_report_sweep":1' \
-  || { echo "diag tree --json did not emit the JSON convergence report"; exit 1; }
-rm -f /tmp/casa_introspect_history.jsonl
 
 echo "== sentinel --explain: injected regression is attributed"
 # Corrupt the newest history record — every cell energy plus the
@@ -374,48 +382,6 @@ grep -q '"family":"cell.energy_uj"' /tmp/casa_attr_regress.json \
   || { echo "machine verdict lacks the attribution"; exit 1; }
 rm -f /tmp/casa_attr_history.jsonl
 
-echo "== explainability: capture byte-identity across workers, renderer"
-# Explain capture is an output channel, never an input to the solve:
-# the same smoke grid runs with --explain-out under 1, 2 and 4
-# workers. The explain documents and the deterministic report must be
-# byte-identical across worker counts, and the report must match the
-# capture-free reference from the introspection gate above (explain
-# on/off changes no allocation decision). The history records of these
-# runs must carry the per-cell top-regret census, and diag explain
-# must render the captured document with all three report sections.
-rm -f /tmp/casa_explain_history.jsonl /tmp/casa_explain_ref.json \
-      /tmp/casa_det_exp_ref.json /tmp/casa_explain_render.txt
-for T in 1 2 4; do
-  rm -f /tmp/casa_explain_cur.json /tmp/casa_det_exp_cur.json
-  (cd /tmp && CASA_SWEEP_THREADS=$T cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke \
-    --history-out /tmp/casa_explain_history.jsonl \
-    --det-out /tmp/casa_det_exp_cur.json --explain-out /tmp/casa_explain_cur.json)
-  if [ ! -s /tmp/casa_explain_ref.json ]; then
-    mv /tmp/casa_explain_cur.json /tmp/casa_explain_ref.json
-    mv /tmp/casa_det_exp_cur.json /tmp/casa_det_exp_ref.json
-  else
-    cmp /tmp/casa_explain_ref.json /tmp/casa_explain_cur.json \
-      || { echo "explain documents depend on CASA_SWEEP_THREADS=$T"; exit 1; }
-    cmp /tmp/casa_det_exp_ref.json /tmp/casa_det_exp_cur.json \
-      || { echo "deterministic report depends on CASA_SWEEP_THREADS=$T under explain capture"; exit 1; }
-  fi
-done
-cmp /tmp/casa_det_ref.json /tmp/casa_det_exp_ref.json \
-  || { echo "explain capture changed the deterministic report"; exit 1; }
-grep -q '"casa_explain_sweep":1' /tmp/casa_explain_ref.json \
-  || { echo "explain sweep document missing its schema tag"; exit 1; }
-grep -q '"explain_census":' /tmp/casa_explain_history.jsonl \
-  || { echo "history records of an explain run carry no census"; exit 1; }
-cargo run --release -q -p casa-bench --bin diag -- explain /tmp/casa_explain_ref.json --top 5 > /tmp/casa_explain_render.txt \
-  || { echo "diag explain rejected the captured sweep document"; exit 1; }
-grep -q "capacity shadow price:" /tmp/casa_explain_render.txt \
-  || { echo "explain report lacks the shadow-price line"; exit 1; }
-grep -q "top 5 by regret:" /tmp/casa_explain_render.txt \
-  || { echo "explain report lacks the regret table"; exit 1; }
-grep -q "flip distances" /tmp/casa_explain_render.txt \
-  || { echo "explain report lacks the flip-distance ranking"; exit 1; }
-rm -f /tmp/casa_explain_history.jsonl
-
 echo "== served explain: opt-in sibling agrees with the reply and journal"
 # A request with "explain":true against a CASA_SESSION_DIR server must
 # leave a <stem>.explain.json sibling (misses only). The sibling must
@@ -442,7 +408,7 @@ cargo run --release -q -p casa-bench --bin diag -- post "$EXP_ADDR" /tmp/casa_ex
 cargo run --release -q -p casa-bench --bin diag -- tail "$EXP_ADDR" > /tmp/casa_exp_tail.txt \
   || { echo "explain journal tail failed"; kill $SERVER_PID; exit 1; }
 cargo run --release -q -p casa-bench --bin diag -- probe "$EXP_ADDR" \
-  --expect casa_server_explains_captured_total --quit \
+  --expect casa_server_captures_total --quit \
   || { echo "explain capture counter missing from /metrics"; kill $SERVER_PID; exit 1; }
 wait $SERVER_PID || { echo "explain casa-server did not exit cleanly"; exit 1; }
 test -s /tmp/casa_exp_sessions/ci-explain-9.explain.json \

@@ -197,10 +197,10 @@ const HELP: &str = "casa-server: POST /solve with a JSON allocation request.\n\
     or       {\"workload\":{\"benchmark\":\"adpcm\",\"scale\":1,\"seed\":42}, \"capacity\":N, ..}\n\
     \"v\" is the wire-schema version (absent = 1); unknown versions get a\n\
     structured 400 listing the supported ones.\n\
-    CASA_SESSION_DIR=<dir> captures every solved request as a replayable\n\
-    .casa-session file named by its X-Casa-Request-Id (see `diag replay`).\n\
-    \"explain\":true additionally captures a decision-provenance document\n\
-    as a <stem>.explain.json sibling (misses only; see `diag explain`).\n\
+    CASA_SESSION_DIR=<dir> captures every solved request as <stem>.casa-session\n\
+    and <stem>.report.json siblings named by its X-Casa-Request-Id (see\n\
+    `diag replay`), plus <stem>.tree.json for tree-searching allocators.\n\
+    \"explain\":true adds a <stem>.explain.json sibling (see `diag explain`).\n\
     Telemetry: /metrics /healthz /snapshot.json /events; /quitquitquit stops the server.\n";
 
 fn flag_u64(name: &str, default: u64) -> u64 {

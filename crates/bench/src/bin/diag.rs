@@ -7,8 +7,8 @@
 //! diag probe <addr> [--quick] [--expect <family>]... [--expect-spans] [--quit]
 //! diag flight <path>
 //! diag render-trace <path>
-//! diag tree <path> [--json]
-//! diag explain <path> [--top <n>]
+//! diag tree <path|dir> [--json]
+//! diag explain <path|dir> [--top <n>]
 //! diag help [<subcommand>]
 //! diag                       # workload calibration tables (no subcommand)
 //! ```
@@ -39,20 +39,20 @@
 //! engine degradation, or by `Obs::dump_flight`) and prints its events
 //! as a time-ordered table. `render-trace` re-parses a captured Chrome
 //! `trace_event` file and prints its span tree.
-//! `tree` renders a captured B&B search-tree log — either one
-//! `casa_tree` document (a casa-server `<stem>.tree.json` capture) or
-//! a whole `casa_tree_sweep` document (`sweep --tree-out`) — as a
-//! convergence report per tree: event breakdown by kind, incumbent
-//! trajectory with the local bound at each adoption, and the deepest
-//! explored node. Values are in the engine's recorded orientation
-//! (savings for the DFS allocator, signed energy objective for the
-//! ILP engine). `--json` emits the same convergence report as a
-//! deterministic sorted-key JSON document instead of text.
-//! `explain` renders a captured `casa_explain` document (a casa-server
-//! `<stem>.explain.json` capture, or a whole `casa_explain_sweep`
-//! from `sweep --explain-out`) as a decision report per cell: the
-//! capacity shadow-price line, the top-N regret table (`--top <n>`,
-//! default 10), and the flip-distance ranking.
+//! `tree` and `explain` take one captured document or a whole capture
+//! directory (`sweep --session-dir`, casa-server's `CASA_SESSION_DIR`),
+//! whose `<stem>.tree.json` / `<stem>.explain.json` siblings they walk
+//! in stem order under a `[<stem>]` header each.
+//! `tree` renders a B&B search-tree log as a convergence report: event
+//! breakdown by kind, incumbent trajectory with the local bound at
+//! each adoption, and the deepest explored node. Values are in the
+//! engine's recorded orientation (savings for the DFS allocator,
+//! signed energy objective for the ILP engine). `--json` emits the
+//! same convergence report as a deterministic sorted-key JSON document
+//! instead of text.
+//! `explain` renders a `casa_explain` document as a decision report:
+//! the capacity shadow-price line, the top-N regret table (`--top
+//! <n>`, default 10), and the flip-distance ranking.
 //!
 //! Without a subcommand, `diag` prints the workload calibration
 //! tables (code size, hot-set size, baseline cache behaviour,
@@ -72,6 +72,7 @@ use casa_obs::{
 };
 use casa_workloads::mediabench;
 use std::net::SocketAddr;
+use std::path::Path;
 use std::time::Duration;
 
 /// Rebuild span/instant events from a Chrome `trace_event` JSON file.
@@ -482,128 +483,100 @@ fn tree_report_json(log: &casa_ilp::tree::TreeLog) -> String {
     )
 }
 
-/// `tree <path> [--json]`: render a `casa_tree` or `casa_tree_sweep`
-/// document as per-tree convergence reports — human text by default,
-/// a deterministic JSON document with `--json`.
+fn read_doc(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// The `<stem><suffix>` documents of the capture directory `path` as
+/// `(stem, text)` pairs in stem order; `None` when `path` is a single
+/// document instead.
+fn capture_dir_docs(path: &str, suffix: &str) -> Option<Vec<(String, String)>> {
+    let dir = Path::new(path);
+    if !dir.is_dir() {
+        return None;
+    }
+    let mut docs: Vec<(String, String)> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("read {path}: {e}"))
+        .filter_map(|e| {
+            let p = e.unwrap_or_else(|e| panic!("read {path}: {e}")).path();
+            let stem = p.file_name()?.to_str()?.strip_suffix(suffix)?.to_string();
+            Some((stem, read_doc(&p)))
+        })
+        .collect();
+    docs.sort();
+    Some(docs)
+}
+
+/// `tree <path|dir> [--json]`: render one `casa_tree` document, or
+/// every tree of a capture directory, as convergence reports — human
+/// text by default, a deterministic JSON document with `--json`.
 fn tree_cmd(path: &str, as_json: bool) {
-    let json = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let v = serde::json::parse(&json).unwrap_or_else(|e| panic!("{path}: malformed JSON: {e}"));
-    if v.get("casa_tree_sweep").is_some() {
-        let cells = v
-            .get("cells")
-            .and_then(|c| c.as_array())
-            .expect("cells array");
-        let parsed: Vec<(&str, casa_ilp::tree::TreeLog)> = cells
-            .iter()
-            .map(|cell| {
-                let key = cell.get("key").and_then(|k| k.as_str()).unwrap_or("?");
-                let tree = cell.get("tree").expect("cell tree");
-                let log = casa_ilp::tree::parse_tree_value(tree)
-                    .unwrap_or_else(|e| panic!("{path}: cell {key}: {e}"));
-                (key, log)
-            })
-            .collect();
-        if as_json {
-            let cells: Vec<String> = parsed
-                .iter()
-                .map(|(key, log)| {
-                    format!(
-                        "{{\"key\":\"{}\",\"report\":{}}}",
-                        casa_obs::json_escape(key),
-                        tree_report_json(log)
-                    )
-                })
-                .collect();
-            println!(
-                "{{\"casa_tree_report_sweep\":1,\"cells\":[{}]}}",
-                cells.join(",")
-            );
-            return;
-        }
-        println!(
-            "search-tree sweep {path}: {} captured tree(s)",
-            parsed.len()
-        );
-        for (key, log) in &parsed {
-            println!("[{key}]");
-            print!("{}", render_tree_report(log));
-        }
-    } else {
-        let log = casa_ilp::tree::parse_tree_log(&json).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let parse = |what: &str, json: &str| {
+        casa_ilp::tree::parse_tree_log(json).unwrap_or_else(|e| panic!("{what}: {e}"))
+    };
+    let Some(docs) = capture_dir_docs(path, ".tree.json") else {
+        let log = parse(path, &read_doc(Path::new(path)));
         if as_json {
             println!("{}", tree_report_json(&log));
-            return;
+        } else {
+            println!("search tree {path}:");
+            print!("{}", render_tree_report(&log));
         }
-        println!("search tree {path}:");
-        print!("{}", render_tree_report(&log));
+        return;
+    };
+    let logs: Vec<(String, casa_ilp::tree::TreeLog)> = docs
+        .into_iter()
+        .map(|(stem, json)| {
+            let log = parse(&stem, &json);
+            (stem, log)
+        })
+        .collect();
+    if as_json {
+        let cells: Vec<String> = logs
+            .iter()
+            .map(|(stem, log)| {
+                format!(
+                    "{{\"key\":\"{}\",\"report\":{}}}",
+                    casa_obs::json_escape(stem),
+                    tree_report_json(log)
+                )
+            })
+            .collect();
+        println!(
+            "{{\"casa_tree_report_sweep\":1,\"cells\":[{}]}}",
+            cells.join(",")
+        );
+        return;
+    }
+    println!("search trees {path}: {} captured tree(s)", logs.len());
+    for (stem, log) in &logs {
+        println!("[{stem}]");
+        print!("{}", render_tree_report(log));
     }
 }
 
-/// `explain <path> [--top <n>]`: render a `casa_explain` document (or
-/// a whole `casa_explain_sweep`) as per-cell decision reports — the
-/// shadow-price line, the top-N regret table, and the flip-distance
-/// ranking.
+/// `explain <path|dir> [--top <n>]`: render one `casa_explain`
+/// document, or every explain document of a capture directory, as
+/// decision reports — the shadow-price line, the top-N regret table,
+/// and the flip-distance ranking.
 fn explain_cmd(path: &str) {
     let top = cli_value("--top").map_or(10, |v| {
         v.parse()
             .unwrap_or_else(|e| panic!("--top takes a count, got {v}: {e}"))
     });
-    let json = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let v = serde::json::parse(&json).unwrap_or_else(|e| panic!("{path}: malformed JSON: {e}"));
-    if v.get("casa_explain_sweep").is_some() {
-        let cells = v
-            .get("cells")
-            .and_then(|c| c.as_array())
-            .expect("cells array");
-        println!("explain sweep {path}: {} captured document(s)", cells.len());
-        for cell in cells {
-            let key = cell.get("key").and_then(|k| k.as_str()).unwrap_or("?");
-            // Re-serialize the embedded document through its own
-            // parser (cheapest path with the vendored mini-parser:
-            // slice the raw text is fragile, so round-trip via the
-            // canonical codec instead).
-            let raw = cell
-                .get("explain")
-                .map(render_value_json)
-                .expect("cell explain");
-            let doc = casa_core::parse_explain(&raw)
-                .unwrap_or_else(|e| panic!("{path}: cell {key}: {e}"));
-            println!("[{key}]");
-            print!("{}", casa_core::render_explain(&doc, top));
-        }
-    } else {
-        let doc = casa_core::parse_explain(&json).unwrap_or_else(|e| panic!("{path}: {e}"));
-        println!("explain {path}:");
+    let render = |what: &str, json: &str| {
+        let doc = casa_core::parse_explain(json).unwrap_or_else(|e| panic!("{what}: {e}"));
         print!("{}", casa_core::render_explain(&doc, top));
-    }
-}
-
-/// Re-serialize a parsed [`serde::json::Value`] as JSON text, so an
-/// embedded sub-document can be handed to its own typed parser.
-fn render_value_json(v: &serde::json::Value) -> String {
-    use serde::json::Value;
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Num(n) => casa_obs::jnum(*n),
-        Value::Str(s) => format!("\"{}\"", casa_obs::json_escape(s)),
-        Value::Arr(items) => {
-            let inner: Vec<String> = items.iter().map(render_value_json).collect();
-            format!("[{}]", inner.join(","))
-        }
-        Value::Obj(map) => {
-            let inner: Vec<String> = map
-                .iter()
-                .map(|(k, val)| {
-                    format!(
-                        "\"{}\":{}",
-                        casa_obs::json_escape(k),
-                        render_value_json(val)
-                    )
-                })
-                .collect();
-            format!("{{{}}}", inner.join(","))
-        }
+    };
+    let Some(docs) = capture_dir_docs(path, ".explain.json") else {
+        println!("explain {path}:");
+        render(path, &read_doc(Path::new(path)));
+        return;
+    };
+    println!("explain {path}: {} captured document(s)", docs.len());
+    for (stem, json) in &docs {
+        println!("[{stem}]");
+        render(stem, json);
     }
 }
 
@@ -632,8 +605,8 @@ const USAGE: &str = "diag subcommands:\n\
     \x20                                                      validate a live telemetry server\n\
     \x20 flight <path>                                        render a flight-recorder dump\n\
     \x20 render-trace <path>                                  render a Chrome trace span tree\n\
-    \x20 tree <path> [--json]                                 render a captured B&B search tree\n\
-    \x20 explain <path> [--top <n>]                           render a captured explain document\n\
+    \x20 tree <path|dir> [--json]                             render captured B&B search trees\n\
+    \x20 explain <path|dir> [--top <n>]                       render captured explain documents\n\
     \x20 (no subcommand)                                      workload calibration tables\n";
 
 fn main() {
@@ -661,12 +634,15 @@ fn main() {
         }
         Some("tree") => {
             return tree_cmd(
-                argv.get(1).expect("usage: diag tree <path> [--json]"),
+                argv.get(1).expect("usage: diag tree <path|dir> [--json]"),
                 argv.iter().any(|a| a == "--json"),
             );
         }
         Some("explain") => {
-            return explain_cmd(argv.get(1).expect("usage: diag explain <path> [--top <n>]"));
+            return explain_cmd(
+                argv.get(1)
+                    .expect("usage: diag explain <path|dir> [--top <n>]"),
+            );
         }
         Some("help" | "--help" | "-h") => {
             print!("{USAGE}");

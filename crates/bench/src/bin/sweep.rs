@@ -10,8 +10,7 @@
 //! Usage: `cargo run --release -p casa-bench --bin sweep [scale]
 //!         [--smoke] [--trace-out <path>] [--flight-dump <path>]
 //!         [--history-out <path>] [--det-out <path>]
-//!         [--tree-out <path>] [--ts-out <path>]
-//!         [--explain-out <path>]
+//!         [--ts-out <path>]
 //!         [--budget-nodes <n>] [--budget-ms <ms>]
 //!         [--session-dir <dir>]
 //!         [--serve <addr>] [--serve-addr-file <path>]
@@ -38,25 +37,18 @@
 //! the phase watchdog on top of the sweep's heartbeats.
 //! `--det-out <path>` writes the run's `deterministic_json()` — what
 //! CI diffs between served and serverless runs.
-//! `--session-dir <dir>` records every scratchpad cell's solve as a
-//! replayable `.casa-session` file (plus a `.report.json` sibling)
-//! under `dir` — the input to `diag replay` and CI's golden-trace
-//! gate.
-//! `--tree-out <path>` captures every tree-searching cell's B&B
-//! search tree (cap: `CASA_TREE_CAP`) and writes the grid-ordered
-//! `casa_tree_sweep` document — the input to `diag tree`. Capture
-//! changes no allocation decision and the document is byte-identical
-//! across worker counts.
+//! `--session-dir <dir>` captures every scratchpad cell's solve under
+//! `dir` as `<benchmark>-<flavor>-<size>.*` siblings: the replayable
+//! `.casa-session` (input to `diag replay`), its `.report.json`, the
+//! `.tree.json` B&B search tree of tree-searching cells (input to
+//! `diag tree`) and the `.explain.json` decision provenance (input to
+//! `diag explain`). Capture changes no allocation decision, the serial
+//! and parallel captures must match byte for byte, and the files are
+//! written once, from the parallel run.
 //! `--ts-out <path>` writes the run's merged logical-tick time-series
 //! (`casa_timeseries` document: `sweep.*` per-cell series plus the
 //! flow/solver series from every cell, grid order); implies
 //! instrumentation. Byte-identical across worker counts.
-//! `--explain-out <path>` captures every scratchpad cell's decision
-//! provenance (density ranks, reduced costs, shadow price, flip
-//! distances) and writes the grid-ordered `casa_explain_sweep`
-//! document — the input to `diag explain`. Capture changes no
-//! allocation decision and the document is byte-identical across
-//! worker counts.
 //!
 //! Outputs are split by audience: `BENCH_sweep.json` is the **latest
 //! run** in full (overwritten every time — what the experiment docs
@@ -83,17 +75,7 @@ fn main() {
     };
     grid.set_budget(budget.clone());
     let session_dir = cli_value("--session-dir");
-    if let Some(dir) = &session_dir {
-        grid.set_session_dir(dir);
-    }
-    let tree_out = cli_value("--tree-out");
-    if tree_out.is_some() {
-        grid.set_capture_trees(true);
-    }
-    let explain_out = cli_value("--explain-out");
-    if explain_out.is_some() {
-        grid.set_capture_explain(true);
-    }
+    grid.set_capture(session_dir.is_some());
     println!(
         "sweep: {} cells over {} workloads (scale {scale}), {threads} worker(s)",
         grid.cell_count(),
@@ -117,18 +99,10 @@ fn main() {
             "sweep results must not depend on the worker count or tracing"
         );
         println!("determinism: serial and {threads}-worker reports are byte-identical");
-        if tree_out.is_some() {
+        for (s, p) in serial.cells.iter().zip(&parallel.cells) {
             assert_eq!(
-                serial.tree_json(),
-                parallel.tree_json(),
-                "captured search trees must not depend on the worker count"
-            );
-        }
-        if explain_out.is_some() {
-            assert_eq!(
-                serial.explain_json(),
-                parallel.explain_json(),
-                "explain documents must not depend on the worker count"
+                s.capture, p.capture,
+                "captured solves must not depend on the worker count"
             );
         }
     }
@@ -188,7 +162,10 @@ fn main() {
     std::fs::write("BENCH_sweep.json", &json).expect("write BENCH_sweep.json");
     println!("wrote BENCH_sweep.json ({} bytes)", json.len());
     if let Some(dir) = &session_dir {
-        println!("recorded scratchpad-cell sessions under {dir}");
+        let written = parallel
+            .write_captures(Path::new(dir))
+            .unwrap_or_else(|e| panic!("write captures under {dir}: {e}"));
+        println!("captured {written} scratchpad-cell solve(s) under {dir}");
     }
 
     // Longitudinal record: BENCH_sweep.json holds only the latest run,
@@ -207,31 +184,8 @@ fn main() {
         println!("wrote deterministic report to {path} ({} bytes)", det.len());
     }
 
-    // Solver introspection artifacts: the search trees and the merged
-    // logical-tick time-series, both byte-identical across worker
-    // counts (CI diffs them between CASA_SWEEP_THREADS values).
-    if let Some(path) = &tree_out {
-        let json = parallel.tree_json();
-        std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        let captured = parallel.cells.iter().filter(|c| c.tree.is_some()).count();
-        println!(
-            "wrote {captured} search tree(s) to {path} ({} bytes)",
-            json.len()
-        );
-    }
-    if let Some(path) = &explain_out {
-        let json = parallel.explain_json();
-        std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        let captured = parallel
-            .cells
-            .iter()
-            .filter(|c| c.explain.is_some())
-            .count();
-        println!(
-            "wrote {captured} explain document(s) to {path} ({} bytes)",
-            json.len()
-        );
-    }
+    // The merged logical-tick time-series, byte-identical across worker
+    // counts (CI diffs it between CASA_SWEEP_THREADS values).
     if let Some(path) = cli_value("--ts-out") {
         let json = parallel.timeseries_json();
         std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));

@@ -127,9 +127,9 @@ pub struct CensusObject {
 }
 
 /// Top-regret object census of one cell, distilled from its explain
-/// document when the sweep ran with explain capture. An *addition*
-/// under the schema policy: absent on old lines (and on runs without
-/// capture), and [`crate::sentinel`] uses it only when both sides of a
+/// document when the sweep ran with capture. An *addition* under the
+/// schema policy: absent on old lines (and on runs without capture),
+/// and [`crate::sentinel`] uses it only when both sides of a
 /// comparison carry one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainCensus {
@@ -144,7 +144,7 @@ pub struct ExplainCensus {
 /// regret, keep the top [`CENSUS_TOP`]. `None` when the document is
 /// missing or unreadable (census is context, never a hard dependency).
 fn census_of(cell: &CellResult) -> Option<ExplainCensus> {
-    let doc = parse_explain(cell.explain.as_deref()?).ok()?;
+    let doc = parse_explain(cell.capture.as_ref()?.explain.as_deref()?).ok()?;
     let mut objects: Vec<&casa_core::ObjectExplain> = doc.objects.iter().collect();
     objects.sort_by(|a, b| {
         b.regret
@@ -196,7 +196,7 @@ pub struct HistoryRecord {
     /// before it parse back with an empty snapshot.
     pub timeseries: TimeSeriesSnapshot,
     /// Per-cell top-regret object census (grid order), present only
-    /// when the sweep captured explain documents. Same addition
+    /// when the sweep ran with capture. Same addition
     /// policy as the time-series.
     pub explain_census: Vec<ExplainCensus>,
 }

@@ -29,7 +29,6 @@ pub struct PreparedWorkload {
 /// [`cli_scale`] when scanning for the positional scale.
 const VALUE_FLAGS: &[&str] = &[
     "--trace-out",
-    "--tree-out",
     "--ts-out",
     "--session-dir",
     "--budget-nodes",

@@ -33,23 +33,22 @@
 
 use crate::experiments::{paper_sizes, LINE_SIZE, LOOP_CACHE_SLOTS};
 use crate::runner::{prepared, PreparedWorkload};
-use casa_core::engine::{AllocOutcome, Budget, TreeRecorder};
+use casa_core::engine::{AllocOutcome, Budget};
 use casa_core::flow::{
     run_loop_cache_flow, run_spm_flow, AllocatorKind, FlowConfig, FlowCtx, LoopCacheConfig,
 };
-use casa_core::{explain_json, EnergyModel, ExplainRecorder, Session, SessionRecorder, SolveJob};
+use casa_core::{Capture, Captured, EnergyModel, SolveJob};
 use casa_energy::TechParams;
-use casa_ilp::tree::tree_log_json;
 use casa_mem::CacheConfig;
 use casa_obs::{
-    merge_snapshot, snapshot_to_json, timeseries_json, ArgValue, EventKind, MetricsSnapshot, Obs,
-    TimeSeriesSnapshot, TimeSeriesStore,
+    jnum, json_escape, merge_snapshot, snapshot_to_json, timeseries_json, ArgValue, EventKind,
+    MetricsSnapshot, Obs, TimeSeriesSnapshot, TimeSeriesStore, DEFAULT_TIMESERIES_CAPACITY,
 };
 use casa_workloads::mediabench;
 use casa_workloads::spec::BenchmarkSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -106,9 +105,7 @@ pub struct SweepGrid {
     workloads: Vec<WorkloadKey>,
     cells: Vec<SweepCell>,
     budget: Budget,
-    session_dir: Option<PathBuf>,
-    capture_trees: bool,
-    capture_explain: bool,
+    capture: bool,
 }
 
 /// Per-cell measurements. Wall-clock fields (`solver_secs`,
@@ -175,17 +172,12 @@ pub struct CellResult {
     /// [`SweepReport::timeseries_json`] after a grid-order merge;
     /// never part of `CellResult::json` in either view.
     pub timeseries: TimeSeriesSnapshot,
-    /// The cell's B&B search-tree log as a `casa_tree` JSON document,
-    /// when tree capture is on ([`SweepGrid::set_capture_trees`]) and
-    /// the cell's allocator actually runs a tree search. Exported by
-    /// [`SweepReport::tree_json`]; never part of `CellResult::json`.
-    pub tree: Option<String>,
-    /// The cell's decision-provenance document as a `casa_explain`
-    /// JSON document, when explain capture is on
-    /// ([`SweepGrid::set_capture_explain`]) and the cell is a
-    /// scratchpad cell. Exported by [`SweepReport::explain_json`];
-    /// never part of `CellResult::json` in either view.
-    pub explain: Option<String>,
+    /// The cell's captured solve — session, report, search tree (for
+    /// tree-searching allocators) and explain document — when capture
+    /// is on ([`SweepGrid::set_capture`]) and the cell is a scratchpad
+    /// cell. Written by [`SweepReport::write_captures`]; never part of
+    /// `CellResult::json` in either view.
+    pub capture: Option<Captured>,
 }
 
 /// Aggregated wall time of one span name across the whole sweep.
@@ -326,31 +318,13 @@ impl SweepGrid {
         &self.budget
     }
 
-    /// Capture every scratchpad cell's solve as a `.casa-session` file
-    /// (plus a `.report.json` sibling holding the canonical response)
-    /// under `dir`. Capture is an output channel, not a configuration
-    /// of *what* is computed, so it does not enter [`Self::fingerprint`].
-    pub fn set_session_dir(&mut self, dir: impl Into<PathBuf>) {
-        self.session_dir = Some(dir.into());
-    }
-
-    /// Capture each tree-searching scratchpad cell's B&B search tree
-    /// as a `casa_tree` log ([`CellResult::tree`], exported by
-    /// [`SweepReport::tree_json`]). The event cap comes from
-    /// `CASA_TREE_CAP`. Like session capture, this is an output
-    /// channel: it changes no allocation decision and does not enter
-    /// [`Self::fingerprint`].
-    pub fn set_capture_trees(&mut self, on: bool) {
-        self.capture_trees = on;
-    }
-
-    /// Capture each scratchpad cell's decision provenance as a
-    /// `casa_explain` document ([`CellResult::explain`], exported by
-    /// [`SweepReport::explain_json`]). Like session and tree capture,
-    /// this is an output channel: it changes no allocation decision
-    /// and does not enter [`Self::fingerprint`].
-    pub fn set_capture_explain(&mut self, on: bool) {
-        self.capture_explain = on;
+    /// Capture every scratchpad cell's solve ([`CellResult::capture`]):
+    /// its session, report, search tree and explain document, written
+    /// by [`SweepReport::write_captures`]. Capture is an output channel,
+    /// not a configuration of *what* is computed: it changes no
+    /// allocation decision and does not enter [`Self::fingerprint`].
+    pub fn set_capture(&mut self, on: bool) {
+        self.capture = on;
     }
 
     /// A stable fingerprint of the grid's *configuration* — workloads,
@@ -475,10 +449,6 @@ impl SweepGrid {
     pub fn run_with_threads_obs(&self, threads: usize, obs: &Obs) -> SweepReport {
         let threads = threads.max(1);
         let t_total = Instant::now();
-        if let Some(dir) = &self.session_dir {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| panic!("session dir {}: {e}", dir.display()));
-        }
 
         // Phase 1: prepare each distinct workload once, in parallel.
         let t_prep = Instant::now();
@@ -550,22 +520,14 @@ impl SweepGrid {
                         // one Chrome trace and the flight recorder
                         // keeps one post-mortem buffer for the run.
                         let cell_obs = obs.child();
-                        let res = run_cell(
-                            key,
-                            w,
-                            &cell.kind,
-                            &self.budget,
-                            self.session_dir.as_deref(),
-                            self.capture_trees,
-                            self.capture_explain,
-                            &cell_obs,
-                        );
+                        let res =
+                            run_cell(key, w, &cell.kind, &self.budget, self.capture, &cell_obs);
                         // Live view only: the latest finished cell's
                         // explain doc behind `/explain.json` (the
-                        // report's explain export is rebuilt in grid
-                        // order below, so scheduler order never shows
+                        // captures are written in grid order from the
+                        // report, so scheduler order never shows
                         // through there).
-                        if let Some(doc) = &res.explain {
+                        if let Some(doc) = res.capture.as_ref().and_then(|c| c.explain.as_ref()) {
                             obs.publish_doc("explain", doc.clone());
                         }
                         // Publish the finished cell's isolated metrics
@@ -609,7 +571,7 @@ impl SweepGrid {
         // Sweep-level time-series: one point per cell at its grid
         // index (a logical tick), then each cell's own series appended
         // in grid order — execution order never shows through.
-        let ts = TimeSeriesStore::from_env();
+        let ts = TimeSeriesStore::new(DEFAULT_TIMESERIES_CAPACITY);
         for (i, c) in cells.iter().enumerate() {
             ts.sample("sweep.energy_uj", i as u64, c.energy_uj);
             #[allow(clippy::cast_precision_loss)]
@@ -652,28 +614,12 @@ impl SweepGrid {
     }
 }
 
-/// Whether this cell's allocator explores a branch-and-bound tree
-/// (and therefore has a search tree worth capturing and a node count
-/// worth reporting).
-fn has_tree_search(kind: &CellKind) -> bool {
-    match kind {
-        CellKind::Spm(config) => matches!(
-            config.allocator,
-            AllocatorKind::CasaBb | AllocatorKind::CasaIlpPaper | AllocatorKind::CasaIlpTight
-        ),
-        CellKind::LoopCache { .. } => false,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn run_cell(
     key: &WorkloadKey,
     w: &PreparedWorkload,
     kind: &CellKind,
     budget: &Budget,
-    session_dir: Option<&Path>,
-    capture_trees: bool,
-    capture_explain: bool,
+    capture: bool,
     obs: &Obs,
 ) -> CellResult {
     let t = Instant::now();
@@ -689,54 +635,39 @@ fn run_cell(
             ("local_size".into(), ArgValue::U64(u64::from(local_size))),
         ],
     );
-    // Sessions only make sense for scratchpad cells — the loop-cache
-    // flow has no allocation solve to record.
-    let recorder = match (session_dir, kind) {
-        (Some(_), CellKind::Spm(_)) => SessionRecorder::enabled(),
-        _ => SessionRecorder::disabled(),
-    };
-    // Tree capture only attaches where a tree search will run; the
-    // recorder's presence changes no allocation decision.
-    let tree = if capture_trees && has_tree_search(kind) {
-        TreeRecorder::from_env()
-    } else {
-        TreeRecorder::disabled()
-    };
-    // Explain applies to every scratchpad cell: exact allocators get
-    // LP provenance, heuristics a density/regret account.
-    let explain = if capture_explain && matches!(kind, CellKind::Spm(_)) {
-        ExplainRecorder::enabled()
-    } else {
-        ExplainRecorder::disabled()
-    };
-    let ctx = FlowCtx::observed(obs)
-        .with_budget(budget.clone())
-        .with_session(&recorder)
-        .with_tree(&tree)
-        .with_explain(&explain);
-    let (report, cache) = match kind {
+    let mut ctx = FlowCtx::observed(obs).with_budget(budget.clone());
+    let (report, cache, captured) = match kind {
         CellKind::Spm(config) => {
+            // Only scratchpad cells capture: the loop-cache flow has no
+            // allocation solve to record.
+            if capture {
+                ctx = ctx.with_capture(Capture::on());
+            }
             let r = run_spm_flow(&w.program, &w.profile, &w.exec, config, &ctx)
                 .unwrap_or_else(|e| panic!("{} spm cell failed: {e}", w.name));
-            (r, config.cache)
+            // Capture off builds no job: that would clone the graph.
+            let captured = if capture {
+                finish_cell(key, config, budget, &r, &ctx)
+            } else {
+                None
+            };
+            (r, config.cache, captured)
         }
         CellKind::LoopCache { cache, capacity } => {
             let lc = LoopCacheConfig::new(*cache, *capacity, LOOP_CACHE_SLOTS);
             let r = run_loop_cache_flow(&w.program, &w.profile, &w.exec, &lc, &ctx)
                 .unwrap_or_else(|e| panic!("{} loop-cache cell failed: {e}", w.name));
-            (r, *cache)
+            (r, *cache, None)
         }
     };
     drop(span);
-    if let (Some(dir), CellKind::Spm(config)) = (session_dir, kind) {
-        write_cell_session(dir, key, &flavor, config, budget, &report, &recorder);
-    }
     // B&B/ILP flows have a real node count; knapsack, greedy, the
     // baseline and the loop cache have no tree search to report.
-    let solver_nodes = if has_tree_search(kind) {
-        Some(report.allocation.solver_nodes)
-    } else {
-        None
+    let solver_nodes = match kind {
+        CellKind::Spm(config) if config.allocator.searches_tree() => {
+            Some(report.allocation.solver_nodes)
+        }
+        _ => None,
     };
     let stats = &report.final_sim.stats;
     CellResult {
@@ -761,46 +692,20 @@ fn run_cell(
         cell_secs: t.elapsed().as_secs_f64(),
         metrics: obs.snapshot(),
         timeseries: obs.timeseries_snapshot(),
-        tree: tree.take().map(|log| tree_log_json(&log)),
-        explain: explain.take().map(|doc| explain_json(&doc)),
+        capture: captured,
     }
 }
 
-/// Filesystem-safe stem naming one cell: `<benchmark>-<flavor>-<size>`
-/// with anything outside `[A-Za-z0-9._-]` replaced by `_`. Shared by
-/// session capture and the tree export so artifacts of one cell
-/// correlate by name.
-fn cell_stem(benchmark: &str, flavor: &str, local_size: u32) -> String {
-    format!("{benchmark}-{flavor}-{local_size}")
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
-/// Persist one scratchpad cell's solve as `<stem>.casa-session` plus a
-/// `<stem>.report.json` sibling holding the canonical response bytes,
-/// where the stem is `<benchmark>-<flavor>-<size>` (flavor sanitized
-/// for filesystems). Reruns of the same grid rewrite identical bytes,
-/// so the serial/parallel double-run in the sweep binary is safe.
-///
-/// # Panics
-///
-/// Panics on I/O failure, like the rest of the sweep driver.
-fn write_cell_session(
-    dir: &Path,
+/// Assemble one scratchpad cell's captured solve. The job is the
+/// canonical request the session records, with explain on: every
+/// scratchpad cell carries its decision provenance.
+fn finish_cell(
     key: &WorkloadKey,
-    flavor: &str,
     config: &FlowConfig,
     budget: &Budget,
     report: &casa_core::flow::FlowReport,
-    recorder: &SessionRecorder,
-) {
+    ctx: &FlowCtx,
+) -> Option<Captured> {
     let job = SolveJob {
         graph: report.conflict_graph.clone(),
         table: report.energy_table,
@@ -808,7 +713,7 @@ fn write_cell_session(
         allocator: config.allocator,
         budget_nodes: budget.max_nodes,
         budget_ms: budget.deadline.map(|d| d.as_millis() as u64),
-        explain: false,
+        explain: true,
     };
     let out = AllocOutcome {
         allocation: report.allocation.clone(),
@@ -816,57 +721,21 @@ fn write_cell_session(
         stopped_by: report.stopped_by,
     };
     let model = EnergyModel::new(&job.graph, &job.table);
-    let session = Session::capture(
-        &job,
-        &out,
-        &model,
-        recorder.take().expect("cell recorder enabled"),
-        vec![
-            ("source".to_string(), "sweep".to_string()),
-            ("benchmark".to_string(), key.benchmark.clone()),
-            ("scale".to_string(), key.scale.to_string()),
-            ("seed".to_string(), key.seed.to_string()),
-        ],
-    );
-    let stem = cell_stem(&key.benchmark, flavor, config.spm_size);
-    let path = dir.join(format!("{stem}.casa-session"));
-    session
-        .save(&path)
-        .unwrap_or_else(|e| panic!("write session {}: {e}", path.display()));
-    let sibling = dir.join(format!("{stem}.report.json"));
-    std::fs::write(&sibling, session.report.as_bytes())
-        .unwrap_or_else(|e| panic!("write report {}: {e}", sibling.display()));
+    let meta = vec![
+        ("source".to_string(), "sweep".to_string()),
+        ("benchmark".to_string(), key.benchmark.clone()),
+        ("scale".to_string(), key.scale.to_string()),
+        ("seed".to_string(), key.seed.to_string()),
+    ];
+    ctx.capture.finish(&job, &out, &model, meta, &ctx.obs)
 }
 
 // ---- JSON rendering -------------------------------------------------
 //
 // Hand-rolled: the vendored serde stand-in only provides the derive
 // surface, not a serializer, and the determinism contract needs full
-// control over field order anyway. `{}` on f64 prints the shortest
+// control over field order anyway. `jnum` prints the shortest
 // round-trip form, which is itself deterministic.
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
 
 impl CellResult {
     fn json(&self, with_timings: bool) -> String {
@@ -938,52 +807,24 @@ impl SweepReport {
         timeseries_json(&self.timeseries)
     }
 
-    /// Every captured search tree as one deterministic JSON document:
-    /// `{"casa_tree_sweep":1,"cells":[{"key":...,"tree":...},...]}` in
-    /// grid order, listing only cells that captured a tree (what
-    /// `sweep --tree-out` writes). The `key` is the cell's
-    /// `cell_stem`, the same stem session capture uses, and `tree`
-    /// is the cell's embedded `casa_tree` document.
-    pub fn tree_json(&self) -> String {
-        let cells: Vec<String> = self
-            .cells
-            .iter()
-            .filter_map(|c| {
-                let tree = c.tree.as_ref()?;
-                let key = cell_stem(&c.benchmark, &c.flavor, c.local_size);
-                Some(format!(
-                    "{{\"key\":\"{}\",\"tree\":{tree}}}",
-                    json_escape(&key)
-                ))
-            })
-            .collect();
-        format!("{{\"casa_tree_sweep\":1,\"cells\":[{}]}}", cells.join(","))
-    }
-
-    /// Every captured explain document as one deterministic JSON
-    /// document: `{"casa_explain_sweep":1,"cells":[{"key":...,
-    /// "explain":...},...]}` in grid order, listing only cells that
-    /// captured one (what `sweep --explain-out` writes). The `key` is
-    /// the cell's `cell_stem`, the same stem session and tree capture
-    /// use, and `explain` is the cell's embedded `casa_explain`
-    /// document.
-    pub fn explain_json(&self) -> String {
-        let cells: Vec<String> = self
-            .cells
-            .iter()
-            .filter_map(|c| {
-                let explain = c.explain.as_ref()?;
-                let key = cell_stem(&c.benchmark, &c.flavor, c.local_size);
-                Some(format!(
-                    "{{\"key\":\"{}\",\"explain\":{explain}}}",
-                    json_escape(&key)
-                ))
-            })
-            .collect();
-        format!(
-            "{{\"casa_explain_sweep\":1,\"cells\":[{}]}}",
-            cells.join(",")
-        )
+    /// Write every cell's capture under `dir` (created if missing) as
+    /// `<benchmark>-<flavor>-<size>.*` siblings, in grid order (see
+    /// [`Captured::write`] for the layout). Returns the number of cells
+    /// written.
+    ///
+    /// # Errors
+    ///
+    /// The first filesystem error.
+    pub fn write_captures(&self, dir: &Path) -> std::io::Result<usize> {
+        let mut written = 0;
+        for c in &self.cells {
+            if let Some(capture) = &c.capture {
+                let stem = format!("{}-{}-{}", c.benchmark, c.flavor, c.local_size);
+                capture.write(dir, &stem)?;
+                written += 1;
+            }
+        }
+        Ok(written)
     }
 
     /// Full JSON including thread count and per-phase / per-cell wall
@@ -1264,18 +1105,11 @@ mod tests {
         d.set_budget(Budget::nodes(1));
         assert_ne!(a.fingerprint(), d.fingerprint(), "budget changes hash");
         let mut e = small_grid();
-        e.set_session_dir(std::env::temp_dir());
+        e.set_capture(true);
         assert_eq!(
             a.fingerprint(),
             e.fingerprint(),
-            "session capture is an output channel, not configuration"
-        );
-        let mut f = small_grid();
-        f.set_capture_trees(true);
-        assert_eq!(
-            a.fingerprint(),
-            f.fingerprint(),
-            "tree capture is an output channel, not configuration"
+            "capture is an output channel, not configuration"
         );
         // Fingerprints only reflect configuration, not execution.
         let _ = a.run_with_threads(1);
@@ -1318,12 +1152,13 @@ mod tests {
             );
         }
         g.push_loop_cache(w, cache, 128);
-        g.set_session_dir(&dir);
+        g.set_capture(true);
         let report = g.run_with_threads(1);
         assert_eq!(report.cells.len(), 3);
+        assert_eq!(report.write_captures(&dir).expect("captures written"), 2);
 
         let mut sessions: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
-            .expect("session dir exists")
+            .expect("capture dir exists")
             .map(|e| e.expect("dir entry").path())
             .filter(|p| p.extension().is_some_and(|x| x == "casa-session"))
             .collect();
@@ -1349,11 +1184,19 @@ mod tests {
                 })
                 .expect("session maps back to a cell");
             assert_eq!(summary.status, cell.status);
-            // The canonical report sibling holds exactly the session's
-            // rendered response.
-            let bytes =
-                std::fs::read(path.with_extension("report.json")).expect("report sibling exists");
-            assert_eq!(bytes, s.report.as_bytes());
+            // Every sibling holds exactly the bytes the cell captured,
+            // and only the CasaBb cell searched a tree.
+            let cap = cell.capture.as_ref().expect("spm cell captured");
+            assert_eq!(s, cap.session);
+            assert_eq!(cap.tree.is_some(), cell.flavor == "spm:CasaBb");
+            for (ext, want) in [
+                ("casa-session", Some(cap.session.to_binary())),
+                ("report.json", Some(cap.session.report.clone().into_bytes())),
+                ("tree.json", cap.tree.clone().map(String::into_bytes)),
+                ("explain.json", cap.explain.clone().map(String::into_bytes)),
+            ] {
+                assert_eq!(std::fs::read(path.with_extension(ext)).ok(), want, "{ext}");
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1430,109 +1273,58 @@ mod tests {
     }
 
     #[test]
-    fn tree_and_timeseries_capture_stay_deterministic_and_quarantined() {
+    fn capture_stays_deterministic_and_quarantined() {
         let mut g = small_grid();
-        g.set_capture_trees(true);
+        g.set_capture(true);
         let plain = small_grid().run_with_threads(2).deterministic_json();
         let reports: Vec<SweepReport> = [1usize, 2, 4]
             .iter()
             .map(|&t| g.run_with_threads_obs(t, &Obs::enabled()))
             .collect();
+        let captures = |r: &SweepReport| -> Vec<Option<Captured>> {
+            r.cells.iter().map(|c| c.capture.clone()).collect()
+        };
         // Capture must not move a byte of the deterministic report...
         for r in &reports {
             assert_eq!(plain, r.deterministic_json());
         }
-        // ...and the capture documents are themselves byte-identical
-        // across worker counts (grid-order merging).
+        // ...and the captures and time-series are themselves
+        // byte-identical across worker counts (grid-order merging).
         for r in &reports[1..] {
-            assert_eq!(reports[0].tree_json(), r.tree_json());
+            assert_eq!(captures(&reports[0]), captures(r));
             assert_eq!(reports[0].timeseries_json(), r.timeseries_json());
         }
         let r = &reports[0];
-        // Exactly the tree-searching cells captured a tree, and each
-        // log agrees with the cell's reported node count.
-        for c in &r.cells {
-            if c.flavor == "spm:CasaBb" {
-                let tree = c.tree.as_ref().expect("CasaBb cell captured a tree");
+        for (c, cell) in r.cells.iter().zip(&g.cells) {
+            let CellKind::Spm(config) = &cell.kind else {
+                // The loop-cache cell has no allocation solve to capture.
+                assert_eq!(c.capture, None, "no capture for {}", c.flavor);
+                continue;
+            };
+            let cap = c.capture.as_ref().expect("spm cell captured");
+            // Exactly the tree-searching cells captured a tree, and each
+            // log agrees with the cell's reported node count.
+            if config.allocator.searches_tree() {
+                let tree = cap.tree.as_ref().expect("CasaBb cell captured a tree");
                 let log = casa_ilp::tree::parse_tree_log(tree).expect("valid casa_tree doc");
                 assert_eq!(Some(log.nodes), c.solver_nodes);
                 assert!(!log.events.is_empty());
             } else {
-                assert_eq!(c.tree, None, "no tree for {}", c.flavor);
+                assert_eq!(cap.tree, None, "no tree for {}", c.flavor);
             }
-        }
-        // The sweep-level document embeds every captured tree under
-        // its session stem, in grid order, and parses as JSON.
-        let doc = serde::json::parse(&r.tree_json()).expect("valid tree sweep doc");
-        assert_eq!(
-            doc.get("casa_tree_sweep").and_then(|v| v.as_f64()),
-            Some(1.0)
-        );
-        let cells = doc.get("cells").and_then(|v| v.as_array()).expect("cells");
-        assert_eq!(
-            cells.len(),
-            r.cells.iter().filter(|c| c.tree.is_some()).count()
-        );
-        let key0 = cells[0].get("key").and_then(|v| v.as_str()).expect("key");
-        assert!(key0.contains("spm_CasaBb"), "stem sanitized: {key0}");
-        // Time-series carry the sweep's own per-cell series plus the
-        // flow- and solver-level series merged up from the cells.
-        let ts = &r.timeseries;
-        assert_eq!(
-            ts.series.get("sweep.energy_uj").map(Vec::len),
-            Some(r.cells.len())
-        );
-        assert!(ts.series.contains_key("flow.progress"));
-        assert!(ts.series.contains_key("bb.incumbent_savings"));
-        // Tree capture rides the flow, not the Obs: an uninstrumented
-        // run captures identical trees but no flow series.
-        let off = g.run_with_threads(2);
-        assert_eq!(off.tree_json(), r.tree_json());
-        assert!(!off.timeseries.series.contains_key("flow.progress"));
-        // Without opting in, no cell pays for capture.
-        assert!(small_grid()
-            .run_with_threads(1)
-            .cells
-            .iter()
-            .all(|c| c.tree.is_none()));
-    }
-
-    #[test]
-    fn explain_capture_stays_deterministic_and_quarantined() {
-        let mut g = small_grid();
-        g.set_capture_explain(true);
-        let plain = small_grid().run_with_threads(2).deterministic_json();
-        let reports: Vec<SweepReport> = [1usize, 2, 4]
-            .iter()
-            .map(|&t| g.run_with_threads(t))
-            .collect();
-        // Explain must not move a byte of the deterministic report...
-        for r in &reports {
-            assert_eq!(plain, r.deterministic_json());
-        }
-        // ...and the explain document itself is byte-identical across
-        // worker counts (grid-order assembly; serial ≡ parallel).
-        for r in &reports[1..] {
-            assert_eq!(reports[0].explain_json(), r.explain_json());
-        }
-        let r = &reports[0];
-        // Every scratchpad cell carries a provenance document whose
-        // per-object records agree with the cell's placement counts;
-        // the loop-cache cell has no allocation solve to explain.
-        for c in &r.cells {
-            if c.flavor == "loop-cache" {
-                assert_eq!(c.explain, None, "no explain for {}", c.flavor);
-                continue;
-            }
-            let text = c.explain.as_ref().expect("spm cell captured explain");
+            // Every scratchpad cell carries a provenance document for
+            // exactly the placement its session recorded.
+            let text = cap.explain.as_ref().expect("spm cell captured explain");
             let doc = casa_core::parse_explain(text).expect("valid casa_explain doc");
-            assert!(!doc.objects.is_empty(), "{}", c.flavor);
+            let layout = &cap.session.layout;
+            assert_eq!(doc.objects.len(), layout.len(), "{}", c.flavor);
             for o in &doc.objects {
+                assert_eq!(o.on_spm, layout[o.index], "{} obj {}", c.flavor, o.index);
                 assert!(o.regret.is_finite());
             }
-            let exact =
-                ["spm:CasaBb", "spm:CasaIlpPaper", "spm:CasaIlpTight"].contains(&c.flavor.as_str());
-            if exact {
+            assert_eq!(doc.allocator, casa_core::allocator_tag(config.allocator));
+            assert_eq!(doc.capacity, config.spm_size);
+            if config.allocator.searches_tree() {
                 assert!(
                     doc.shadow_price.is_some(),
                     "exact cells report a shadow price: {}",
@@ -1544,32 +1336,26 @@ mod tests {
                     .all(|o| o.fixed_by != casa_core::FixedBy::Heuristic));
             }
         }
-        // The sweep-level document embeds every captured explain doc
-        // under its session stem, in grid order, and parses as JSON.
-        let doc = serde::json::parse(&r.explain_json()).expect("valid explain sweep doc");
+        // Time-series carry the sweep's own per-cell series plus the
+        // flow- and solver-level series merged up from the cells.
+        let ts = &r.timeseries;
         assert_eq!(
-            doc.get("casa_explain_sweep").and_then(|v| v.as_f64()),
-            Some(1.0)
+            ts.series.get("sweep.energy_uj").map(Vec::len),
+            Some(r.cells.len())
         );
-        let cells = doc.get("cells").and_then(|v| v.as_array()).expect("cells");
-        assert_eq!(
-            cells.len(),
-            r.cells.iter().filter(|c| c.explain.is_some()).count()
-        );
+        assert!(ts.series.contains_key("flow.progress"));
+        assert!(ts.series.contains_key("bb.incumbent_savings"));
+        // Capture rides the flow, not the Obs: an uninstrumented run
+        // captures identical artifacts but no flow series.
+        let off = g.run_with_threads(2);
+        assert_eq!(plain, off.deterministic_json());
+        assert_eq!(captures(&off), captures(r));
+        assert!(!off.timeseries.series.contains_key("flow.progress"));
         // Without opting in, no cell pays for capture.
         assert!(small_grid()
             .run_with_threads(1)
             .cells
             .iter()
-            .all(|c| c.explain.is_none()));
-    }
-
-    #[test]
-    fn json_escaping_is_sound() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
-        assert_eq!(jnum(1.5), "1.5");
-        assert_eq!(jnum(f64::NAN), "null");
+            .all(|c| c.capture.is_none()));
     }
 }

@@ -33,9 +33,6 @@ pub struct ConflictGraph {
     adj: Vec<(usize, u64)>,
     /// `Σ_j m_ij` per row — eq. (3)'s per-object conflict-miss total.
     conflict_sums: Vec<u64>,
-    /// Cold misses per object (not part of the paper's graph, kept for
-    /// diagnostics).
-    cold: Vec<u64>,
 }
 
 fn build_csr(
@@ -63,7 +60,6 @@ impl ConflictGraph {
         fetches: Vec<u64>,
         sizes: Vec<u32>,
         edges: &HashMap<(usize, usize), u64>,
-        cold: Vec<u64>,
     ) -> Self {
         let n = fetches.len();
         let (row_ptr, adj, conflict_sums) = build_csr(n, edges);
@@ -73,7 +69,6 @@ impl ConflictGraph {
             row_ptr,
             adj,
             conflict_sums,
-            cold,
         }
     }
 
@@ -98,7 +93,6 @@ impl ConflictGraph {
             sim.trace_fetches.clone(),
             traces.traces().iter().map(|t| t.code_size()).collect(),
             &sim.conflicts.misses_between,
-            sim.conflicts.cold_misses.clone(),
         )
     }
 
@@ -140,8 +134,7 @@ impl ConflictGraph {
         for &(i, j) in edges.keys() {
             assert!(i < n && j < n, "edge ({i},{j}) out of range");
         }
-        let cold = vec![0; n];
-        ConflictGraph::from_edge_map(fetches, sizes, &edges, cold)
+        ConflictGraph::from_edge_map(fetches, sizes, &edges)
     }
 
     /// Number of memory objects.
@@ -182,11 +175,6 @@ impl ConflictGraph {
     /// Total conflict misses of object `i` (eq. 3). Precomputed — O(1).
     pub fn conflict_misses_of(&self, i: usize) -> u64 {
         self.conflict_sums[i]
-    }
-
-    /// Cold misses of object `i` (diagnostic; not in the ILP).
-    pub fn cold_misses_of(&self, i: usize) -> u64 {
-        self.cold.get(i).copied().unwrap_or(0)
     }
 
     /// Number of directed edges.

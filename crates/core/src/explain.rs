@@ -16,11 +16,13 @@
 //! counts.
 //!
 //! Explain is an **output channel**: it is excluded from solution
-//! fingerprints and every `deterministic_json()` surface, and it never
-//! feeds back into an allocation decision (asserted by the flow
-//! tests). The JSON codec follows the session-codec policy — sorted
-//! keys, unknown keys ignored on read, schema numbers above
-//! [`EXPLAIN_SCHEMA`] rejected, truncation a clean error.
+//! fingerprints and every `deterministic_json()` surface, and it is
+//! derived only after the decision, by
+//! [`crate::capture::Capture::finish`] (the sweep's capture test
+//! asserts it moves no report byte). The JSON codec follows the
+//! session-codec policy — sorted keys, unknown keys ignored on read,
+//! schema numbers above [`EXPLAIN_SCHEMA`] rejected, truncation a
+//! clean error.
 
 use crate::allocation::Allocation;
 use crate::casa_bb::{allocate_bb_traced, SavingsModel};
@@ -36,7 +38,6 @@ use casa_obs::{jnum, json_escape, Obs};
 use serde::json::Value;
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// Version number of the explain JSON schema. Readers accept documents
 /// up to this version and refuse newer ones.
@@ -175,45 +176,6 @@ impl fmt::Display for ExplainError {
 
 impl Error for ExplainError {}
 
-/// Recorder for an [`ExplainDoc`], following the repository's recorder
-/// pattern ([`casa_obs::Obs`], `TreeRecorder`, `SessionRecorder`):
-/// cheap to clone, a no-op unless enabled, clones share the slot.
-#[derive(Debug, Clone, Default)]
-pub struct ExplainRecorder(Option<Arc<Mutex<Option<ExplainDoc>>>>);
-
-impl ExplainRecorder {
-    /// A recorder that captures the document.
-    pub fn enabled() -> Self {
-        ExplainRecorder(Some(Arc::new(Mutex::new(None))))
-    }
-
-    /// The no-op recorder (the default).
-    pub fn disabled() -> Self {
-        ExplainRecorder(None)
-    }
-
-    /// Whether this recorder captures anything.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Store `doc` (replacing any earlier capture). No-op when
-    /// disabled.
-    pub fn record(&self, doc: ExplainDoc) {
-        if let Some(slot) = &self.0 {
-            if let Ok(mut slot) = slot.lock() {
-                *slot = Some(doc);
-            }
-        }
-    }
-
-    /// Take the captured document, leaving the slot empty. `None` when
-    /// disabled or nothing was recorded.
-    pub fn take(&self) -> Option<ExplainDoc> {
-        self.0.as_ref().and_then(|slot| slot.lock().ok()?.take())
-    }
-}
-
 /// Assemble the explanation of `allocation` for `model` at `capacity`.
 ///
 /// Pure output-channel computation: re-derives everything it reports
@@ -243,10 +205,7 @@ pub fn explain_allocation(
     // this objective and adds no integer variables). The capacity
     // constraint (eq. 17) is the LAST model constraint by construction,
     // so its dual is `duals.last()`.
-    let exact = matches!(
-        kind,
-        AllocatorKind::CasaBb | AllocatorKind::CasaIlpPaper | AllocatorKind::CasaIlpTight
-    );
+    let exact = kind.searches_tree();
     let lin = match kind {
         AllocatorKind::CasaIlpPaper => Linearization::Paper,
         _ => Linearization::Tight,
@@ -856,27 +815,5 @@ mod tests {
         assert!(text.contains("shadow price"), "{text}");
         assert!(text.contains("top 3 by regret"), "{text}");
         assert!(text.contains("flip distances"), "{text}");
-    }
-
-    #[test]
-    fn recorder_is_shared_and_noop_when_disabled() {
-        let rec = ExplainRecorder::enabled();
-        let clone = rec.clone();
-        let (doc, _) = explain_for(AllocatorKind::CasaBb, 64);
-        clone.record(doc.clone());
-        assert_eq!(rec.take(), Some(doc));
-        assert_eq!(rec.take(), None, "take drains the slot");
-        let off = ExplainRecorder::disabled();
-        assert!(!off.is_enabled());
-        off.record(ExplainDoc {
-            allocator: "none".into(),
-            capacity: 0,
-            spm_used: 0,
-            root_objective: None,
-            shadow_price: None,
-            probes: vec![],
-            objects: vec![],
-        });
-        assert_eq!(off.take(), None);
     }
 }

@@ -11,20 +11,17 @@
 //! block sequence, so allocators are compared on identical executions.
 //!
 //! The canonical entry points take a [`FlowCtx`] bundling everything
-//! ambient to a run — observability sink, solver [`Budget`], the
-//! simulator recorder choice, and an optional [`SessionRecorder`] for
-//! record/replay — so one signature serves the silent, the
-//! instrumented, the budgeted, and the recorded cases. (The former
-//! `*_obs` twins, deprecated for one release, are gone.)
+//! ambient to a run — observability sink, solver [`Budget`], and the
+//! [`Capture`] the solve records into — so one signature serves the
+//! silent, the instrumented, the budgeted, and the recorded cases.
 
 use crate::allocation::Allocation;
+use crate::capture::Capture;
 use crate::conflict::ConflictGraph;
 use crate::energy_model::EnergyModel;
-use crate::engine::{allocate_traced, AllocStatus, Budget, BudgetKind, TreeRecorder};
-use crate::explain::{explain_allocation, ExplainRecorder};
+use crate::engine::{allocate_traced, AllocStatus, Budget, BudgetKind};
 use crate::report::EnergyBreakdown;
 use crate::ross::{allocate_loop_cache, LoopCacheAssignment};
-use crate::session::SessionRecorder;
 use casa_energy::{EnergyTable, TechParams};
 use casa_ir::{Profile, Program};
 use casa_mem::cache::CacheConfig;
@@ -66,6 +63,16 @@ impl AllocatorKind {
             AllocatorKind::Steinke => PlacementSemantics::Move,
             _ => PlacementSemantics::Copy,
         }
+    }
+
+    /// Whether this allocator explores a branch-and-bound tree, and so
+    /// has a search tree worth capturing and a node count worth
+    /// reporting (the exact B&B and the two ILP linearizations).
+    pub fn searches_tree(self) -> bool {
+        matches!(
+            self,
+            AllocatorKind::CasaBb | AllocatorKind::CasaIlpPaper | AllocatorKind::CasaIlpTight
+        )
     }
 }
 
@@ -224,25 +231,13 @@ impl LoopCacheConfig {
     }
 }
 
-/// Which recorder instruments the **final** simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecorderKind {
-    /// Per-set statistics when the context's [`Obs`] is enabled, the
-    /// allocation-free path otherwise (the pre-`FlowCtx` behaviour).
-    #[default]
-    Auto,
-    /// Never record, even under an enabled [`Obs`].
-    Null,
-    /// Always run the [`SetStatsRecorder`] (its export is still a
-    /// no-op under a disabled [`Obs`]).
-    SetStats,
-}
-
 /// Everything ambient to one flow run: where telemetry goes, how much
-/// solver effort is allowed, and how the final simulation is recorded.
+/// solver effort is allowed, and what the solve records for capture.
 ///
 /// `FlowCtx::default()` reproduces the historical silent behaviour:
-/// disabled observability, unlimited budget, auto recorder.
+/// disabled observability, unlimited budget, nothing captured. The
+/// final simulation records per-set statistics exactly when `obs` is
+/// enabled.
 #[derive(Debug, Clone, Default)]
 pub struct FlowCtx {
     /// Observability sink (cheap to clone; disabled handles are
@@ -250,22 +245,14 @@ pub struct FlowCtx {
     pub obs: Obs,
     /// Solver budget; [`Budget::unlimited`] runs to optimality.
     pub budget: Budget,
-    /// Recorder for the final simulation.
-    pub recorder: RecorderKind,
-    /// Session recorder for the allocator's decision log; the default
-    /// disabled recorder costs nothing.
-    pub session: SessionRecorder,
-    /// Search-tree recorder for the exact allocators; the default
-    /// disabled recorder costs nothing.
-    pub tree: TreeRecorder,
-    /// Explain recorder: when enabled, the flow assembles a
-    /// decision-provenance document after the solve phase. A pure
-    /// output channel — it never alters the allocation.
-    pub explain: ExplainRecorder,
+    /// The recorders the allocator writes into; the default records
+    /// nothing. The caller turns them into artifacts afterwards with
+    /// [`Capture::finish`].
+    pub capture: Capture,
 }
 
 impl FlowCtx {
-    /// Instrumented context: `obs`, unlimited budget, auto recorder.
+    /// Instrumented context: `obs`, unlimited budget, no capture.
     pub fn observed(obs: &Obs) -> Self {
         FlowCtx {
             obs: obs.clone(),
@@ -273,8 +260,7 @@ impl FlowCtx {
         }
     }
 
-    /// Budgeted context: disabled observability, `budget`, auto
-    /// recorder.
+    /// Budgeted context: disabled observability, `budget`, no capture.
     pub fn budgeted(budget: Budget) -> Self {
         FlowCtx {
             budget,
@@ -289,31 +275,10 @@ impl FlowCtx {
         self
     }
 
-    /// Replace the recorder choice.
+    /// Record the solve into `capture`.
     #[must_use]
-    pub fn with_recorder(mut self, recorder: RecorderKind) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Attach a session recorder (clones share the same log).
-    #[must_use]
-    pub fn with_session(mut self, session: &SessionRecorder) -> Self {
-        self.session = session.clone();
-        self
-    }
-
-    /// Attach a search-tree recorder (clones share the same ring).
-    #[must_use]
-    pub fn with_tree(mut self, tree: &TreeRecorder) -> Self {
-        self.tree = tree.clone();
-        self
-    }
-
-    /// Attach an explain recorder (clones share the same slot).
-    #[must_use]
-    pub fn with_explain(mut self, explain: &ExplainRecorder) -> Self {
-        self.explain = explain.clone();
+    pub fn with_capture(mut self, capture: Capture) -> Self {
+        self.capture = capture;
         self
     }
 }
@@ -442,8 +407,8 @@ pub fn run_spm_flow(
         &ctx.budget,
         None,
         obs,
-        &ctx.session,
-        &ctx.tree,
+        &ctx.capture.log,
+        &ctx.capture.tree,
     );
     let solver_time = started.elapsed();
     let allocation = outcome.allocation;
@@ -451,20 +416,6 @@ pub fn run_spm_flow(
     obs.add("solver.spm_objects", allocation.spm_count() as u64);
     drop(span);
     obs.ts_sample("flow.progress", 3, allocation.solver_nodes as f64);
-
-    // Explain is assembled strictly after the decision, from the same
-    // model the solver saw — an output channel that cannot feed back
-    // into the allocation (and is excluded from fingerprints and
-    // deterministic exports).
-    if ctx.explain.is_enabled() {
-        let span = obs.span("explain");
-        let doc = explain_allocation(&model, config.spm_size, config.allocator, &allocation);
-        // Also behind `/explain.json` on any telemetry server bound to
-        // this handle (no-op when observability is off).
-        obs.publish_doc("explain", crate::explain::explain_json(&doc));
-        ctx.explain.record(doc);
-        drop(span);
-    }
 
     let span = obs.span("layout");
     let layout = Layout::with_placement(
@@ -475,7 +426,7 @@ pub fn run_spm_flow(
     );
     drop(span);
     let span = obs.span("simulate");
-    let final_sim = run_final_sim(program, &traces, &layout, exec, &prof_cfg, ctx)?;
+    let final_sim = run_final_sim(program, &traces, &layout, exec, &prof_cfg, obs)?;
     drop(span);
     obs.ts_sample("flow.progress", 4, final_sim.stats.cache_misses as f64);
     let breakdown = EnergyBreakdown::from_stats(&final_sim.stats, &table, false);
@@ -538,7 +489,7 @@ pub fn run_loop_cache_flow(
 
     let cfg = HierarchyConfig::loop_cache_system(cache, capacity, max_objects, assignment.ranges());
     let span = obs.span("simulate");
-    let final_sim = run_final_sim(program, &traces, &layout, exec, &cfg, ctx)?;
+    let final_sim = run_final_sim(program, &traces, &layout, exec, &cfg, obs)?;
     drop(span);
     let span = obs.span("conflict");
     let graph = ConflictGraph::from_simulation_obs(&traces, &final_sim, obs);
@@ -571,24 +522,20 @@ pub fn run_loop_cache_flow(
     })
 }
 
-/// The final simulation under the context's recorder choice.
+/// The final simulation, with per-set statistics when `obs` is enabled
+/// and the allocation-free path otherwise.
 fn run_final_sim(
     program: &Program,
     traces: &TraceSet,
     layout: &Layout,
     exec: &ExecutionTrace,
     cfg: &HierarchyConfig,
-    ctx: &FlowCtx,
+    obs: &Obs,
 ) -> Result<SimOutcome, PreloadError> {
-    let record = match ctx.recorder {
-        RecorderKind::Auto => ctx.obs.is_enabled(),
-        RecorderKind::Null => false,
-        RecorderKind::SetStats => true,
-    };
-    if record {
+    if obs.is_enabled() {
         let recorder = SetStatsRecorder::new(cfg.cache.num_sets() as usize);
         let (sim, recorder) = simulate_observed(program, traces, layout, exec, cfg, recorder)?;
-        recorder.export(&ctx.obs);
+        recorder.export(obs);
         Ok(sim)
     } else {
         simulate(program, traces, layout, exec, cfg)
@@ -830,38 +777,33 @@ mod tests {
     }
 
     #[test]
-    fn session_recorder_captures_the_flow_decision_log() {
+    fn flow_capture_is_passive_and_deterministic() {
         let (p, prof, exec) = thrash_workload();
         let cfg = config(AllocatorKind::CasaBb);
-        let rec = SessionRecorder::enabled();
-        let ctx = FlowCtx::default().with_session(&rec);
-        let report = run_spm_flow(&p, &prof, &exec, &cfg, &ctx).unwrap();
-        let log = rec.take().expect("enabled recorder yields a log");
-        // The recorded final incumbent IS the flow's allocation, and
-        // the recorder does not perturb the answer.
+        let run = || {
+            let obs = Obs::enabled();
+            let ctx = FlowCtx::observed(&obs).with_capture(Capture::on());
+            let report = run_spm_flow(&p, &prof, &exec, &cfg, &ctx).unwrap();
+            let log = ctx
+                .capture
+                .log
+                .take()
+                .expect("enabled recorder yields a log");
+            let tree = ctx
+                .capture
+                .tree
+                .take()
+                .expect("enabled recorder yields a tree");
+            (report, obs.timeseries_snapshot(), log, tree)
+        };
+        let (report, ts, log, tree) = run();
+        // The recorded final incumbent IS the flow's allocation.
         let last = log
             .incumbents
             .last()
             .expect("at least the initial incumbent");
         assert_eq!(last.on_spm, report.allocation.on_spm);
         assert_eq!(log.stop, None, "unbudgeted search closes");
-        let silent = run_spm_flow(&p, &prof, &exec, &cfg, &FlowCtx::default()).unwrap();
-        assert_eq!(silent.allocation.on_spm, report.allocation.on_spm);
-        assert!((silent.energy_uj() - report.energy_uj()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flow_samples_deterministic_phase_timeseries_and_tree() {
-        let (p, prof, exec) = thrash_workload();
-        let cfg = config(AllocatorKind::CasaBb);
-        let run = || {
-            let obs = Obs::enabled();
-            let tree = TreeRecorder::with_cap(4096);
-            let ctx = FlowCtx::observed(&obs).with_tree(&tree);
-            let report = run_spm_flow(&p, &prof, &exec, &cfg, &ctx).unwrap();
-            (report, obs.timeseries_snapshot(), tree.take().unwrap())
-        };
-        let (report, ts, tree) = run();
         let flow = ts.series.get("flow.progress").expect("flow phases sampled");
         assert_eq!(
             flow.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
@@ -876,7 +818,7 @@ mod tests {
         );
         assert!(!tree.events.is_empty(), "flow tree capture records nodes");
         // Determinism: both exports byte-identical across runs.
-        let (_, ts2, tree2) = run();
+        let (_, ts2, _, tree2) = run();
         assert_eq!(
             casa_obs::timeseries_json(&ts),
             casa_obs::timeseries_json(&ts2)
@@ -886,37 +828,6 @@ mod tests {
             casa_ilp::tree::tree_log_json(&tree2)
         );
         // Capture is passive: same answer with everything disabled.
-        let silent = run_spm_flow(&p, &prof, &exec, &cfg, &FlowCtx::default()).unwrap();
-        assert_eq!(silent.allocation.on_spm, report.allocation.on_spm);
-    }
-
-    #[test]
-    fn flow_explain_is_passive_and_deterministic() {
-        let (p, prof, exec) = thrash_workload();
-        let cfg = config(AllocatorKind::CasaBb);
-        let run = || {
-            let explain = ExplainRecorder::enabled();
-            let ctx = FlowCtx::default().with_explain(&explain);
-            let report = run_spm_flow(&p, &prof, &exec, &cfg, &ctx).unwrap();
-            (report, explain.take().expect("explain captured"))
-        };
-        let (report, doc) = run();
-        // Every allocated object carries a provenance record that
-        // agrees with the flow's decision.
-        assert_eq!(doc.objects.len(), report.allocation.on_spm.len());
-        for o in &doc.objects {
-            assert_eq!(o.on_spm, report.allocation.on_spm[o.index]);
-        }
-        assert_eq!(doc.allocator, "casa-bb");
-        assert_eq!(doc.capacity, cfg.spm_size);
-        // Byte-determinism of the document across runs.
-        let (_, doc2) = run();
-        assert_eq!(
-            crate::explain::explain_json(&doc),
-            crate::explain::explain_json(&doc2)
-        );
-        // Explain is an output channel: the allocation and energy are
-        // identical with the recorder disabled.
         let silent = run_spm_flow(&p, &prof, &exec, &cfg, &FlowCtx::default()).unwrap();
         assert_eq!(silent.allocation.on_spm, report.allocation.on_spm);
         assert!((silent.energy_uj() - report.energy_uj()).abs() < 1e-12);

@@ -42,6 +42,8 @@
 //! * [`session`] — record/replay: the versioned `.casa-session`
 //!   on-disk format capturing a solve's request, decision log, and
 //!   answer, plus byte-exact offline replay and divergence analysis.
+//! * [`capture`] — the one capture path: the recorders a solve writes
+//!   into and the `<stem>.*` artifact siblings assembled from them.
 //! * [`multi_spm`] — the paper's §4 extension to multiple scratchpads.
 //! * [`overlay`] — the paper's §7 future-work extension: phase-wise
 //!   dynamic copying of objects with DMA cost accounting.
@@ -58,6 +60,7 @@
 #![warn(missing_docs)]
 
 pub mod allocation;
+pub mod capture;
 pub mod casa_bb;
 pub mod casa_ilp;
 pub mod conflict;
@@ -78,6 +81,7 @@ pub mod steinke;
 pub mod wcet;
 
 pub use allocation::Allocation;
+pub use capture::{Capture, Captured};
 pub use conflict::ConflictGraph;
 pub use energy_model::EnergyModel;
 pub use engine::{
@@ -86,11 +90,11 @@ pub use engine::{
 };
 pub use explain::{
     explain_allocation, explain_json, parse_explain, render_explain, ExplainDoc, ExplainError,
-    ExplainRecorder, FixedBy, ObjectExplain, ProbeResult, EXPLAIN_SCHEMA, MAX_PROBES,
+    FixedBy, ObjectExplain, ProbeResult, EXPLAIN_SCHEMA, MAX_PROBES,
 };
 pub use flow::{
     run_loop_cache_flow, run_spm_flow, AllocatorKind, ConfigError, FlowConfig, FlowCtx, FlowReport,
-    LoopCacheConfig, RecorderKind,
+    LoopCacheConfig,
 };
 pub use report::EnergyBreakdown;
 pub use server::{

@@ -40,12 +40,11 @@
 //! every budget that closes the search.
 
 use crate::allocation::Allocation;
+use crate::capture::Capture;
 use crate::conflict::ConflictGraph;
 use crate::energy_model::EnergyModel;
-use crate::engine::{allocate_traced, AllocOutcome, AllocStatus, Budget, TreeRecorder};
-use crate::explain::{explain_allocation, explain_json};
+use crate::engine::{allocate_traced, AllocOutcome, AllocStatus, Budget};
 use crate::flow::AllocatorKind;
-use crate::session::{Session, SessionRecorder};
 use casa_energy::{EnergyTable, TechParams};
 use casa_mem::cache::{CacheConfig, ReplacementPolicy};
 use casa_obs::{fnv1a_64, jnum, json_escape, ArgValue, Obs, SolveAttribution};
@@ -259,7 +258,7 @@ fn parse_graph(v: &Value) -> Result<ConflictGraph, String> {
                 return Err(format!("graph.edges[{k}] must be [i, j, misses]"));
             };
             let (i, j) = (i as usize, j as usize);
-            if i >= n || j >= n || i == j {
+            if i >= n || j >= n {
                 return Err(format!(
                     "graph.edges[{k}]: bad endpoints ({i}, {j}) for {n} objects"
                 ));
@@ -823,12 +822,12 @@ pub struct ServiceConfig {
     pub cache_cap: usize,
     /// Ceiling on effective per-request node budgets.
     pub max_nodes: u64,
-    /// When set, every solved (cache-missing) request is captured as a
-    /// replayable [`Session`] file under this directory, named after
-    /// the request's correlation ID (or its exact fingerprint when
-    /// untagged). Capture never changes the response bytes and a
-    /// failed write never fails the request — it only increments
-    /// `server.session_write_failures_total`.
+    /// When set, every solved (cache-missing) request is captured into
+    /// this directory through [`crate::capture::Captured::write`],
+    /// named after the request's correlation ID (or its exact
+    /// fingerprint when untagged). Capture never changes the response
+    /// bytes and a failed write never fails the request — it only
+    /// increments `server.capture_write_failures_total`.
     pub session_dir: Option<PathBuf>,
 }
 
@@ -942,11 +941,6 @@ impl AllocService {
     /// Panics if a worker thread cannot be spawned.
     pub fn start(cfg: &ServiceConfig, obs: &Obs) -> AllocService {
         let workers = cfg.workers.max(1);
-        if let Some(dir) = &cfg.session_dir {
-            // Best-effort: a missing directory surfaces as per-write
-            // failures (counted), never as failed requests.
-            let _ = std::fs::create_dir_all(dir);
-        }
         let mut shards = Vec::with_capacity(workers);
         let mut depths = Vec::with_capacity(workers);
         let mut joins = Vec::with_capacity(workers);
@@ -1155,25 +1149,17 @@ fn solve_one(
     }
     let model = EnergyModel::new(&job.graph, &job.table);
     let budget = job.budget();
-    let fresh_recorder = || {
+    // Capture is on per request when a session directory is
+    // configured; a fresh one per attempt, so the canonical re-solve
+    // below records from scratch.
+    let fresh_capture = || {
         if session_dir.is_some() {
-            SessionRecorder::enabled()
+            Capture::on()
         } else {
-            SessionRecorder::disabled()
+            Capture::default()
         }
     };
-    // Tree capture rides the session-capture plumbing: enabled per
-    // request when a session directory is configured, ring-capped via
-    // CASA_TREE_CAP, written as a `.tree.json` sibling of the session.
-    let fresh_tree = || {
-        if session_dir.is_some() {
-            TreeRecorder::from_env()
-        } else {
-            TreeRecorder::disabled()
-        }
-    };
-    let mut rec = fresh_recorder();
-    let mut tree = fresh_tree();
+    let mut capture = fresh_capture();
     let mut out = allocate_traced(
         &model,
         job.capacity,
@@ -1181,8 +1167,8 @@ fn solve_one(
         &budget,
         warm.as_deref(),
         obs,
-        &rec,
-        &tree,
+        &capture.log,
+        &capture.tree,
     );
     if let Some(w) = warm.as_deref() {
         // Canonical re-solve: the B&B keeps incumbents on *strict*
@@ -1190,13 +1176,12 @@ fn solve_one(
         // optimal value survives verbatim even though the cold search
         // would return the first v*-attaining layout in DFS order.
         // Re-solving cold in exactly that case keeps cache-on and
-        // cache-off responses byte-identical. The re-solve's decision
-        // log wins the captured session too: it is the one the
-        // response describes, and it replays without divergence.
+        // cache-off responses byte-identical. The re-solve's capture
+        // wins too: it is the one the response describes, and it
+        // replays without divergence.
         if out.status.is_optimal() && out.allocation.on_spm == w {
             obs.add("server.canonical_resolves_total", 1);
-            rec = fresh_recorder();
-            tree = fresh_tree();
+            capture = fresh_capture();
             out = allocate_traced(
                 &model,
                 job.capacity,
@@ -1204,8 +1189,8 @@ fn solve_one(
                 &budget,
                 None,
                 obs,
-                &rec,
-                &tree,
+                &capture.log,
+                &capture.tree,
             );
         }
     }
@@ -1215,10 +1200,24 @@ fn solve_one(
     );
     let body = response_json(job, &out, &model);
     if let Some(dir) = session_dir {
-        write_request_session(dir, job, &out, &model, &rec, req_id, keys.exact_fp, obs);
-        write_request_tree(dir, &tree, req_id, keys.exact_fp, obs);
-        if job.explain {
-            write_request_explain(dir, job, &out, &model, req_id, keys.exact_fp, obs);
+        // Best-effort by contract: captures and failed writes are only
+        // counted, and neither touches the reply.
+        let fp = format!("{:016x}", keys.exact_fp);
+        let mut meta = vec![("source".to_string(), "casa-server".to_string())];
+        if !req_id.is_empty() {
+            meta.push(("req_id".to_string(), req_id.to_string()));
+        }
+        meta.push(("exact_fp".to_string(), fp.clone()));
+        if let Some(captured) = capture.finish(job, &out, &model, meta, obs) {
+            // `/explain.json` serves the most recent document.
+            if let Some(doc) = &captured.explain {
+                obs.publish_doc("explain", doc.clone());
+            }
+            let stem = if req_id.is_empty() { &fp } else { req_id };
+            match captured.write(dir, stem) {
+                Ok(()) => obs.add("server.captures_total", 1),
+                Err(_) => obs.add("server.capture_write_failures_total", 1),
+            }
         }
     }
     let outcome = if warm.is_some() {
@@ -1260,97 +1259,6 @@ fn solve_one(
         body,
         cache: outcome,
         attribution,
-    }
-}
-
-/// Capture one solved request as a `.casa-session` file, named after
-/// the sanitized correlation ID (untagged requests fall back to the
-/// exact fingerprint). Best-effort by contract: success bumps
-/// `server.sessions_captured_total`, failure bumps
-/// `server.session_write_failures_total`, and neither path touches the
-/// reply.
-#[allow(clippy::too_many_arguments)]
-fn write_request_session(
-    dir: &Path,
-    job: &SolveJob,
-    out: &AllocOutcome,
-    model: &EnergyModel<'_>,
-    rec: &SessionRecorder,
-    req_id: &str,
-    exact_fp: u64,
-    obs: &Obs,
-) {
-    let Some(log) = rec.take() else { return };
-    let mut meta = vec![("source".to_string(), "casa-server".to_string())];
-    if !req_id.is_empty() {
-        meta.push(("req_id".to_string(), req_id.to_string()));
-    }
-    meta.push(("exact_fp".to_string(), format!("{exact_fp:016x}")));
-    let session = Session::capture(job, out, model, log, meta);
-    let stem = capture_stem(req_id, exact_fp);
-    match session.save(&dir.join(format!("{stem}.casa-session"))) {
-        Ok(()) => obs.add("server.sessions_captured_total", 1),
-        Err(_) => obs.add("server.session_write_failures_total", 1),
-    }
-}
-
-/// Filename stem for per-request capture artifacts: the sanitized
-/// correlation ID, or the exact fingerprint for untagged requests.
-fn capture_stem(req_id: &str, exact_fp: u64) -> String {
-    if req_id.is_empty() {
-        format!("{exact_fp:016x}")
-    } else {
-        req_id
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect()
-    }
-}
-
-/// Capture one request's search tree as a `<stem>.tree.json` sibling
-/// of its session file. Same best-effort contract as session capture:
-/// never touches the reply, success and failure are only counted.
-fn write_request_tree(dir: &Path, tree: &TreeRecorder, req_id: &str, exact_fp: u64, obs: &Obs) {
-    let Some(log) = tree.take() else { return };
-    let stem = capture_stem(req_id, exact_fp);
-    let json = casa_ilp::tree::tree_log_json(&log);
-    match std::fs::write(dir.join(format!("{stem}.tree.json")), json) {
-        Ok(()) => obs.add("server.trees_captured_total", 1),
-        Err(_) => obs.add("server.tree_write_failures_total", 1),
-    }
-}
-
-/// Capture a request's decision-provenance document as a
-/// `<stem>.explain.json` sibling (requests that set `"explain": true`,
-/// misses only). The document is derived *after* the solve from the
-/// model and the returned allocation, so it can never perturb the
-/// answer; it is also published on the telemetry handle, so the
-/// server's `/explain.json` route serves the most recent one. Same
-/// best-effort contract as the other capture artifacts.
-fn write_request_explain(
-    dir: &Path,
-    job: &SolveJob,
-    out: &AllocOutcome,
-    model: &EnergyModel<'_>,
-    req_id: &str,
-    exact_fp: u64,
-    obs: &Obs,
-) {
-    let span = obs.span("server.explain");
-    let doc = explain_allocation(model, job.capacity, job.allocator, &out.allocation);
-    let json = explain_json(&doc);
-    drop(span);
-    obs.publish_doc("explain", json.clone());
-    let stem = capture_stem(req_id, exact_fp);
-    match std::fs::write(dir.join(format!("{stem}.explain.json")), json) {
-        Ok(()) => obs.add("server.explains_captured_total", 1),
-        Err(_) => obs.add("server.explain_write_failures_total", 1),
     }
 }
 
@@ -1793,15 +1701,10 @@ mod tests {
         assert!(!dir.join("hit-1.tree.json").exists());
         let snap = obs.snapshot();
         assert_eq!(
-            snap.get("server.sessions_captured_total"),
+            snap.get("server.captures_total"),
             Some(&casa_obs::MetricValue::Counter(1))
         );
-        assert_eq!(
-            snap.get("server.trees_captured_total"),
-            Some(&casa_obs::MetricValue::Counter(1))
-        );
-        assert!(!snap.contains_key("server.session_write_failures_total"));
-        assert!(!snap.contains_key("server.tree_write_failures_total"));
+        assert!(!snap.contains_key("server.capture_write_failures_total"));
         drop(svc);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1867,10 +1770,11 @@ mod tests {
         assert!(!dir.join("plain-1.explain.json").exists());
         let snap = obs.snapshot();
         assert_eq!(
-            snap.get("server.explains_captured_total"),
-            Some(&casa_obs::MetricValue::Counter(1))
+            snap.get("server.captures_total"),
+            Some(&casa_obs::MetricValue::Counter(2)),
+            "one capture per miss, explain opt-in or not"
         );
-        assert!(!snap.contains_key("server.explain_write_failures_total"));
+        assert!(!snap.contains_key("server.capture_write_failures_total"));
         drop(svc);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1900,6 +1804,12 @@ mod tests {
         ));
         let session = crate::session::Session::load(&expect).expect("fingerprint-named session");
         session.replay().expect("replays");
+        // Greedy searches no tree: the capture is a session and its
+        // report sibling, nothing more.
+        let report =
+            std::fs::read_to_string(expect.with_extension("report.json")).expect("report sibling");
+        assert_eq!(report, session.report);
+        assert!(!expect.with_extension("tree.json").exists());
         drop(svc);
         std::fs::remove_dir_all(&dir).ok();
     }

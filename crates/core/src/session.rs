@@ -1093,6 +1093,40 @@ mod tests {
     }
 
     #[test]
+    fn self_edge_graph_round_trips_and_replays() {
+        // Profiled conflict graphs carry self-edges m_ii, and the model
+        // prices them, so a recorded request holding one must parse
+        // back to itself and replay.
+        let mut edges = HashMap::new();
+        edges.insert((0, 0), 300);
+        edges.insert((0, 1), 500);
+        edges.insert((1, 1), 40);
+        edges.insert((2, 1), 120);
+        let graph = ConflictGraph::from_parts(vec![900, 800, 300], vec![16, 16, 16], edges);
+        for kind in [
+            AllocatorKind::CasaBb,
+            AllocatorKind::CasaIlpTight,
+            AllocatorKind::Steinke,
+        ] {
+            let j = SolveJob {
+                graph: graph.clone(),
+                ..job(kind, None)
+            };
+            let text = request_json(&j);
+            assert!(text.contains("[0,0,300]"), "{text}");
+            let ParsedRequest::Graph(back) =
+                parse_request(&text).unwrap_or_else(|e| panic!("{kind:?}: {e}"))
+            else {
+                panic!("graph request parsed as workload");
+            };
+            assert_eq!(request_json(&back), text, "{kind:?}");
+            let s = record(&j);
+            s.replay().unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+            assert_eq!(s.divergence().expect("replayable"), None, "{kind:?}");
+        }
+    }
+
+    #[test]
     fn every_allocator_records_a_replayable_session() {
         for kind in [
             AllocatorKind::CasaBb,

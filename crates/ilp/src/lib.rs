@@ -59,6 +59,6 @@ pub use model::{ConstraintOp, Model, Sense, Var};
 pub use simplex::solve_lp_counted;
 pub use solution::{Solution, SolveError, Status};
 pub use tree::{
-    parse_tree_log, parse_tree_value, tree_chrome_json, tree_log_json, TreeEvent, TreeEventKind,
-    TreeLog, TreeRecorder, DEFAULT_TREE_CAPACITY, TREE_LOG_SCHEMA,
+    parse_tree_log, tree_log_json, TreeEvent, TreeEventKind, TreeLog, TreeRecorder,
+    DEFAULT_TREE_CAPACITY, TREE_LOG_SCHEMA,
 };

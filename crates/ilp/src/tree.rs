@@ -13,23 +13,20 @@
 //! Determinism is inherited, not added: node ids are search-order
 //! counters and bounds are model arithmetic, so for node-budgeted or
 //! unlimited searches the captured log is byte-identical across
-//! machines and worker counts. The log is ring-capped
-//! (`CASA_TREE_CAP`, default [`DEFAULT_TREE_CAPACITY`]) with
-//! drop-oldest eviction and an exact `dropped` counter, like the
-//! flight recorder: a multi-million-node search must not turn a
-//! diagnostic into an OOM, and for convergence analysis the *end* of
-//! the search (where the gap closes) is the interesting part.
+//! machines and worker counts. The log is ring-capped (capture uses
+//! [`DEFAULT_TREE_CAPACITY`]) with drop-oldest eviction and an exact
+//! `dropped` counter, like the flight recorder: a multi-million-node
+//! search must not turn a diagnostic into an OOM, and for convergence
+//! analysis the *end* of the search (where the gap closes) is the
+//! interesting part.
 //!
-//! Exports: [`tree_log_json`] (deterministic JSON, the `--tree-out` /
-//! per-request capture format rendered by `diag tree`) and
-//! [`tree_chrome_json`] (Chrome `trace_event` instants on a logical
-//! timeline where `ts` is the node id, loadable in Perfetto next to a
-//! wall-clock trace).
+//! Export: [`tree_log_json`], the deterministic JSON of a capture
+//! directory's `<stem>.tree.json` siblings, rendered by `diag tree`.
 
-use casa_obs::{chrome_trace_json, jnum, EventKind, TraceEvent};
+use casa_obs::jnum;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Default event capacity when `CASA_TREE_CAP` is unset.
+/// Event capacity of a capture's tree recorder.
 pub const DEFAULT_TREE_CAPACITY: usize = 4096;
 
 /// Schema version of the tree-log JSON document.
@@ -142,16 +139,6 @@ impl TreeRecorder {
         }
     }
 
-    /// An enabled recorder sized from `CASA_TREE_CAP` (default
-    /// [`DEFAULT_TREE_CAPACITY`]).
-    pub fn from_env() -> TreeRecorder {
-        let cap = std::env::var("CASA_TREE_CAP")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_TREE_CAPACITY);
-        TreeRecorder::with_cap(cap)
-    }
-
     /// Whether events are being captured.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
@@ -224,12 +211,6 @@ pub fn tree_log_json(log: &TreeLog) -> String {
 /// is an error.
 pub fn parse_tree_log(json: &str) -> Result<TreeLog, String> {
     let v = serde::json::parse(json).map_err(|e| format!("malformed tree JSON: {e:?}"))?;
-    parse_tree_value(&v)
-}
-
-/// [`parse_tree_log`] over an already-parsed JSON value (so the sweep
-/// document's per-cell trees parse without reserializing).
-pub fn parse_tree_value(v: &serde::json::Value) -> Result<TreeLog, String> {
     if v.get("casa_tree").and_then(|x| x.as_f64()).is_none() {
         return Err("not a tree log (missing casa_tree version field)".to_string());
     }
@@ -256,40 +237,6 @@ pub fn parse_tree_value(v: &serde::json::Value) -> Result<TreeLog, String> {
         nodes: num("nodes") as u64,
         events,
     })
-}
-
-/// Render a tree log as Chrome `trace_event` instants on a **logical**
-/// timeline: `ts` is the node id (microsecond units are fiction here,
-/// but the ordering is the search order, which is what matters for
-/// convergence analysis), args carry depth/bound/best.
-pub fn tree_chrome_json(log: &TreeLog) -> String {
-    use casa_obs::ArgValue;
-    let events: Vec<TraceEvent> = log
-        .events
-        .iter()
-        .map(|e| {
-            let mut args = vec![("depth".to_string(), ArgValue::U64(u64::from(e.depth)))];
-            if e.bound.is_finite() {
-                args.push(("bound".to_string(), ArgValue::F64(e.bound)));
-            }
-            if e.best.is_finite() {
-                args.push(("best".to_string(), ArgValue::F64(e.best)));
-            }
-            if let Some(var) = e.var {
-                args.push(("var".to_string(), ArgValue::U64(u64::from(var))));
-            }
-            TraceEvent {
-                name: format!("bb.tree.{}", e.kind.as_str()),
-                kind: EventKind::Instant,
-                tid: 0,
-                parent: None,
-                ts_us: e.node,
-                dur_us: None,
-                args,
-            }
-        })
-        .collect();
-    chrome_trace_json(&events)
 }
 
 #[cfg(test)]
@@ -385,26 +332,5 @@ mod tests {
         // NaN != NaN, so compare through re-serialization.
         assert_eq!(tree_log_json(&back), json);
         assert!(parse_tree_log("{\"cap\":1}").is_err(), "version gate");
-    }
-
-    #[test]
-    fn chrome_export_is_valid_trace_json_on_a_logical_timeline() {
-        let r = TreeRecorder::with_cap(8);
-        r.record(ev(TreeEventKind::Open, 7, 2, 5.0, 4.0));
-        let log = r.take().unwrap();
-        let json = tree_chrome_json(&log);
-        let v = serde::json::parse(&json).expect("valid trace JSON");
-        let evs = v.get("traceEvents").and_then(|x| x.as_array()).unwrap();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(
-            evs[0].get("name").and_then(|x| x.as_str()),
-            Some("bb.tree.open")
-        );
-        assert_eq!(evs[0].get("ph").and_then(|x| x.as_str()), Some("i"));
-        assert_eq!(
-            evs[0].get("ts").and_then(|x| x.as_f64()),
-            Some(7.0),
-            "ts is the node id, not wall clock"
-        );
     }
 }

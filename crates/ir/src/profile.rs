@@ -116,11 +116,6 @@ impl Profile {
         Ok(())
     }
 
-    /// Total number of block executions.
-    pub fn total_block_executions(&self) -> u64 {
-        self.block_counts.values().sum()
-    }
-
     /// Whether no counts were recorded.
     pub fn is_empty(&self) -> bool {
         self.block_counts.is_empty() && self.edge_counts.is_empty()

@@ -110,7 +110,7 @@ impl Obs {
                 collector,
                 flight: Arc::new(FlightRecorder::from_env()),
                 heartbeats: Arc::new(Heartbeats::new()),
-                timeseries: TimeSeriesStore::from_env(),
+                timeseries: TimeSeriesStore::new(DEFAULT_TIMESERIES_CAPACITY),
                 docs: Mutex::new(BTreeMap::new()),
             })),
         }
@@ -127,7 +127,7 @@ impl Obs {
                 collector: Arc::new(TraceCollector::new()),
                 flight: Arc::new(FlightRecorder::new(cap)),
                 heartbeats: Arc::new(Heartbeats::new()),
-                timeseries: TimeSeriesStore::from_env(),
+                timeseries: TimeSeriesStore::new(DEFAULT_TIMESERIES_CAPACITY),
                 docs: Mutex::new(BTreeMap::new()),
             })),
         }
@@ -146,7 +146,7 @@ impl Obs {
                     collector: Arc::clone(&i.collector),
                     flight: Arc::clone(&i.flight),
                     heartbeats: Arc::clone(&i.heartbeats),
-                    timeseries: TimeSeriesStore::from_env(),
+                    timeseries: TimeSeriesStore::new(DEFAULT_TIMESERIES_CAPACITY),
                     docs: Mutex::new(BTreeMap::new()),
                 })),
             },

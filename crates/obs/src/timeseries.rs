@@ -26,7 +26,7 @@ use crate::export::{jnum, json_escape};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 
-/// Default point capacity when `CASA_TS_CAP` is unset.
+/// Point capacity of every store the workspace creates.
 pub const DEFAULT_TIMESERIES_CAPACITY: usize = 4096;
 
 /// Schema version of the time-series JSON document.
@@ -80,16 +80,6 @@ impl TimeSeriesStore {
             cap: cap.max(1),
             state: Mutex::new(TsState::default()),
         }
-    }
-
-    /// A store sized from `CASA_TS_CAP` (default
-    /// [`DEFAULT_TIMESERIES_CAPACITY`]).
-    pub fn from_env() -> TimeSeriesStore {
-        let cap = std::env::var("CASA_TS_CAP")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_TIMESERIES_CAPACITY);
-        TimeSeriesStore::new(cap)
     }
 
     /// Point capacity.
