@@ -22,15 +22,19 @@ echo "== benchmark package: cargo test --release --manifest-path perfbench/Cargo
 # schedule, the table1 grid fingerprint). It builds where run.py does.
 CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml
 
-echo "== benchmark answers: table1 at all 48 walk seeds matches perfbench/expected"
-# Energy, status and final-simulation counters of every table1 cell at
-# every walk seed a run can reach. A faster search may change node
-# counts and timings, never one of these lines.
-rm -f /tmp/casa_table1_expected.txt
-CARGO_TARGET_DIR=.bench_build cargo run --release -q --manifest-path perfbench/Cargo.toml --bin perfbench -- \
-  --workload table1 --expected-out /tmp/casa_table1_expected.txt
-cmp /tmp/casa_table1_expected.txt perfbench/expected/table1.txt \
-  || { echo "table1 outputs differ from perfbench/expected/table1.txt"; exit 1; }
+echo "== benchmark answers: table1 (48 walk seeds) and sim-scaled (16) match perfbench/expected"
+# Energy, status and final-simulation counters of every cell at every
+# walk seed a run can reach. A faster search or simulator may change
+# node counts and timings, never one of these lines. table1 runs
+# direct-mapped caches at trip scale 1; sim-scaled adds the 4-way LRU
+# victim path and the trip-scale-2 loop-cache cells.
+for w in table1 sim-scaled; do
+  rm -f "/tmp/casa_${w}_expected.txt"
+  CARGO_TARGET_DIR=.bench_build cargo run --release -q --manifest-path perfbench/Cargo.toml --bin perfbench -- \
+    --workload "$w" --expected-out "/tmp/casa_${w}_expected.txt"
+  cmp "/tmp/casa_${w}_expected.txt" "perfbench/expected/$w.txt" \
+    || { echo "$w outputs differ from perfbench/expected/$w.txt"; exit 1; }
+done
 
 echo "== cargo doc --workspace --no-deps, warnings denied"
 # Every crate's docs, with broken or private intra-doc links as errors:

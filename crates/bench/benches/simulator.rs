@@ -1,7 +1,9 @@
 //! Substrate throughput: raw cache accesses, full fetch-engine
 //! replay (the memsim substitute), and trace formation.
 
+use casa_bench::experiments::LOOP_CACHE_SLOTS;
 use casa_bench::runner::prepared;
+use casa_core::ross::allocate_loop_cache;
 use casa_ir::Profile;
 use casa_mem::cache::{Cache, CacheConfig, ReplacementPolicy};
 use casa_mem::{simulate, HierarchyConfig};
@@ -58,15 +60,48 @@ fn bench_fetch_engine(c: &mut Criterion) {
         &casa_obs::Obs::disabled(),
     );
     let layout = Layout::initial(&w.program, &traces);
-    let cfg = HierarchyConfig::spm_system(CacheConfig::direct_mapped(1024, 16), 1024);
+    let dm = CacheConfig::direct_mapped(1024, 16);
+    let cfg = HierarchyConfig::spm_system(dm, 1024);
+    // The loop-cache flow's final run: Ross's preload at 256 B, where
+    // runs also end at preload-range bounds.
+    let lc_traces = form_traces(
+        &w.program,
+        &w.profile,
+        TraceConfig::new(256, 16),
+        &casa_obs::Obs::disabled(),
+    );
+    let lc_layout = Layout::initial(&w.program, &lc_traces);
+    let preload = allocate_loop_cache(
+        &w.program,
+        &w.profile,
+        &lc_traces,
+        &lc_layout,
+        256,
+        LOOP_CACHE_SLOTS,
+    );
+    let lc_cfg = HierarchyConfig::loop_cache_system(dm, 256, LOOP_CACHE_SLOTS, preload.ranges());
+    // The set-associative victim path the direct-mapped ids never take.
+    let lru_cfg = HierarchyConfig::spm_system(
+        CacheConfig {
+            associativity: 4,
+            ..dm
+        },
+        1024,
+    );
     let mut group = c.benchmark_group("fetch_engine");
     group.sample_size(10);
     group.throughput(Throughput::Elements(w.profile.total_fetches(&w.program)));
-    group.bench_function("g721_full_replay", |b| {
-        b.iter(|| {
-            black_box(simulate(&w.program, &traces, &layout, &w.exec, &cfg).expect("simulates"))
-        })
-    });
+    for (label, traces, layout, cfg) in [
+        ("g721_full_replay", &traces, &layout, &cfg),
+        ("g721_loop_cache_replay", &lc_traces, &lc_layout, &lc_cfg),
+        ("g721_4way_lru_replay", &traces, &layout, &lru_cfg),
+    ] {
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                black_box(simulate(&w.program, traces, layout, &w.exec, cfg).expect("simulates"))
+            })
+        });
+    }
     group.finish();
 }
 

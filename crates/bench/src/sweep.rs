@@ -459,26 +459,23 @@ impl SweepGrid {
             let slots = &prep_slots;
             let workloads = &self.workloads;
             let next = &next;
-            std::thread::scope(|s| {
-                for _ in 0..threads.min(workloads.len().max(1)) {
-                    s.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= workloads.len() {
-                            break;
-                        }
-                        let k = &workloads[i];
-                        let t = Instant::now();
-                        obs.heartbeat("prepare");
-                        let span = obs.span_with(
-                            "prepare",
-                            vec![("benchmark".into(), ArgValue::Str(k.benchmark.clone()))],
-                        );
-                        let w = prepared(spec_by_name(&k.benchmark), k.scale, k.seed);
-                        drop(span);
-                        *slots[i].lock().unwrap() = Some((w, t.elapsed().as_secs_f64()));
-                    });
+            let worker = move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= workloads.len() {
+                    break;
                 }
-            });
+                let k = &workloads[i];
+                let t = Instant::now();
+                obs.heartbeat("prepare");
+                let span = obs.span_with(
+                    "prepare",
+                    vec![("benchmark".into(), ArgValue::Str(k.benchmark.clone()))],
+                );
+                let w = prepared(spec_by_name(&k.benchmark), k.scale, k.seed);
+                drop(span);
+                *slots[i].lock().unwrap() = Some((w, t.elapsed().as_secs_f64()));
+            };
+            run_pool(threads.min(workloads.len()), worker);
         }
         obs.heartbeat_done("prepare");
         let prepared_workloads: Vec<(PreparedWorkload, f64)> = prep_slots
@@ -503,47 +500,41 @@ impl SweepGrid {
             let next = &next;
             let slots = &cell_slots;
             let prepared_workloads = &prepared_workloads;
-            std::thread::scope(|s| {
-                for _ in 0..threads.min(self.cells.len().max(1)) {
-                    s.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= self.cells.len() {
-                            break;
-                        }
-                        let cell = &self.cells[i];
-                        let w = &prepared_workloads[cell.workload].0;
-                        let key = &self.workloads[cell.workload];
-                        obs.heartbeat("execute");
-                        // Fresh registry per cell, shared timeline and
-                        // shared flight ring: counters stay per-cell
-                        // deterministic while spans interleave into
-                        // one Chrome trace and the flight recorder
-                        // keeps one post-mortem buffer for the run.
-                        let cell_obs = obs.child();
-                        let res =
-                            run_cell(key, w, &cell.kind, &self.budget, self.capture, &cell_obs);
-                        // Live view only: the latest finished cell's
-                        // explain doc behind `/explain.json` (the
-                        // captures are written in grid order from the
-                        // report, so scheduler order never shows
-                        // through there).
-                        if let Some(doc) = res.capture.as_ref().and_then(|c| c.explain.as_ref()) {
-                            obs.publish_doc("explain", doc.clone());
-                        }
-                        // Publish the finished cell's isolated metrics
-                        // to the parent registry so a live `/metrics`
-                        // scrape sees per-phase counters and energy
-                        // gauges mid-sweep. Merge order is
-                        // scheduler-dependent, which is fine: the
-                        // report's metrics are rebuilt from the cell
-                        // snapshots in grid order below.
-                        obs.merge_metrics(&res.metrics);
-                        obs.merge_timeseries(&res.timeseries);
-                        obs.add("sweep.cells_done", 1);
-                        *slots[i].lock().unwrap() = Some(res);
-                    });
+            let worker = move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= self.cells.len() {
+                    break;
                 }
-            });
+                let cell = &self.cells[i];
+                let w = &prepared_workloads[cell.workload].0;
+                let key = &self.workloads[cell.workload];
+                obs.heartbeat("execute");
+                // Fresh registry per cell, shared timeline and shared
+                // flight ring: counters stay per-cell deterministic
+                // while spans interleave into one Chrome trace and the
+                // flight recorder keeps one post-mortem buffer for the
+                // run.
+                let cell_obs = obs.child();
+                let res = run_cell(key, w, &cell.kind, &self.budget, self.capture, &cell_obs);
+                // Live view only: the latest finished cell's explain
+                // doc behind `/explain.json` (the captures are written
+                // in grid order from the report, so scheduler order
+                // never shows through there).
+                if let Some(doc) = res.capture.as_ref().and_then(|c| c.explain.as_ref()) {
+                    obs.publish_doc("explain", doc.clone());
+                }
+                // Publish the finished cell's isolated metrics to the
+                // parent registry so a live `/metrics` scrape sees
+                // per-phase counters and energy gauges mid-sweep. Merge
+                // order is scheduler-dependent, which is fine: the
+                // report's metrics are rebuilt from the cell snapshots
+                // in grid order below.
+                obs.merge_metrics(&res.metrics);
+                obs.merge_timeseries(&res.timeseries);
+                obs.add("sweep.cells_done", 1);
+                *slots[i].lock().unwrap() = Some(res);
+            };
+            run_pool(threads.min(self.cells.len()), worker);
         }
         obs.heartbeat_done("execute");
         let execute_secs = t_exec.elapsed().as_secs_f64();
@@ -612,6 +603,17 @@ impl SweepGrid {
             timeseries,
         }
     }
+}
+
+/// Run `worker` on `workers` threads (at least one): the calling
+/// thread is one of them, so a one-worker pool spawns no thread.
+fn run_pool(workers: usize, worker: impl Fn() + Copy + Send) {
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(worker);
+        }
+        worker();
+    });
 }
 
 fn run_cell(

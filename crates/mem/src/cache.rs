@@ -116,6 +116,12 @@ pub struct Cache {
     clock: u64,
     hits: LocalCounter,
     misses: LocalCounter,
+    /// `log2(line_size)`: `addr >> line_shift` is the line id.
+    line_shift: u32,
+    /// `num_sets - 1`: the set is the line id's low bits.
+    set_mask: u32,
+    /// `log2(line_size * num_sets)`: `addr >> tag_shift` is the tag.
+    tag_shift: u32,
 }
 
 impl Cache {
@@ -147,6 +153,9 @@ impl Cache {
             clock: 0,
             hits: LocalCounter::new(),
             misses: LocalCounter::new(),
+            line_shift: config.line_size.trailing_zeros(),
+            set_mask: config.num_sets() - 1,
+            tag_shift: (config.line_size * config.num_sets()).trailing_zeros(),
         }
     }
 
@@ -158,20 +167,35 @@ impl Cache {
     /// Access `addr`, updating state. Returns hit/miss plus victim
     /// information for conflict attribution.
     pub fn access(&mut self, addr: u32) -> CacheAccess {
+        self.access_run(addr, 1)
+    }
+
+    /// Access `addr`'s line `n ≥ 1` times in a row, as `n` calls of
+    /// [`Cache::access`] on addresses of that line would: only the
+    /// first can miss, the other `n − 1` hit the line it leaves
+    /// resident. Hits touch no replacement state except the LRU
+    /// stamp, which ends at the last access's clock exactly as it
+    /// would one fetch at a time. The returned outcome is the first
+    /// access's.
+    #[inline]
+    pub(crate) fn access_run(&mut self, addr: u32, n: u64) -> CacheAccess {
+        debug_assert!(n >= 1, "a run holds at least one access");
         self.clock += 1;
-        let set = self.config.map(addr);
-        let tag = self.config.tag(addr);
+        let set = (addr >> self.line_shift) & self.set_mask;
+        let tag = addr >> self.tag_shift;
         let assoc = self.config.associativity as usize;
         let base = set as usize * assoc;
+        let lru = matches!(self.config.policy, ReplacementPolicy::Lru);
 
         // Hit path.
         for w in 0..assoc {
             let way = &mut self.ways[base + w];
             if way.valid && way.tag == tag {
-                if matches!(self.config.policy, ReplacementPolicy::Lru) {
+                self.clock += n - 1;
+                if lru {
                     way.stamp = self.clock;
                 }
-                self.hits.inc();
+                self.hits.add(n);
                 return CacheAccess {
                     hit: true,
                     set,
@@ -181,20 +205,38 @@ impl Cache {
             }
         }
 
-        // Miss: pick a victim way.
+        // Miss: pick a victim way, fill it at the first access's
+        // clock (the FIFO stamp), then the trailing hits.
         self.misses.inc();
+        self.hits.add(n - 1);
         let victim = self.pick_victim(set);
         let slot = &mut self.ways[base + victim];
         let evicted_tag = slot.valid.then_some(slot.tag);
         slot.valid = true;
         slot.tag = tag;
         slot.stamp = self.clock;
+        self.clock += n - 1;
+        if lru {
+            slot.stamp = self.clock;
+        }
         CacheAccess {
             hit: false,
             set,
             way: victim as u32,
             evicted_tag,
         }
+    }
+
+    /// The first address past `addr`'s cache line.
+    #[inline]
+    pub(crate) fn line_end(&self, addr: u32) -> u32 {
+        (addr | ((1 << self.line_shift) - 1)).saturating_add(1)
+    }
+
+    /// The dense line id of `addr`: `addr / line_size`.
+    #[inline]
+    pub(crate) fn line_of(&self, addr: u32) -> u32 {
+        addr >> self.line_shift
     }
 
     fn pick_victim(&mut self, set: u32) -> usize {
@@ -243,24 +285,11 @@ impl Cache {
         self.misses.get()
     }
 
-    /// Invalidate all lines and reset counters.
-    pub fn reset(&mut self) {
-        for w in &mut self.ways {
-            w.valid = false;
-            w.stamp = 0;
-        }
-        self.clock = 0;
-        self.hits = LocalCounter::new();
-        self.misses = LocalCounter::new();
-        for c in &mut self.rr_counters {
-            *c = 0;
-        }
-    }
-
     /// Reconstruct the base address of a line from its set and tag
     /// (inverse of [`CacheConfig::map`] / [`CacheConfig::tag`]).
+    #[inline]
     pub fn line_addr(&self, set: u32, tag: u32) -> u32 {
-        (tag * self.config.num_sets() + set) * self.config.line_size
+        (tag << self.tag_shift) | (set << self.line_shift)
     }
 }
 
@@ -416,16 +445,6 @@ mod tests {
         assert!(c.probe(0));
         assert!(!c.probe(64));
         assert_eq!((c.hits(), c.misses()), (h, m));
-    }
-
-    #[test]
-    fn reset_clears_contents() {
-        let mut c = dm_64b();
-        c.access(0);
-        c.reset();
-        assert!(!c.probe(0));
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
     }
 
     #[test]

@@ -184,7 +184,13 @@ pub fn simulate_data(
         } else {
             object_misses[object] += 1;
             main_word_accesses += u64::from(dcache.words_per_line());
-            recorder.on_miss(object, access.set, tag, access.evicted_tag);
+            recorder.on_miss(
+                object,
+                addr / dcache.line_size,
+                access
+                    .evicted_tag
+                    .map(|et| cache.line_addr(access.set, et) / dcache.line_size),
+            );
             // Dirty eviction: the replaced line goes back to memory.
             if let Some(et) = access.evicted_tag {
                 if dirty.remove(&(access.set, et)) {

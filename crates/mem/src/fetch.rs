@@ -8,6 +8,11 @@
 //! sequence can be replayed against different layouts and hierarchies,
 //! which keeps comparisons between allocators exact.
 //!
+//! The engine works in **line runs**: it walks each executed block
+//! once and charges each group of consecutive fetches served by one
+//! place with a single memory-system call (see the crate docs for why
+//! that is exact under every replacement policy).
+//!
 //! [`Replayer`] supports segment-wise replay with **layout switching**
 //! between segments, which is what the overlay extension (paper §7
 //! future work: "dynamic copying of memory objects") needs: each
@@ -21,7 +26,7 @@ use crate::loop_cache::PreloadError;
 use crate::recorder::{NullRecorder, Recorder};
 use crate::stats::FetchStats;
 use casa_ir::{BlockId, Program, Terminator};
-use casa_trace::{Layout, TraceSet};
+use casa_trace::{Layout, Location, TraceSet};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -180,7 +185,6 @@ pub struct Replayer<R: Recorder = NullRecorder> {
     trace_lc: Vec<u64>,
     base_cycles: u64,
     copy_words: u64,
-    cache_tag_shift_div: u32,
 }
 
 impl Replayer {
@@ -220,7 +224,6 @@ impl<R: Recorder> Replayer<R> {
             trace_lc: vec![0; n],
             base_cycles: 0,
             copy_words: 0,
-            cache_tag_shift_div: config.cache.line_size * config.cache.num_sets(),
         })
     }
 
@@ -247,12 +250,30 @@ impl<R: Recorder> Replayer<R> {
             let block = blocks[pos];
             let tid = traces.trace_of(block);
             let ti = tid.index();
-            for (loc, _size) in layout.inst_locations(program, traces, block) {
-                self.serve(ti, loc);
+            let start = layout.block_location(traces, block);
+            let insts = program.block(block).insts();
+            self.trace_fetches[ti] += insts.len() as u64;
+            // Walk the block's instructions, closing a run whenever the
+            // next one starts at or past the current run's end.
+            let (mut first, mut last, mut n) = (start, start.addr, 0u64);
+            let mut end = self.system.run_end(start);
+            let mut loc = start;
+            let mut cycles = 0u64;
+            for inst in insts {
+                if loc.addr >= end {
+                    self.serve(ti, first, last, n);
+                    (first, n) = (loc, 0);
+                    end = self.system.run_end(loc);
+                }
+                last = loc.addr;
+                n += 1;
+                cycles += u64::from(inst.kind().base_cycles());
+                loc.addr += inst.size();
             }
-            for inst in program.block(block).insts() {
-                self.base_cycles += u64::from(inst.kind().base_cycles());
+            if n > 0 {
+                self.serve(ti, first, last, n);
             }
+            self.base_cycles += cycles;
             // Trace-exit glue jump: fetched when the fall-through edge
             // leaves the trace.
             let trace = traces.trace(tid);
@@ -263,27 +284,30 @@ impl<R: Recorder> Replayer<R> {
                     let glue = layout
                         .glue_location(tid)
                         .expect("trace with glue jump has a glue location");
-                    self.serve(ti, glue);
+                    self.trace_fetches[ti] += 1;
+                    self.serve(ti, glue, glue.addr, 1);
                     self.base_cycles += u64::from(casa_ir::InstKind::Jump.base_cycles());
                 }
             }
         }
     }
 
-    fn serve(&mut self, ti: usize, loc: casa_trace::Location) {
-        self.trace_fetches[ti] += 1;
-        match self.system.fetch(loc) {
-            FetchEvent::Spm { .. } => self.trace_spm[ti] += 1,
-            FetchEvent::LoopCache => self.trace_lc[ti] += 1,
+    /// Split a run of `n` of object `ti`'s fetches, from `loc` to
+    /// `last` and all served by one place, among its per-place
+    /// counters (its `trace_fetches` are counted per block).
+    fn serve(&mut self, ti: usize, loc: Location, last: u32, n: u64) {
+        match self.system.fetch_run(loc, last, n) {
+            FetchEvent::Spm { .. } => self.trace_spm[ti] += n,
+            FetchEvent::LoopCache => self.trace_lc[ti] += n,
+            FetchEvent::Cache(access) if access.hit => self.trace_hits[ti] += n,
             FetchEvent::Cache(access) => {
-                if access.hit {
-                    self.trace_hits[ti] += 1;
-                } else {
-                    self.trace_misses[ti] += 1;
-                    let tag = loc.addr / self.cache_tag_shift_div;
-                    self.recorder
-                        .on_miss(ti, access.set, tag, access.evicted_tag);
-                }
+                self.trace_hits[ti] += n - 1;
+                self.trace_misses[ti] += 1;
+                let cache = self.system.cache();
+                let evicted = access
+                    .evicted_tag
+                    .map(|t| cache.line_of(cache.line_addr(access.set, t)));
+                self.recorder.on_miss(ti, cache.line_of(loc.addr), evicted);
             }
         }
     }

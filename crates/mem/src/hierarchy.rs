@@ -163,32 +163,66 @@ impl<R: Recorder> InstMemorySystem<R> {
     /// have, or an address outside that bank — both indicate a layout
     /// bug, not a runtime condition.
     pub fn fetch(&mut self, loc: Location) -> FetchEvent {
-        self.counters.fetches.inc();
+        self.fetch_run(loc, loc.addr, 1)
+    }
+
+    /// The first address past `loc` that a run of fetches starting at
+    /// `loc` must not reach: the end of `loc`'s I-cache line, cut at
+    /// the nearest loop-cache range bound. A run inside a loop-cache
+    /// range ends where the range does; a scratchpad bank serves
+    /// every address alike, so a run there never has to end.
+    #[inline]
+    pub(crate) fn run_end(&self, loc: Location) -> u32 {
+        match loc.region {
+            Region::Spm(_) => u32::MAX,
+            Region::Main => {
+                let line_end = self.cache.line_end(loc.addr);
+                match &self.loop_cache {
+                    Some(lc) => lc.run_end(loc.addr, line_end),
+                    None => line_end,
+                }
+            }
+        }
+    }
+
+    /// Fetch `n ≥ 1` instructions at ascending addresses from `loc` to
+    /// `last`, all below [`Self::run_end`]`(loc)` and therefore served
+    /// by one place: counted exactly as `n` calls of [`Self::fetch`],
+    /// with one lookup. The returned event is the first fetch's; in
+    /// the I-cache only it can miss.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Self::fetch`].
+    #[inline]
+    pub(crate) fn fetch_run(&mut self, loc: Location, last: u32, n: u64) -> FetchEvent {
+        self.counters.fetches.add(n);
         match loc.region {
             Region::Spm(bank) => {
                 let spm = self
                     .spm
                     .get_mut(bank as usize)
                     .unwrap_or_else(|| panic!("no scratchpad bank {bank}"));
-                spm.access(loc.addr);
-                self.counters.spm_accesses.inc();
-                self.recorder.spm_access(bank);
+                spm.access_run(last, n);
+                self.counters.spm_accesses.add(n);
+                self.recorder.spm_access(bank, n);
                 FetchEvent::Spm { bank }
             }
             Region::Main => {
                 if let Some(lc) = &mut self.loop_cache {
-                    if lc.access(loc.addr) {
-                        self.counters.loop_cache_accesses.inc();
-                        self.recorder.loop_cache_access();
+                    if lc.access_run(loc.addr, n) {
+                        self.counters.loop_cache_accesses.add(n);
+                        self.recorder.loop_cache_access(n);
                         return FetchEvent::LoopCache;
                     }
                 }
-                let access = self.cache.access(loc.addr);
-                self.counters.cache_accesses.inc();
-                self.recorder.cache_access(access.set, access.hit);
+                let access = self.cache.access_run(loc.addr, n);
+                self.counters.cache_accesses.add(n);
+                self.recorder.cache_access(access.set, n, access.hit);
                 if access.hit {
-                    self.counters.cache_hits.inc();
+                    self.counters.cache_hits.add(n);
                 } else {
+                    self.counters.cache_hits.add(n - 1);
                     self.counters.cache_misses.inc();
                     self.recorder.cache_fill(access.set);
                     if access.evicted_tag.is_some() {
@@ -233,23 +267,6 @@ impl<R: Recorder> InstMemorySystem<R> {
     /// Tear down, yielding the recorder.
     pub fn into_recorder(self) -> R {
         self.recorder
-    }
-
-    /// Reset all state: cache contents and every counter. Loop-cache
-    /// preloads persist (they are static program data). The recorder
-    /// is NOT reset — it may hold cumulative cross-run state.
-    pub fn reset(&mut self) {
-        self.cache.reset();
-        if let Some(l2) = &mut self.l2 {
-            l2.reset();
-        }
-        for s in &mut self.spm {
-            s.reset();
-        }
-        if let Some(lc) = &mut self.loop_cache {
-            lc.reset();
-        }
-        self.counters = FetchCounters::new();
     }
 }
 
@@ -351,24 +368,5 @@ mod tests {
     fn l2_line_size_mismatch_panics() {
         let _ = HierarchyConfig::cache_only(CacheConfig::direct_mapped(64, 16))
             .with_l2(CacheConfig::direct_mapped(256, 32));
-    }
-
-    #[test]
-    fn reset_clears_counters_keeps_preload() {
-        let cfg = HierarchyConfig::loop_cache_system(
-            CacheConfig::direct_mapped(64, 16),
-            128,
-            4,
-            vec![(0, 32)],
-        );
-        let mut sys = InstMemorySystem::new(&cfg).unwrap();
-        sys.fetch(loc(Region::Main, 0));
-        sys.reset();
-        assert_eq!(sys.stats().fetches, 0);
-        // Preload persists: the fetch still hits the loop cache.
-        assert!(matches!(
-            sys.fetch(loc(Region::Main, 0)),
-            FetchEvent::LoopCache
-        ));
     }
 }

@@ -19,6 +19,32 @@
 //! The fetch engine guarantees the paper's eq. (4): for every memory
 //! object, `fetches == hits + misses` regardless of hierarchy, which
 //! the property tests assert.
+//!
+//! ## Line runs
+//!
+//! The engine does not step once per instruction. Within each
+//! executed block it groups the consecutive fetches served by one
+//! place — one scratchpad bank, one loop-cache preload range (split
+//! where the range ends), or one I-cache line (split where a preload
+//! range starts or ends inside it) — and charges each group with one
+//! memory-system call that counts its `n` fetches. Only the first
+//! fetch of a group can miss. The result is identical, counter for
+//! counter, to `n` single fetches under every replacement policy:
+//!
+//! * the trailing `n − 1` fetches hit the line the first one left
+//!   resident, since nothing else touches the cache in between;
+//! * **LRU**: the line's stamp ends at the last fetch's clock, so the
+//!   order within its set is what `n` single fetches leave;
+//! * **FIFO**, **round-robin** and **`Random(seed)`** change state
+//!   (fill stamp, victim counter, RNG draw) only on misses, so the
+//!   trailing hits leave them untouched;
+//! * the L2, the main-memory line fills, the conflict recorder and the
+//!   per-set fill and eviction tallies see only misses, and the
+//!   [`Recorder`] hooks take the run length as a count.
+//!
+//! Runs never cross a block, so a [`Replayer`] layout switch between
+//! segments never splits one. [`InstMemorySystem::fetch`] and
+//! [`Cache::access`] are the one-fetch case of the same path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -142,23 +142,43 @@ impl LoopCacheController {
     /// Fetch at `addr`: returns `true` and counts the access if served
     /// by the loop cache.
     pub fn access(&mut self, addr: u32) -> bool {
+        self.access_run(addr, 1)
+    }
+
+    /// Fetch `n` instructions starting at `addr`, all on the same side
+    /// of every range bound (see [`LoopCacheController::run_end`]):
+    /// returns `true` and counts `n` accesses if `addr` is served by
+    /// the loop cache.
+    #[inline]
+    pub(crate) fn access_run(&mut self, addr: u32, n: u64) -> bool {
         if self.contains(addr) {
-            self.accesses += 1;
+            self.accesses += n;
             true
         } else {
             false
         }
     }
 
+    /// The first address past `addr` whose fetch may be served
+    /// differently: the end of the range holding `addr`, or else the
+    /// nearest range start above `addr`, capped at `cap`.
+    #[inline]
+    pub(crate) fn run_end(&self, addr: u32, cap: u32) -> u32 {
+        let mut end = cap;
+        for &(s, e) in &self.ranges {
+            if addr >= s && addr < e {
+                return e;
+            }
+            if s > addr {
+                end = end.min(s);
+            }
+        }
+        end
+    }
+
     /// Loop-cache accesses recorded so far.
     pub fn accesses(&self) -> u64 {
         self.accesses
-    }
-
-    /// Reset the access counter (preloaded contents persist — they are
-    /// static for the program's lifetime).
-    pub fn reset(&mut self) {
-        self.accesses = 0;
     }
 }
 

@@ -1,9 +1,11 @@
 //! Fine-grained simulation event recording behind a zero-cost trait.
 //!
 //! The fetch engine reports every cache/SPM/loop-cache event to a
-//! [`Recorder`]. The default [`NullRecorder`] has empty inlined
-//! methods, so the uninstrumented path monomorphizes to exactly the
-//! old code — no allocation, no branch. [`SetStatsRecorder`] keeps
+//! [`Recorder`], one call per run of consecutive fetches served by one
+//! place (see [`crate::fetch`]), with the run's length as a count. The
+//! default [`NullRecorder`] has empty inlined methods, so the
+//! uninstrumented path monomorphizes to exactly the old code — no
+//! allocation, no branch. [`SetStatsRecorder`] keeps
 //! per-set hit/miss/eviction/fill tallies (the raw material behind the
 //! paper's conflict analysis: a set with evictions ≫ cold fills is
 //! where `m_ij` lives) and can export them into a `casa-obs` registry.
@@ -16,10 +18,11 @@ use casa_obs::Obs;
 /// need. Methods take `&mut self` so recorders can be plain structs
 /// without interior mutability.
 pub trait Recorder {
-    /// An I-cache lookup in `set` that hit (`hit`) or missed.
+    /// `n ≥ 1` I-cache lookups of one line in `set`: the first hit
+    /// (`hit`) or missed, the other `n − 1` hit.
     #[inline]
-    fn cache_access(&mut self, set: u32, hit: bool) {
-        let _ = (set, hit);
+    fn cache_access(&mut self, set: u32, n: u64, hit: bool) {
+        let _ = (set, n, hit);
     }
 
     /// A line fill into `set` (every miss allocates a line).
@@ -34,15 +37,17 @@ pub trait Recorder {
         let _ = set;
     }
 
-    /// A fetch served by scratchpad bank `bank`.
+    /// `n` fetches served by scratchpad bank `bank`.
     #[inline]
-    fn spm_access(&mut self, bank: u8) {
-        let _ = bank;
+    fn spm_access(&mut self, bank: u8, n: u64) {
+        let _ = (bank, n);
     }
 
-    /// A fetch served by the loop cache.
+    /// `n` fetches served by the loop cache.
     #[inline]
-    fn loop_cache_access(&mut self) {}
+    fn loop_cache_access(&mut self, n: u64) {
+        let _ = n;
+    }
 
     /// An L2 lookup that hit (`hit`) or missed.
     #[inline]
@@ -137,11 +142,13 @@ impl SetStatsRecorder {
 
 impl Recorder for SetStatsRecorder {
     #[inline]
-    fn cache_access(&mut self, set: u32, hit: bool) {
+    fn cache_access(&mut self, set: u32, n: u64, hit: bool) {
+        let s = set as usize;
         if hit {
-            self.hits[set as usize] += 1;
+            self.hits[s] += n;
         } else {
-            self.misses[set as usize] += 1;
+            self.misses[s] += 1;
+            self.hits[s] += n - 1;
         }
     }
 
@@ -156,17 +163,17 @@ impl Recorder for SetStatsRecorder {
     }
 
     #[inline]
-    fn spm_access(&mut self, bank: u8) {
+    fn spm_access(&mut self, bank: u8, n: u64) {
         let b = bank as usize;
         if self.spm.len() <= b {
             self.spm.resize(b + 1, 0);
         }
-        self.spm[b] += 1;
+        self.spm[b] += n;
     }
 
     #[inline]
-    fn loop_cache_access(&mut self) {
-        self.loop_cache += 1;
+    fn loop_cache_access(&mut self, n: u64) {
+        self.loop_cache += n;
     }
 
     #[inline]
@@ -187,28 +194,29 @@ mod tests {
     #[test]
     fn set_stats_accumulate() {
         let mut r = SetStatsRecorder::new(4);
-        r.cache_access(0, false);
+        r.cache_access(0, 1, false);
         r.cache_fill(0);
-        r.cache_access(0, true);
-        r.cache_access(3, false);
+        r.cache_access(0, 1, true);
+        r.cache_access(3, 4, false);
         r.cache_fill(3);
         r.cache_eviction(3);
-        r.spm_access(1);
-        r.loop_cache_access();
+        r.cache_access(2, 3, true);
+        r.spm_access(1, 2);
+        r.loop_cache_access(5);
         r.l2_access(true);
-        assert_eq!(r.hits(), &[1, 0, 0, 0]);
+        assert_eq!(r.hits(), &[1, 0, 3, 3], "a run's trailing fetches hit");
         assert_eq!(r.misses(), &[1, 0, 0, 1]);
         assert_eq!(r.fills(), &[1, 0, 0, 1]);
         assert_eq!(r.evictions(), &[0, 0, 0, 1]);
-        assert_eq!(r.spm(), &[0, 1], "bank vector grows on demand");
+        assert_eq!(r.spm(), &[0, 2], "bank vector grows on demand");
+        assert_eq!(r.loop_cache, 5);
     }
 
     #[test]
     fn export_writes_totals_and_distributions() {
         let mut r = SetStatsRecorder::new(2);
-        r.cache_access(0, true);
-        r.cache_access(0, true);
-        r.cache_access(1, false);
+        r.cache_access(0, 2, true);
+        r.cache_access(1, 1, false);
         r.cache_fill(1);
         r.cache_eviction(1);
         let obs = Obs::enabled();

@@ -38,22 +38,28 @@ impl Scratchpad {
     /// engine guarantees in-range addresses, so an out-of-range access
     /// is a bug, not a runtime condition.
     pub fn access(&mut self, addr: u32) {
+        self.access_run(addr, 1);
+    }
+
+    /// Fetch `n` instructions at ascending addresses ending at `last`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `last` lies outside the scratchpad, as
+    /// [`Scratchpad::access`] does.
+    #[inline]
+    pub(crate) fn access_run(&mut self, last: u32, n: u64) {
         assert!(
-            addr < self.size,
-            "scratchpad access at {addr} outside region of {} bytes",
+            last < self.size,
+            "scratchpad access at {last} outside region of {} bytes",
             self.size
         );
-        self.accesses += 1;
+        self.accesses += n;
     }
 
     /// Accesses recorded so far.
     pub fn accesses(&self) -> u64 {
         self.accesses
-    }
-
-    /// Reset the access counter.
-    pub fn reset(&mut self) {
-        self.accesses = 0;
     }
 }
 
@@ -67,8 +73,6 @@ mod tests {
         s.access(0);
         s.access(127);
         assert_eq!(s.accesses(), 2);
-        s.reset();
-        assert_eq!(s.accesses(), 0);
     }
 
     #[test]

@@ -265,28 +265,6 @@ impl Layout {
     pub fn line_size(&self) -> u32 {
         self.line_size
     }
-
-    /// The trace whose main-memory slot covers `addr`, when the layout
-    /// keeps it there. Used by the conflict recorder to attribute
-    /// misses to memory objects.
-    pub fn main_trace_at(&self, traces: &TraceSet, addr: u32) -> Option<TraceId> {
-        // Linear scan is fine for the sizes we simulate; the simulator
-        // caches a line->trace table instead of calling this per access.
-        for t in traces.traces() {
-            let loc = self.trace_loc[t.id().index()];
-            let (start, size) = match loc.region {
-                Region::Main => (loc.addr, t.padded_size(self.line_size)),
-                Region::Spm(_) if self.semantics == PlacementSemantics::Copy => {
-                    continue; // copied: main slot exists but is never fetched
-                }
-                Region::Spm(_) => continue,
-            };
-            if addr >= start && addr < start + size {
-                return Some(t.id());
-            }
-        }
-        None
-    }
 }
 
 /// Check that a placement fits the given bank capacities, returning
@@ -457,20 +435,6 @@ mod tests {
             .map(|(loc, _)| loc.addr)
             .collect();
         assert_eq!(addrs, vec![0, 4, 8, 12]);
-    }
-
-    #[test]
-    fn main_trace_at_covers_padding() {
-        let (p, ts, a, b) = two_trace_setup();
-        let l = Layout::initial(&p, &ts);
-        let t0 = ts.trace_of(a);
-        let t1 = ts.trace_of(b);
-        assert_eq!(l.main_trace_at(&ts, 0), Some(t0));
-        assert_eq!(l.main_trace_at(&ts, 15), Some(t0));
-        assert_eq!(l.main_trace_at(&ts, 16), Some(t1));
-        // Padding of t1: code 8B, padded 16 -> addr 30 still t1.
-        assert_eq!(l.main_trace_at(&ts, 30), Some(t1));
-        assert_eq!(l.main_trace_at(&ts, 32), None);
     }
 
     #[test]
