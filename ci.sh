@@ -250,6 +250,10 @@ echo "== capture: worker byte-identity, golden replay, tree and explain renderer
 # the sibling byte for byte. One cell also goes through --divergence:
 # a cold re-solve of a cold recording must match the log decision for
 # decision. Finally diag tree and diag explain render the directory.
+# The smoke grid is a single profile group (its CASA and Steinke cells
+# share one profiling run), so the full Table-1 grid also runs once on
+# four workers: 24 profile groups spread over the pool, and the binary
+# asserts its serial and parallel reports are byte-identical.
 rm -rf /tmp/casa_capture_ref /tmp/casa_capture_cur
 rm -f /tmp/casa_capture_history.jsonl /tmp/casa_det_ref.json /tmp/casa_ts_ref.json \
       /tmp/casa_replay_report.json /tmp/casa_tree_render.txt /tmp/casa_explain_render.txt
@@ -277,6 +281,8 @@ rm -f /tmp/casa_det_nocap.json
   --history-out /tmp/casa_capture_history.jsonl --det-out /tmp/casa_det_nocap.json)
 cmp /tmp/casa_det_ref.json /tmp/casa_det_nocap.json \
   || { echo "capture changed the deterministic report"; exit 1; }
+(cd /tmp && CASA_SWEEP_THREADS=4 cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- \
+  --history-out /tmp/casa_capture_history.jsonl)
 grep -q '"casa_timeseries":1' /tmp/casa_ts_ref.json \
   || { echo "time-series document missing its schema tag"; exit 1; }
 grep -q '"explain_census":' /tmp/casa_capture_history.jsonl \

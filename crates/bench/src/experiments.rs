@@ -2,8 +2,8 @@
 
 use crate::runner::PreparedWorkload;
 use casa_core::flow::{
-    run_loop_cache_flow, run_spm_flow, AllocatorKind, FlowConfig, FlowCtx, FlowReport,
-    LoopCacheConfig,
+    allocate_spm, profile_spm, run_loop_cache_flow, run_spm_flow, AllocatorKind, FlowConfig,
+    FlowCtx, FlowReport, LoopCacheConfig,
 };
 use casa_energy::TechParams;
 use casa_mem::cache::CacheConfig;
@@ -29,24 +29,36 @@ fn spm_config(cache_size: u32, spm_size: u32, allocator: AllocatorKind) -> FlowC
 /// Run one SPM flow, panicking on failure (experiment drivers want
 /// loud failures).
 fn spm_flow(w: &PreparedWorkload, cache_size: u32, spm: u32, alloc: AllocatorKind) -> FlowReport {
-    spm_flow_obs(w, cache_size, spm, alloc, &Obs::disabled())
-}
-
-fn spm_flow_obs(
-    w: &PreparedWorkload,
-    cache_size: u32,
-    spm: u32,
-    alloc: AllocatorKind,
-    obs: &Obs,
-) -> FlowReport {
     run_spm_flow(
         &w.program,
         &w.profile,
         &w.exec,
         &spm_config(cache_size, spm, alloc),
-        &FlowCtx::observed(obs),
+        &FlowCtx::default(),
     )
     .unwrap_or_else(|e| panic!("{} spm flow failed: {e}", w.name))
+}
+
+/// CASA and Steinke on one scratchpad size, allocated on one shared
+/// profile (fig. 3: profile once, then allocate), panicking on failure.
+fn casa_and_steinke(
+    w: &PreparedWorkload,
+    cache_size: u32,
+    spm: u32,
+    obs: &Obs,
+) -> (FlowReport, FlowReport) {
+    let casa = spm_config(cache_size, spm, AllocatorKind::CasaBb);
+    let steinke = FlowConfig {
+        allocator: AllocatorKind::Steinke,
+        ..casa
+    };
+    let prof = profile_spm(&w.program, &w.profile, &w.exec, &casa, obs)
+        .unwrap_or_else(|e| panic!("{} spm profile failed: {e}", w.name));
+    let allocate = |config: &FlowConfig| {
+        allocate_spm(&w.program, &w.exec, &prof, config, &FlowCtx::observed(obs))
+            .unwrap_or_else(|e| panic!("{} spm flow failed: {e}", w.name))
+    };
+    (allocate(&casa), allocate(&steinke))
 }
 
 fn lc_flow(w: &PreparedWorkload, cache_size: u32, capacity: u32) -> FlowReport {
@@ -102,8 +114,7 @@ pub fn fig4(w: &PreparedWorkload, cache_size: u32, spm_sizes: &[u32]) -> Vec<Fig
     spm_sizes
         .iter()
         .map(|&spm| {
-            let casa = spm_flow(w, cache_size, spm, AllocatorKind::CasaBb);
-            let steinke = spm_flow(w, cache_size, spm, AllocatorKind::Steinke);
+            let (casa, steinke) = casa_and_steinke(w, cache_size, spm, &Obs::disabled());
             let (cs, ss) = (&casa.final_sim.stats, &steinke.final_sim.stats);
             Fig4Row {
                 spm_size: spm,
@@ -212,13 +223,13 @@ pub fn table1(w: &PreparedWorkload, cache_size: u32, sizes: &[u32]) -> Table1Blo
 
 /// [`table1`] with observability: every flow of every row runs
 /// instrumented against `obs`, so a `--trace-out` run of the table1
-/// binary yields a span timeline covering all 3×N×3 flows.
+/// binary yields a span timeline covering all 3×N×3 flows. A row's
+/// CASA and Steinke flows share one profile.
 pub fn table1_obs(w: &PreparedWorkload, cache_size: u32, sizes: &[u32], obs: &Obs) -> Table1Block {
     let rows = sizes
         .iter()
         .map(|&size| {
-            let casa = spm_flow_obs(w, cache_size, size, AllocatorKind::CasaBb, obs);
-            let steinke = spm_flow_obs(w, cache_size, size, AllocatorKind::Steinke, obs);
+            let (casa, steinke) = casa_and_steinke(w, cache_size, size, obs);
             let lc = lc_flow_obs(w, cache_size, size, obs);
             Table1Row {
                 benchmark: w.name.clone(),

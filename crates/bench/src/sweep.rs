@@ -9,11 +9,11 @@
 //!
 //! Determinism is the design constraint, not an accident:
 //!
-//! * workers pull cell *indices* from an atomic counter, but every
-//!   result lands in its cell's own slot and aggregation walks the
-//!   slots in grid order, so the report is independent of which
+//! * workers pull *profile group* indices from an atomic counter, but
+//!   every result lands in its cell's own slot and aggregation walks
+//!   the slots in grid order, so the report is independent of which
 //!   worker ran what;
-//! * each cell's computation depends only on its inputs (the conflict
+//! * each group's computation depends only on its inputs (the conflict
 //!   graph is CSR-backed, so even float reductions have a fixed
 //!   order), which includes seeded [`ReplacementPolicy::Random`]
 //!   caches — the RNG is owned per simulation, never shared;
@@ -25,6 +25,17 @@
 //! the cells and memoized per distinct (benchmark, scale, seed), so a
 //! grid sweeping 12 configurations of one benchmark walks it once.
 //!
+//! The execute phase's unit of work is a *profile group*: the
+//! scratchpad cells sharing (workload, cache, `spm_size`, effective
+//! trace cap), in grid order — everything [`profile_spm`] reads. A
+//! worker profiles the group once, under the registry of its first
+//! scratchpad cell, runs each cell's [`allocate_spm`] into that cell's
+//! own slot, then drops the profile, so the CASA and Steinke cells of
+//! one (program, cache, size) share one profiling simulation and at
+//! most one profile per worker is alive. A loop-cache cell is a group
+//! of its own. Profiling stays out of the prepare phase, whose wall
+//! time is [`SweepReport::prepare_secs`].
+//!
 //! The worker count comes from the `CASA_SWEEP_THREADS` environment
 //! variable when set (minimum 1), else from
 //! [`std::thread::available_parallelism`].
@@ -35,7 +46,8 @@ use crate::experiments::{paper_sizes, LINE_SIZE, LOOP_CACHE_SLOTS};
 use crate::runner::{prepared, PreparedWorkload};
 use casa_core::engine::{AllocOutcome, Budget};
 use casa_core::flow::{
-    run_loop_cache_flow, run_spm_flow, AllocatorKind, FlowConfig, FlowCtx, LoopCacheConfig,
+    allocate_spm, profile_spm, run_loop_cache_flow, AllocatorKind, FlowConfig, FlowCtx,
+    LoopCacheConfig, SpmProfile,
 };
 use casa_core::{Capture, Captured, EnergyModel, SolveJob};
 use casa_energy::TechParams;
@@ -78,7 +90,8 @@ pub struct WorkloadKey {
 /// What a cell executes against its workload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellKind {
-    /// A scratchpad flow ([`run_spm_flow`]) under this configuration.
+    /// A scratchpad flow under this configuration: [`allocate_spm`]
+    /// on its profile group's [`profile_spm`].
     Spm(FlowConfig),
     /// A loop-cache flow ([`run_loop_cache_flow`]).
     LoopCache {
@@ -160,7 +173,9 @@ pub struct CellResult {
     pub wall_clock_budget: bool,
     /// Allocator wall time, seconds.
     pub solver_secs: f64,
-    /// Whole-cell wall time (flow including simulation), seconds.
+    /// Whole-cell wall time (flow including simulation), seconds. A
+    /// profile group's first scratchpad cell also carries the group's
+    /// profiling (traces, profiling simulation, conflict graph).
     pub cell_secs: f64,
     /// Per-cell metric snapshot (counters/gauges/histograms from the
     /// instrumented flow). Empty when observability is off; reported
@@ -440,8 +455,10 @@ impl SweepGrid {
     /// timeline (grouped under per-cell `cell` spans) while each
     /// cell's counters stay isolated in its own [`CellResult::metrics`]
     /// snapshot, so the metric values are independent of which worker
-    /// ran what. [`SweepReport::deterministic_json`] is byte-identical
-    /// with observability on or off, for any worker count.
+    /// ran what. A profile group's profiling spans and counters land
+    /// in its first scratchpad cell. [`SweepReport::deterministic_json`]
+    /// is byte-identical with observability on or off, for any worker
+    /// count.
     ///
     /// # Panics
     ///
@@ -484,57 +501,73 @@ impl SweepGrid {
             .collect();
         let prepare_secs = t_prep.elapsed().as_secs_f64();
 
-        // Phase 2: execute cells on the pool; results land in their
-        // own slots so aggregation order is the grid's, not the
-        // scheduler's. Progress is published live for the telemetry
-        // exporter: `sweep.cells_total` up front, `sweep.cells_done`
-        // as cells finish, plus per-phase heartbeats for the watchdog.
+        // Phase 2: execute profile groups on the pool; each cell's
+        // result lands in its own slot so aggregation order is the
+        // grid's, not the scheduler's. Progress is published live for
+        // the telemetry exporter: `sweep.cells_total` up front,
+        // `sweep.cells_done` as cells finish, plus per-phase heartbeats
+        // for the watchdog.
         // None of this touches the per-cell registries the report is
         // built from, so determinism is unaffected.
         obs.gauge_set("sweep.cells_total", self.cells.len() as f64);
         let t_exec = Instant::now();
         let cell_slots: Vec<Mutex<Option<CellResult>>> =
             self.cells.iter().map(|_| Mutex::new(None)).collect();
+        let groups = self.profile_groups();
         {
             let next = AtomicUsize::new(0);
             let next = &next;
             let slots = &cell_slots;
             let prepared_workloads = &prepared_workloads;
+            let groups = &groups;
             let worker = move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= self.cells.len() {
+                let g = next.fetch_add(1, Ordering::Relaxed);
+                if g >= groups.len() {
                     break;
                 }
-                let cell = &self.cells[i];
-                let w = &prepared_workloads[cell.workload].0;
-                let key = &self.workloads[cell.workload];
-                obs.heartbeat("execute");
-                // Fresh registry per cell, shared timeline and shared
-                // flight ring: counters stay per-cell deterministic
-                // while spans interleave into one Chrome trace and the
-                // flight recorder keeps one post-mortem buffer for the
-                // run.
-                let cell_obs = obs.child();
-                let res = run_cell(key, w, &cell.kind, &self.budget, self.capture, &cell_obs);
-                // Live view only: the latest finished cell's explain
-                // doc behind `/explain.json` (the captures are written
-                // in grid order from the report, so scheduler order
-                // never shows through there).
-                if let Some(doc) = res.capture.as_ref().and_then(|c| c.explain.as_ref()) {
-                    obs.publish_doc("explain", doc.clone());
+                // Filled by the group's first scratchpad cell, read by
+                // the rest, dropped with the group.
+                let mut spm_profile = None;
+                for &i in &groups[g] {
+                    let cell = &self.cells[i];
+                    let w = &prepared_workloads[cell.workload].0;
+                    let key = &self.workloads[cell.workload];
+                    obs.heartbeat("execute");
+                    // Fresh registry per cell, shared timeline and
+                    // shared flight ring: counters stay per-cell
+                    // deterministic while spans interleave into one
+                    // Chrome trace and the flight recorder keeps one
+                    // post-mortem buffer for the run.
+                    let cell_obs = obs.child();
+                    let res = run_cell(
+                        key,
+                        w,
+                        &cell.kind,
+                        &mut spm_profile,
+                        &self.budget,
+                        self.capture,
+                        &cell_obs,
+                    );
+                    // Live view only: the latest finished cell's
+                    // explain doc behind `/explain.json` (the captures
+                    // are written in grid order from the report, so
+                    // scheduler order never shows through there).
+                    if let Some(doc) = res.capture.as_ref().and_then(|c| c.explain.as_ref()) {
+                        obs.publish_doc("explain", doc.clone());
+                    }
+                    // Publish the finished cell's isolated metrics to
+                    // the parent registry so a live `/metrics` scrape
+                    // sees per-phase counters and energy gauges
+                    // mid-sweep. Merge order is scheduler-dependent,
+                    // which is fine: the report's metrics are rebuilt
+                    // from the cell snapshots in grid order below.
+                    obs.merge_metrics(&res.metrics);
+                    obs.merge_timeseries(&res.timeseries);
+                    obs.add("sweep.cells_done", 1);
+                    *slots[i].lock().unwrap() = Some(res);
                 }
-                // Publish the finished cell's isolated metrics to the
-                // parent registry so a live `/metrics` scrape sees
-                // per-phase counters and energy gauges mid-sweep. Merge
-                // order is scheduler-dependent, which is fine: the
-                // report's metrics are rebuilt from the cell snapshots
-                // in grid order below.
-                obs.merge_metrics(&res.metrics);
-                obs.merge_timeseries(&res.timeseries);
-                obs.add("sweep.cells_done", 1);
-                *slots[i].lock().unwrap() = Some(res);
             };
-            run_pool(threads.min(self.cells.len()), worker);
+            run_pool(threads.min(groups.len()), worker);
         }
         obs.heartbeat_done("execute");
         let execute_secs = t_exec.elapsed().as_secs_f64();
@@ -603,6 +636,32 @@ impl SweepGrid {
             timeseries,
         }
     }
+
+    /// The cell indices of each profile group, groups in order of
+    /// their first cell and cells in grid order. Scratchpad cells
+    /// share a group when they agree on the workload and on everything
+    /// [`profile_spm`] reads: cache, `spm_size` and effective trace
+    /// cap. A loop-cache cell is a group of its own.
+    fn profile_groups(&self) -> Vec<Vec<usize>> {
+        let mut keys: Vec<Option<(usize, CacheConfig, u32, u32)>> = Vec::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (i, cell) in self.cells.iter().enumerate() {
+            let key = match &cell.kind {
+                CellKind::Spm(c) => {
+                    Some((cell.workload, c.cache, c.spm_size, c.effective_trace_cap()))
+                }
+                CellKind::LoopCache { .. } => None,
+            };
+            match keys.iter().position(|k| key.is_some() && *k == key) {
+                Some(g) => groups[g].push(i),
+                None => {
+                    keys.push(key);
+                    groups.push(vec![i]);
+                }
+            }
+        }
+        groups
+    }
 }
 
 /// Run `worker` on `workers` threads (at least one): the calling
@@ -616,10 +675,14 @@ fn run_pool(workers: usize, worker: impl Fn() + Copy + Send) {
     });
 }
 
+/// Run one cell under `obs`. A scratchpad cell allocates on
+/// `spm_profile`, profiling its configuration into it first when its
+/// group has no profile yet.
 fn run_cell(
     key: &WorkloadKey,
     w: &PreparedWorkload,
     kind: &CellKind,
+    spm_profile: &mut Option<SpmProfile>,
     budget: &Budget,
     capture: bool,
     obs: &Obs,
@@ -645,7 +708,11 @@ fn run_cell(
             if capture {
                 ctx = ctx.with_capture(Capture::on());
             }
-            let r = run_spm_flow(&w.program, &w.profile, &w.exec, config, &ctx)
+            let prof = spm_profile.get_or_insert_with(|| {
+                profile_spm(&w.program, &w.profile, &w.exec, config, obs)
+                    .unwrap_or_else(|e| panic!("{} spm profile failed: {e}", w.name))
+            });
+            let r = allocate_spm(&w.program, &w.exec, prof, config, &ctx)
                 .unwrap_or_else(|e| panic!("{} spm cell failed: {e}", w.name));
             // Capture off builds no job: that would clone the graph.
             let captured = if capture {
@@ -919,6 +986,157 @@ mod tests {
         g
     }
 
+    /// Nine adpcm cells whose scratchpad cells form four profile
+    /// groups: A = {0, 1, 6, 7} at 128 B, B = {3, 5} at 64 B, C = {4}
+    /// and D = {8}. Cell 4 differs from A only in its trace cap and
+    /// cell 8 only in its walk seed, so neither may share; cell 6
+    /// differs only in `tech` and cell 7 only in spelling out its
+    /// (effective) trace cap, so both must share.
+    fn grouping_grid() -> SweepGrid {
+        let mut g = SweepGrid::new();
+        let w = g.workload("adpcm", 1, 2004);
+        let other_walk = g.workload("adpcm", 1, 7);
+        let cache = CacheConfig::direct_mapped(128, LINE_SIZE);
+        let spm = |spm_size, allocator| FlowConfig {
+            cache,
+            spm_size,
+            allocator,
+            tech: TechParams::default(),
+            trace_cap: None,
+        };
+        let tech = TechParams {
+            main_memory_word: 2.0 * TechParams::default().main_memory_word,
+            ..TechParams::default()
+        };
+        g.push_spm(w, spm(128, AllocatorKind::CasaBb));
+        g.push_spm(w, spm(128, AllocatorKind::Steinke));
+        g.push_loop_cache(w, cache, 128);
+        g.push_spm(w, spm(64, AllocatorKind::CasaBb));
+        g.push_spm(
+            w,
+            FlowConfig {
+                trace_cap: Some(64),
+                ..spm(128, AllocatorKind::CasaBb)
+            },
+        );
+        g.push_spm(w, spm(64, AllocatorKind::Steinke));
+        g.push_spm(
+            w,
+            FlowConfig {
+                tech,
+                ..spm(128, AllocatorKind::Steinke)
+            },
+        );
+        g.push_spm(
+            w,
+            FlowConfig {
+                trace_cap: Some(128),
+                ..spm(128, AllocatorKind::CasaBb)
+            },
+        );
+        g.push_spm(other_walk, spm(128, AllocatorKind::CasaBb));
+        g
+    }
+
+    #[test]
+    fn shared_profiles_match_independent_flows() {
+        let mut g = grouping_grid();
+        g.set_capture(true);
+        let prepared_workloads: Vec<PreparedWorkload> = g
+            .workloads
+            .iter()
+            .map(|k| prepared(spec_by_name(&k.benchmark), k.scale, k.seed))
+            .collect();
+        let sim_counters = |m: &MetricsSnapshot| -> MetricsSnapshot {
+            m.iter()
+                .filter(|(k, _)| k.starts_with("sim."))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect()
+        };
+        for threads in [1usize, 2] {
+            let obs = Obs::enabled();
+            let r = g.run_with_threads_obs(threads, &obs);
+            assert_eq!(r.cells.len(), 9);
+            for (i, (c, cell)) in r.cells.iter().zip(&g.cells).enumerate() {
+                let w = &prepared_workloads[cell.workload];
+                let alone_obs = Obs::enabled();
+                let ctx = FlowCtx::observed(&alone_obs);
+                let alone = match &cell.kind {
+                    CellKind::Spm(config) => {
+                        casa_core::run_spm_flow(&w.program, &w.profile, &w.exec, config, &ctx)
+                    }
+                    CellKind::LoopCache { cache, capacity } => run_loop_cache_flow(
+                        &w.program,
+                        &w.profile,
+                        &w.exec,
+                        &LoopCacheConfig::new(*cache, *capacity, LOOP_CACHE_SLOTS),
+                        &ctx,
+                    ),
+                }
+                .unwrap();
+                let s = &alone.final_sim.stats;
+                assert_eq!(
+                    c.energy_uj.to_bits(),
+                    alone.energy_uj().to_bits(),
+                    "cell {i}"
+                );
+                assert_eq!(
+                    (
+                        c.cache_accesses,
+                        c.cache_misses,
+                        c.spm_accesses,
+                        c.loop_cache_accesses
+                    ),
+                    (
+                        s.cache_accesses,
+                        s.cache_misses,
+                        s.spm_accesses,
+                        s.loop_cache_accesses
+                    ),
+                    "cell {i}"
+                );
+                // The final simulation's per-set tallies: hits,
+                // evictions and fills too.
+                assert_eq!(
+                    sim_counters(&c.metrics),
+                    sim_counters(&alone_obs.snapshot()),
+                    "cell {i}"
+                );
+                assert_eq!(c.status, alone.alloc_status.as_str(), "cell {i}");
+                assert_eq!(c.gap, alone.alloc_status.gap(), "cell {i}");
+                assert_eq!(
+                    timeseries_json(&c.timeseries),
+                    timeseries_json(&alone_obs.timeseries_snapshot()),
+                    "cell {i}"
+                );
+                match (&cell.kind, &c.capture) {
+                    (CellKind::Spm(config), Some(cap)) => {
+                        assert_eq!(cap.session.layout, alone.allocation.on_spm, "cell {i}");
+                        if config.allocator.searches_tree() {
+                            assert_eq!(c.solver_nodes, Some(alone.allocation.solver_nodes));
+                        }
+                    }
+                    (CellKind::LoopCache { .. }, None) => {}
+                    (_, cap) => panic!("cell {i}: unexpected capture {cap:?}"),
+                }
+            }
+            // One profiling simulation per scratchpad group; every
+            // cell still solves and simulates.
+            let count = |name: &str| {
+                r.phases
+                    .iter()
+                    .find(|p| p.name == name)
+                    .map_or(0, |p| p.count)
+            };
+            assert_eq!(count("profile_sim"), 4, "{threads} workers");
+            assert_eq!(count("trace"), 4 + 1, "{threads} workers");
+            assert_eq!(count("conflict"), 4 + 1, "{threads} workers");
+            for name in ["cell", "solve", "simulate"] {
+                assert_eq!(count(name), 9, "{name}, {threads} workers");
+            }
+        }
+    }
+
     #[test]
     fn workloads_are_interned() {
         let mut g = SweepGrid::new();
@@ -992,15 +1210,28 @@ mod tests {
                 assert_eq!(a.metrics, b.metrics);
             }
         }
-        // Rollups cover the whole fig. 3 pipeline for every cell.
+        // Rollups cover the whole fig. 3 pipeline: every cell solves
+        // and simulates, while small_grid's five scratchpad cells form
+        // three profile groups (64 B, 128 B, and the Random(7) cache),
+        // each profiled once, and the loop-cache cell forms its own
+        // traces and conflict graph.
         let r = &reports[0];
         assert!(!r.metrics.is_empty());
         let phase = |name: &str| r.phases.iter().find(|p| p.name == name);
-        for name in ["cell", "trace", "conflict", "solve", "simulate"] {
-            let p = phase(name).unwrap_or_else(|| panic!("missing phase {name}"));
-            assert_eq!(p.count, g.cell_count() as u64, "phase {name}");
+        let count = |name: &str| {
+            phase(name)
+                .unwrap_or_else(|| panic!("missing phase {name}"))
+                .count
+        };
+        let (spm_groups, loop_cache_cells) = (3, 1);
+        for name in ["cell", "solve", "simulate"] {
+            assert_eq!(count(name), g.cell_count() as u64, "phase {name}");
         }
-        assert_eq!(phase("prepare").unwrap().count, 1);
+        for name in ["trace", "conflict"] {
+            assert_eq!(count(name), spm_groups + loop_cache_cells, "phase {name}");
+        }
+        assert_eq!(count("profile_sim"), spm_groups);
+        assert_eq!(count("prepare"), 1);
         // The full JSON carries the metrics section; histogram keys in
         // it are sorted (BTreeMap order).
         let full = r.to_json();

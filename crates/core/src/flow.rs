@@ -10,6 +10,23 @@
 //! Both the profiling and the final run replay the *same* dynamic
 //! block sequence, so allocators are compared on identical executions.
 //!
+//! The scratchpad flow is two steps, and [`run_spm_flow`] is their
+//! composition:
+//!
+//! 1. [`profile_spm`] forms the traces, lays them out with everything
+//!    in main memory, runs the profiling simulation and builds the
+//!    conflict graph. It reads the workload (program, block profile,
+//!    execution) and, of the [`FlowConfig`], only the cache, the
+//!    scratchpad size and the effective trace cap.
+//! 2. [`allocate_spm`] prices the graph, solves, re-lays the code out
+//!    and runs the final simulation. It reads the [`SpmProfile`] plus
+//!    the allocator, `tech` and everything in the [`FlowCtx`].
+//!
+//! So configurations that differ only in the allocator or `tech` can
+//! share one profile, as the paper's fig. 3 profiles once and then
+//! allocates; the sweep runs the CASA and Steinke cells of one
+//! (program, cache, size) that way.
+//!
 //! The canonical entry points take a [`FlowCtx`] bundling everything
 //! ambient to a run — observability sink, solver [`Budget`], and the
 //! [`Capture`] the solve records into — so one signature serves the
@@ -341,13 +358,27 @@ impl From<PreloadError> for FlowError {
     }
 }
 
-/// Run the scratchpad workflow (paper fig. 1(a) + fig. 3) under `ctx`.
+/// What profiling one scratchpad configuration yields (the first step
+/// of the flow, [`profile_spm`]); [`allocate_spm`] reads it.
+#[derive(Debug, Clone)]
+pub struct SpmProfile {
+    /// The trace partition used as memory objects.
+    pub traces: TraceSet,
+    /// The profiling simulation: initial layout, nothing on the
+    /// scratchpad.
+    pub sim: SimOutcome,
+    /// The conflict graph of the profiling simulation.
+    pub graph: ConflictGraph,
+}
+
+/// Profile `config` on one workload: form the traces, lay them out
+/// with everything in main memory, run the profiling simulation and
+/// build the conflict graph, each under its own span (`trace` →
+/// `profile_sim` → `conflict`) when `obs` is enabled.
 ///
-/// Every phase runs under its own span (`trace` → `profile_sim` →
-/// `conflict` → `solve` → `layout` → `simulate`) when `ctx.obs` is
-/// enabled; the allocator runs through the anytime engine under
-/// `ctx.budget`, so budget exhaustion yields the incumbent with its
-/// proven gap ([`FlowReport::alloc_status`]) instead of an error.
+/// Of `config` this reads only `cache`, `spm_size` and
+/// [`FlowConfig::effective_trace_cap`]: configurations that agree on
+/// those three share one profile, whatever their allocator or `tech`.
 ///
 /// # Errors
 ///
@@ -358,34 +389,65 @@ impl From<PreloadError> for FlowError {
 ///
 /// Panics if `exec` is inconsistent with `program` (checked by the
 /// simulator's layout arithmetic).
-pub fn run_spm_flow(
+pub fn profile_spm(
     program: &Program,
     profile: &Profile,
     exec: &ExecutionTrace,
+    config: &FlowConfig,
+    obs: &Obs,
+) -> Result<SpmProfile, FlowError> {
+    let line = config.cache.line_size;
+    let trace_cap = config.effective_trace_cap();
+    let span = obs.span("trace");
+    let traces = form_traces(program, profile, TraceConfig::new(trace_cap, line), obs);
+    drop(span);
+    let layout0 = Layout::initial(program, &traces);
+    let prof_cfg = HierarchyConfig::spm_system(config.cache, config.spm_size);
+    let span = obs.span("profile_sim");
+    let sim = simulate(program, &traces, &layout0, exec, &prof_cfg)?;
+    drop(span);
+    let span = obs.span("conflict");
+    let graph = ConflictGraph::from_simulation_obs(&traces, &sim, obs);
+    drop(span);
+    Ok(SpmProfile { traces, sim, graph })
+}
+
+/// Allocate, lay out and simulate `config` on a profile from
+/// [`profile_spm`] of the same workload under `ctx` (the second step
+/// of the flow): energy table → `solve` → `layout` → `simulate` →
+/// energy breakdown.
+///
+/// `prof` must come from a configuration with the same cache,
+/// scratchpad size and effective trace cap as `config`. The allocator
+/// runs through the anytime engine under `ctx.budget`, so budget
+/// exhaustion yields the incumbent with its proven gap
+/// ([`FlowReport::alloc_status`]) instead of an error.
+///
+/// # Errors
+///
+/// Returns [`FlowError::Preload`] if hierarchy construction fails
+/// (does not occur for scratchpad systems in practice).
+///
+/// # Panics
+///
+/// Panics if `exec` is inconsistent with `program` (checked by the
+/// simulator's layout arithmetic).
+pub fn allocate_spm(
+    program: &Program,
+    exec: &ExecutionTrace,
+    prof: &SpmProfile,
     config: &FlowConfig,
     ctx: &FlowCtx,
 ) -> Result<FlowReport, FlowError> {
     let obs = &ctx.obs;
     let line = config.cache.line_size;
-    let trace_cap = config.effective_trace_cap();
+    let SpmProfile { traces, sim, graph } = prof;
     // Phase-completion samples on a logical clock (the fig. 3 phase
     // ordinal), with a deterministic progress measure per phase —
-    // byte-identical across machines and worker counts.
-    let span = obs.span("trace");
-    let traces = form_traces(program, profile, TraceConfig::new(trace_cap, line), obs);
-    drop(span);
+    // byte-identical across machines and worker counts, and whether
+    // or not the profile was shared.
     obs.ts_sample("flow.progress", 0, traces.len() as f64);
-
-    // Profiling run: everything in main memory.
-    let layout0 = Layout::initial(program, &traces);
-    let prof_cfg = HierarchyConfig::spm_system(config.cache, config.spm_size);
-    let span = obs.span("profile_sim");
-    let sim0 = simulate(program, &traces, &layout0, exec, &prof_cfg)?;
-    drop(span);
-    obs.ts_sample("flow.progress", 1, sim0.stats.cache_misses as f64);
-    let span = obs.span("conflict");
-    let graph = ConflictGraph::from_simulation_obs(&traces, &sim0, obs);
-    drop(span);
+    obs.ts_sample("flow.progress", 1, sim.stats.cache_misses as f64);
     obs.ts_sample("flow.progress", 2, graph.len() as f64);
 
     let table = EnergyTable::build(
@@ -396,7 +458,7 @@ pub fn run_spm_flow(
         None,
         &config.tech,
     );
-    let model = EnergyModel::new(&graph, &table);
+    let model = EnergyModel::new(graph, &table);
 
     let span = obs.span("solve");
     let started = std::time::Instant::now();
@@ -420,13 +482,14 @@ pub fn run_spm_flow(
     let span = obs.span("layout");
     let layout = Layout::with_placement(
         program,
-        &traces,
+        traces,
         &allocation.to_placement(),
         config.allocator.semantics(),
     );
     drop(span);
     let span = obs.span("simulate");
-    let final_sim = run_final_sim(program, &traces, &layout, exec, &prof_cfg, obs)?;
+    let cfg = HierarchyConfig::spm_system(config.cache, config.spm_size);
+    let final_sim = run_final_sim(program, traces, &layout, exec, &cfg, obs)?;
     drop(span);
     obs.ts_sample("flow.progress", 4, final_sim.stats.cache_misses as f64);
     let breakdown = EnergyBreakdown::from_stats(&final_sim.stats, &table, false);
@@ -434,9 +497,9 @@ pub fn run_spm_flow(
     obs.ts_sample("flow.progress", 5, breakdown.total_uj());
 
     Ok(FlowReport {
-        traces,
+        traces: traces.clone(),
         layout,
-        conflict_graph: graph,
+        conflict_graph: graph.clone(),
         allocation,
         alloc_status: outcome.status,
         stopped_by: outcome.stopped_by,
@@ -446,6 +509,31 @@ pub fn run_spm_flow(
         breakdown,
         solver_time,
     })
+}
+
+/// Run the scratchpad workflow (paper fig. 1(a) + fig. 3) under `ctx`:
+/// [`profile_spm`] then [`allocate_spm`], so every phase runs under
+/// its own span (`trace` → `profile_sim` → `conflict` → `solve` →
+/// `layout` → `simulate`) when `ctx.obs` is enabled.
+///
+/// # Errors
+///
+/// Returns [`FlowError::Preload`] if hierarchy construction fails
+/// (does not occur for scratchpad systems in practice).
+///
+/// # Panics
+///
+/// Panics if `exec` is inconsistent with `program` (checked by the
+/// simulator's layout arithmetic).
+pub fn run_spm_flow(
+    program: &Program,
+    profile: &Profile,
+    exec: &ExecutionTrace,
+    config: &FlowConfig,
+    ctx: &FlowCtx,
+) -> Result<FlowReport, FlowError> {
+    let prof = profile_spm(program, profile, exec, config, &ctx.obs)?;
+    allocate_spm(program, exec, &prof, config, ctx)
 }
 
 /// Run the preloaded-loop-cache workflow (paper fig. 1(b)) under
@@ -582,20 +670,20 @@ mod tests {
         b.exit(ex);
         let p = b.finish().unwrap();
         let mut seq: Vec<BlockId> = Vec::new();
-        let mut prof = Profile::new();
         for _ in 0..200 {
             seq.push(head);
             seq.push(far);
-            prof.add_block(head, 1);
-            prof.add_block(far, 1);
-            prof.add_edge(head, far, 1);
-            prof.add_edge(far, head, 1);
         }
-        // Fix the final far -> ex edge count.
-        let seqlast = *seq.last().unwrap();
-        let _ = seqlast;
         seq.push(ex);
-        prof.add_block(ex, 1);
+        // The profile counts exactly what the execution takes: 200
+        // head -> far, 199 far -> head and one far -> ex.
+        let mut prof = Profile::new();
+        for &block in &seq {
+            prof.add_block(block, 1);
+        }
+        for pair in seq.windows(2) {
+            prof.add_edge(pair[0], pair[1], 1);
+        }
         (p, prof, ExecutionTrace::new(seq))
     }
 
@@ -756,6 +844,46 @@ mod tests {
         match snap.get("energy.total_uj") {
             Some(&MetricValue::Gauge(e)) => assert!((e - plain.energy_uj()).abs() < 1e-12),
             other => panic!("missing energy.total_uj: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn one_profile_serves_every_allocator_exactly() {
+        let (p, prof, exec) = thrash_workload();
+        let casa = config(AllocatorKind::CasaBb);
+        let shared = profile_spm(&p, &prof, &exec, &casa, &Obs::disabled()).unwrap();
+        for kind in [
+            AllocatorKind::CasaBb,
+            AllocatorKind::Steinke,
+            AllocatorKind::CasaGreedy,
+            AllocatorKind::None,
+        ] {
+            let cfg = config(kind);
+            let alone_obs = Obs::enabled();
+            let alone =
+                run_spm_flow(&p, &prof, &exec, &cfg, &FlowCtx::observed(&alone_obs)).unwrap();
+            let obs = Obs::enabled();
+            let r = allocate_spm(&p, &exec, &shared, &cfg, &FlowCtx::observed(&obs)).unwrap();
+            assert_eq!(
+                r.energy_uj().to_bits(),
+                alone.energy_uj().to_bits(),
+                "{kind:?}"
+            );
+            assert_eq!(r.final_sim.stats, alone.final_sim.stats, "{kind:?}");
+            assert_eq!(r.allocation, alone.allocation, "{kind:?}");
+            assert_eq!(r.alloc_status, alone.alloc_status, "{kind:?}");
+            assert_eq!(r.traces, alone.traces, "{kind:?}");
+            // The phase series is the same whether or not the profile
+            // was shared: ticks 0-2 come from the profile's counts.
+            assert_eq!(
+                casa_obs::timeseries_json(&obs.timeseries_snapshot()),
+                casa_obs::timeseries_json(&alone_obs.timeseries_snapshot()),
+                "{kind:?}"
+            );
+            // The allocation step opens no profiling span of its own.
+            let names: Vec<String> = obs.events().into_iter().map(|e| e.name).collect();
+            assert!(!names.iter().any(|n| n == "profile_sim"), "{names:?}");
+            assert!(names.iter().any(|n| n == "simulate"), "{names:?}");
         }
     }
 

@@ -31,8 +31,9 @@
 //! * [`ross`] — the preloaded-loop-cache baseline: density-greedy
 //!   selection of ≤ N loops/functions.
 //! * [`flow`] — the fig. 3 experimental workflow: trace formation →
-//!   profiling simulation → conflict graph → allocation → re-layout →
-//!   final simulation → energy report.
+//!   profiling simulation → conflict graph (one profile per
+//!   configuration) → allocation → re-layout → final simulation →
+//!   energy report.
 //! * [`explain`] — decision provenance and sensitivity: per-object
 //!   density rank, root-LP reduced cost, capacity shadow price, and
 //!   flip distances, as a deterministic sorted-key JSON document.
@@ -93,8 +94,8 @@ pub use explain::{
     FixedBy, ObjectExplain, ProbeResult, EXPLAIN_SCHEMA, MAX_PROBES,
 };
 pub use flow::{
-    run_loop_cache_flow, run_spm_flow, AllocatorKind, ConfigError, FlowConfig, FlowCtx, FlowReport,
-    LoopCacheConfig,
+    allocate_spm, profile_spm, run_loop_cache_flow, run_spm_flow, AllocatorKind, ConfigError,
+    FlowConfig, FlowCtx, FlowReport, LoopCacheConfig, SpmProfile,
 };
 pub use report::EnergyBreakdown;
 pub use server::{

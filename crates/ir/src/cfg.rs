@@ -102,13 +102,22 @@ pub fn reachable(program: &Program, function: FunctionId) -> Vec<BlockId> {
 /// outside `function` (or unreachable within it) are `None`. The entry
 /// block dominates itself.
 pub fn immediate_dominators(program: &Program, function: FunctionId) -> Vec<Option<BlockId>> {
+    immediate_dominators_with(program, function, &Predecessors::compute(program))
+}
+
+/// [`immediate_dominators`] over precomputed whole-program `preds`, so
+/// a caller analysing every function computes them once.
+pub(crate) fn immediate_dominators_with(
+    program: &Program,
+    function: FunctionId,
+    preds: &Predecessors,
+) -> Vec<Option<BlockId>> {
     let rpo = reverse_post_order(program, function);
     let entry = program.function(function).entry();
     let mut rpo_index = vec![usize::MAX; program.blocks().len()];
     for (i, &b) in rpo.iter().enumerate() {
         rpo_index[b.index()] = i;
     }
-    let preds = Predecessors::compute(program);
     let mut idom: Vec<Option<BlockId>> = vec![None; program.blocks().len()];
     idom[entry.index()] = Some(entry);
 

@@ -52,8 +52,30 @@ impl NaturalLoop {
 /// merged into one loop whose body is the union, matching the usual
 /// compiler treatment.
 pub fn natural_loops(program: &Program, function: FunctionId) -> Vec<NaturalLoop> {
-    let idom = cfg::immediate_dominators(program, function);
+    natural_loops_with(program, function, &Predecessors::compute(program))
+}
+
+/// Find all natural loops of every function in the program.
+pub fn all_natural_loops(program: &Program) -> Vec<NaturalLoop> {
     let preds = Predecessors::compute(program);
+    program
+        .functions()
+        .iter()
+        .flat_map(|f| natural_loops_with(program, f.id(), &preds))
+        .collect()
+}
+
+/// [`natural_loops`] over precomputed whole-program `preds`, shared by
+/// the dominator pass and the body walks.
+fn natural_loops_with(
+    program: &Program,
+    function: FunctionId,
+    preds: &Predecessors,
+) -> Vec<NaturalLoop> {
+    let idom = cfg::immediate_dominators_with(program, function, preds);
+    // Body membership of the walk in progress, by block index; reset
+    // after each walk.
+    let mut in_body = vec![false; program.blocks().len()];
     let mut by_header: Vec<(BlockId, BlockId, Vec<BlockId>)> = Vec::new();
 
     for &n in program.function(function).blocks() {
@@ -64,11 +86,13 @@ pub fn natural_loops(program: &Program, function: FunctionId) -> Vec<NaturalLoop
             if cfg::dominates(&idom, h, n) {
                 // Back edge n -> h. Collect body by reverse walk from n.
                 let mut body = vec![h];
+                in_body[h.index()] = true;
                 let mut stack = vec![n];
                 while let Some(b) = stack.pop() {
-                    if body.contains(&b) {
+                    if in_body[b.index()] {
                         continue;
                     }
+                    in_body[b.index()] = true;
                     body.push(b);
                     for &p in preds.of(b) {
                         if program.block(p).function() == function {
@@ -76,12 +100,13 @@ pub fn natural_loops(program: &Program, function: FunctionId) -> Vec<NaturalLoop
                         }
                     }
                 }
+                for &b in &body {
+                    in_body[b.index()] = false;
+                }
+                // A header's bodies are unioned; duplicates go with the
+                // sort below.
                 if let Some(entry) = by_header.iter_mut().find(|(hh, _, _)| *hh == h) {
-                    for b in body {
-                        if !entry.2.contains(&b) {
-                            entry.2.push(b);
-                        }
-                    }
+                    entry.2.extend(body);
                 } else {
                     by_header.push((h, n, body));
                 }
@@ -92,29 +117,17 @@ pub fn natural_loops(program: &Program, function: FunctionId) -> Vec<NaturalLoop
     by_header
         .into_iter()
         .map(|(header, back_edge_source, mut body)| {
-            let rest: Vec<BlockId> = {
-                body.retain(|&b| b != header);
-                body.sort();
-                body
-            };
-            let mut full = vec![header];
-            full.extend(rest);
+            body.retain(|&b| b != header);
+            body.sort_unstable();
+            body.dedup();
+            body.insert(0, header);
             NaturalLoop {
                 header,
                 back_edge_source,
-                body: full,
+                body,
                 function,
             }
         })
-        .collect()
-}
-
-/// Find all natural loops of every function in the program.
-pub fn all_natural_loops(program: &Program) -> Vec<NaturalLoop> {
-    program
-        .functions()
-        .iter()
-        .flat_map(|f| natural_loops(program, f.id()))
         .collect()
 }
 
@@ -197,6 +210,39 @@ mod tests {
         assert_eq!(loops[1].header, oh);
         assert_eq!(loops[1].len(), 4);
         assert!(loops[1].contains(ib));
+    }
+
+    #[test]
+    fn back_edges_to_one_header_merge_into_one_loop() {
+        // pre -> head; head -> a | b; a -> head; b -> head | ex.
+        let mut bld = ProgramBuilder::new(IsaMode::Arm);
+        let f = bld.function("f");
+        let pre = bld.block(f);
+        let head = bld.block(f);
+        let a = bld.block(f);
+        let b = bld.block(f);
+        let ex = bld.block(f);
+        bld.push(pre, InstKind::Alu);
+        bld.fall_through(pre, head);
+        bld.push(head, InstKind::Alu);
+        bld.branch(head, b, a);
+        bld.push(a, InstKind::Alu);
+        bld.jump(a, head);
+        bld.push(b, InstKind::Alu);
+        bld.branch(b, head, ex);
+        bld.push(ex, InstKind::Alu);
+        bld.exit(ex);
+        let p = bld.finish().unwrap();
+        let loops = natural_loops(&p, f);
+        assert_eq!(loops.len(), 1, "{loops:?}");
+        let l = &loops[0];
+        assert_eq!(l.header, head);
+        // The first back edge in block order defines the loop.
+        assert_eq!(l.back_edge_source, a);
+        // Header first, then the union of both bodies in id order,
+        // each block once.
+        assert_eq!(l.body, vec![head, a, b]);
+        assert_eq!(all_natural_loops(&p), loops);
     }
 
     #[test]

@@ -48,11 +48,13 @@ impl Profile {
     }
 
     /// Record `n` additional executions of `block`.
+    #[inline]
     pub fn add_block(&mut self, block: BlockId, n: u64) {
         *self.block_counts.entry(block).or_insert(0) += n;
     }
 
     /// Record `n` additional traversals of the edge `from -> to`.
+    #[inline]
     pub fn add_edge(&mut self, from: BlockId, to: BlockId, n: u64) {
         *self.edge_counts.entry((from, to)).or_insert(0) += n;
     }

@@ -610,6 +610,30 @@ mod tests {
     }
 
     #[test]
+    fn all_natural_loops_is_the_per_function_concatenation() {
+        use casa_ir::loops::{all_natural_loops, natural_loops};
+        for spec in all() {
+            for scale in [1, 2] {
+                let mut spec = spec.clone();
+                spec.scale_trips(scale);
+                let p = spec.compile().program;
+                let per_function: Vec<_> = p
+                    .functions()
+                    .iter()
+                    .flat_map(|f| natural_loops(&p, f.id()))
+                    .collect();
+                assert!(!per_function.is_empty(), "{} has loops", p.name());
+                assert_eq!(
+                    all_natural_loops(&p),
+                    per_function,
+                    "{} at scale {scale}",
+                    p.name()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn mpeg_has_hot_and_cold_code() {
         let w = mpeg().compile();
         let walker = Walker::new(&w.program, &w.behaviors);
