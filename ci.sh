@@ -52,88 +52,17 @@ test -s /tmp/casa_trace.json || { echo "trace file empty or missing"; exit 1; }
 cargo run --release -q -p casa-bench --bin diag -- render-trace /tmp/casa_trace.json | grep -q "simulate" \
   || { echo "trace does not cover the simulate phase"; exit 1; }
 
-echo "== regression sentinel: two identical smoke runs must not regress"
-# Two back-to-back runs of the same grid append two history records;
-# the second is byte-identical on every deterministic column, so the
-# sentinel must report a clean pass (exit 0) and say so in the
-# machine verdict.
-rm -f /tmp/casa_history.jsonl /tmp/casa_regress.json
-(cd /tmp && cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke --history-out /tmp/casa_history.jsonl)
-(cd /tmp && cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke --history-out /tmp/casa_history.jsonl)
-cargo run --release -q -p casa-bench --bin sentinel -- --history /tmp/casa_history.jsonl --out /tmp/casa_regress.json \
-  || { echo "sentinel flagged a regression between identical runs"; exit 1; }
-grep -q '"verdict":"pass"' /tmp/casa_regress.json \
-  || { echo "machine verdict is not a pass"; exit 1; }
-
 echo "== flight recorder: deliberate panic must leave a readable dump"
 # CASA_SELFTEST_PANIC makes the sweep bin panic after the grid runs;
 # the installed panic hook must write the flight ring to the sink,
 # and diag flight must round-trip it back into a table.
 rm -f /tmp/casa_flight.json
-if (cd /tmp && CASA_TRACE=1 CASA_SELFTEST_PANIC=1 cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke --history-out /tmp/casa_selftest_history.jsonl --flight-dump /tmp/casa_flight.json) 2>/dev/null; then
+if (cd /tmp && CASA_TRACE=1 CASA_SELFTEST_PANIC=1 cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke --flight-dump /tmp/casa_flight.json) 2>/dev/null; then
   echo "self-test panic did not fire"; exit 1
 fi
-rm -f /tmp/casa_selftest_history.jsonl
 test -s /tmp/casa_flight.json || { echo "flight dump empty or missing"; exit 1; }
 cargo run --release -q -p casa-bench --bin diag -- flight /tmp/casa_flight.json | grep -q "cell" \
   || { echo "flight dump does not cover the cell phase"; exit 1; }
-
-echo "== live telemetry: served sweep, probe, watchdog, determinism"
-# A serverless smoke run records the reference deterministic report;
-# then the same grid runs with the telemetry server, an armed watchdog
-# and the stall self-test. diag's std-only HTTP client probes the live
-# endpoints (valid Prometheus exposition mid-run, required families,
-# span frames over /events), the watchdog must catch the deliberately
-# stalled phase and dump the flight ring, and the served report must
-# stay byte-identical to the serverless one.
-rm -f /tmp/casa_det_plain.json /tmp/casa_det_served.json /tmp/casa_serve_addr \
-      /tmp/casa_probe_flight.json /tmp/casa_telemetry_history.jsonl
-(cd /tmp && cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke \
-  --history-out /tmp/casa_telemetry_history.jsonl --det-out /tmp/casa_det_plain.json)
-(cd /tmp && CASA_WATCHDOG_MS=250 CASA_SELFTEST_STALL=1 \
-  cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke \
-  --history-out /tmp/casa_telemetry_history.jsonl --det-out /tmp/casa_det_served.json \
-  --serve 127.0.0.1:0 --serve-addr-file /tmp/casa_serve_addr --serve-linger-ms 60000 \
-  --flight-dump /tmp/casa_probe_flight.json) &
-SWEEP_PID=$!
-i=0; while [ $i -lt 300 ] && ! test -s /tmp/casa_serve_addr; do i=$((i+1)); sleep 0.1; done
-test -s /tmp/casa_serve_addr || { echo "served sweep never published its address"; kill $SWEEP_PID; exit 1; }
-ADDR="$(head -n1 /tmp/casa_serve_addr)"
-# Quick probe while the run may still be in flight: healthz + a valid
-# /metrics exposition must hold mid-sweep, not just at the end.
-cargo run --release -q -p casa-bench --bin diag -- probe "$ADDR" --quick \
-  || { echo "mid-run probe failed"; kill $SWEEP_PID; exit 1; }
-# The watchdog's flight dump doubles as the "stall was caught" signal;
-# once it exists the stall counter is on the exporter too.
-i=0; while [ $i -lt 100 ] && ! test -s /tmp/casa_probe_flight.json; do i=$((i+1)); sleep 0.1; done
-test -s /tmp/casa_probe_flight.json || { echo "watchdog stall left no flight dump"; kill $SWEEP_PID; exit 1; }
-cargo run --release -q -p casa-bench --bin diag -- probe "$ADDR" --expect-spans \
-  --expect casa_sweep_cells_done --expect casa_sweep_cells_total \
-  --expect casa_energy_total_uj --expect casa_watchdog_stalls --quit \
-  || { echo "full probe failed"; kill $SWEEP_PID; exit 1; }
-wait $SWEEP_PID || { echo "served sweep failed"; exit 1; }
-cmp /tmp/casa_det_plain.json /tmp/casa_det_served.json \
-  || { echo "telemetry server changed the deterministic report"; exit 1; }
-
-echo "== sentinel --serve: verdict gauges on the exporter"
-# The two telemetry runs above share a grid fingerprint, so the
-# sentinel has a baseline and must pass; with --serve its verdict is
-# also scraped off /metrics as casa_sentinel_* gauges.
-rm -f /tmp/casa_sentinel_addr /tmp/casa_regress_served.json
-cargo run --release -q -p casa-bench --bin sentinel -- \
-  --history /tmp/casa_telemetry_history.jsonl --out /tmp/casa_regress_served.json \
-  --serve 127.0.0.1:0 --serve-addr-file /tmp/casa_sentinel_addr --serve-linger-ms 60000 &
-SENTINEL_PID=$!
-i=0; while [ $i -lt 300 ] && ! test -s /tmp/casa_sentinel_addr; do i=$((i+1)); sleep 0.1; done
-test -s /tmp/casa_sentinel_addr || { echo "sentinel never published its address"; kill $SENTINEL_PID; exit 1; }
-cargo run --release -q -p casa-bench --bin diag -- probe "$(head -n1 /tmp/casa_sentinel_addr)" \
-  --expect casa_sentinel_regressions --expect casa_sentinel_checks \
-  --expect casa_sentinel_pass --expect casa_sentinel_baseline_runs --quit \
-  || { echo "sentinel probe failed"; kill $SENTINEL_PID; exit 1; }
-wait $SENTINEL_PID || { echo "served sentinel flagged a regression between identical runs"; exit 1; }
-grep -q '"verdict":"pass"' /tmp/casa_regress_served.json \
-  || { echo "served sentinel verdict is not a pass"; exit 1; }
-rm -f /tmp/casa_telemetry_history.jsonl
 
 echo "== allocation service: casa-server under concurrent load"
 # Boot the allocation service on an ephemeral port, then drive it with
@@ -142,8 +71,9 @@ echo "== allocation service: casa-server under concurrent load"
 # pairs (warm starts), and one starved request that must degrade to a
 # feasible answer with a finite gap. The loadgen asserts repeats are
 # byte-identical and that /metrics agrees with its own request count;
-# ci.sh re-checks one repeated pair with cmp and probes the
-# casa_server_* families independently via diag.
+# ci.sh re-checks one repeated pair with cmp, probes the casa_server_*
+# families independently via diag, and demands the requests' spans
+# over /events.
 rm -f /tmp/casa_server_addr /tmp/casa_solve_a.json /tmp/casa_solve_b.json
 cargo run --release -q -p casa-bench --bin casa-server -- \
   --listen 127.0.0.1:0 --addr-file /tmp/casa_server_addr --max-seconds 300 &
@@ -159,7 +89,7 @@ cmp /tmp/casa_solve_a.json /tmp/casa_solve_b.json \
   || { echo "repeated solve responses differ"; kill $SERVER_PID; exit 1; }
 cargo run --release -q -p casa-bench --bin diag -- probe "$SERVER_ADDR" \
   --expect casa_server_requests_total --expect casa_server_cache_hits_total \
-  --expect casa_server_cache_misses_total --quit \
+  --expect casa_server_cache_misses_total --expect-spans server.request --quit \
   || { echo "casa-server probe failed"; kill $SERVER_PID; exit 1; }
 wait $SERVER_PID || { echo "casa-server did not exit cleanly"; exit 1; }
 
@@ -242,9 +172,8 @@ echo "== capture: worker byte-identity, golden replay, tree and explain renderer
 # --ts-out. The deterministic report, the time-series and the whole
 # capture directory (sessions, reports, search trees, explain
 # documents) must be byte-identical across worker counts, and a
-# capture-free run must reproduce the same deterministic report. The
-# history records of the capture runs carry the per-cell top-regret
-# census. Every session must replay byte-identically offline: diag
+# capture-free run must reproduce the same deterministic report. Every
+# session must replay byte-identically offline: diag
 # replay re-executes the decision log, asserts the regenerated
 # response equals the recording, and the report it writes must match
 # the sibling byte for byte. One cell also goes through --divergence:
@@ -255,13 +184,12 @@ echo "== capture: worker byte-identity, golden replay, tree and explain renderer
 # four workers: 24 profile groups spread over the pool, and the binary
 # asserts its serial and parallel reports are byte-identical.
 rm -rf /tmp/casa_capture_ref /tmp/casa_capture_cur
-rm -f /tmp/casa_capture_history.jsonl /tmp/casa_det_ref.json /tmp/casa_ts_ref.json \
+rm -f /tmp/casa_det_ref.json /tmp/casa_ts_ref.json \
       /tmp/casa_replay_report.json /tmp/casa_tree_render.txt /tmp/casa_explain_render.txt
 for T in 1 2 4; do
   rm -rf /tmp/casa_capture_cur
   rm -f /tmp/casa_det_cur.json /tmp/casa_ts_cur.json
   (cd /tmp && CASA_SWEEP_THREADS=$T cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke \
-    --history-out /tmp/casa_capture_history.jsonl \
     --det-out /tmp/casa_det_cur.json --session-dir /tmp/casa_capture_cur --ts-out /tmp/casa_ts_cur.json)
   if [ ! -s /tmp/casa_det_ref.json ]; then
     mv /tmp/casa_det_cur.json /tmp/casa_det_ref.json
@@ -278,15 +206,12 @@ for T in 1 2 4; do
 done
 rm -f /tmp/casa_det_nocap.json
 (cd /tmp && cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke \
-  --history-out /tmp/casa_capture_history.jsonl --det-out /tmp/casa_det_nocap.json)
+  --det-out /tmp/casa_det_nocap.json)
 cmp /tmp/casa_det_ref.json /tmp/casa_det_nocap.json \
   || { echo "capture changed the deterministic report"; exit 1; }
-(cd /tmp && CASA_SWEEP_THREADS=4 cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- \
-  --history-out /tmp/casa_capture_history.jsonl)
+(cd /tmp && CASA_SWEEP_THREADS=4 cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep)
 grep -q '"casa_timeseries":1' /tmp/casa_ts_ref.json \
   || { echo "time-series document missing its schema tag"; exit 1; }
-grep -q '"explain_census":' /tmp/casa_capture_history.jsonl \
-  || { echo "history records of a capture run carry no census"; exit 1; }
 ls /tmp/casa_capture_ref/*.casa-session >/dev/null 2>&1 \
   || { echo "smoke sweep recorded no sessions"; exit 1; }
 for f in /tmp/casa_capture_ref/*.casa-session; do
@@ -318,7 +243,6 @@ grep -q "top 5 by regret:" /tmp/casa_explain_render.txt \
   || { echo "explain report lacks the regret table"; exit 1; }
 grep -q "flip distances" /tmp/casa_explain_render.txt \
   || { echo "explain report lacks the flip-distance ranking"; exit 1; }
-rm -f /tmp/casa_capture_history.jsonl
 
 echo "== served capture: CASA_SESSION_DIR replay matches the journal"
 # casa-server with CASA_SESSION_DIR set captures each cache-miss solve
@@ -359,38 +283,6 @@ REPLAY_ATTR="$(grep -o "status=[^ ]* gap=[^ ]* nodes=[^ ]*" /tmp/casa_cap_replay
 test -n "$JOURNAL_ATTR" || { echo "journal has no solve attribution for ci-replay-7"; exit 1; }
 test "$JOURNAL_ATTR" = "$REPLAY_ATTR" \
   || { echo "replay attribution ($REPLAY_ATTR) differs from the journal ($JOURNAL_ATTR)"; exit 1; }
-
-echo "== sentinel --explain: injected regression is attributed"
-# Corrupt the newest history record — every cell energy plus the
-# tick-0 point of the sweep.energy_uj series — then demand the
-# sentinel fails (exit 1) and attributes the damage: the family
-# census names cell.energy_uj, the first divergent tick is located,
-# and the machine verdict embeds the same attribution.
-rm -f /tmp/casa_attr_history.jsonl /tmp/casa_attr_regress.json /tmp/casa_attr_verdict.txt
-(cd /tmp && cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke \
-  --history-out /tmp/casa_attr_history.jsonl)
-(cd /tmp && cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke \
-  --history-out /tmp/casa_attr_history.jsonl)
-BROKEN="$(tail -n1 /tmp/casa_attr_history.jsonl \
-  | sed -e 's/"energy_uj":[0-9][0-9.eE+-]*/"energy_uj":999999999.0/g' \
-        -e 's/"sweep.energy_uj":\[\[0,[0-9][0-9.eE+-]*/"sweep.energy_uj":[[0,999999999.0/')"
-sed '$d' /tmp/casa_attr_history.jsonl > /tmp/casa_attr_history.tmp
-printf '%s\n' "$BROKEN" >> /tmp/casa_attr_history.tmp
-mv /tmp/casa_attr_history.tmp /tmp/casa_attr_history.jsonl
-rc=0
-cargo run --release -q -p casa-bench --bin sentinel -- --explain \
-  --history /tmp/casa_attr_history.jsonl --out /tmp/casa_attr_regress.json \
-  > /tmp/casa_attr_verdict.txt || rc=$?
-[ "$rc" -eq 1 ] || { echo "sentinel did not flag the injected regression (rc=$rc)"; exit 1; }
-grep -q "attribution: why this run failed" /tmp/casa_attr_verdict.txt \
-  || { echo "failing sentinel printed no attribution"; exit 1; }
-grep -q "cell.energy_uj" /tmp/casa_attr_verdict.txt \
-  || { echo "attribution does not name the damaged family"; exit 1; }
-grep -q "first time-series divergence: sweep.energy_uj at tick 0" /tmp/casa_attr_verdict.txt \
-  || { echo "attribution missed the first divergent tick"; exit 1; }
-grep -q '"family":"cell.energy_uj"' /tmp/casa_attr_regress.json \
-  || { echo "machine verdict lacks the attribution"; exit 1; }
-rm -f /tmp/casa_attr_history.jsonl
 
 echo "== served explain: opt-in sibling agrees with the reply and journal"
 # A request with "explain":true against a CASA_SESSION_DIR server must

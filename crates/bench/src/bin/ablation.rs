@@ -3,12 +3,10 @@
 //! Steinke, CASA-greedy, CASA-exact, and overlay.
 //!
 //! Usage: `cargo run --release -p casa-bench --bin ablation [scale]
-//!         [--trace-out <path>] [--serve <addr>]
-//!         [--serve-addr-file <path>] [--serve-linger-ms <ms>]`
+//!         [--trace-out <path>]`
 //!
 //! `--trace-out <path>` (or `CASA_TRACE=1`) instruments the SPM flows
-//! and writes a Chrome `trace_event` timeline; `--serve <addr>`
-//! exposes live telemetry while the ablation runs.
+//! and writes a Chrome `trace_event` timeline.
 
 use casa_bench::experiments::{paper_sizes, LINE_SIZE};
 use casa_bench::runner::{cli_obs, cli_scale, prepared};
@@ -91,5 +89,4 @@ fn main() {
     if let Some(path) = cli.finish() {
         println!("wrote Chrome trace to {}", path.display());
     }
-    cli.linger();
 }

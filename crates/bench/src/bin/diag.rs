@@ -4,7 +4,7 @@
 //! diag replay <file> [--divergence] [--report-out <path>]
 //! diag tail <addr>
 //! diag post <addr> <body-file> [--req-id <id>] [--out <path>]
-//! diag probe <addr> [--quick] [--expect <family>]... [--expect-spans] [--quit]
+//! diag probe <addr> [--quick] [--expect <family>]... [--expect-spans <name>] [--quit]
 //! diag flight <path>
 //! diag render-trace <path>
 //! diag tree <path|dir> [--json]
@@ -30,7 +30,8 @@
 //! `probe` is a std-only HTTP client for the live telemetry service:
 //! it checks `/healthz`, validates `/metrics` as Prometheus text
 //! exposition, parses `/snapshot.json` and `/flight.json`, and — with
-//! `--expect-spans` — demands span frames over `/events`. `--quick`
+//! `--expect-spans <name>` — demands frames of `name` spans over
+//! `/events`. `--quick`
 //! only does the healthz + exposition checks (for polling until a
 //! background run is ready); `--expect <family>` (repeatable) asserts
 //! a metric family is declared; `--quit` sends `/quitquitquit` at the
@@ -139,8 +140,8 @@ fn parse_flight_dump(json: &str) -> (Vec<FlightEvent>, u64, u64) {
     (events, capacity, dropped)
 }
 
-/// `--probe` / `--probe-quick`: validate a live telemetry server from
-/// the outside with nothing but std TCP. Every failed check panics —
+/// `probe`: validate a live telemetry server from the outside with
+/// nothing but std TCP. Every failed check panics —
 /// this is a CI gate, and CI wants loud failures.
 fn probe(addr: &str, quick: bool) {
     let addr: SocketAddr = addr
@@ -198,28 +199,25 @@ fn probe(addr: &str, quick: bool) {
         );
         println!("  /snapshot.json and /flight.json parse");
 
-        if std::env::args().any(|a| a == "--expect-spans") {
-            // Subscribing replays the collector's history first, so the
-            // probe sees the run's phase spans even after the sweep is
-            // done and only lingering for scrapers. By then every span
-            // is closed, so history replays as span_end frames (which
+        if let Some(name) = cli_value("--expect-spans") {
+            // Subscribing replays the collector's retained events
+            // first, so the probe sees spans that closed before it
+            // connected. Closed spans replay as span_end frames (which
             // carry name, start and duration); span_begin frames only
-            // stream live while a phase is still open.
+            // stream live while a span is still open.
             let (frames, _pings) = collect_sse(&addr, "/events", Duration::from_millis(1500), 64)
                 .unwrap_or_else(|e| panic!("GET /events on {addr}: {e}"));
             let is_span = |ev: &str| ev == "span_begin" || ev == "span_end";
             let spans = frames.iter().filter(|(ev, _)| is_span(ev)).count();
-            let cells = frames
+            let needle = format!("\"name\":\"{name}\"");
+            let named = frames
                 .iter()
-                .filter(|(ev, data)| is_span(ev) && data.contains("\"name\":\"cell\""))
+                .filter(|(ev, data)| is_span(ev) && data.contains(&needle))
                 .count();
             assert!(spans > 0, "no span frames over /events (got {frames:?})");
-            assert!(
-                cells > 0,
-                "no `cell` phase span over /events (got {frames:?})"
-            );
+            assert!(named > 0, "no `{name}` span over /events (got {frames:?})");
             println!(
-                "  /events streamed {} frame(s) ({spans} span frames, {cells} covering `cell`)",
+                "  /events streamed {} frame(s) ({spans} span frames, {named} covering `{name}`)",
                 frames.len()
             );
         }
@@ -601,7 +599,7 @@ const USAGE: &str = "diag subcommands:\n\
     \x20 replay <file> [--divergence] [--report-out <path>]   replay a recorded .casa-session\n\
     \x20 tail <addr>                                          print the server request journal\n\
     \x20 post <addr> <body-file> [--req-id <id>] [--out <p>]  POST a /solve body\n\
-    \x20 probe <addr> [--quick] [--expect <fam>]... [--expect-spans] [--quit]\n\
+    \x20 probe <addr> [--quick] [--expect <fam>]... [--expect-spans <name>] [--quit]\n\
     \x20                                                      validate a live telemetry server\n\
     \x20 flight <path>                                        render a flight-recorder dump\n\
     \x20 render-trace <path>                                  render a Chrome trace span tree\n\

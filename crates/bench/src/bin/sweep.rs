@@ -9,12 +9,9 @@
 //!
 //! Usage: `cargo run --release -p casa-bench --bin sweep [scale]
 //!         [--smoke] [--trace-out <path>] [--flight-dump <path>]
-//!         [--history-out <path>] [--det-out <path>]
-//!         [--ts-out <path>]
+//!         [--det-out <path>] [--ts-out <path>]
 //!         [--budget-nodes <n>] [--budget-ms <ms>]
-//!         [--session-dir <dir>]
-//!         [--serve <addr>] [--serve-addr-file <path>]
-//!         [--serve-linger-ms <ms>]`
+//!         [--session-dir <dir>]`
 //! Worker count: `CASA_SWEEP_THREADS` (default: available cores).
 //! `--smoke` swaps the full grid for [`SweepGrid::smoke`] (one adpcm
 //! workload, three cells) — the CI smoke configuration.
@@ -28,15 +25,9 @@
 //! budgets keep the byte-identical determinism guarantee; wall-clock
 //! budgets are machine-dependent, so the byte-equality check is
 //! skipped and `deterministic_json` redacts the affected columns.
-//! `--serve <addr>` starts the live telemetry service (`/metrics`,
-//! `/snapshot.json`, `/flight.json`, `/events`, `/healthz`) for the
-//! duration of the run; `--serve-addr-file <path>` writes the bound
-//! address (useful with port 0) and `--serve-linger-ms <ms>` keeps
-//! the endpoints up after the sweep until a scraper hits
-//! `/quitquitquit` or the window closes. `CASA_WATCHDOG_MS=<ms>` arms
-//! the phase watchdog on top of the sweep's heartbeats.
 //! `--det-out <path>` writes the run's `deterministic_json()` — what
-//! CI diffs between served and serverless runs.
+//! CI diffs across worker counts and between capturing and
+//! capture-free runs.
 //! `--session-dir <dir>` captures every scratchpad cell's solve under
 //! `dir` as `<benchmark>-<flavor>-<size>.*` siblings: the replayable
 //! `.casa-session` (input to `diag replay`), its `.report.json`, the
@@ -49,15 +40,7 @@
 //! (`casa_timeseries` document: `sweep.*` per-cell series plus the
 //! flow/solver series from every cell, grid order); implies
 //! instrumentation. Byte-identical across worker counts.
-//!
-//! Outputs are split by audience: `BENCH_sweep.json` is the **latest
-//! run** in full (overwritten every time — what the experiment docs
-//! and plots read), while `--history-out <path>` (default
-//! `BENCH_history.jsonl`) gets one compact [`HistoryRecord`] line
-//! **appended** per run — the longitudinal log the `sentinel` bin
-//! diffs for regressions.
 
-use casa_bench::history::{append_record, unix_now_s, HistoryRecord};
 use casa_bench::runner::{cli_budget, cli_obs, cli_scale, cli_value};
 use casa_bench::sweep::{sweep_threads, SweepGrid};
 use std::path::Path;
@@ -168,16 +151,7 @@ fn main() {
         println!("captured {written} scratchpad-cell solve(s) under {dir}");
     }
 
-    // Longitudinal record: BENCH_sweep.json holds only the latest run,
-    // so the sentinel's baseline lives in an append-only JSONL log.
-    let history_path =
-        cli_value("--history-out").unwrap_or_else(|| "BENCH_history.jsonl".to_string());
-    let record = HistoryRecord::from_report(&parallel, &grid.fingerprint(), unix_now_s());
-    append_record(Path::new(&history_path), &record)
-        .unwrap_or_else(|e| panic!("append {history_path}: {e}"));
-    println!("appended run record to {history_path}");
-
-    // The bytes CI compares between a served and a serverless run.
+    // The bytes CI compares across worker counts and capture settings.
     if let Some(path) = cli_value("--det-out") {
         let det = parallel.deterministic_json();
         std::fs::write(&path, &det).unwrap_or_else(|e| panic!("write {path}: {e}"));
@@ -200,15 +174,6 @@ fn main() {
         println!("wrote Chrome trace to {}", path.display());
     }
 
-    // CI self-test of the watchdog: beat a phase once, never again,
-    // and demand the stall is flagged (event + flight dump) within
-    // 2 × CASA_WATCHDOG_MS.
-    if std::env::var("CASA_SELFTEST_STALL").is_ok_and(|v| !v.is_empty() && v != "0") {
-        selftest_stall(&cli);
-    }
-
-    cli.linger();
-
     // CI self-test of the crash path: a deliberate panic *after* the
     // sweep has filled the flight ring, so the installed hook must
     // leave a non-empty dump at the configured sink. A real panic (not
@@ -216,52 +181,4 @@ fn main() {
     if std::env::var("CASA_SELFTEST_PANIC").is_ok_and(|v| !v.is_empty() && v != "0") {
         panic!("CASA_SELFTEST_PANIC: deliberate crash to exercise the flight-dump path");
     }
-}
-
-/// Deliberately stall a phase and verify the watchdog catches it
-/// within the promised window: a `watchdog_stall` instant event naming
-/// the phase, plus a flight dump on disk.
-fn selftest_stall(cli: &casa_bench::runner::CliObs) {
-    use casa_obs::ArgValue;
-    let ms = casa_obs::watchdog_ms_from_env()
-        .expect("CASA_SELFTEST_STALL needs CASA_WATCHDOG_MS set to a non-zero value");
-    assert!(
-        cli.watchdog.is_some(),
-        "watchdog must be armed for the stall selftest"
-    );
-    let phase = "selftest.stall";
-    cli.obs.heartbeat(phase);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_millis(2 * ms);
-    let caught = loop {
-        let stalled = cli.obs.events().into_iter().any(|e| {
-            e.name == "watchdog_stall"
-                && e.args
-                    .iter()
-                    .any(|(k, v)| k == "phase" && *v == ArgValue::Str(phase.to_string()))
-        });
-        if stalled {
-            break true;
-        }
-        if std::time::Instant::now() >= deadline {
-            break false;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(ms.div_ceil(10).max(1)));
-    };
-    assert!(
-        caught,
-        "CASA_SELFTEST_STALL: no watchdog_stall event within 2x{ms} ms"
-    );
-    let sink = cli.obs.flight_sink().expect("cli_obs wires a flight sink");
-    let dump = std::fs::metadata(&sink).unwrap_or_else(|e| {
-        panic!(
-            "watchdog stall left no flight dump at {}: {e}",
-            sink.display()
-        )
-    });
-    assert!(dump.len() > 0, "empty watchdog flight dump");
-    cli.obs.heartbeat_done(phase);
-    println!(
-        "selftest: watchdog flagged stalled phase `{phase}` within 2x{ms} ms (dump at {})",
-        sink.display()
-    );
 }

@@ -2,14 +2,10 @@
 //! mpeg across memory sizes, for SP(CASA), SP(Steinke) and LC(Ross).
 //!
 //! Usage: `cargo run --release -p casa-bench --bin table1 [scale]
-//!         [--timing] [--trace-out <path>] [--serve <addr>]
-//!         [--serve-addr-file <path>] [--serve-linger-ms <ms>]`
+//!         [--timing] [--trace-out <path>]`
 //!
 //! `--trace-out <path>` (or `CASA_TRACE=1`) instruments every flow
 //! and writes a Chrome `trace_event` timeline of all rows.
-//! `--serve <addr>` exposes the run's live telemetry (`/metrics`,
-//! `/events`, ...) while the table is computed; see the README's
-//! "Live telemetry" section.
 
 use casa_bench::experiments::{paper_sizes, table1_obs, Table1Row};
 use casa_bench::runner::{cli_obs, cli_scale, prepared};
@@ -73,5 +69,4 @@ fn main() {
     if let Some(path) = cli.finish() {
         println!("wrote Chrome trace to {}", path.display());
     }
-    cli.linger();
 }

@@ -18,23 +18,15 @@
 //! executes cells on a worker pool (size from `CASA_SWEEP_THREADS`)
 //! while keeping the report byte-identical for every worker count —
 //! `cargo run --release -p casa-bench --bin sweep` writes the
-//! canonical Table-1 sweep to `BENCH_sweep.json` and appends one
-//! [`history::HistoryRecord`] per run to `BENCH_history.jsonl`.
-//! The [`sentinel`] module (and `--bin sentinel`) diffs the newest
-//! record against the median of prior comparable runs with
-//! noise-aware per-metric thresholds.
+//! canonical Table-1 sweep to `BENCH_sweep.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod history;
 pub mod runner;
-pub mod sentinel;
 pub mod sweep;
 
 pub use experiments::{fig4, fig5, table1};
-pub use history::{append_record, read_history, HistoryCell, HistoryRecord, HISTORY_SCHEMA};
 pub use runner::{prepared, PreparedWorkload};
-pub use sentinel::{compare, regress_json, render_report, SentinelConfig, SentinelReport};
 pub use sweep::{sweep_threads, SweepGrid, SweepReport};

@@ -10,7 +10,6 @@ use casa_obs::{chrome_trace_json, Obs};
 use casa_workloads::spec::BenchmarkSpec;
 use casa_workloads::Walker;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// A compiled benchmark with one recorded execution.
 #[derive(Debug, Clone)]
@@ -34,16 +33,10 @@ const VALUE_FLAGS: &[&str] = &[
     "--budget-nodes",
     "--budget-ms",
     "--flight-dump",
-    "--history-out",
-    "--history",
-    "--k",
     "--out",
-    "--wall-tol",
-    "--serve",
-    "--serve-addr-file",
-    "--serve-linger-ms",
     "--det-out",
     "--expect",
+    "--expect-spans",
     "--listen",
     "--addr-file",
     "--addr",
@@ -137,8 +130,7 @@ pub fn cli_budget() -> Budget {
 ///
 /// Instrumentation turns on when `CASA_TRACE` is set to a non-empty
 /// value other than `0`, **or** `--trace-out <path>` is on the
-/// command line, **or** `--serve <addr>` requests the live telemetry
-/// server, **or** `--ts-out <path>` asks for the logical-tick
+/// command line, **or** `--ts-out <path>` asks for the logical-tick
 /// time-series (which only the instrumented flows sample);
 /// [`CliObs::finish`] then writes the Chrome `trace_event`
 /// JSON (open with `chrome://tracing` or Perfetto) to the requested
@@ -148,44 +140,23 @@ pub fn cli_budget() -> Budget {
 /// also wired up — to `--flight-dump <path>` or `CASA_FLIGHT_DUMP`,
 /// defaulting to `casa_flight_dump.json` — and a panic hook is
 /// installed so a crash leaves the recent-event ring on disk.
-///
-/// With `--serve`, the bound address is printed (`serving telemetry
-/// on <addr>`) and, when `--serve-addr-file <path>` is given, written
-/// to that file — `--serve 127.0.0.1:0` picks a free port, so
-/// scripts need a way to find it. When `CASA_WATCHDOG_MS` is set to a
-/// non-zero value, a phase watchdog is started alongside the server.
 #[derive(Debug)]
 pub struct CliObs {
     /// The observability handle to thread through the flows.
     pub obs: Obs,
     /// Where `--trace-out` asked the Chrome trace to go.
     pub trace_out: Option<PathBuf>,
-    /// The live telemetry server, when `--serve` asked for one.
-    pub serve: Option<casa_obs::ServeHandle>,
-    /// The phase watchdog, when `CASA_WATCHDOG_MS` armed one.
-    pub watchdog: Option<casa_obs::WatchdogHandle>,
 }
 
-/// Parse `--trace-out` / `CASA_TRACE` / `--flight-dump` /
-/// `CASA_FLIGHT_DUMP` / `--serve` / `CASA_WATCHDOG_MS` from the
-/// environment.
-///
-/// # Panics
-///
-/// Panics when `--serve` cannot bind its address or
-/// `--serve-addr-file` cannot be written (experiment drivers want
-/// loud failures).
+/// Parse `--trace-out` / `CASA_TRACE` / `--ts-out` / `--flight-dump`
+/// / `CASA_FLIGHT_DUMP` from the environment.
 pub fn cli_obs() -> CliObs {
     let trace_out = cli_value("--trace-out").map(PathBuf::from);
-    let serve_addr = cli_value("--serve");
-    let ts_out = cli_value("--ts-out");
-    let obs = if trace_out.is_some() || serve_addr.is_some() || ts_out.is_some() {
+    let obs = if trace_out.is_some() || cli_value("--ts-out").is_some() {
         Obs::enabled()
     } else {
         Obs::from_env()
     };
-    let mut serve = None;
-    let mut watchdog = None;
     if obs.is_enabled() {
         let sink = cli_value("--flight-dump")
             .or_else(|| {
@@ -197,28 +168,8 @@ pub fn cli_obs() -> CliObs {
             .unwrap_or_else(|| PathBuf::from("casa_flight_dump.json"));
         obs.set_flight_sink(Some(sink));
         obs.install_panic_hook();
-        if let Some(addr) = serve_addr {
-            let handle = obs
-                .serve(&addr)
-                .unwrap_or_else(|e| panic!("--serve {addr}: {e}"));
-            let bound = handle.local_addr();
-            println!("serving telemetry on {bound}");
-            if let Some(path) = cli_value("--serve-addr-file") {
-                std::fs::write(&path, format!("{bound}\n"))
-                    .unwrap_or_else(|e| panic!("--serve-addr-file {path}: {e}"));
-            }
-            serve = Some(handle);
-        }
-        if let Some(ms) = casa_obs::watchdog_ms_from_env() {
-            watchdog = obs.start_watchdog(casa_obs::WatchdogConfig::new(Duration::from_millis(ms)));
-        }
     }
-    CliObs {
-        obs,
-        trace_out,
-        serve,
-        watchdog,
-    }
+    CliObs { obs, trace_out }
 }
 
 impl CliObs {
@@ -240,23 +191,6 @@ impl CliObs {
         let json = chrome_trace_json(&self.obs.events());
         std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         Some(path)
-    }
-
-    /// With `--serve` and `--serve-linger-ms <ms>`, keep the process
-    /// (and its telemetry endpoints) alive after the work is done so a
-    /// scraper can collect the final state — until a client requests
-    /// `/quitquitquit` or the linger window closes, whichever comes
-    /// first. A no-op without both flags.
-    pub fn linger(&self) {
-        let (Some(server), Some(ms)) = (&self.serve, cli_value("--serve-linger-ms")) else {
-            return;
-        };
-        let ms: u64 = ms.parse().expect("--serve-linger-ms takes milliseconds");
-        eprintln!(
-            "lingering up to {ms} ms for a scraper on {} (GET /quitquitquit to release)",
-            server.local_addr()
-        );
-        server.wait_quit(Duration::from_millis(ms));
     }
 }
 

@@ -343,11 +343,10 @@ impl SweepGrid {
     }
 
     /// A stable fingerprint of the grid's *configuration* — workloads,
-    /// cells, budget — as a 16-hex-digit FNV-1a hash. Two runs are
-    /// longitudinally comparable (same energies, same node counts)
-    /// exactly when their fingerprints match, so the run-history store
-    /// stamps every record with it and the regression sentinel only
-    /// diffs runs of the same grid.
+    /// cells, budget — as a 16-hex-digit FNV-1a hash. Two runs compute
+    /// the same energies and node counts exactly when their
+    /// fingerprints match; perfbench pins its table1 grid to
+    /// [`Self::table1_paper`] through it.
     pub fn fingerprint(&self) -> String {
         let mut canon = String::new();
         for w in &self.workloads {
@@ -483,7 +482,6 @@ impl SweepGrid {
                 }
                 let k = &workloads[i];
                 let t = Instant::now();
-                obs.heartbeat("prepare");
                 let span = obs.span_with(
                     "prepare",
                     vec![("benchmark".into(), ArgValue::Str(k.benchmark.clone()))],
@@ -494,7 +492,6 @@ impl SweepGrid {
             };
             run_pool(threads.min(workloads.len()), worker);
         }
-        obs.heartbeat_done("prepare");
         let prepared_workloads: Vec<(PreparedWorkload, f64)> = prep_slots
             .into_iter()
             .map(|m| m.into_inner().unwrap().expect("workload prepared"))
@@ -503,13 +500,7 @@ impl SweepGrid {
 
         // Phase 2: execute profile groups on the pool; each cell's
         // result lands in its own slot so aggregation order is the
-        // grid's, not the scheduler's. Progress is published live for
-        // the telemetry exporter: `sweep.cells_total` up front,
-        // `sweep.cells_done` as cells finish, plus per-phase heartbeats
-        // for the watchdog.
-        // None of this touches the per-cell registries the report is
-        // built from, so determinism is unaffected.
-        obs.gauge_set("sweep.cells_total", self.cells.len() as f64);
+        // grid's, not the scheduler's.
         let t_exec = Instant::now();
         let cell_slots: Vec<Mutex<Option<CellResult>>> =
             self.cells.iter().map(|_| Mutex::new(None)).collect();
@@ -532,7 +523,6 @@ impl SweepGrid {
                     let cell = &self.cells[i];
                     let w = &prepared_workloads[cell.workload].0;
                     let key = &self.workloads[cell.workload];
-                    obs.heartbeat("execute");
                     // Fresh registry per cell, shared timeline and
                     // shared flight ring: counters stay per-cell
                     // deterministic while spans interleave into one
@@ -548,28 +538,11 @@ impl SweepGrid {
                         self.capture,
                         &cell_obs,
                     );
-                    // Live view only: the latest finished cell's
-                    // explain doc behind `/explain.json` (the captures
-                    // are written in grid order from the report, so
-                    // scheduler order never shows through there).
-                    if let Some(doc) = res.capture.as_ref().and_then(|c| c.explain.as_ref()) {
-                        obs.publish_doc("explain", doc.clone());
-                    }
-                    // Publish the finished cell's isolated metrics to
-                    // the parent registry so a live `/metrics` scrape
-                    // sees per-phase counters and energy gauges
-                    // mid-sweep. Merge order is scheduler-dependent,
-                    // which is fine: the report's metrics are rebuilt
-                    // from the cell snapshots in grid order below.
-                    obs.merge_metrics(&res.metrics);
-                    obs.merge_timeseries(&res.timeseries);
-                    obs.add("sweep.cells_done", 1);
                     *slots[i].lock().unwrap() = Some(res);
                 }
             };
             run_pool(threads.min(groups.len()), worker);
         }
-        obs.heartbeat_done("execute");
         let execute_secs = t_exec.elapsed().as_secs_f64();
 
         let cells: Vec<CellResult> = cell_slots
@@ -1269,59 +1242,6 @@ mod tests {
                 .flight_events()
                 .iter()
                 .any(|e| e.kind == casa_obs::FlightKind::Span && e.name == "cell"));
-        }
-    }
-
-    #[test]
-    fn served_sweep_stays_byte_identical_and_exposes_live_telemetry() {
-        use casa_obs::{collect_sse, http_get, validate_exposition};
-        use std::time::Duration;
-        let g = small_grid();
-        let plain = g.run_with_threads(2).deterministic_json();
-        let t = Duration::from_secs(5);
-        for threads in [1usize, 2, 4] {
-            let obs = Obs::enabled();
-            let mut server = obs.serve("127.0.0.1:0").expect("bind");
-            let r = g.run_with_threads_obs(threads, &obs);
-            // The acceptance bar: serving telemetry must not move a
-            // single byte of the deterministic report, for any worker
-            // count.
-            assert_eq!(
-                plain,
-                r.deterministic_json(),
-                "served sweep diverged with {threads} workers"
-            );
-            let addr = server.local_addr();
-            let (st, metrics) = http_get(&addr, "/metrics", t).unwrap();
-            assert_eq!(st, 200);
-            let stats =
-                validate_exposition(&metrics).unwrap_or_else(|e| panic!("invalid exposition: {e}"));
-            assert!(stats.families > 5, "rich exposition, got {stats:?}");
-            // Progress counters published by the pool...
-            assert!(metrics.contains(&format!("casa_sweep_cells_done {}", g.cell_count())));
-            assert!(metrics.contains(&format!("casa_sweep_cells_total {}", g.cell_count())));
-            // ...heartbeat gauges...
-            assert!(metrics.contains("casa_heartbeat_us_execute"));
-            // ...per-cell flow metrics merged up: per-phase counters,
-            // energy gauges, histogram quantiles.
-            assert!(metrics.contains("# TYPE casa_solver_nodes counter"));
-            assert!(metrics.contains("# TYPE casa_energy_total_uj gauge"));
-            assert!(metrics.contains("quantile=\"0.99\""));
-            // The event stream replays the sweep's phase spans to a
-            // late subscriber (CI probes connect whenever they can).
-            let (frames, _) = collect_sse(&addr, "/events", t, 24).unwrap();
-            let named = |name: &str| {
-                frames
-                    .iter()
-                    .any(|(_, d)| d.contains(&format!("\"name\":\"{name}\"")))
-            };
-            assert!(named("prepare"), "prepare span streamed");
-            assert!(named("cell"), "cell span streamed");
-            assert!(
-                frames.iter().any(|(e, _)| e == "span_end"),
-                "span_end frames present"
-            );
-            server.shutdown();
         }
     }
 

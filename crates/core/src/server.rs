@@ -163,6 +163,16 @@ fn uint_field(v: &Value, what: &str) -> Result<u64, String> {
     Ok(n as u64)
 }
 
+/// Refusal for an integer that does not fit the `u32` field `what`.
+fn too_large(what: &str, n: u64) -> String {
+    format!("{what} must be at most {}, got {n}", u32::MAX)
+}
+
+fn u32_field(v: &Value, what: &str) -> Result<u32, String> {
+    let n = uint_field(v, what)?;
+    u32::try_from(n).map_err(|_| too_large(what, n))
+}
+
 fn uint_array(v: &Value, what: &str) -> Result<Vec<u64>, String> {
     v.as_array()
         .ok_or_else(|| format!("{what} must be an array"))?
@@ -188,13 +198,13 @@ fn parse_budget(v: &Value) -> Result<(Option<u64>, Option<u64>), String> {
 }
 
 fn parse_cache_config(v: &Value) -> Result<CacheConfig, String> {
-    let size = uint_field(v.get("size").ok_or("cache.size is required")?, "cache.size")? as u32;
+    let size = u32_field(v.get("size").ok_or("cache.size is required")?, "cache.size")?;
     let line = match v.get("line") {
-        Some(l) => uint_field(l, "cache.line")? as u32,
+        Some(l) => u32_field(l, "cache.line")?,
         None => 16,
     };
     let assoc = match v.get("assoc") {
-        Some(a) => uint_field(a, "cache.assoc")? as u32,
+        Some(a) => u32_field(a, "cache.assoc")?,
         None => 1,
     };
     if size == 0 || line == 0 || assoc == 0 || !size.is_multiple_of(line) {
@@ -240,7 +250,11 @@ fn parse_graph(v: &Value) -> Result<ConflictGraph, String> {
     let sizes = uint_array(
         v.get("sizes").ok_or("graph.sizes is required")?,
         "graph.sizes",
-    )?;
+    )?
+    .into_iter()
+    .enumerate()
+    .map(|(i, s)| u32::try_from(s).map_err(|_| too_large(&format!("graph.sizes[{i}]"), s)))
+    .collect::<Result<Vec<u32>, String>>()?;
     if fetches.len() != sizes.len() {
         return Err(format!(
             "graph.fetches ({}) and graph.sizes ({}) must have equal length",
@@ -266,7 +280,6 @@ fn parse_graph(v: &Value) -> Result<ConflictGraph, String> {
             edges.insert((i, j), m);
         }
     }
-    let sizes: Vec<u32> = sizes.iter().map(|&s| s as u32).collect();
     Ok(ConflictGraph::from_parts(fetches, sizes, edges))
 }
 
@@ -357,7 +370,7 @@ pub fn parse_request(body: &str) -> Result<ParsedRequest, RequestError> {
     if version != WIRE_VERSION {
         return Err(RequestError::UnsupportedVersion { got: version });
     }
-    let capacity = uint_field(v.get("capacity").ok_or("capacity is required")?, "capacity")? as u32;
+    let capacity = u32_field(v.get("capacity").ok_or("capacity is required")?, "capacity")?;
     let allocator = match v.get("allocator") {
         Some(a) => {
             let tag = a.as_str().ok_or("allocator must be a string")?;
@@ -1340,27 +1353,88 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_requests() {
-        assert!(parse_request("not json").is_err());
-        assert!(parse_request("{}")
-            .unwrap_err()
-            .to_string()
-            .contains("capacity"));
-        assert!(parse_request("{\"capacity\":64}")
-            .unwrap_err()
-            .to_string()
-            .contains("graph or workload"));
-        // Edge out of range must be a clean error, not a panic.
-        let bad = "{\"capacity\":64,\"cache\":{\"size\":1024},\"graph\":{\"fetches\":[1,2],\"sizes\":[8,8],\"edges\":[[0,9,5]]}}";
-        assert!(parse_request(bad)
-            .unwrap_err()
-            .to_string()
-            .contains("bad endpoints"));
-        // Unknown allocator.
-        let bad = "{\"capacity\":64,\"allocator\":\"magic\",\"cache\":{\"size\":1024},\"graph\":{\"fetches\":[1],\"sizes\":[8]}}";
-        assert!(parse_request(bad)
-            .unwrap_err()
-            .to_string()
-            .contains("unknown allocator"));
+        // Every refusal, byte for byte as the 400 body carries it. The
+        // first violation wins, and no body panics or parses.
+        let g = r#""graph":{"fetches":[1,2],"sizes":[8,8]}"#;
+        let c = r#""cache":{"size":1024}"#;
+        let cases: Vec<(String, &str)> = vec![
+            (
+                "not json".into(),
+                r#"{"error":"JSON parse error at byte 0: expected 'null'"}"#,
+            ),
+            ("{}".into(), r#"{"error":"capacity is required"}"#),
+            (
+                r#"{"capacity":64}"#.into(),
+                r#"{"error":"either graph or workload is required"}"#,
+            ),
+            (
+                format!(r#"{{"capacity":64,"allocator":"magic",{c},{g}}}"#),
+                r#"{"error":"unknown allocator \"magic\""}"#,
+            ),
+            (
+                r#"{"capacity":"64"}"#.into(),
+                r#"{"error":"capacity must be a number"}"#,
+            ),
+            (
+                r#"{"capacity":-1}"#.into(),
+                r#"{"error":"capacity must be a non-negative integer, got -1"}"#,
+            ),
+            (
+                r#"{"capacity":1.5}"#.into(),
+                r#"{"error":"capacity must be a non-negative integer, got 1.5"}"#,
+            ),
+            (
+                format!(r#"{{"capacity":64,{c},"graph":{{"fetches":[1,2,3],"sizes":[8,8]}}}}"#),
+                r#"{"error":"graph.fetches (3) and graph.sizes (2) must have equal length"}"#,
+            ),
+            (
+                format!(
+                    r#"{{"capacity":64,{c},"graph":{{"fetches":[1,2],"sizes":[8,8],"edges":[[0,1]]}}}}"#
+                ),
+                r#"{"error":"graph.edges[0] must be [i, j, misses]"}"#,
+            ),
+            (
+                format!(
+                    r#"{{"capacity":64,{c},"graph":{{"fetches":[1,2],"sizes":[8,8],"edges":[[0,9,5]]}}}}"#
+                ),
+                r#"{"error":"graph.edges[0]: bad endpoints (0, 9) for 2 objects"}"#,
+            ),
+            (
+                r#"{"v":2}"#.into(),
+                r#"{"detail":"unsupported schema version 2","error":"unsupported_version","supported":[1]}"#,
+            ),
+            (r#"{"v":"two"}"#.into(), r#"{"error":"v must be a number"}"#),
+            (
+                format!(r#"{{"capacity":64,"cache":{{"size":1000,"line":16}},{g}}}"#),
+                r#"{"error":"invalid cache geometry: size 1000, line 16, assoc 1"}"#,
+            ),
+            (
+                format!(r#"{{"capacity":64,{g}}}"#),
+                r#"{"error":"either table or cache is required with graph"}"#,
+            ),
+            // Integers past u32::MAX are refused, not truncated into
+            // another request's cache key.
+            (
+                format!(r#"{{"capacity":4294967360,{c},{g}}}"#),
+                r#"{"error":"capacity must be at most 4294967295, got 4294967360"}"#,
+            ),
+            (
+                format!(
+                    r#"{{"capacity":64,{c},"graph":{{"fetches":[1,2],"sizes":[4294967304,8]}}}}"#
+                ),
+                r#"{"error":"graph.sizes[0] must be at most 4294967295, got 4294967304"}"#,
+            ),
+            (
+                format!(r#"{{"capacity":64,"cache":{{"size":4294968320}},{g}}}"#),
+                r#"{"error":"cache.size must be at most 4294967295, got 4294968320"}"#,
+            ),
+        ];
+        for (body, want) in &cases {
+            match parse_request(body) {
+                Ok(_) => panic!("accepted {body}"),
+                Err(e) => assert_eq!(e.http_body(), *want, "for {body}"),
+            }
+        }
     }
 
     #[test]

@@ -22,8 +22,7 @@
 //! length, payload). `f64` values travel as their bit patterns, so the
 //! round-trip is bit-exact. Readers **skip unknown tags**, so newer
 //! writers can add sections without breaking older readers; schema
-//! numbers above their own and truncated input are errors, exactly
-//! like the `bench::history` reader.
+//! numbers above their own and truncated input are errors.
 //!
 //! # Replay-equivalence guarantee
 //!

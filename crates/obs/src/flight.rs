@@ -186,8 +186,7 @@ impl FlightRecorder {
     }
 
     /// Serialize access to dump-file writes so concurrent dumps (panic
-    /// hook vs. degradation note vs. watchdog) never interleave within
-    /// one file. Poison-tolerant: dumps run inside panic hooks, where a
+    /// hook vs. degradation note) never interleave within one file. Poison-tolerant: dumps run inside panic hooks, where a
     /// poisoned mutex must not abort the post-mortem write.
     pub fn dump_guard(&self) -> MutexGuard<'_, ()> {
         self.dump_lock

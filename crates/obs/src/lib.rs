@@ -10,7 +10,8 @@
 //!   construction.
 //! * **Tracing** ([`TraceCollector`], RAII [`Span`] guards, instant
 //!   events) — hierarchical spans with monotonic microsecond
-//!   timestamps and explicit parent links, exportable as Chrome
+//!   timestamps and explicit parent links, bounded at the newest
+//!   [`TRACE_CAPACITY`] events, exportable as Chrome
 //!   `trace_event` JSON ([`chrome_trace_json`]) for
 //!   `chrome://tracing` / Perfetto, or summarized as an indented
 //!   table ([`render_span_table`]).
@@ -36,7 +37,6 @@ pub mod metrics;
 pub mod serve;
 pub mod span;
 pub mod timeseries;
-pub mod watchdog;
 
 pub use export::{chrome_trace_json, jnum, json_escape, snapshot_to_json};
 pub use flight::{
@@ -57,14 +57,11 @@ pub use serve::{
 };
 pub use span::{
     render_span_table, span_tree, ArgValue, EventKind, Span, SpanSummary, StreamEvent,
-    SubscriberId, TraceCollector, TraceEvent,
+    SubscriberId, TraceCollector, TraceEvent, TRACE_CAPACITY,
 };
 pub use timeseries::{
     timeseries_json, TimePoint, TimeSeriesSnapshot, TimeSeriesStore, DEFAULT_TIMESERIES_CAPACITY,
     TIMESERIES_SCHEMA,
-};
-pub use watchdog::{
-    watchdog_ms_from_env, Heartbeats, WatchdogConfig, WatchdogHandle, WATCHDOG_ENV,
 };
 
 use std::collections::BTreeMap;
@@ -76,7 +73,6 @@ struct ObsInner {
     registry: Registry,
     collector: Arc<TraceCollector>,
     flight: Arc<FlightRecorder>,
-    heartbeats: Arc<Heartbeats>,
     timeseries: TimeSeriesStore,
     docs: Mutex<BTreeMap<String, String>>,
 }
@@ -109,7 +105,6 @@ impl Obs {
                 registry: Registry::new(),
                 collector,
                 flight: Arc::new(FlightRecorder::from_env()),
-                heartbeats: Arc::new(Heartbeats::new()),
                 timeseries: TimeSeriesStore::new(DEFAULT_TIMESERIES_CAPACITY),
                 docs: Mutex::new(BTreeMap::new()),
             })),
@@ -126,7 +121,6 @@ impl Obs {
                 registry: Registry::new(),
                 collector: Arc::new(TraceCollector::new()),
                 flight: Arc::new(FlightRecorder::new(cap)),
-                heartbeats: Arc::new(Heartbeats::new()),
                 timeseries: TimeSeriesStore::new(DEFAULT_TIMESERIES_CAPACITY),
                 docs: Mutex::new(BTreeMap::new()),
             })),
@@ -145,7 +139,6 @@ impl Obs {
                     registry: Registry::new(),
                     collector: Arc::clone(&i.collector),
                     flight: Arc::clone(&i.flight),
-                    heartbeats: Arc::clone(&i.heartbeats),
                     timeseries: TimeSeriesStore::new(DEFAULT_TIMESERIES_CAPACITY),
                     docs: Mutex::new(BTreeMap::new()),
                 })),
@@ -332,7 +325,7 @@ impl Obs {
     /// fails (unwritable directory, read-only mount — exactly the
     /// situations a post-mortem dump must survive). Returns the path
     /// actually written; `None` when disabled or when both writes
-    /// fail. Concurrent dumps (panic hook, degradation note, watchdog)
+    /// fail. Concurrent dumps (panic hook, degradation note)
     /// serialize on the flight recorder's dump lock so no file ever
     /// holds two interleaved documents.
     pub fn dump_flight_to_sink_or(&self, fallback: &str) -> Option<PathBuf> {
@@ -385,23 +378,10 @@ impl Obs {
         }
     }
 
-    /// Merge a metrics snapshot into this handle's registry —
-    /// counters add, gauges last-write-wins, histograms merge
-    /// bucket-wise. Unlike the per-event recording methods this does
-    /// **not** mirror into the flight ring: it exists so the sweep can
-    /// publish each finished cell's (deterministic, isolated) metrics
-    /// to the live telemetry registry without flooding the post-mortem
-    /// buffer. No-op when disabled.
-    pub fn merge_metrics(&self, snap: &MetricsSnapshot) {
-        if let Some(i) = &self.inner {
-            i.registry.merge_from(snap);
-        }
-    }
-
     /// Append one time-series sample at an explicit **logical** tick
     /// (phase ordinal, B&B node count, request-completion counter —
     /// never a wall-clock reading, or the series stops being
-    /// comparable across runs). Like [`Obs::merge_metrics`] this does
+    /// comparable across runs). Unlike the metric methods this does
     /// **not** mirror into the flight ring: the sampling path is the
     /// deterministic one, and per-node samples would flood the
     /// post-mortem buffer. No-op when disabled.
@@ -417,90 +397,6 @@ impl Obs {
             Some(i) => i.timeseries.snapshot(),
             None => TimeSeriesSnapshot::default(),
         }
-    }
-
-    /// Merge a time-series snapshot into this handle's store —
-    /// points append in the snapshot's order, drop evidence carries
-    /// over. The sweep uses this to publish each finished cell's
-    /// isolated series to the live telemetry store. No-op when
-    /// disabled.
-    pub fn merge_timeseries(&self, snap: &TimeSeriesSnapshot) {
-        if let Some(i) = &self.inner {
-            i.timeseries.merge(snap);
-        }
-    }
-
-    /// Record a liveness beat for `phase`: stamps the shared heartbeat
-    /// table (monitored by [`Obs::start_watchdog`]) and publishes the
-    /// timestamp as a `heartbeat_us.<phase>` gauge so scrapers see it
-    /// too. Children beat into the same table as their parent.
-    pub fn heartbeat(&self, phase: &str) {
-        if let Some(i) = &self.inner {
-            let now = i.collector.elapsed_us();
-            i.heartbeats.beat(phase, now);
-            i.registry
-                .gauge(&format!("heartbeat_us.{phase}"))
-                .set(now as f64);
-        }
-    }
-
-    /// Stop monitoring `phase` (it completed); a phase that is done is
-    /// never reported as stalled.
-    pub fn heartbeat_done(&self, phase: &str) {
-        if let Some(i) = &self.inner {
-            i.heartbeats.done(phase);
-        }
-    }
-
-    /// The shared heartbeat table, if enabled.
-    pub fn heartbeats(&self) -> Option<&Arc<Heartbeats>> {
-        self.inner.as_deref().map(|i| &i.heartbeats)
-    }
-
-    /// Start the live telemetry HTTP server on `addr` (for example
-    /// `127.0.0.1:9464`, or `127.0.0.1:0` to pick a free port — read
-    /// it back from [`ServeHandle::local_addr`]). See [`crate::serve`]
-    /// for the endpoints. Errors with
-    /// [`std::io::ErrorKind::Unsupported`] on a disabled handle.
-    pub fn serve(&self, addr: &str) -> std::io::Result<ServeHandle> {
-        serve::start(self, addr)
-    }
-
-    /// Start a watchdog thread monitoring the heartbeat table: any
-    /// phase silent longer than `cfg.silence` gets a `watchdog_stall`
-    /// instant event (with `phase` and `silent_us` args), a
-    /// `watchdog.stalls` counter bump, and a flight dump via
-    /// [`Obs::dump_flight_to_sink_or`]. Each stall fires once; a fresh
-    /// heartbeat re-arms the phase. `None` when disabled.
-    pub fn start_watchdog(&self, cfg: WatchdogConfig) -> Option<WatchdogHandle> {
-        let i = self.inner.as_deref()?;
-        let obs = self.clone();
-        let heartbeats = Arc::clone(&i.heartbeats);
-        let collector = Arc::clone(&i.collector);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let t_stop = Arc::clone(&stop);
-        let silence_us = cfg.silence.as_micros() as u64;
-        let thread = std::thread::Builder::new()
-            .name("casa-watchdog".to_string())
-            .spawn(move || {
-                while !t_stop.load(std::sync::atomic::Ordering::SeqCst) {
-                    std::thread::sleep(cfg.poll);
-                    let now = collector.elapsed_us();
-                    for (phase, silent_us) in heartbeats.newly_stalled(now, silence_us) {
-                        obs.instant(
-                            "watchdog_stall",
-                            vec![
-                                ("phase".to_string(), ArgValue::Str(phase.clone())),
-                                ("silent_us".to_string(), ArgValue::U64(silent_us)),
-                            ],
-                        );
-                        obs.add("watchdog.stalls", 1);
-                        obs.dump_flight_to_sink_or(&cfg.fallback_dump_path);
-                    }
-                }
-            })
-            .ok()?;
-        Some(WatchdogHandle::new(stop, thread))
     }
 
     /// Install a process-wide panic hook that writes the flight dump
@@ -580,26 +476,22 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_is_isolated_per_child_and_merges_back() {
+    fn timeseries_is_isolated_per_child() {
         let parent = Obs::enabled();
         let child = parent.child();
         child.ts_sample("bb.incumbent", 3, 42.0);
         child.ts_sample("bb.incumbent", 9, 40.0);
-        parent.ts_sample("sweep.cells_done", 0, 1.0);
-        // Stores are isolated (like registries)...
+        parent.ts_sample("sweep.energy_uj", 0, 1.0);
+        // Stores are isolated (like registries).
         assert!(!parent
             .timeseries_snapshot()
             .series
             .contains_key("bb.incumbent"));
         assert_eq!(child.timeseries_snapshot().points(), 2);
-        // ...and merge publishes the child's series to the parent.
-        parent.merge_timeseries(&child.timeseries_snapshot());
-        let snap = parent.timeseries_snapshot();
         assert_eq!(
-            snap.series.get("bb.incumbent"),
-            Some(&vec![(3, 42.0), (9, 40.0)])
+            parent.timeseries_snapshot().series.get("sweep.energy_uj"),
+            Some(&vec![(0, 1.0)])
         );
-        assert_eq!(snap.series.get("sweep.cells_done"), Some(&vec![(0, 1.0)]));
         // Disabled handles stay inert and snapshot empty.
         let off = Obs::disabled();
         off.ts_sample("s", 0, 1.0);

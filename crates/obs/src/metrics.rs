@@ -187,23 +187,6 @@ impl Histogram {
         self.0.sum.load(Ordering::Relaxed)
     }
 
-    /// Merge a snapshot's buckets into this live histogram (bucket-wise
-    /// atomic adds). This is how the sweep publishes finished per-cell
-    /// histograms into the registry a live exporter serves.
-    pub fn add_snapshot(&self, s: &HistogramSnapshot) {
-        self.0.count.fetch_add(s.count, Ordering::Relaxed);
-        self.0.sum.fetch_add(s.sum, Ordering::Relaxed);
-        if let Some(m) = s.min_estimate() {
-            self.0.min.fetch_min(m, Ordering::Relaxed);
-        }
-        if let Some(m) = s.max_estimate() {
-            self.0.max.fetch_max(m, Ordering::Relaxed);
-        }
-        for &(ub, c) in &s.buckets {
-            self.0.buckets[bucket_index(ub)].fetch_add(c, Ordering::Relaxed);
-        }
-    }
-
     /// Snapshot the histogram state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets = (0..HISTOGRAM_BUCKETS)
@@ -465,26 +448,6 @@ impl Registry {
     /// Whether no metric has been registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Merge a finished snapshot into the **live** registry: counters
-    /// add, histograms add bucket-wise, gauges take the snapshot's
-    /// value. The live-telemetry counterpart of [`merge_snapshot`] —
-    /// the sweep pool calls it after each cell so an attached exporter
-    /// sees per-cell metrics as they complete, not at the end.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a name in `snap` is already registered here as a
-    /// different kind.
-    pub fn merge_from(&self, snap: &MetricsSnapshot) {
-        for (name, v) in snap {
-            match v {
-                MetricValue::Counter(n) => self.counter(name).add(*n),
-                MetricValue::Gauge(g) => self.gauge(name).set(*g),
-                MetricValue::Histogram(h) => self.histogram(name).add_snapshot(h),
-            }
-        }
     }
 
     /// Snapshot every metric, sorted by name.
@@ -758,32 +721,6 @@ mod tests {
         merge_snapshot(&mut s, &r2.snapshot());
         assert_eq!(s.get("n"), Some(&MetricValue::Counter(5)));
         assert_eq!(s.get("g"), Some(&MetricValue::Gauge(2.0)), "last wins");
-    }
-
-    #[test]
-    fn merge_from_updates_live_handles() {
-        let live = Registry::new();
-        live.counter("n").add(1);
-        live.histogram("h").record(4);
-        let cell = Registry::new();
-        cell.counter("n").add(2);
-        cell.gauge("g").set(3.5);
-        cell.histogram("h").record(4);
-        cell.histogram("h").record(100);
-        live.merge_from(&cell.snapshot());
-        let snap = live.snapshot();
-        assert_eq!(snap.get("n"), Some(&MetricValue::Counter(3)));
-        assert_eq!(snap.get("g"), Some(&MetricValue::Gauge(3.5)));
-        match snap.get("h") {
-            Some(MetricValue::Histogram(h)) => {
-                assert_eq!(h.count, 3);
-                assert_eq!(h.sum, 108);
-                assert_eq!(h.buckets, vec![(7, 2), (127, 1)]);
-                assert_eq!(h.min, Some(4), "merge_from carries exact extremes");
-                assert_eq!(h.max, Some(100));
-            }
-            other => panic!("histogram expected, got {other:?}"),
-        }
     }
 
     #[test]

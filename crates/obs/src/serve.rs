@@ -21,9 +21,9 @@
 //! * `GET /healthz` — liveness (`ok`).
 //! * `GET /events` — Server-Sent Events stream of span begin/end and
 //!   instant events, tee'd from the [`TraceCollector`] through a
-//!   bounded subscriber channel. Connecting mid-run replays history
-//!   first (atomically, so nothing is missed or duplicated), then
-//!   streams live.
+//!   bounded subscriber channel. Connecting replays the collector's
+//!   retained events first (atomically, so nothing is missed or
+//!   duplicated), then streams live.
 //! * `GET|POST /quitquitquit` — requests a graceful quit; binaries
 //!   lingering for a scraper ([`ServeHandle::wait_quit`]) exit early.
 //!

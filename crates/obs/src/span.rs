@@ -9,6 +9,13 @@
 //! links are recorded explicitly at begin time, so tree reconstruction
 //! does not depend on timestamp resolution.
 //!
+//! The collector keeps at most [`TRACE_CAPACITY`] events: past that,
+//! the oldest event is dropped and counted
+//! ([`TraceCollector::dropped`]), so a long-lived server holds its
+//! newest events instead of its whole history. A span whose begin
+//! event was dropped closes without a trace, and a child whose parent
+//! was dropped is exported as a root.
+//!
 //! Events re-imported from an exported Chrome trace lose the explicit
 //! parent links; [`span_tree`] falls back to timestamp-containment
 //! nesting in that case.
@@ -21,10 +28,30 @@
 //! [`TraceCollector::subscriber_dropped`]) and a disconnected
 //! subscriber is pruned on the next notification.
 
+use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
+
+/// Events a [`TraceCollector`] retains before it drops the oldest. A
+/// traced full Table-1 sweep records ~450 events, so no batch run
+/// comes near it; a long-lived server, which records two or more
+/// events per request, keeps its newest ones.
+pub const TRACE_CAPACITY: usize = 8192;
+
+/// Threads a collector tracks at once. Past this, threads with no open
+/// span are forgotten, so a server that spawns a thread per connection
+/// keeps a bounded table.
+const MAX_TRACKS: usize = 256;
+
+/// One recording thread: its track ordinal and open-span stack.
+#[derive(Debug)]
+struct Track {
+    thread: ThreadId,
+    tid: u32,
+    stack: Vec<usize>,
+}
 
 /// A typed argument attached to a span or instant event.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,7 +80,8 @@ pub struct TraceEvent {
     pub name: String,
     /// Span or instant.
     pub kind: EventKind,
-    /// Track ordinal: threads are numbered in first-event order.
+    /// Track ordinal: threads are numbered in first-event order (a
+    /// thread the collector forgot gets a fresh number).
     pub tid: u32,
     /// Index of the enclosing span in the event list, if known.
     pub parent: Option<usize>,
@@ -99,11 +127,15 @@ impl StreamEvent {
 
 #[derive(Debug, Default)]
 struct CollectorState {
-    events: Vec<TraceEvent>,
-    /// Thread ordinal assignment, in first-event order.
-    threads: Vec<ThreadId>,
-    /// Per-ordinal stack of open span indices.
-    stacks: Vec<Vec<usize>>,
+    /// Retained events, oldest first: `events[k]` is event number
+    /// `dropped + k`, the index spans and parent links refer to.
+    events: VecDeque<TraceEvent>,
+    /// Events evicted from the front to hold [`TRACE_CAPACITY`].
+    dropped: usize,
+    /// Recording threads, in first-event order.
+    tracks: Vec<Track>,
+    /// Ordinal handed to the next new track.
+    next_tid: u32,
     /// Live subscribers (bounded channels) with their registration
     /// ids; pruned when disconnected or explicitly unsubscribed.
     subscribers: Vec<(SubscriberId, SyncSender<StreamEvent>)>,
@@ -114,6 +146,49 @@ struct CollectorState {
 }
 
 impl CollectorState {
+    /// The current thread's track, registered on first use. A full
+    /// table first forgets the threads with no open span.
+    fn track(&mut self) -> usize {
+        let id = std::thread::current().id();
+        if let Some(k) = self.tracks.iter().position(|t| t.thread == id) {
+            return k;
+        }
+        if self.tracks.len() >= MAX_TRACKS {
+            self.tracks.retain(|t| !t.stack.is_empty());
+        }
+        self.tracks.push(Track {
+            thread: id,
+            tid: self.next_tid,
+            stack: Vec::new(),
+        });
+        self.next_tid += 1;
+        self.tracks.len() - 1
+    }
+
+    /// Append `ev`, evicting the oldest event when `cap` are held;
+    /// returns the new event's number.
+    fn push(&mut self, ev: TraceEvent, cap: usize) -> usize {
+        if self.events.len() >= cap {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(ev);
+        self.dropped + self.events.len() - 1
+    }
+
+    /// Event number `idx` as exported: its parent link rebased onto
+    /// the retained events, `None` when the parent was evicted.
+    fn view(&self, idx: usize) -> TraceEvent {
+        let mut e = self.events[idx - self.dropped].clone();
+        e.parent = e.parent.and_then(|p| p.checked_sub(self.dropped));
+        e
+    }
+
+    /// Every retained event as exported, oldest first.
+    fn retained(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        (self.dropped..self.dropped + self.events.len()).map(|idx| self.view(idx))
+    }
+
     /// Fan an event out to every subscriber without ever blocking: a
     /// full channel drops the event (counted), a dead one is pruned.
     fn notify(&mut self, ev: &StreamEvent) {
@@ -143,10 +218,12 @@ impl CollectorState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SubscriberId(u64);
 
-/// Thread-safe accumulator of span / instant events.
+/// Thread-safe accumulator of span / instant events, bounded at
+/// [`TRACE_CAPACITY`].
 #[derive(Debug)]
 pub struct TraceCollector {
     epoch: Instant,
+    cap: usize,
     state: Mutex<CollectorState>,
 }
 
@@ -159,8 +236,13 @@ impl Default for TraceCollector {
 impl TraceCollector {
     /// A fresh collector; its epoch is `now`.
     pub fn new() -> Self {
+        TraceCollector::with_capacity(TRACE_CAPACITY)
+    }
+
+    fn with_capacity(cap: usize) -> Self {
         TraceCollector {
             epoch: Instant::now(),
+            cap: cap.max(1),
             state: Mutex::new(CollectorState::default()),
         }
     }
@@ -176,15 +258,6 @@ impl TraceCollector {
         self.now_us()
     }
 
-    fn ordinal(state: &mut CollectorState, id: ThreadId) -> u32 {
-        if let Some(i) = state.threads.iter().position(|&t| t == id) {
-            return i as u32;
-        }
-        state.threads.push(id);
-        state.stacks.push(Vec::new());
-        (state.threads.len() - 1) as u32
-    }
-
     /// Open a span; the returned guard closes it on drop.
     pub fn begin_span(
         self: &Arc<Self>,
@@ -193,10 +266,10 @@ impl TraceCollector {
     ) -> Span {
         let ts = self.now_us();
         let mut st = self.state.lock().unwrap();
-        let tid = Self::ordinal(&mut st, std::thread::current().id());
-        let parent = st.stacks[tid as usize].last().copied();
-        let idx = st.events.len();
-        st.events.push(TraceEvent {
+        let track = st.track();
+        let tid = st.tracks[track].tid;
+        let parent = st.tracks[track].stack.last().copied();
+        let ev = TraceEvent {
             name: name.into(),
             kind: EventKind::Span,
             tid,
@@ -204,9 +277,10 @@ impl TraceCollector {
             ts_us: ts,
             dur_us: None,
             args,
-        });
-        st.stacks[tid as usize].push(idx);
-        let tee = StreamEvent::SpanBegin(st.events[idx].clone());
+        };
+        let idx = st.push(ev, self.cap);
+        st.tracks[track].stack.push(idx);
+        let tee = StreamEvent::SpanBegin(st.view(idx));
         st.notify(&tee);
         Span {
             inner: Some((Arc::clone(self), idx)),
@@ -216,13 +290,24 @@ impl TraceCollector {
     fn end_span(&self, idx: usize) {
         let ts = self.now_us();
         let mut st = self.state.lock().unwrap();
-        let ev = &mut st.events[idx];
+        let Some(k) = idx.checked_sub(st.dropped) else {
+            // The begin event was evicted: only its stack entry is
+            // left to clear.
+            for t in &mut st.tracks {
+                t.stack.retain(|&i| i != idx);
+            }
+            return;
+        };
+        let ev = &mut st.events[k];
         ev.dur_us = Some(ts.saturating_sub(ev.ts_us));
-        let tid = ev.tid as usize;
-        let tee = StreamEvent::SpanEnd(st.events[idx].clone());
+        let tid = ev.tid;
+        let tee = StreamEvent::SpanEnd(st.view(idx));
         // Guards drop LIFO per thread in normal use; `retain` keeps
         // the stack sane even if one escapes its scope out of order.
-        st.stacks[tid].retain(|&i| i != idx);
+        // A track with an open span is never forgotten.
+        if let Some(t) = st.tracks.iter_mut().find(|t| t.tid == tid) {
+            t.stack.retain(|&i| i != idx);
+        }
         st.notify(&tee);
     }
 
@@ -230,9 +315,10 @@ impl TraceCollector {
     pub fn instant(&self, name: impl Into<String>, args: Vec<(String, ArgValue)>) {
         let ts = self.now_us();
         let mut st = self.state.lock().unwrap();
-        let tid = Self::ordinal(&mut st, std::thread::current().id());
-        let parent = st.stacks[tid as usize].last().copied();
-        st.events.push(TraceEvent {
+        let track = st.track();
+        let tid = st.tracks[track].tid;
+        let parent = st.tracks[track].stack.last().copied();
+        let ev = TraceEvent {
             name: name.into(),
             kind: EventKind::Instant,
             tid,
@@ -240,13 +326,14 @@ impl TraceCollector {
             ts_us: ts,
             dur_us: None,
             args,
-        });
-        let tee = StreamEvent::Instant(st.events.last().expect("just pushed").clone());
+        };
+        let idx = st.push(ev, self.cap);
+        let tee = StreamEvent::Instant(st.view(idx));
         st.notify(&tee);
     }
 
-    /// Attach a live subscriber: returns a **replay** of everything
-    /// recorded so far (closed spans as [`StreamEvent::SpanEnd`], still
+    /// Attach a live subscriber: returns a **replay** of every
+    /// retained event (closed spans as [`StreamEvent::SpanEnd`], still
     /// open ones as [`StreamEvent::SpanBegin`]) plus a bounded channel
     /// that receives every subsequent event. Replay and registration
     /// happen under one lock, so no event is missed or duplicated
@@ -271,12 +358,11 @@ impl TraceCollector {
         let (tx, rx) = std::sync::mpsc::sync_channel(capacity.max(1));
         let mut st = self.state.lock().unwrap();
         let replay = st
-            .events
-            .iter()
+            .retained()
             .map(|e| match (e.kind, e.dur_us) {
-                (EventKind::Span, Some(_)) => StreamEvent::SpanEnd(e.clone()),
-                (EventKind::Span, None) => StreamEvent::SpanBegin(e.clone()),
-                (EventKind::Instant, _) => StreamEvent::Instant(e.clone()),
+                (EventKind::Span, Some(_)) => StreamEvent::SpanEnd(e),
+                (EventKind::Span, None) => StreamEvent::SpanBegin(e),
+                (EventKind::Instant, _) => StreamEvent::Instant(e),
             })
             .collect();
         let id = SubscriberId(st.next_sub_id);
@@ -307,15 +393,13 @@ impl TraceCollector {
         self.state.lock().unwrap().sub_dropped
     }
 
-    /// Snapshot all events. Spans still open are reported with their
-    /// duration so far.
+    /// Snapshot the retained events. Spans still open are reported
+    /// with their duration so far; `parent` indexes the returned list.
     pub fn events(&self) -> Vec<TraceEvent> {
         let now = self.now_us();
         let st = self.state.lock().unwrap();
-        st.events
-            .iter()
-            .map(|e| {
-                let mut e = e.clone();
+        st.retained()
+            .map(|mut e| {
                 if e.kind == EventKind::Span && e.dur_us.is_none() {
                     e.dur_us = Some(now.saturating_sub(e.ts_us));
                 }
@@ -324,9 +408,14 @@ impl TraceCollector {
             .collect()
     }
 
-    /// Number of events recorded so far.
+    /// Number of events retained.
     pub fn len(&self) -> usize {
         self.state.lock().unwrap().events.len()
+    }
+
+    /// Events dropped, oldest first, to hold [`TRACE_CAPACITY`].
+    pub fn dropped(&self) -> u64 {
+        self.state.lock().unwrap().dropped as u64
     }
 
     /// Whether nothing has been recorded.
@@ -594,6 +683,79 @@ mod tests {
         let events = c.events();
         assert_eq!(events.len(), 1);
         assert!(events[0].dur_us.is_some(), "open span gets duration-so-far");
+    }
+
+    #[test]
+    fn bounded_collector_drops_oldest_and_orphans_become_roots() {
+        let c = Arc::new(TraceCollector::with_capacity(3));
+        let outer = c.begin_span("outer", Vec::new());
+        let mid = c.begin_span("mid", Vec::new());
+        {
+            let _leaf = c.begin_span("leaf", Vec::new());
+        }
+        // The fourth event evicts `outer`: `mid` loses its parent.
+        c.instant("tick", Vec::new());
+        assert_eq!(c.dropped(), 1);
+        let events = c.events();
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["mid", "leaf", "tick"]);
+        assert_eq!(events[0].parent, None, "evicted parent: `mid` is a root");
+        assert_eq!(events[1].parent, Some(0));
+        assert_eq!(events[2].parent, Some(0));
+        let rows = span_tree(&events);
+        assert_eq!((rows[0].name.as_str(), rows[0].depth), ("mid", 0));
+        assert_eq!((rows[1].name.as_str(), rows[1].depth), ("leaf", 1));
+        // Evict `mid` while it is still open: its children are roots.
+        c.instant("tock", Vec::new());
+        let events = c.events();
+        assert!(events.iter().all(|e| e.parent.is_none()));
+        assert_eq!(span_tree(&events)[0].name, "leaf");
+        // Closing spans whose begin events are gone neither panics nor
+        // touches a retained event, and leaves no stale parent behind.
+        drop(mid);
+        drop(outer);
+        assert_eq!(c.events(), events);
+        assert_eq!(c.dropped(), 2);
+        {
+            let _after = c.begin_span("after", Vec::new());
+        }
+        let events = c.events();
+        assert_eq!(events.len(), 3);
+        assert_eq!(c.dropped(), 3);
+        let last = events.last().unwrap();
+        assert_eq!((last.name.as_str(), last.parent), ("after", None));
+        assert!(last.dur_us.is_some());
+        // Subscribers replay exactly the retained events.
+        let (replay, _rx) = c.subscribe(4);
+        let replayed: Vec<TraceEvent> = replay.iter().map(|e| e.event().clone()).collect();
+        assert_eq!(replayed, events);
+    }
+
+    #[test]
+    fn thread_table_forgets_idle_threads_but_keeps_open_spans() {
+        let c = Arc::new(TraceCollector::new());
+        let open = c.begin_span("open", Vec::new());
+        // One short-lived thread per event, like a server's
+        // per-connection threads, run one at a time.
+        for _ in 0..2 * MAX_TRACKS {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || c.instant("conn", Vec::new()))
+                .join()
+                .unwrap();
+        }
+        assert!(c.state.lock().unwrap().tracks.len() <= MAX_TRACKS);
+        // Every thread got its own track, numbered in first-event
+        // order, and the thread holding an open span kept its track.
+        let events = c.events();
+        let tids: Vec<u32> = events.iter().map(|e| e.tid).collect();
+        assert_eq!(tids, (0..=2 * MAX_TRACKS as u32).collect::<Vec<_>>());
+        c.instant("after", Vec::new());
+        drop(open);
+        let events = c.events();
+        let last = events.last().unwrap();
+        assert_eq!((last.tid, last.parent), (0, Some(0)));
+        assert!(events[0].dur_us.is_some());
+        assert!(c.state.lock().unwrap().tracks[0].stack.is_empty());
     }
 
     #[test]

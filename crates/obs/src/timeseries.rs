@@ -8,8 +8,7 @@
 //! restriction is the whole point: a series sampled at logical ticks
 //! is byte-identical across worker counts and machines, so the sweep
 //! can diff time-series between runs the same way it diffs the
-//! deterministic report (and the sentinel can point at the first tick
-//! where two runs diverged).
+//! deterministic report.
 //!
 //! The store is bounded **keep-first**: once `cap` points are held,
 //! further samples are counted in `dropped` and discarded. Unlike the

@@ -8,6 +8,7 @@ use casa::core::casa_ilp::{allocate_ilp, Linearization};
 use casa::core::conflict::ConflictGraph;
 use casa::core::energy_model::EnergyModel;
 use casa::core::flow::{run_spm_flow, AllocatorKind, FlowConfig, FlowCtx};
+use casa::core::greedy::allocate_greedy;
 use casa::energy::{EnergyTable, TechParams};
 use casa::ilp::SolverOptions;
 use casa::mem::cache::CacheConfig;
@@ -26,6 +27,29 @@ fn table() -> EnergyTable {
         mm_word: 24.0,
         l2_access: 0.0,
     }
+}
+
+/// A random conflict graph of `n` objects drawn from an LCG started at
+/// `state`: fetches below 3000, sizes 4..124 bytes, and each ordered
+/// pair, self-pairs included, an edge with probability 1/3.
+fn random_graph(n: usize, mut state: u64) -> ConflictGraph {
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let fetches: Vec<u64> = (0..n).map(|_| next() % 3000).collect();
+    let sizes: Vec<u32> = (0..n).map(|_| (next() % 120 + 4) as u32).collect();
+    let mut edges = HashMap::new();
+    for i in 0..n {
+        for j in 0..n {
+            if next() % 3 == 0 {
+                edges.insert((i, j), next() % 400);
+            }
+        }
+    }
+    ConflictGraph::from_parts(fetches, sizes, edges)
 }
 
 proptest! {
@@ -73,22 +97,7 @@ proptest! {
         cap in 0u32..300,
         seed in 0u64..10_000,
     ) {
-        let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let fetches: Vec<u64> = (0..n).map(|_| next() % 3000).collect();
-        let sizes: Vec<u32> = (0..n).map(|_| (next() % 120 + 4) as u32).collect();
-        let mut edges = HashMap::new();
-        for i in 0..n {
-            for j in 0..n {
-                if next() % 3 == 0 {
-                    edges.insert((i, j), next() % 400);
-                }
-            }
-        }
-        let g = ConflictGraph::from_parts(fetches, sizes, edges);
+        let g = random_graph(n, seed.wrapping_mul(2654435761).wrapping_add(1));
         let t = table();
         let m = EnergyModel::new(&g, &t);
         let bb = allocate_bb(&m, cap);
@@ -111,6 +120,37 @@ proptest! {
         }
     }
 
+    /// CasaBb is exact on the CASA model itself: its predicted energy
+    /// is the minimum of eq. (11) over every subset that fits (at most
+    /// 2^12), its own set fits, and greedy never beats that minimum.
+    #[test]
+    fn casa_bb_matches_brute_force_on_the_model(
+        n in 2usize..13,
+        cap in 0u32..600,
+        seed in 0u64..10_000,
+    ) {
+        let g = random_graph(n, seed.wrapping_mul(2654435761).wrapping_add(1));
+        let t = table();
+        let m = EnergyModel::new(&g, &t);
+        let used = |on: &[bool]| -> u32 { (0..n).filter(|&i| on[i]).map(|i| g.size_of(i)).sum() };
+        let mut best = f64::INFINITY;
+        for mask in 0u32..1 << n {
+            let on: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
+            if used(&on) <= cap {
+                best = best.min(m.total_energy(&on));
+            }
+        }
+        let tol = 1e-6 * best.abs().max(1.0);
+        let bb = allocate_bb(&m, cap);
+        let eb = bb.predicted_energy.expect("casa-bb predicts");
+        prop_assert!((eb - best).abs() < tol, "bb {} vs brute force {}", eb, best);
+        prop_assert!(used(&bb.on_spm) <= cap);
+        let greedy = allocate_greedy(&m, cap);
+        prop_assert!(used(&greedy.on_spm) <= cap);
+        let eg = m.total_energy(&greedy.on_spm);
+        prop_assert!(eg > best - tol, "greedy {} below the optimum {}", eg, best);
+    }
+
     /// Monotonicity: over a *fixed* conflict graph, a larger
     /// scratchpad never yields worse optimal predicted energy (any
     /// allocation feasible at C is feasible at C' > C).
@@ -125,22 +165,7 @@ proptest! {
         n in 2usize..8,
         seed in 0u64..10_000,
     ) {
-        let mut state = seed.wrapping_mul(0x9E3779B9).wrapping_add(7);
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let fetches: Vec<u64> = (0..n).map(|_| next() % 3000).collect();
-        let sizes: Vec<u32> = (0..n).map(|_| (next() % 120 + 4) as u32).collect();
-        let mut edges = HashMap::new();
-        for i in 0..n {
-            for j in 0..n {
-                if next() % 3 == 0 {
-                    edges.insert((i, j), next() % 400);
-                }
-            }
-        }
-        let g = ConflictGraph::from_parts(fetches, sizes, edges);
+        let g = random_graph(n, seed.wrapping_mul(0x9E3779B9).wrapping_add(7));
         let t = table();
         let m = EnergyModel::new(&g, &t);
         let mut last = f64::INFINITY;
