@@ -3,6 +3,7 @@
 
 use casa_bench::experiments::LOOP_CACHE_SLOTS;
 use casa_bench::runner::prepared;
+use casa_core::flow::{run_spm_flow, AllocatorKind, FlowConfig, FlowCtx, FlowReport};
 use casa_core::ross::allocate_loop_cache;
 use casa_ir::Profile;
 use casa_mem::cache::{Cache, CacheConfig, ReplacementPolicy};
@@ -88,6 +89,21 @@ fn bench_fetch_engine(c: &mut Criterion) {
         },
         1024,
     );
+    // The scratchpad cells' final simulations: the layouts CASA (copy)
+    // and Steinke (move) produce at g721@1024, whose scratchpad-resident
+    // blocks the replay folds in from block counts.
+    let final_flow = |allocator| -> FlowReport {
+        run_spm_flow(
+            &w.program,
+            &w.profile,
+            &w.exec,
+            &FlowConfig::new(dm, 1024, allocator),
+            &FlowCtx::default(),
+        )
+        .expect("g721@1024 flow runs")
+    };
+    let copy = final_flow(AllocatorKind::CasaBb);
+    let moved = final_flow(AllocatorKind::Steinke);
     let mut group = c.benchmark_group("fetch_engine");
     group.sample_size(10);
     group.throughput(Throughput::Elements(w.profile.total_fetches(&w.program)));
@@ -95,6 +111,8 @@ fn bench_fetch_engine(c: &mut Criterion) {
         ("g721_full_replay", &traces, &layout, &cfg),
         ("g721_loop_cache_replay", &lc_traces, &lc_layout, &lc_cfg),
         ("g721_4way_lru_replay", &traces, &layout, &lru_cfg),
+        ("g721_copy_final_replay", &copy.traces, &copy.layout, &cfg),
+        ("g721_move_final_replay", &moved.traces, &moved.layout, &cfg),
     ] {
         group.bench_function(label, |b| {
             b.iter(|| {

@@ -1360,7 +1360,11 @@ mod tests {
         let cases: Vec<(String, &str)> = vec![
             (
                 "not json".into(),
-                r#"{"error":"JSON parse error at byte 0: expected 'null'"}"#,
+                r#"{"error":"JSON parse error at byte 0: expected a JSON value"}"#,
+            ),
+            (
+                r#"{"v":tru}"#.into(),
+                r#"{"error":"JSON parse error at byte 5: expected a JSON value"}"#,
             ),
             ("{}".into(), r#"{"error":"capacity is required"}"#),
             (

@@ -98,19 +98,22 @@ pub struct CacheAccess {
     pub evicted_tag: Option<u32>,
 }
 
-#[derive(Debug, Clone)]
-struct Way {
-    valid: bool,
-    tag: u32,
-    /// Monotonic stamp: last-use time for LRU, fill time for FIFO.
-    stamp: u64,
-}
+/// The tag of an invalid way. Tags are `u32` values widened to `u64`,
+/// so no reachable tag equals it: with 1-byte lines and one set the
+/// tag is the whole address, and `u32::MAX` is one.
+const INVALID: u64 = u64::MAX;
 
 /// A set-associative cache.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    ways: Vec<Way>, // num_sets * associativity, row-major by set
+    /// Per way, row-major by set: the resident line's tag, or
+    /// [`INVALID`].
+    tags: Vec<u64>,
+    /// Per way: last-use clock for LRU, fill clock for FIFO. A
+    /// direct-mapped set's one way is always the victim, so there the
+    /// stamp is never read and not kept.
+    stamps: Vec<u64>,
     rr_counters: Vec<u32>,
     rng: SmallRng,
     clock: u64,
@@ -118,10 +121,14 @@ pub struct Cache {
     misses: LocalCounter,
     /// `log2(line_size)`: `addr >> line_shift` is the line id.
     line_shift: u32,
+    /// `log2(num_sets)`: `line >> set_shift` is the tag.
+    set_shift: u32,
     /// `num_sets - 1`: the set is the line id's low bits.
     set_mask: u32,
-    /// `log2(line_size * num_sets)`: `addr >> tag_shift` is the tag.
-    tag_shift: u32,
+    /// Ways per set.
+    assoc: usize,
+    /// Whether hits refresh the stamp (LRU).
+    lru: bool,
 }
 
 impl Cache {
@@ -140,22 +147,18 @@ impl Cache {
         };
         Cache {
             config,
-            ways: vec![
-                Way {
-                    valid: false,
-                    tag: 0,
-                    stamp: 0
-                };
-                n
-            ],
+            tags: vec![INVALID; n],
+            stamps: vec![0; n],
             rr_counters: vec![0; config.num_sets() as usize],
             rng: SmallRng::seed_from_u64(seed),
             clock: 0,
             hits: LocalCounter::new(),
             misses: LocalCounter::new(),
             line_shift: config.line_size.trailing_zeros(),
+            set_shift: config.num_sets().trailing_zeros(),
             set_mask: config.num_sets() - 1,
-            tag_shift: (config.line_size * config.num_sets()).trailing_zeros(),
+            assoc: config.associativity as usize,
+            lru: matches!(config.policy, ReplacementPolicy::Lru),
         }
     }
 
@@ -167,63 +170,87 @@ impl Cache {
     /// Access `addr`, updating state. Returns hit/miss plus victim
     /// information for conflict attribution.
     pub fn access(&mut self, addr: u32) -> CacheAccess {
-        self.access_run(addr, 1)
+        self.access_line(self.line_of(addr), 1)
     }
 
-    /// Access `addr`'s line `n ≥ 1` times in a row, as `n` calls of
-    /// [`Cache::access`] on addresses of that line would: only the
-    /// first can miss, the other `n − 1` hit the line it leaves
-    /// resident. Hits touch no replacement state except the LRU
-    /// stamp, which ends at the last access's clock exactly as it
-    /// would one fetch at a time. The returned outcome is the first
-    /// access's.
+    /// Access line `line` (see [`Cache::line_of`]) `n ≥ 1` times in a
+    /// row, as `n` calls of [`Cache::access`] on addresses of that
+    /// line would: only the first can miss, the other `n − 1` hit the
+    /// line it leaves resident. The clock advances once by `n`, so
+    /// the run's fetches own the clocks up to the new value: a FIFO
+    /// fill is stamped with the first one's, an LRU line with the
+    /// last one's, exactly as `n` single accesses stamp them. Hits
+    /// touch no other replacement state. The returned outcome is the
+    /// first access's.
     #[inline]
-    pub(crate) fn access_run(&mut self, addr: u32, n: u64) -> CacheAccess {
+    pub(crate) fn access_line(&mut self, line: u32, n: u64) -> CacheAccess {
         debug_assert!(n >= 1, "a run holds at least one access");
-        self.clock += 1;
-        let set = (addr >> self.line_shift) & self.set_mask;
-        let tag = addr >> self.tag_shift;
-        let assoc = self.config.associativity as usize;
-        let base = set as usize * assoc;
-        let lru = matches!(self.config.policy, ReplacementPolicy::Lru);
+        let first = self.clock + 1;
+        self.clock += n;
+        let set = line & self.set_mask;
+        let tag = u64::from(line >> self.set_shift);
+        let base = set as usize * self.assoc;
 
-        // Hit path.
-        for w in 0..assoc {
-            let way = &mut self.ways[base + w];
-            if way.valid && way.tag == tag {
-                self.clock += n - 1;
-                if lru {
-                    way.stamp = self.clock;
-                }
+        if self.assoc == 1 {
+            // Direct-mapped: the one way hits or is the victim.
+            let old = self.tags[base];
+            if old == tag {
                 self.hits.add(n);
                 return CacheAccess {
                     hit: true,
                     set,
-                    way: w as u32,
+                    way: 0,
                     evicted_tag: None,
                 };
             }
+            self.misses.inc();
+            self.hits.add(n - 1);
+            if matches!(self.config.policy, ReplacementPolicy::Random(_)) {
+                // Keeps the RNG drawing exactly as the set-associative
+                // path does; the victim is way 0 all the same.
+                self.pick_victim(set);
+            }
+            self.tags[base] = tag;
+            return CacheAccess {
+                hit: false,
+                set,
+                way: 0,
+                evicted_tag: (old != INVALID).then_some(old as u32),
+            };
         }
 
-        // Miss: pick a victim way, fill it at the first access's
-        // clock (the FIFO stamp), then the trailing hits.
+        // Hit path: a line sits in at most one way, so the search
+        // needs no early exit (a data-dependent branch per way).
+        let mut hit_way = None;
+        for (w, &t) in self.tags[base..base + self.assoc].iter().enumerate() {
+            if t == tag {
+                hit_way = Some(w);
+            }
+        }
+        if let Some(w) = hit_way {
+            if self.lru {
+                self.stamps[base + w] = self.clock;
+            }
+            self.hits.add(n);
+            return CacheAccess {
+                hit: true,
+                set,
+                way: w as u32,
+                evicted_tag: None,
+            };
+        }
+
+        // Miss: fill a victim way, then the trailing hits.
         self.misses.inc();
         self.hits.add(n - 1);
         let victim = self.pick_victim(set);
-        let slot = &mut self.ways[base + victim];
-        let evicted_tag = slot.valid.then_some(slot.tag);
-        slot.valid = true;
-        slot.tag = tag;
-        slot.stamp = self.clock;
-        self.clock += n - 1;
-        if lru {
-            slot.stamp = self.clock;
-        }
+        let old = std::mem::replace(&mut self.tags[base + victim], tag);
+        self.stamps[base + victim] = if self.lru { self.clock } else { first };
         CacheAccess {
             hit: false,
             set,
             way: victim as u32,
-            evicted_tag,
+            evicted_tag: (old != INVALID).then_some(old as u32),
         }
     }
 
@@ -239,14 +266,31 @@ impl Cache {
         addr >> self.line_shift
     }
 
+    /// The first address of line `line`.
+    #[inline]
+    pub(crate) fn line_start(&self, line: u32) -> u32 {
+        line << self.line_shift
+    }
+
+    /// The id of the line a miss evicted, if it evicted one.
+    #[inline]
+    pub(crate) fn evicted_line(&self, access: &CacheAccess) -> Option<u32> {
+        access
+            .evicted_tag
+            .map(|t| (t << self.set_shift) | access.set)
+    }
+
     fn pick_victim(&mut self, set: u32) -> usize {
-        let assoc = self.config.associativity as usize;
+        let assoc = self.assoc;
         let base = set as usize * assoc;
         // Prefer an invalid way. Round-robin's fill pointer must still
         // advance on these cold allocations (ARM-style counters track
         // every linefill, not just evictions), or the counter decouples
         // from the true fill order.
-        if let Some(w) = (0..assoc).find(|&w| !self.ways[base + w].valid) {
+        if let Some(w) = self.tags[base..base + assoc]
+            .iter()
+            .position(|&t| t == INVALID)
+        {
             if matches!(self.config.policy, ReplacementPolicy::RoundRobin) {
                 self.rr_counters[set as usize] = ((w + 1) % assoc) as u32;
             }
@@ -254,7 +298,7 @@ impl Cache {
         }
         match self.config.policy {
             ReplacementPolicy::Lru | ReplacementPolicy::Fifo => (0..assoc)
-                .min_by_key(|&w| self.ways[base + w].stamp)
+                .min_by_key(|&w| self.stamps[base + w])
                 .expect("at least one way"),
             ReplacementPolicy::RoundRobin => {
                 let c = &mut self.rr_counters[set as usize];
@@ -268,11 +312,8 @@ impl Cache {
 
     /// Look up whether `addr` is currently resident (no state change).
     pub fn probe(&self, addr: u32) -> bool {
-        let set = self.config.map(addr);
-        let tag = self.config.tag(addr);
-        let assoc = self.config.associativity as usize;
-        let base = set as usize * assoc;
-        (0..assoc).any(|w| self.ways[base + w].valid && self.ways[base + w].tag == tag)
+        let base = self.config.map(addr) as usize * self.assoc;
+        self.tags[base..base + self.assoc].contains(&u64::from(self.config.tag(addr)))
     }
 
     /// Hits recorded so far.
@@ -289,7 +330,7 @@ impl Cache {
     /// (inverse of [`CacheConfig::map`] / [`CacheConfig::tag`]).
     #[inline]
     pub fn line_addr(&self, set: u32, tag: u32) -> u32 {
-        (tag << self.tag_shift) | (set << self.line_shift)
+        self.line_start((tag << self.set_shift) | set)
     }
 }
 

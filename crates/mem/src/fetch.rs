@@ -8,10 +8,14 @@
 //! sequence can be replayed against different layouts and hierarchies,
 //! which keeps comparisons between allocators exact.
 //!
-//! The engine works in **line runs**: it walks each executed block
-//! once and charges each group of consecutive fetches served by one
-//! place with a single memory-system call (see the crate docs for why
-//! that is exact under every replacement policy).
+//! Each [`Replayer::replay`] call first compiles a **block plan**:
+//! every static block resolved once against the layout and the memory
+//! system into its memory object, fetch and base-cycle counts, its
+//! scratchpad and loop-cache fetches, its I-cache line runs and its
+//! glue jump. The loop over the execution then counts block
+//! executions, looks up each I-cache run and checks for glue jumps;
+//! everything else is folded in from the counts when the call ends
+//! (see the crate docs for why that is exact).
 //!
 //! [`Replayer`] supports segment-wise replay with **layout switching**
 //! between segments, which is what the overlay extension (paper §7
@@ -21,12 +25,12 @@
 //! [`Replayer::charge_copy_words`].
 
 use crate::conflict::{ConflictRecorder, RawConflicts};
-use crate::hierarchy::{FetchEvent, HierarchyConfig, InstMemorySystem};
+use crate::hierarchy::{HierarchyConfig, InstMemorySystem};
 use crate::loop_cache::PreloadError;
 use crate::recorder::{NullRecorder, Recorder};
 use crate::stats::FetchStats;
-use casa_ir::{BlockId, Program, Terminator};
-use casa_trace::{Layout, Location, TraceSet};
+use casa_ir::{BlockId, InstKind, Program, Terminator};
+use casa_trace::{Layout, Location, Region, TraceSet};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -173,7 +177,8 @@ impl SimOutcome {
 /// optionally switching layouts (scratchpad contents) between them.
 ///
 /// Generic over an event [`Recorder`] (default: none) that observes
-/// every cache/SPM/loop-cache event the replay generates.
+/// the replay's cache, SPM and loop-cache events (see [`Recorder`] for
+/// when each arrives).
 #[derive(Debug, Clone)]
 pub struct Replayer<R: Recorder = NullRecorder> {
     system: InstMemorySystem<R>,
@@ -230,12 +235,14 @@ impl<R: Recorder> Replayer<R> {
     /// Replay `exec.blocks()[range]` under `layout`. Glue-jump
     /// detection looks one block past the end of the range, so
     /// consecutive segment replays behave exactly like one big replay
-    /// under a constant layout.
+    /// under a constant layout. Every counter is complete when the
+    /// call returns.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds or a location is
-    /// inconsistent with the system (layout/config bug).
+    /// inconsistent with the system (layout/config bug); a scratchpad
+    /// location only when its block executes in the range.
     pub fn replay(
         &mut self,
         program: &Program,
@@ -246,70 +253,98 @@ impl<R: Recorder> Replayer<R> {
     ) {
         let blocks = exec.blocks();
         assert!(range.end <= blocks.len(), "segment out of bounds");
+        let plan = Plan::new(program, traces, layout, &self.system);
+        let mut counts = vec![0u64; plan.blocks.len()];
+        let mut glue_counts = vec![0u64; plan.blocks.len()];
+        let misses_before = self.trace_misses.clone();
         for pos in range {
-            let block = blocks[pos];
-            let tid = traces.trace_of(block);
-            let ti = tid.index();
-            let start = layout.block_location(traces, block);
-            let insts = program.block(block).insts();
-            self.trace_fetches[ti] += insts.len() as u64;
-            // Walk the block's instructions, closing a run whenever the
-            // next one starts at or past the current run's end.
-            let (mut first, mut last, mut n) = (start, start.addr, 0u64);
-            let mut end = self.system.run_end(start);
-            let mut loc = start;
-            let mut cycles = 0u64;
-            for inst in insts {
-                if loc.addr >= end {
-                    self.serve(ti, first, last, n);
-                    (first, n) = (loc, 0);
-                    end = self.system.run_end(loc);
-                }
-                last = loc.addr;
-                n += 1;
-                cycles += u64::from(inst.kind().base_cycles());
-                loc.addr += inst.size();
+            let b = blocks[pos].index();
+            let p = &plan.blocks[b];
+            counts[b] += 1;
+            for run in &plan.runs[p.runs.0 as usize..p.runs.1 as usize] {
+                self.cache_run(p.obj, run.line, u64::from(run.n));
             }
-            if n > 0 {
-                self.serve(ti, first, last, n);
-            }
-            self.base_cycles += cycles;
-            // Trace-exit glue jump: fetched when the fall-through edge
-            // leaves the trace.
-            let trace = traces.trace(tid);
-            if trace.glue_jump_size().is_some() && Some(&block) == trace.blocks().last() {
-                let ft = program.block(block).terminator().fallthrough_successor();
-                let next = blocks.get(pos + 1).copied();
-                if ft.is_some() && ft == next {
-                    let glue = layout
-                        .glue_location(tid)
-                        .expect("trace with glue jump has a glue location");
-                    self.trace_fetches[ti] += 1;
-                    self.serve(ti, glue, glue.addr, 1);
-                    self.base_cycles += u64::from(casa_ir::InstKind::Jump.base_cycles());
+            if let Some((next, place)) = p.glue {
+                if blocks.get(pos + 1) == Some(&next) {
+                    glue_counts[b] += 1;
+                    if let Place::Cache(line) = place {
+                        self.cache_run(p.obj, line, 1);
+                    }
                 }
             }
+        }
+        self.fold(&plan, &counts, &glue_counts, &misses_before);
+    }
+
+    /// `n` I-cache fetches of `line` by object `obj`, with conflict
+    /// attribution of a miss.
+    #[inline]
+    fn cache_run(&mut self, obj: u32, line: u32, n: u64) {
+        let access = self.system.cache_run(line, n);
+        if !access.hit {
+            let ti = obj as usize;
+            self.trace_misses[ti] += 1;
+            let evicted = self.system.cache().evicted_line(&access);
+            self.recorder.on_miss(ti, line, evicted);
         }
     }
 
-    /// Split a run of `n` of object `ti`'s fetches, from `loc` to
-    /// `last` and all served by one place, among its per-place
-    /// counters (its `trace_fetches` are counted per block).
-    fn serve(&mut self, ti: usize, loc: Location, last: u32, n: u64) {
-        match self.system.fetch_run(loc, last, n) {
-            FetchEvent::Spm { .. } => self.trace_spm[ti] += n,
-            FetchEvent::LoopCache => self.trace_lc[ti] += n,
-            FetchEvent::Cache(access) if access.hit => self.trace_hits[ti] += n,
-            FetchEvent::Cache(access) => {
-                self.trace_hits[ti] += n - 1;
-                self.trace_misses[ti] += 1;
-                let cache = self.system.cache();
-                let evicted = access
-                    .evicted_tag
-                    .map(|t| cache.line_of(cache.line_addr(access.set, t)));
-                self.recorder.on_miss(ti, cache.line_of(loc.addr), evicted);
+    /// Charge everything that depends only on the block counts of one
+    /// `replay` call: fetches, base cycles, scratchpad and loop-cache
+    /// service, and the I-cache access and hit totals. An object's
+    /// I-cache hits are its I-cache fetches minus the misses the call
+    /// counted (eq. 4).
+    fn fold(&mut self, plan: &Plan, counts: &[u64], glue_counts: &[u64], misses_before: &[u64]) {
+        let jump_cycles = u64::from(InstKind::Jump.base_cycles());
+        let mut cache = vec![0u64; self.trace_fetches.len()];
+        let mut fetches = 0;
+        for ((p, &c), &g) in plan.blocks.iter().zip(counts).zip(glue_counts) {
+            if c == 0 {
+                continue;
+            }
+            let ti = p.obj as usize;
+            let f = c * u64::from(p.fetches);
+            self.trace_fetches[ti] += f + g;
+            fetches += f + g;
+            self.base_cycles += c * u64::from(p.cycles) + g * jump_cycles;
+            match p.spm {
+                Some((bank, last)) if f > 0 => {
+                    self.system.spm_fetches(bank, last, f);
+                    self.trace_spm[ti] += f;
+                }
+                Some(_) => {}
+                None => {
+                    let lc = c * u64::from(p.lc);
+                    if lc > 0 {
+                        self.system.loop_cache_fetches(lc);
+                        self.trace_lc[ti] += lc;
+                    }
+                    cache[ti] += c * u64::from(p.cache);
+                }
+            }
+            match p.glue {
+                _ if g == 0 => {}
+                Some((_, Place::Spm(bank, addr))) => {
+                    self.system.spm_fetches(bank, addr, g);
+                    self.trace_spm[ti] += g;
+                }
+                Some((_, Place::LoopCache)) => {
+                    self.system.loop_cache_fetches(g);
+                    self.trace_lc[ti] += g;
+                }
+                Some((_, Place::Cache(_))) => cache[ti] += g,
+                None => unreachable!("glue jumps counted for a block without one"),
             }
         }
+        self.system.charge_fetches(fetches);
+        let (mut accesses, mut hits) = (0, 0);
+        for (ti, &c) in cache.iter().enumerate() {
+            let h = c - (self.trace_misses[ti] - misses_before[ti]);
+            self.trace_hits[ti] += h;
+            accesses += c;
+            hits += h;
+        }
+        self.system.charge_cache_fetches(accesses, hits);
     }
 
     /// Charge an overlay DMA transfer of `words` 32-bit words read
@@ -345,6 +380,139 @@ impl<R: Recorder> Replayer<R> {
             base_cycles: self.base_cycles,
         };
         (outcome, self.system.into_recorder())
+    }
+}
+
+/// Where a single fetch is served.
+#[derive(Debug, Clone, Copy)]
+enum Place {
+    /// Scratchpad bank `.0`, at address `.1`.
+    Spm(u8, u32),
+    /// The loop cache.
+    LoopCache,
+    /// I-cache line `.0`.
+    Cache(u32),
+}
+
+/// `n` consecutive fetches of one I-cache line.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    line: u32,
+    n: u32,
+}
+
+/// How one static block is fetched under one layout and memory system.
+#[derive(Debug, Clone, Copy)]
+struct BlockPlan {
+    /// The block's memory object.
+    obj: u32,
+    /// Instruction fetches of one execution.
+    fetches: u32,
+    /// Base cycles of one execution.
+    cycles: u32,
+    /// For a block in a scratchpad bank: the bank and the highest
+    /// address an execution fetches.
+    spm: Option<(u8, u32)>,
+    /// For a block in main memory: the fetches of one execution the
+    /// loop cache serves, and those the I-cache serves ...
+    lc: u32,
+    cache: u32,
+    /// ... as the runs `runs.0..runs.1` of [`Plan::runs`].
+    runs: (u32, u32),
+    /// For the last block of a trace with a glue jump: the fall-through
+    /// successor whose execution next fetches the glue jump, and where
+    /// it is fetched from.
+    glue: Option<(BlockId, Place)>,
+}
+
+/// Every static block's [`BlockPlan`], indexed by block id.
+struct Plan {
+    blocks: Vec<BlockPlan>,
+    runs: Vec<Run>,
+}
+
+impl Plan {
+    /// Resolve every block of `program` under `layout` against
+    /// `system`. Runs are cut where a fetch-at-a-time replay would
+    /// change place: at I-cache line ends and loop-cache preload
+    /// bounds ([`InstMemorySystem::run_end`]). Nothing here checks a
+    /// scratchpad bank, so a block that never executes cannot panic.
+    fn new<R: Recorder>(
+        program: &Program,
+        traces: &TraceSet,
+        layout: &Layout,
+        system: &InstMemorySystem<R>,
+    ) -> Self {
+        let cache = system.cache();
+        let place = |loc: Location| match loc.region {
+            Region::Spm(bank) => Place::Spm(bank, loc.addr),
+            Region::Main if system.in_loop_cache(loc.addr) => Place::LoopCache,
+            Region::Main => Place::Cache(cache.line_of(loc.addr)),
+        };
+        let mut runs = Vec::new();
+        let blocks = program
+            .blocks()
+            .iter()
+            .map(|block| {
+                let id = block.id();
+                let tid = traces.trace_of(id);
+                let start = layout.block_location(traces, id);
+                let first_run = runs.len() as u32;
+                let (mut lc, mut in_cache, mut cycles) = (0, 0, 0);
+                let mut run = |first: Location, n: u32| match place(first) {
+                    Place::Spm(..) => {}
+                    Place::LoopCache => lc += n,
+                    Place::Cache(line) => {
+                        runs.push(Run { line, n });
+                        in_cache += n;
+                    }
+                };
+                let (mut first, mut last, mut n) = (start, start.addr, 0);
+                let mut end = system.run_end(start);
+                let mut loc = start;
+                for inst in block.insts() {
+                    if loc.addr >= end {
+                        run(first, n);
+                        (first, n) = (loc, 0);
+                        end = system.run_end(loc);
+                    }
+                    last = loc.addr;
+                    n += 1;
+                    cycles += inst.kind().base_cycles();
+                    loc.addr += inst.size();
+                }
+                if n > 0 {
+                    run(first, n);
+                }
+                let trace = traces.trace(tid);
+                let glue = match block.terminator().fallthrough_successor() {
+                    Some(next)
+                        if trace.glue_jump_size().is_some()
+                            && trace.blocks().last() == Some(&id) =>
+                    {
+                        let at = layout
+                            .glue_location(tid)
+                            .expect("trace with glue jump has a glue location");
+                        Some((next, place(at)))
+                    }
+                    _ => None,
+                };
+                BlockPlan {
+                    obj: tid.index() as u32,
+                    fetches: block.insts().len() as u32,
+                    cycles,
+                    spm: match start.region {
+                        Region::Spm(bank) => Some((bank, last)),
+                        Region::Main => None,
+                    },
+                    lc,
+                    cache: in_cache,
+                    runs: (first_run, runs.len() as u32),
+                    glue,
+                }
+            })
+            .collect();
+        Plan { blocks, runs }
     }
 }
 
@@ -576,6 +744,34 @@ mod tests {
         session.replay(&p, &ts, &layout, &exec, mid..exec.len());
         let split = session.into_outcome();
         assert_eq!(whole, split, "segment boundary must be invisible");
+    }
+
+    /// Places the trace of `block` in scratchpad bank 1.
+    fn in_bank_1(p: &Program, ts: &TraceSet, block: BlockId) -> Layout {
+        let mut placement = vec![None; ts.len()];
+        placement[ts.trace_of(block).index()] = Some(1);
+        Layout::with_placement(p, ts, &placement, PlacementSemantics::Copy)
+    }
+
+    #[test]
+    fn block_in_a_missing_bank_is_harmless_until_it_executes() {
+        let (p, ts, exec, _, _) = conflict_setup();
+        // `filler`, the second block built, is the one the execution
+        // never visits.
+        let filler = BlockId::from_raw(1);
+        assert!(!exec.blocks().contains(&filler));
+        let cfg = HierarchyConfig::spm_system(CacheConfig::direct_mapped(64, 16), 128);
+        let out = simulate(&p, &ts, &in_bank_1(&p, &ts, filler), &exec, &cfg).unwrap();
+        let initial = simulate(&p, &ts, &Layout::initial(&p, &ts), &exec, &cfg).unwrap();
+        assert_eq!(out, initial, "a copy never fetched changes nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "no scratchpad bank")]
+    fn executed_block_in_a_missing_bank_panics() {
+        let (p, ts, exec, head, _) = conflict_setup();
+        let cfg = HierarchyConfig::spm_system(CacheConfig::direct_mapped(64, 16), 128);
+        let _ = simulate(&p, &ts, &in_bank_1(&p, &ts, head), &exec, &cfg);
     }
 
     #[test]

@@ -163,7 +163,22 @@ impl<R: Recorder> InstMemorySystem<R> {
     /// have, or an address outside that bank — both indicate a layout
     /// bug, not a runtime condition.
     pub fn fetch(&mut self, loc: Location) -> FetchEvent {
-        self.fetch_run(loc, loc.addr, 1)
+        self.charge_fetches(1);
+        match loc.region {
+            Region::Spm(bank) => {
+                self.spm_fetches(bank, loc.addr, 1);
+                FetchEvent::Spm { bank }
+            }
+            Region::Main if self.in_loop_cache(loc.addr) => {
+                self.loop_cache_fetches(1);
+                FetchEvent::LoopCache
+            }
+            Region::Main => {
+                let access = self.cache_run(self.cache.line_of(loc.addr), 1);
+                self.charge_cache_fetches(1, u64::from(access.hit));
+                FetchEvent::Cache(access)
+            }
+        }
     }
 
     /// The first address past `loc` that a run of fetches starting at
@@ -185,67 +200,92 @@ impl<R: Recorder> InstMemorySystem<R> {
         }
     }
 
-    /// Fetch `n ≥ 1` instructions at ascending addresses from `loc` to
-    /// `last`, all below [`Self::run_end`]`(loc)` and therefore served
-    /// by one place: counted exactly as `n` calls of [`Self::fetch`],
-    /// with one lookup. The returned event is the first fetch's; in
-    /// the I-cache only it can miss.
+    /// Whether the loop cache serves main-memory address `addr`.
+    #[inline]
+    pub(crate) fn in_loop_cache(&self, addr: u32) -> bool {
+        self.loop_cache.as_ref().is_some_and(|lc| lc.contains(addr))
+    }
+
+    /// Charge `n` fetches, served by any component, to the fetch
+    /// counter.
+    #[inline]
+    pub(crate) fn charge_fetches(&mut self, n: u64) {
+        self.counters.fetches.add(n);
+    }
+
+    /// Charge `n` fetches from scratchpad bank `bank`, the highest at
+    /// `last`.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`Self::fetch`].
+    pub(crate) fn spm_fetches(&mut self, bank: u8, last: u32, n: u64) {
+        let spm = self
+            .spm
+            .get_mut(bank as usize)
+            .unwrap_or_else(|| panic!("no scratchpad bank {bank}"));
+        spm.access_run(last, n);
+        self.counters.spm_accesses.add(n);
+        self.recorder.spm_access(bank, n);
+    }
+
+    /// Charge `n` fetches served by the loop cache.
+    pub(crate) fn loop_cache_fetches(&mut self, n: u64) {
+        self.loop_cache
+            .as_mut()
+            .expect("only a loop cache serves loop-cache fetches")
+            .count(n);
+        self.counters.loop_cache_accesses.add(n);
+        self.recorder.loop_cache_access(n);
+    }
+
+    /// Charge `accesses` I-cache fetches, `hits` of them hits, to the
+    /// access and hit counters. [`Self::cache_run`] leaves both to its
+    /// caller.
     #[inline]
-    pub(crate) fn fetch_run(&mut self, loc: Location, last: u32, n: u64) -> FetchEvent {
-        self.counters.fetches.add(n);
-        match loc.region {
-            Region::Spm(bank) => {
-                let spm = self
-                    .spm
-                    .get_mut(bank as usize)
-                    .unwrap_or_else(|| panic!("no scratchpad bank {bank}"));
-                spm.access_run(last, n);
-                self.counters.spm_accesses.add(n);
-                self.recorder.spm_access(bank, n);
-                FetchEvent::Spm { bank }
-            }
-            Region::Main => {
-                if let Some(lc) = &mut self.loop_cache {
-                    if lc.access_run(loc.addr, n) {
-                        self.counters.loop_cache_accesses.add(n);
-                        self.recorder.loop_cache_access(n);
-                        return FetchEvent::LoopCache;
-                    }
-                }
-                let access = self.cache.access_run(loc.addr, n);
-                self.counters.cache_accesses.add(n);
-                self.recorder.cache_access(access.set, n, access.hit);
-                if access.hit {
-                    self.counters.cache_hits.add(n);
+    pub(crate) fn charge_cache_fetches(&mut self, accesses: u64, hits: u64) {
+        self.counters.cache_accesses.add(accesses);
+        self.counters.cache_hits.add(hits);
+    }
+
+    /// Fetch line `line` `n ≥ 1` times in a row from the I-cache, as
+    /// `n` single fetches would: one lookup, of which only the first
+    /// fetch can miss; the recorder's access event; and on a miss the
+    /// miss counter, the recorder's fill and eviction events and the
+    /// line fill from the L2 or main memory. The returned outcome is
+    /// the first fetch's. The access and hit counters are charged by
+    /// the caller (see [`Self::charge_cache_fetches`]).
+    #[inline]
+    pub(crate) fn cache_run(&mut self, line: u32, n: u64) -> CacheAccess {
+        let access = self.cache.access_line(line, n);
+        self.recorder.cache_access(access.set, n, access.hit);
+        if !access.hit {
+            self.line_fill(line, &access);
+        }
+        access
+    }
+
+    /// The miss side of [`Self::cache_run`].
+    fn line_fill(&mut self, line: u32, access: &CacheAccess) {
+        self.counters.cache_misses.inc();
+        self.recorder.cache_fill(access.set);
+        if access.evicted_tag.is_some() {
+            self.recorder.cache_eviction(access.set);
+        }
+        let words = self.cache.config().words_per_line() as u64;
+        match &mut self.l2 {
+            Some(l2) => {
+                self.counters.l2_accesses.inc();
+                let l2_hit = l2.access(self.cache.line_start(line)).hit;
+                self.recorder.l2_access(l2_hit);
+                if l2_hit {
+                    self.counters.l2_hits.inc();
                 } else {
-                    self.counters.cache_hits.add(n - 1);
-                    self.counters.cache_misses.inc();
-                    self.recorder.cache_fill(access.set);
-                    if access.evicted_tag.is_some() {
-                        self.recorder.cache_eviction(access.set);
-                    }
-                    let words = self.cache.config().words_per_line() as u64;
-                    match &mut self.l2 {
-                        Some(l2) => {
-                            self.counters.l2_accesses.inc();
-                            let l2_hit = l2.access(loc.addr).hit;
-                            self.recorder.l2_access(l2_hit);
-                            if l2_hit {
-                                self.counters.l2_hits.inc();
-                            } else {
-                                self.counters.l2_misses.inc();
-                                self.counters.main_word_accesses.add(words);
-                            }
-                        }
-                        None => self.counters.main_word_accesses.add(words),
-                    }
+                    self.counters.l2_misses.inc();
+                    self.counters.main_word_accesses.add(words);
                 }
-                FetchEvent::Cache(access)
             }
+            None => self.counters.main_word_accesses.add(words),
         }
     }
 

@@ -20,31 +20,48 @@
 //! object, `fetches == hits + misses` regardless of hierarchy, which
 //! the property tests assert.
 //!
-//! ## Line runs
+//! ## Block plans
 //!
-//! The engine does not step once per instruction. Within each
-//! executed block it groups the consecutive fetches served by one
-//! place — one scratchpad bank, one loop-cache preload range (split
-//! where the range ends), or one I-cache line (split where a preload
-//! range starts or ends inside it) — and charges each group with one
-//! memory-system call that counts its `n` fetches. Only the first
-//! fetch of a group can miss. The result is identical, counter for
-//! counter, to `n` single fetches under every replacement policy:
+//! The engine does not step once per instruction. Each
+//! [`Replayer::replay`] call first resolves every static block against
+//! the layout and the memory system into a *block plan*: its memory
+//! object, fetch count and base cycles, its scratchpad and loop-cache
+//! fetches, its I-cache *line runs* (the consecutive fetches of one
+//! line, split where a loop-cache preload range starts or ends inside
+//! it) and its trace-exit glue jump. The loop over the execution keeps
+//! only the work that depends on history: one execution count per
+//! block, one cache lookup per I-cache run and the glue-jump check.
+//! Everything else is folded in from the block counts before the call
+//! returns. The result is identical, counter for counter, to one fetch
+//! at a time under every replacement policy:
 //!
-//! * the trailing `n − 1` fetches hit the line the first one left
-//!   resident, since nothing else touches the cache in between;
-//! * **LRU**: the line's stamp ends at the last fetch's clock, so the
-//!   order within its set is what `n` single fetches leave;
-//! * **FIFO**, **round-robin** and **`Random(seed)`** change state
-//!   (fill stamp, victim counter, RNG draw) only on misses, so the
-//!   trailing hits leave them untouched;
+//! * scratchpad and loop-cache service depends only on the address and
+//!   the system, never on history, so their counters, `trace_spm`,
+//!   `trace_lc`, `trace_fetches` and `base_cycles` are block counts
+//!   times per-block constants;
+//! * eq. (4) gives an object's I-cache hits as its I-cache fetches
+//!   minus its misses, and the loop counts the misses one by one;
+//! * in a run only the first fetch can miss: the trailing `n − 1` hit
+//!   the line it left resident, since nothing else touches the cache in
+//!   between;
+//! * the cache clock advances once per run, by `n`, and stamps keep
+//!   their values: a FIFO fill carries the run's first fetch's clock,
+//!   an LRU line its last one's, so the order within each set is what
+//!   `n` single fetches leave;
+//! * FIFO, round-robin and `Random(seed)` change state (fill stamp,
+//!   victim counter, RNG draw) only on misses, as before; the
+//!   direct-mapped lookup still asks the victim picker under `Random`,
+//!   so the RNG draws exactly as before;
 //! * the L2, the main-memory line fills, the conflict recorder and the
-//!   per-set fill and eviction tallies see only misses, and the
-//!   [`Recorder`] hooks take the run length as a count.
+//!   per-set fill and eviction tallies see only misses, and
+//!   [`Recorder::cache_access`] takes the run length as a count.
 //!
-//! Runs never cross a block, so a [`Replayer`] layout switch between
-//! segments never splits one. [`InstMemorySystem::fetch`] and
-//! [`Cache::access`] are the one-fetch case of the same path.
+//! A plan holds one layout, so a [`Replayer`] layout switch between
+//! segments takes effect at the next call. Scratchpad banks are checked
+//! when the fold charges an executed block: a layout that puts a block
+//! that never executes in a missing bank replays cleanly.
+//! [`InstMemorySystem::fetch`] and [`Cache::access`] are the one-fetch
+//! case of the same lookup.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -142,21 +142,14 @@ impl LoopCacheController {
     /// Fetch at `addr`: returns `true` and counts the access if served
     /// by the loop cache.
     pub fn access(&mut self, addr: u32) -> bool {
-        self.access_run(addr, 1)
+        let hit = self.contains(addr);
+        self.count(u64::from(hit));
+        hit
     }
 
-    /// Fetch `n` instructions starting at `addr`, all on the same side
-    /// of every range bound (see [`LoopCacheController::run_end`]):
-    /// returns `true` and counts `n` accesses if `addr` is served by
-    /// the loop cache.
-    #[inline]
-    pub(crate) fn access_run(&mut self, addr: u32, n: u64) -> bool {
-        if self.contains(addr) {
-            self.accesses += n;
-            true
-        } else {
-            false
-        }
+    /// Count `n` fetches the loop cache served.
+    pub(crate) fn count(&mut self, n: u64) {
+        self.accesses += n;
     }
 
     /// The first address past `addr` whose fetch may be served

@@ -1,8 +1,13 @@
 //! Fine-grained simulation event recording behind a zero-cost trait.
 //!
-//! The fetch engine reports every cache/SPM/loop-cache event to a
-//! [`Recorder`], one call per run of consecutive fetches served by one
-//! place (see [`crate::fetch`]), with the run's length as a count. The
+//! The fetch engine reports I-cache events to a [`Recorder`] as they
+//! happen: one `cache_access` per run of consecutive fetches of one
+//! line, with the run's length as a count, and one `cache_fill`,
+//! `cache_eviction` and `l2_access` per miss. Scratchpad and loop-cache
+//! service does not depend on history, so a replay reports it as
+//! per-block totals to `spm_access` and `loop_cache_access` when each
+//! [`crate::Replayer::replay`] call ends (see [`crate::fetch`]). Summed,
+//! every tally is what one fetch at a time gives. The
 //! default [`NullRecorder`] has empty inlined methods, so the
 //! uninstrumented path monomorphizes to exactly the old code — no
 //! allocation, no branch. [`SetStatsRecorder`] keeps
@@ -37,13 +42,15 @@ pub trait Recorder {
         let _ = set;
     }
 
-    /// `n` fetches served by scratchpad bank `bank`.
+    /// `n` fetches served by scratchpad bank `bank`. A replay reports a
+    /// block's total when the [`crate::Replayer::replay`] call ends.
     #[inline]
     fn spm_access(&mut self, bank: u8, n: u64) {
         let _ = (bank, n);
     }
 
-    /// `n` fetches served by the loop cache.
+    /// `n` fetches served by the loop cache. A replay reports a
+    /// block's total when the [`crate::Replayer::replay`] call ends.
     #[inline]
     fn loop_cache_access(&mut self, n: u64) {
         let _ = n;

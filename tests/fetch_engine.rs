@@ -1,16 +1,19 @@
-//! Differential test of the line-run fetch engine.
+//! Differential test of the compiled fetch engine.
 //!
 //! `simulate`, `simulate_observed` and segmented `Replayer` sessions
-//! group consecutive fetches served by one place into a single
-//! memory-system call. The reference replay here does none of that: it
-//! issues one `InstMemorySystem::fetch` per `Layout::inst_locations`
-//! entry, applies the trace-exit glue-jump rule itself and attributes
-//! conflict misses through its own `(set, tag)` eviction map. Every
-//! counter, per-object vector, conflict edge, cold miss, base cycle and
-//! per-set recorder tally must agree, on generated programs in ARM and
-//! Thumb mode, under copy and move placements, every replacement policy
-//! at 1, 2 and 4 ways, with and without an L2, with loop-cache preloads
-//! that start and end mid-line, and across layout switches.
+//! compile a block plan per replay call, look each I-cache line run up
+//! once and fold scratchpad, loop-cache, fetch, hit and cycle counts in
+//! from block execution counts. The reference replay here does none of
+//! that: it issues one `InstMemorySystem::fetch` per
+//! `Layout::inst_locations` entry, applies the trace-exit glue-jump
+//! rule itself and attributes conflict misses through its own
+//! `(set, tag)` eviction map. Every counter, per-object vector,
+//! conflict edge, cold miss, base cycle and per-set recorder tally must
+//! agree, on generated programs in ARM and Thumb mode, under copy and
+//! move placements, every replacement policy at 1, 2 and 4 ways, with
+//! and without an L2, with loop-cache preloads that start and end
+//! mid-line, and across layout switches, where the counters must also
+//! be complete after every segment.
 
 use casa::ir::inst::{InstKind, IsaMode};
 use casa::ir::Program;
@@ -377,9 +380,14 @@ fn segmented_replay_with_layout_switches_matches_per_fetch_replay() {
         ];
         let mut reference = Reference::new(c.traces.len(), &config);
         let mut session = Replayer::new(&c.traces, &config).expect("valid config");
-        for (layout, range) in segments {
+        for (k, (layout, range)) in segments.into_iter().enumerate() {
             reference.replay(&c.program, &c.traces, layout, &c.exec, range.clone());
             session.replay(&c.program, &c.traces, layout, &c.exec, range);
+            assert_eq!(
+                session.stats(),
+                reference.sys.stats(),
+                "seed {seed} segment {k}: a replay call leaves its counters complete"
+            );
         }
         session.charge_copy_words(7);
         let out = session.into_outcome();

@@ -29,27 +29,58 @@ fn table() -> EnergyTable {
     }
 }
 
-/// A random conflict graph of `n` objects drawn from an LCG started at
-/// `state`: fetches below 3000, sizes 4..124 bytes, and each ordered
-/// pair, self-pairs included, an edge with probability 1/3.
-fn random_graph(n: usize, mut state: u64) -> ConflictGraph {
-    let mut next = move || {
+/// The LCG the instance generators draw from, started at `state`.
+fn lcg(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         state >> 33
-    };
+    }
+}
+
+/// A random conflict graph of `n` objects drawn from an LCG started at
+/// `state`: fetches below 3000, sizes 4..124 bytes, and each ordered
+/// pair, self-pairs included, an edge with probability 1/3.
+fn random_graph(n: usize, state: u64) -> ConflictGraph {
+    let mut next = lcg(state);
     let fetches: Vec<u64> = (0..n).map(|_| next() % 3000).collect();
     let sizes: Vec<u32> = (0..n).map(|_| (next() % 120 + 4) as u32).collect();
     let mut edges = HashMap::new();
     for i in 0..n {
         for j in 0..n {
-            if next() % 3 == 0 {
+            if next().is_multiple_of(3) {
                 edges.insert((i, j), next() % 400);
             }
         }
     }
     ConflictGraph::from_parts(fetches, sizes, edges)
+}
+
+/// A near-tie instance of `n` objects and its capacity, drawn from an
+/// LCG started at `state`: fetches 2000..2040, sizes of 16, 20 or 24
+/// bytes, each ordered pair, self-pairs included, an edge below 20
+/// with probability 1/4, and a capacity of 30–70% of the total size.
+/// Densities this close put the best subsets within a few percent of
+/// each other, where a search that prunes too eagerly loses the
+/// optimum.
+fn near_tie_graph(n: usize, state: u64) -> (ConflictGraph, u32) {
+    let mut next = lcg(state);
+    let fetches: Vec<u64> = (0..n).map(|_| 2000 + next() % 40).collect();
+    let sizes: Vec<u32> = (0..n)
+        .map(|_| [16, 20, 24][(next() % 3) as usize])
+        .collect();
+    let mut edges = HashMap::new();
+    for i in 0..n {
+        for j in 0..n {
+            if next().is_multiple_of(4) {
+                edges.insert((i, j), next() % 20);
+            }
+        }
+    }
+    let total: u32 = sizes.iter().sum();
+    let cap = total * (30 + next() as u32 % 41) / 100;
+    (ConflictGraph::from_parts(fetches, sizes, edges), cap)
 }
 
 proptest! {
@@ -123,32 +154,38 @@ proptest! {
     /// CasaBb is exact on the CASA model itself: its predicted energy
     /// is the minimum of eq. (11) over every subset that fits (at most
     /// 2^12), its own set fits, and greedy never beats that minimum.
+    /// Each case checks a random instance and a near-tie one.
     #[test]
     fn casa_bb_matches_brute_force_on_the_model(
         n in 2usize..13,
         cap in 0u32..600,
         seed in 0u64..10_000,
+        tie_n in 6usize..13,
     ) {
-        let g = random_graph(n, seed.wrapping_mul(2654435761).wrapping_add(1));
-        let t = table();
-        let m = EnergyModel::new(&g, &t);
-        let used = |on: &[bool]| -> u32 { (0..n).filter(|&i| on[i]).map(|i| g.size_of(i)).sum() };
-        let mut best = f64::INFINITY;
-        for mask in 0u32..1 << n {
-            let on: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
-            if used(&on) <= cap {
-                best = best.min(m.total_energy(&on));
+        let state = seed.wrapping_mul(2654435761).wrapping_add(1);
+        for (g, cap) in [(random_graph(n, state), cap), near_tie_graph(tie_n, state)] {
+            let n = g.len();
+            let t = table();
+            let m = EnergyModel::new(&g, &t);
+            let used =
+                |on: &[bool]| -> u32 { (0..n).filter(|&i| on[i]).map(|i| g.size_of(i)).sum() };
+            let mut best = f64::INFINITY;
+            for mask in 0u32..1 << n {
+                let on: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
+                if used(&on) <= cap {
+                    best = best.min(m.total_energy(&on));
+                }
             }
+            let tol = 1e-6 * best.abs().max(1.0);
+            let bb = allocate_bb(&m, cap);
+            let eb = bb.predicted_energy.expect("casa-bb predicts");
+            prop_assert!((eb - best).abs() < tol, "bb {} vs brute force {} (n {}, capacity {})", eb, best, n, cap);
+            prop_assert!(used(&bb.on_spm) <= cap);
+            let greedy = allocate_greedy(&m, cap);
+            prop_assert!(used(&greedy.on_spm) <= cap);
+            let eg = m.total_energy(&greedy.on_spm);
+            prop_assert!(eg > best - tol, "greedy {} below the optimum {}", eg, best);
         }
-        let tol = 1e-6 * best.abs().max(1.0);
-        let bb = allocate_bb(&m, cap);
-        let eb = bb.predicted_energy.expect("casa-bb predicts");
-        prop_assert!((eb - best).abs() < tol, "bb {} vs brute force {}", eb, best);
-        prop_assert!(used(&bb.on_spm) <= cap);
-        let greedy = allocate_greedy(&m, cap);
-        prop_assert!(used(&greedy.on_spm) <= cap);
-        let eg = m.total_energy(&greedy.on_spm);
-        prop_assert!(eg > best - tol, "greedy {} below the optimum {}", eg, best);
     }
 
     /// Monotonicity: over a *fixed* conflict graph, a larger
