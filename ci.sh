@@ -22,7 +22,7 @@ echo "== benchmark package: cargo test --release --manifest-path perfbench/Cargo
 # schedule, the table1 grid fingerprint). It builds where run.py does.
 CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml
 
-echo "== benchmark answers: table1 (48 walk seeds) and sim-scaled (16) match perfbench/expected; fetch_engine microbenches run"
+echo "== benchmark answers: table1 (48 walk seeds) and sim-scaled (16) match perfbench/expected; fetch_engine and workload_walk microbenches run"
 # Energy, status and final-simulation counters of every cell at every
 # walk seed a run can reach. A faster search or simulator may change
 # node counts and timings, never one of these lines. table1 runs
@@ -35,10 +35,11 @@ for w in table1 sim-scaled; do
   cmp "/tmp/casa_${w}_expected.txt" "perfbench/expected/$w.txt" \
     || { echo "$w outputs differ from perfbench/expected/$w.txt"; exit 1; }
 done
-# The simulator's layer microbenches, filtered to the fetch engine: the
-# initial-layout, loop-cache and final-layout replays must run, not
-# only compile.
+# The simulator's layer microbenches, filtered to the fetch engine and
+# the execution walk: the initial-layout, loop-cache and final-layout
+# replays and the trip-scale-2 walks must run, not only compile.
 cargo bench -q -p casa-bench --bench simulator -- fetch_engine
+cargo bench -q -p casa-bench --bench simulator -- workload_walk
 
 echo "== cargo doc --workspace --no-deps, warnings denied"
 # Every crate's docs, with broken or private intra-doc links as errors:

@@ -1,5 +1,6 @@
 //! Substrate throughput: raw cache accesses, full fetch-engine
-//! replay (the memsim substitute), and trace formation.
+//! replay (the memsim substitute), the execution walk (the ARMulator
+//! substitute), and trace formation.
 
 use casa_bench::experiments::LOOP_CACHE_SLOTS;
 use casa_bench::runner::prepared;
@@ -10,15 +11,21 @@ use casa_mem::cache::{Cache, CacheConfig, ReplacementPolicy};
 use casa_mem::{simulate, HierarchyConfig};
 use casa_trace::trace::{form_traces, TraceConfig};
 use casa_trace::Layout;
-use casa_workloads::mediabench;
+use casa_workloads::{mediabench, Walker};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 fn bench_cache_access(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache/access");
     let addrs: Vec<u32> = (0..4096u32).map(|i| (i * 52) % 16384).collect();
+    // A replay's common case: each line is visited several times in a
+    // row (one address per 4-byte fetch) and loops revisit it soon, so
+    // most lookups repeat the line their set touched last.
+    let repeats: Vec<u32> = (0..4096u32)
+        .map(|i| ((i / 4) % 96) * 16 + (i % 4) * 4 + (i / 384) * 1024)
+        .collect();
     group.throughput(Throughput::Elements(addrs.len() as u64));
-    for (label, cfg) in [
+    let configs = [
         ("dm_2k", CacheConfig::direct_mapped(2048, 16)),
         (
             "4way_2k_lru",
@@ -38,15 +45,35 @@ fn bench_cache_access(c: &mut Criterion) {
                 policy: ReplacementPolicy::RoundRobin,
             },
         ),
+    ];
+    for (suffix, stream) in [("", &addrs), ("_repeat_last_line", &repeats)] {
+        for (label, cfg) in configs {
+            group.bench_function(format!("{label}{suffix}"), |b| {
+                b.iter(|| {
+                    let mut cache = Cache::new(cfg);
+                    for &a in stream {
+                        black_box(cache.access(a));
+                    }
+                    cache.misses()
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+fn bench_workload_walk(c: &mut Criterion) {
+    let mut group = c.benchmark_group("workload_walk");
+    group.sample_size(10);
+    for (label, mut spec) in [
+        ("g721_scale2", mediabench::g721()),
+        ("mpeg_scale2", mediabench::mpeg()),
     ] {
+        spec.scale_trips(2);
+        let w = spec.compile();
+        let walker = Walker::new(&w.program, &w.behaviors);
         group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut cache = Cache::new(cfg);
-                for &a in &addrs {
-                    black_box(cache.access(a));
-                }
-                cache.misses()
-            })
+            b.iter(|| black_box(walker.run(2004).expect("walk exits")))
         });
     }
     group.finish();
@@ -155,6 +182,7 @@ criterion_group!(
     benches,
     bench_cache_access,
     bench_fetch_engine,
+    bench_workload_walk,
     bench_trace_formation
 );
 criterion_main!(benches);

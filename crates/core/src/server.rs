@@ -50,6 +50,7 @@ use casa_mem::cache::{CacheConfig, ReplacementPolicy};
 use casa_obs::{fnv1a_64, jnum, json_escape, ArgValue, Obs, SolveAttribution};
 use serde::json::Value;
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -153,7 +154,11 @@ pub fn parse_allocator(tag: &str) -> Option<AllocatorKind> {
     }
 }
 
-fn uint_field(v: &Value, what: &str) -> Result<u64, String> {
+/// `v` as a non-negative integer. `what` names it in the refusal and
+/// is formatted only then: a graph body holds hundreds of numbers, and
+/// labels such as `graph.edges[k][i]` cost more to build than the
+/// numbers do to check.
+fn uint_field(v: &Value, what: impl fmt::Display) -> Result<u64, String> {
     let n = v
         .as_f64()
         .ok_or_else(|| format!("{what} must be a number"))?;
@@ -173,12 +178,12 @@ fn u32_field(v: &Value, what: &str) -> Result<u32, String> {
     u32::try_from(n).map_err(|_| too_large(what, n))
 }
 
-fn uint_array(v: &Value, what: &str) -> Result<Vec<u64>, String> {
+fn uint_array(v: &Value, what: impl fmt::Display) -> Result<Vec<u64>, String> {
     v.as_array()
         .ok_or_else(|| format!("{what} must be an array"))?
         .iter()
         .enumerate()
-        .map(|(i, x)| uint_field(x, &format!("{what}[{i}]")))
+        .map(|(i, x)| uint_field(x, format_args!("{what}[{i}]")))
         .collect()
 }
 
@@ -197,6 +202,10 @@ fn parse_budget(v: &Value) -> Result<(Option<u64>, Option<u64>), String> {
     Ok((nodes, ms))
 }
 
+fn invalid_geometry(size: u32, line: u32, assoc: u32) -> String {
+    format!("invalid cache geometry: size {size}, line {line}, assoc {assoc}")
+}
+
 fn parse_cache_config(v: &Value) -> Result<CacheConfig, String> {
     let size = u32_field(v.get("size").ok_or("cache.size is required")?, "cache.size")?;
     let line = match v.get("line") {
@@ -207,10 +216,10 @@ fn parse_cache_config(v: &Value) -> Result<CacheConfig, String> {
         Some(a) => u32_field(a, "cache.assoc")?,
         None => 1,
     };
-    if size == 0 || line == 0 || assoc == 0 || !size.is_multiple_of(line) {
-        return Err(format!(
-            "invalid cache geometry: size {size}, line {line}, assoc {assoc}"
-        ));
+    // The energy model prices only a whole number of sets.
+    let set_bytes = line.checked_mul(assoc).unwrap_or(0);
+    if size == 0 || set_bytes == 0 || !size.is_multiple_of(set_bytes) {
+        return Err(invalid_geometry(size, line, assoc));
     }
     Ok(CacheConfig {
         size,
@@ -267,7 +276,7 @@ fn parse_graph(v: &Value) -> Result<ConflictGraph, String> {
     if let Some(raw) = v.get("edges") {
         let raw = raw.as_array().ok_or("graph.edges must be an array")?;
         for (k, e) in raw.iter().enumerate() {
-            let triple = uint_array(e, &format!("graph.edges[{k}]"))?;
+            let triple = uint_array(e, format_args!("graph.edges[{k}]"))?;
             let [i, j, m] = triple[..] else {
                 return Err(format!("graph.edges[{k}] must be [i, j, misses]"));
             };
@@ -398,7 +407,19 @@ pub fn parse_request(body: &str) -> Result<ParsedRequest, RequestError> {
             None => 42,
         };
         let cache = match v.get("cache") {
-            Some(c) => Some(parse_cache_config(c)?),
+            Some(c) => {
+                let cfg = parse_cache_config(c)?;
+                // A workload is simulated, and the simulator maps
+                // addresses with shifts: lines and sets are powers of 2.
+                if !cfg.line_size.is_power_of_two() || !cfg.num_sets().is_power_of_two() {
+                    return Err(RequestError::Invalid(invalid_geometry(
+                        cfg.size,
+                        cfg.line_size,
+                        cfg.associativity,
+                    )));
+                }
+                Some(cfg)
+            }
             None => None,
         };
         return Ok(ParsedRequest::Workload(WorkloadRequest {
@@ -1403,6 +1424,27 @@ mod tests {
                 ),
                 r#"{"error":"graph.edges[0]: bad endpoints (0, 9) for 2 objects"}"#,
             ),
+            // Per-element labels name the offending index.
+            (
+                format!(r#"{{"capacity":64,{c},"graph":{{"fetches":[1,"x"],"sizes":[8,8]}}}}"#),
+                r#"{"error":"graph.fetches[1] must be a number"}"#,
+            ),
+            (
+                format!(r#"{{"capacity":64,{c},"graph":{{"fetches":[1,2],"sizes":[8,1.5]}}}}"#),
+                r#"{"error":"graph.sizes[1] must be a non-negative integer, got 1.5"}"#,
+            ),
+            (
+                format!(
+                    r#"{{"capacity":64,{c},"graph":{{"fetches":[1,2],"sizes":[8,8],"edges":[[0,1,5],7]}}}}"#
+                ),
+                r#"{"error":"graph.edges[1] must be an array"}"#,
+            ),
+            (
+                format!(
+                    r#"{{"capacity":64,{c},"graph":{{"fetches":[1,2],"sizes":[8,8],"edges":[[0,1,5],[1,0,-2]]}}}}"#
+                ),
+                r#"{"error":"graph.edges[1][2] must be a non-negative integer, got -2"}"#,
+            ),
             (
                 r#"{"v":2}"#.into(),
                 r#"{"detail":"unsupported schema version 2","error":"unsupported_version","supported":[1]}"#,
@@ -1438,6 +1480,117 @@ mod tests {
                 Ok(_) => panic!("accepted {body}"),
                 Err(e) => assert_eq!(e.http_body(), *want, "for {body}"),
             }
+        }
+    }
+
+    /// A body shaped like the serve-mix workload's requests: graph form
+    /// with cache geometry, 8–80 objects and twice as many edges.
+    fn serve_mix_body(seed: &mut u64) -> String {
+        let n = 8 + lcg(seed) % 73;
+        let fetches: Vec<String> = (0..n).map(|_| (lcg(seed) % 100_000).to_string()).collect();
+        let sizes: Vec<String> = (0..n)
+            .map(|_| (4 + 4 * (lcg(seed) % 64)).to_string())
+            .collect();
+        let edges: Vec<String> = (0..2 * n)
+            .map(|_| format!("[{},{},{}]", lcg(seed) % n, lcg(seed) % n, lcg(seed) % 5000))
+            .collect();
+        format!(
+            "{{\"v\":1,\"graph\":{{\"fetches\":[{}],\"sizes\":[{}],\"edges\":[{}]}},\"cache\":{{\"size\":{},\"line\":16,\"assoc\":{}}},\"capacity\":{},\"allocator\":\"casa-bb\"}}",
+            fetches.join(","),
+            sizes.join(","),
+            edges.join(","),
+            [1024, 2048][(lcg(seed) % 2) as usize],
+            [1, 4][(lcg(seed) % 2) as usize],
+            64 << (lcg(seed) % 4),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Mutation fuzz of the `/solve` decoder: 1–8 byte flips,
+        /// deletions, truncations or inserted digits, quotes and
+        /// brackets on a serve-mix body. No edit panics, and every
+        /// refusal's 400 body is one JSON object with an `"error"` key.
+        #[test]
+        fn parse_request_survives_mutated_bodies(
+            body_seed in proptest::prelude::any::<u64>(),
+            edits in proptest::collection::vec(
+                (0u8..4, proptest::prelude::any::<u32>(), proptest::prelude::any::<u8>()),
+                1..=8,
+            ),
+        ) {
+            let mut seed = body_seed;
+            let mut bytes = serve_mix_body(&mut seed).into_bytes();
+            for &(kind, at, x) in &edits {
+                let len = bytes.len();
+                let at = at as usize;
+                match kind {
+                    // Both sides are ASCII, so the body stays UTF-8.
+                    0 if len > 0 => bytes[at % len] ^= 1 + x % 127,
+                    1 if len > 0 => {
+                        bytes.remove(at % len);
+                    }
+                    2 => bytes.truncate(at % (len + 1)),
+                    _ => bytes.insert(at % (len + 1), b"0123456789\"[]"[usize::from(x) % 13]),
+                }
+            }
+            let body = String::from_utf8(bytes).expect("edits keep the body ASCII");
+            if let Err(e) = parse_request(&body) {
+                let reply = e.http_body();
+                let parsed = serde::json::parse(&reply);
+                proptest::prop_assert!(
+                    matches!(&parsed, Ok(v) if v.as_object().is_some() && v.get("error").is_some()),
+                    "refusal {reply} for {body}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parse_refuses_cache_geometry_it_cannot_price_or_simulate() {
+        // A size that is a multiple of the line but not of line × assoc
+        // (or a line × assoc past u32) used to panic in the energy
+        // table's geometry assertion instead of refusing the body; a
+        // workload's non-power-of-two line or set count panicked in the
+        // simulator once the workload was resolved.
+        let g = r#""graph":{"fetches":[1,2],"sizes":[8,8]}"#;
+        for (cache, want) in [
+            (
+                r#"{"size":1040,"assoc":4}"#,
+                r#"{"error":"invalid cache geometry: size 1040, line 16, assoc 4"}"#,
+            ),
+            (
+                r#"{"size":1024,"assoc":3}"#,
+                r#"{"error":"invalid cache geometry: size 1024, line 16, assoc 3"}"#,
+            ),
+            (
+                r#"{"size":4294967280,"assoc":4294967295}"#,
+                r#"{"error":"invalid cache geometry: size 4294967280, line 16, assoc 4294967295"}"#,
+            ),
+        ] {
+            let body = format!(r#"{{"capacity":64,"cache":{cache},{g}}}"#);
+            assert_eq!(parse_request(&body).unwrap_err().http_body(), want);
+            let body =
+                format!(r#"{{"capacity":64,"cache":{cache},"workload":{{"benchmark":"adpcm"}}}}"#);
+            assert_eq!(parse_request(&body).unwrap_err().http_body(), want);
+        }
+        for (cache, want) in [
+            (
+                r#"{"size":1200,"line":12}"#,
+                r#"{"error":"invalid cache geometry: size 1200, line 12, assoc 1"}"#,
+            ),
+            (
+                r#"{"size":1536}"#,
+                r#"{"error":"invalid cache geometry: size 1536, line 16, assoc 1"}"#,
+            ),
+        ] {
+            let body =
+                format!(r#"{{"capacity":64,"cache":{cache},"workload":{{"benchmark":"adpcm"}}}}"#);
+            assert_eq!(parse_request(&body).unwrap_err().http_body(), want);
+            // The graph form only prices the geometry, which it can.
+            let body = format!(r#"{{"capacity":64,"cache":{cache},{g}}}"#);
+            assert!(parse_request(&body).is_ok(), "{body}");
         }
     }
 

@@ -110,12 +110,18 @@ pub struct Cache {
     /// Per way, row-major by set: the resident line's tag, or
     /// [`INVALID`].
     tags: Vec<u64>,
-    /// Per way: last-use clock for LRU, fill clock for FIFO. A
-    /// direct-mapped set's one way is always the victim, so there the
-    /// stamp is never read and not kept.
+    /// Per way: the `clock` value of the way's last use for LRU, of
+    /// its fill for FIFO. A direct-mapped set's one way is always the
+    /// victim, so there the stamp is never read and not kept.
     stamps: Vec<u64>,
+    /// Per set of a set-associative cache: the way its last access hit
+    /// or filled, which under LRU holds the set's newest stamp.
+    mru: Vec<u32>,
     rr_counters: Vec<u32>,
     rng: SmallRng,
+    /// Counts the lookups that write a stamp; a stamp is the count at
+    /// the time, so within a set the stamps order the ways by last use
+    /// (LRU) or fill (FIFO).
     clock: u64,
     hits: LocalCounter,
     misses: LocalCounter,
@@ -149,6 +155,7 @@ impl Cache {
             config,
             tags: vec![INVALID; n],
             stamps: vec![0; n],
+            mru: vec![0; config.num_sets() as usize],
             rr_counters: vec![0; config.num_sets() as usize],
             rng: SmallRng::seed_from_u64(seed),
             clock: 0,
@@ -170,57 +177,100 @@ impl Cache {
     /// Access `addr`, updating state. Returns hit/miss plus victim
     /// information for conflict attribution.
     pub fn access(&mut self, addr: u32) -> CacheAccess {
-        self.access_line(self.line_of(addr), 1)
+        let access = self.access_line(self.line_of(addr), 1);
+        self.hits.add(u64::from(access.hit));
+        access
     }
 
     /// Access line `line` (see [`Cache::line_of`]) `n ≥ 1` times in a
     /// row, as `n` calls of [`Cache::access`] on addresses of that
     /// line would: only the first can miss, the other `n − 1` hit the
-    /// line it leaves resident. The clock advances once by `n`, so
-    /// the run's fetches own the clocks up to the new value: a FIFO
-    /// fill is stamped with the first one's, an LRU line with the
-    /// last one's, exactly as `n` single accesses stamp them. Hits
-    /// touch no other replacement state. The returned outcome is the
-    /// first access's.
+    /// line it leaves resident, and hits touch no replacement state
+    /// but an LRU stamp. The returned outcome is the first access's.
+    /// Hits are not counted here: the caller charges them (see
+    /// [`Cache::add_hits`]); misses are.
+    ///
+    /// A direct-mapped lookup compares and replaces its set's one tag
+    /// and keeps no clock, since a one-way set never reads a stamp;
+    /// under `Random` a miss still asks the victim picker, so the RNG
+    /// draws as the set-associative path does. A set-associative
+    /// lookup checks the set's most-recently-used way first. A hit
+    /// there returns without touching stamps: that way already holds
+    /// its set's newest stamp under LRU, and FIFO stamps only fills,
+    /// so the order within the set is what a fresh stamp would leave.
+    /// Any other lookup scans the set, stamps a scan hit (LRU) or a
+    /// fill with the next clock value, and makes that way the set's
+    /// most recently used.
     #[inline]
     pub(crate) fn access_line(&mut self, line: u32, n: u64) -> CacheAccess {
         debug_assert!(n >= 1, "a run holds at least one access");
-        let first = self.clock + 1;
-        self.clock += n;
         let set = line & self.set_mask;
-        let tag = u64::from(line >> self.set_shift);
-        let base = set as usize * self.assoc;
-
-        if self.assoc == 1 {
-            // Direct-mapped: the one way hits or is the victim.
-            let old = self.tags[base];
-            if old == tag {
-                self.hits.add(n);
-                return CacheAccess {
-                    hit: true,
-                    set,
-                    way: 0,
-                    evicted_tag: None,
-                };
-            }
-            self.misses.inc();
-            self.hits.add(n - 1);
-            if matches!(self.config.policy, ReplacementPolicy::Random(_)) {
-                // Keeps the RNG drawing exactly as the set-associative
-                // path does; the victim is way 0 all the same.
-                self.pick_victim(set);
-            }
-            self.tags[base] = tag;
+        if self.in_first_way(line) {
             return CacheAccess {
-                hit: false,
+                hit: true,
                 set,
-                way: 0,
-                evicted_tag: (old != INVALID).then_some(old as u32),
+                way: if self.assoc == 1 {
+                    0
+                } else {
+                    self.mru[set as usize]
+                },
+                evicted_tag: None,
             };
         }
+        let tag = u64::from(line >> self.set_shift);
+        if self.assoc == 1 {
+            self.fill_direct_mapped(set, tag)
+        } else {
+            self.scan(set, tag)
+        }
+    }
 
-        // Hit path: a line sits in at most one way, so the search
-        // needs no early exit (a data-dependent branch per way).
+    /// Whether line `line` sits in the way its set checks first: a
+    /// direct-mapped set's one way, a set-associative set's most
+    /// recently used one (see [`Cache::access_line`]). A lookup that
+    /// hits there changes no cache state, so this is the whole of it.
+    #[inline(always)]
+    pub(crate) fn in_first_way(&self, line: u32) -> bool {
+        let set = (line & self.set_mask) as usize;
+        let slot = if self.assoc == 1 {
+            set
+        } else {
+            set * self.assoc + self.mru[set] as usize
+        };
+        self.tags[slot] == u64::from(line >> self.set_shift)
+    }
+
+    /// The set line `line` maps to.
+    #[inline(always)]
+    pub(crate) fn set_of(&self, line: u32) -> u32 {
+        line & self.set_mask
+    }
+
+    /// The miss side of a direct-mapped [`Cache::access_line`].
+    fn fill_direct_mapped(&mut self, set: u32, tag: u64) -> CacheAccess {
+        self.misses.inc();
+        if matches!(self.config.policy, ReplacementPolicy::Random(_)) {
+            // Keeps the RNG drawing exactly as the set-associative
+            // path does; the victim is way 0 all the same.
+            self.pick_victim(set);
+        }
+        let old = std::mem::replace(&mut self.tags[set as usize], tag);
+        CacheAccess {
+            hit: false,
+            set,
+            way: 0,
+            evicted_tag: (old != INVALID).then_some(old as u32),
+        }
+    }
+
+    /// A set-associative lookup that missed the set's MRU way: search
+    /// the other ways, then fill a victim on a miss.
+    #[inline(never)]
+    fn scan(&mut self, set: u32, tag: u64) -> CacheAccess {
+        let base = set as usize * self.assoc;
+        self.clock += 1;
+        // A line sits in at most one way, so the search needs no early
+        // exit (a data-dependent branch per way).
         let mut hit_way = None;
         for (w, &t) in self.tags[base..base + self.assoc].iter().enumerate() {
             if t == tag {
@@ -231,7 +281,7 @@ impl Cache {
             if self.lru {
                 self.stamps[base + w] = self.clock;
             }
-            self.hits.add(n);
+            self.mru[set as usize] = w as u32;
             return CacheAccess {
                 hit: true,
                 set,
@@ -240,18 +290,23 @@ impl Cache {
             };
         }
 
-        // Miss: fill a victim way, then the trailing hits.
         self.misses.inc();
-        self.hits.add(n - 1);
         let victim = self.pick_victim(set);
         let old = std::mem::replace(&mut self.tags[base + victim], tag);
-        self.stamps[base + victim] = if self.lru { self.clock } else { first };
+        self.stamps[base + victim] = self.clock;
+        self.mru[set as usize] = victim as u32;
         CacheAccess {
             hit: false,
             set,
             way: victim as u32,
             evicted_tag: (old != INVALID).then_some(old as u32),
         }
+    }
+
+    /// Count `n` hits that [`Cache::access_line`] left to its caller.
+    #[inline]
+    pub(crate) fn add_hits(&mut self, n: u64) {
+        self.hits.add(n);
     }
 
     /// The first address past `addr`'s cache line.

@@ -254,21 +254,21 @@ impl<R: Recorder> Replayer<R> {
         let blocks = exec.blocks();
         assert!(range.end <= blocks.len(), "segment out of bounds");
         let plan = Plan::new(program, traces, layout, &self.system);
-        let mut counts = vec![0u64; plan.blocks.len()];
-        let mut glue_counts = vec![0u64; plan.blocks.len()];
+        let mut counts = vec![0u64; plan.steps.len()];
+        let mut glue_counts = vec![0u64; plan.steps.len()];
         let misses_before = self.trace_misses.clone();
         for pos in range {
             let b = blocks[pos].index();
-            let p = &plan.blocks[b];
+            let step = &plan.steps[b];
             counts[b] += 1;
-            for run in &plan.runs[p.runs.0 as usize..p.runs.1 as usize] {
-                self.cache_run(p.obj, run.line, u64::from(run.n));
+            for run in &plan.runs[step.runs.0 as usize..step.runs.1 as usize] {
+                self.cache_run(step.obj, run.line, u64::from(run.n));
             }
-            if let Some((next, place)) = p.glue {
+            if let Some((next, place)) = step.glue {
                 if blocks.get(pos + 1) == Some(&next) {
                     glue_counts[b] += 1;
                     if let Place::Cache(line) = place {
-                        self.cache_run(p.obj, line, 1);
+                        self.cache_run(step.obj, line, 1);
                     }
                 }
             }
@@ -277,9 +277,19 @@ impl<R: Recorder> Replayer<R> {
     }
 
     /// `n` I-cache fetches of `line` by object `obj`, with conflict
-    /// attribution of a miss.
-    #[inline]
+    /// attribution of a miss. A hit in the way the line's set checks
+    /// first is the whole lookup and stays in the loop.
+    #[inline(always)]
     fn cache_run(&mut self, obj: u32, line: u32, n: u64) {
+        if !self.system.cache_run_hits_first_way(line, n) {
+            self.cache_run_rest(obj, line, n);
+        }
+    }
+
+    /// Every other lookup: a set scan or a miss, which also counts the
+    /// object's miss and hands it to the conflict recorder.
+    #[inline(never)]
+    fn cache_run_rest(&mut self, obj: u32, line: u32, n: u64) {
         let access = self.system.cache_run(line, n);
         if !access.hit {
             let ti = obj as usize;
@@ -298,11 +308,17 @@ impl<R: Recorder> Replayer<R> {
         let jump_cycles = u64::from(InstKind::Jump.base_cycles());
         let mut cache = vec![0u64; self.trace_fetches.len()];
         let mut fetches = 0;
-        for ((p, &c), &g) in plan.blocks.iter().zip(counts).zip(glue_counts) {
+        for (((step, p), &c), &g) in plan
+            .steps
+            .iter()
+            .zip(&plan.blocks)
+            .zip(counts)
+            .zip(glue_counts)
+        {
             if c == 0 {
                 continue;
             }
-            let ti = p.obj as usize;
+            let ti = step.obj as usize;
             let f = c * u64::from(p.fetches);
             self.trace_fetches[ti] += f + g;
             fetches += f + g;
@@ -322,7 +338,7 @@ impl<R: Recorder> Replayer<R> {
                     cache[ti] += c * u64::from(p.cache);
                 }
             }
-            match p.glue {
+            match step.glue {
                 _ if g == 0 => {}
                 Some((_, Place::Spm(bank, addr))) => {
                     self.system.spm_fetches(bank, addr, g);
@@ -401,11 +417,23 @@ struct Run {
     n: u32,
 }
 
-/// How one static block is fetched under one layout and memory system.
+/// What the replay loop reads per executed block.
 #[derive(Debug, Clone, Copy)]
-struct BlockPlan {
+struct Step {
     /// The block's memory object.
     obj: u32,
+    /// The block's I-cache runs: `runs.0..runs.1` of [`Plan::runs`].
+    runs: (u32, u32),
+    /// For the last block of a trace with a glue jump: the fall-through
+    /// successor whose execution next fetches the glue jump, and where
+    /// it is fetched from.
+    glue: Option<(BlockId, Place)>,
+}
+
+/// The rest of how one static block is fetched under one layout and
+/// memory system: what only the fold reads.
+#[derive(Debug, Clone, Copy)]
+struct BlockPlan {
     /// Instruction fetches of one execution.
     fetches: u32,
     /// Base cycles of one execution.
@@ -414,19 +442,15 @@ struct BlockPlan {
     /// address an execution fetches.
     spm: Option<(u8, u32)>,
     /// For a block in main memory: the fetches of one execution the
-    /// loop cache serves, and those the I-cache serves ...
+    /// loop cache serves, and those the I-cache serves.
     lc: u32,
     cache: u32,
-    /// ... as the runs `runs.0..runs.1` of [`Plan::runs`].
-    runs: (u32, u32),
-    /// For the last block of a trace with a glue jump: the fall-through
-    /// successor whose execution next fetches the glue jump, and where
-    /// it is fetched from.
-    glue: Option<(BlockId, Place)>,
 }
 
-/// Every static block's [`BlockPlan`], indexed by block id.
+/// Every static block's [`Step`] and [`BlockPlan`], indexed by block
+/// id.
 struct Plan {
+    steps: Vec<Step>,
     blocks: Vec<BlockPlan>,
     runs: Vec<Run>,
 }
@@ -450,7 +474,7 @@ impl Plan {
             Region::Main => Place::Cache(cache.line_of(loc.addr)),
         };
         let mut runs = Vec::new();
-        let blocks = program
+        let (steps, blocks) = program
             .blocks()
             .iter()
             .map(|block| {
@@ -497,8 +521,12 @@ impl Plan {
                     }
                     _ => None,
                 };
-                BlockPlan {
+                let step = Step {
                     obj: tid.index() as u32,
+                    runs: (first_run, runs.len() as u32),
+                    glue,
+                };
+                let plan = BlockPlan {
                     fetches: block.insts().len() as u32,
                     cycles,
                     spm: match start.region {
@@ -507,12 +535,15 @@ impl Plan {
                     },
                     lc,
                     cache: in_cache,
-                    runs: (first_run, runs.len() as u32),
-                    glue,
-                }
+                };
+                (step, plan)
             })
-            .collect();
-        Plan { blocks, runs }
+            .unzip();
+        Plan {
+            steps,
+            blocks,
+            runs,
+        }
     }
 }
 

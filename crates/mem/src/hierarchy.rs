@@ -240,21 +240,23 @@ impl<R: Recorder> InstMemorySystem<R> {
     }
 
     /// Charge `accesses` I-cache fetches, `hits` of them hits, to the
-    /// access and hit counters. [`Self::cache_run`] leaves both to its
-    /// caller.
+    /// access and hit counters and to [`Cache::hits`].
+    /// [`Self::cache_run`] leaves all three to its caller.
     #[inline]
     pub(crate) fn charge_cache_fetches(&mut self, accesses: u64, hits: u64) {
         self.counters.cache_accesses.add(accesses);
         self.counters.cache_hits.add(hits);
+        self.cache.add_hits(hits);
     }
 
     /// Fetch line `line` `n ≥ 1` times in a row from the I-cache, as
     /// `n` single fetches would: one lookup, of which only the first
     /// fetch can miss; the recorder's access event; and on a miss the
-    /// miss counter, the recorder's fill and eviction events and the
+    /// miss counters, the recorder's fill and eviction events and the
     /// line fill from the L2 or main memory. The returned outcome is
-    /// the first fetch's. The access and hit counters are charged by
-    /// the caller (see [`Self::charge_cache_fetches`]).
+    /// the first fetch's. The access and hit counters, the cache's own
+    /// included, are charged by the caller (see
+    /// [`Self::charge_cache_fetches`]).
     #[inline]
     pub(crate) fn cache_run(&mut self, line: u32, n: u64) -> CacheAccess {
         let access = self.cache.access_line(line, n);
@@ -263,6 +265,19 @@ impl<R: Recorder> InstMemorySystem<R> {
             self.line_fill(line, &access);
         }
         access
+    }
+
+    /// The hit path of [`Self::cache_run`]: whether line `line` hits
+    /// the way its set checks first, a lookup that changes no cache
+    /// state. On `true` the recorder has seen the `n` hits and nothing
+    /// else is left to do; on `false` nothing has happened yet.
+    #[inline(always)]
+    pub(crate) fn cache_run_hits_first_way(&mut self, line: u32, n: u64) -> bool {
+        let hit = self.cache.in_first_way(line);
+        if hit {
+            self.recorder.cache_access(self.cache.set_of(line), n, true);
+        }
+        hit
     }
 
     /// The miss side of [`Self::cache_run`].
@@ -341,6 +356,9 @@ mod tests {
         // One miss = one 16-byte line fill = 4 words.
         assert_eq!(sys.stats().main_word_accesses, 4);
         assert!(sys.stats().is_consistent());
+        // The cache's own counters agree once the fetch has returned.
+        assert_eq!(sys.cache().hits(), sys.stats().cache_hits);
+        assert_eq!(sys.cache().misses(), sys.stats().cache_misses);
     }
 
     #[test]

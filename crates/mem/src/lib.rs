@@ -30,24 +30,36 @@
 //! line, split where a loop-cache preload range starts or ends inside
 //! it) and its trace-exit glue jump. The loop over the execution keeps
 //! only the work that depends on history: one execution count per
-//! block, one cache lookup per I-cache run and the glue-jump check.
-//! Everything else is folded in from the block counts before the call
-//! returns. The result is identical, counter for counter, to one fetch
-//! at a time under every replacement policy:
+//! block, one cache lookup per I-cache run and the glue-jump check. It
+//! reads one compact entry per executed block (the object, the run
+//! range and the glue successor); only the fold reads the rest of the
+//! plan, and set scans and misses run out of line. Everything else is
+//! folded in from the block counts before the call returns. The result
+//! is identical, counter for counter, to one fetch at a time under
+//! every replacement policy:
 //!
 //! * scratchpad and loop-cache service depends only on the address and
 //!   the system, never on history, so their counters, `trace_spm`,
 //!   `trace_lc`, `trace_fetches` and `base_cycles` are block counts
 //!   times per-block constants;
 //! * eq. (4) gives an object's I-cache hits as its I-cache fetches
-//!   minus its misses, and the loop counts the misses one by one;
+//!   minus its misses, and the loop counts the misses one by one; the
+//!   lookup counts no hits, and the fold charges the call's hit total
+//!   to the counters and to [`Cache::hits`], so every counter is exact
+//!   when the call returns;
 //! * in a run only the first fetch can miss: the trailing `n − 1` hit
 //!   the line it left resident, since nothing else touches the cache in
 //!   between;
-//! * the cache clock advances once per run, by `n`, and stamps keep
-//!   their values: a FIFO fill carries the run's first fetch's clock,
-//!   an LRU line its last one's, so the order within each set is what
-//!   `n` single fetches leave;
+//! * a direct-mapped lookup compares and replaces its set's one tag and
+//!   keeps no clock: a one-way set never reads a stamp;
+//! * a set-associative lookup checks the set's most-recently-used way
+//!   first, and a hit there touches nothing: under LRU that way already
+//!   holds the set's newest stamp, and FIFO stamps only fills, so the
+//!   order within the set is what a fresh stamp would leave. Any other
+//!   lookup scans the set, stamps a scan hit (LRU) or a fill with the
+//!   next value of a count of such stamps, and records that way as the
+//!   most recently used. Stamps are only compared within a set, so
+//!   their order is the one per-fetch clocks leave;
 //! * FIFO, round-robin and `Random(seed)` change state (fill stamp,
 //!   victim counter, RNG draw) only on misses, as before; the
 //!   direct-mapped lookup still asks the victim picker under `Random`,

@@ -1,101 +1,158 @@
 //! Property test: the production cache against a naive reference
-//! model (association lists, no clever indexing) across policies.
+//! model (one slot per physical way, linear scans, no clever indexing)
+//! across all four replacement policies.
 
 use casa_mem::cache::{Cache, CacheConfig, ReplacementPolicy};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// A resident line: its tag, last-use time and fill time.
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    tag: u32,
+    last_use: u64,
+    filled: u64,
+}
 
 /// Straight-line reference implementation of a set-associative cache.
+/// It keeps physical ways, so round-robin and random victims, which
+/// name a way rather than a line, can be mirrored exactly: an invalid
+/// way first (round-robin's counter moves past it), then the least
+/// recently used or oldest line, the set's counter, or a draw from the
+/// seeded RNG.
 struct ReferenceCache {
     cfg: CacheConfig,
-    /// Per set: (tag, last_use, fill_time) in no particular order.
-    sets: Vec<Vec<(u32, u64, u64)>>,
+    /// Per set, per way.
+    sets: Vec<Vec<Option<Line>>>,
+    rr: Vec<usize>,
+    rng: SmallRng,
     clock: u64,
+    hits: u64,
+    misses: u64,
 }
 
 impl ReferenceCache {
     fn new(cfg: CacheConfig) -> Self {
+        let seed = match cfg.policy {
+            ReplacementPolicy::Random(s) => s,
+            _ => 0,
+        };
         ReferenceCache {
             cfg,
-            sets: vec![Vec::new(); cfg.num_sets() as usize],
+            sets: vec![vec![None; cfg.associativity as usize]; cfg.num_sets() as usize],
+            rr: vec![0; cfg.num_sets() as usize],
+            rng: SmallRng::seed_from_u64(seed),
             clock: 0,
+            hits: 0,
+            misses: 0,
         }
     }
 
-    /// Returns (hit, evicted_tag).
-    fn access(&mut self, addr: u32) -> (bool, Option<u32>) {
+    /// Returns (hit, way, evicted_tag).
+    fn access(&mut self, addr: u32) -> (bool, u32, Option<u32>) {
         self.clock += 1;
         let set = self.cfg.map(addr) as usize;
         let tag = self.cfg.tag(addr);
         let assoc = self.cfg.associativity as usize;
-        if let Some(entry) = self.sets[set].iter_mut().find(|e| e.0 == tag) {
+        let ways = &mut self.sets[set];
+        if let Some(w) = ways.iter().position(|l| l.is_some_and(|l| l.tag == tag)) {
             if matches!(self.cfg.policy, ReplacementPolicy::Lru) {
-                entry.1 = self.clock;
+                ways[w].as_mut().unwrap().last_use = self.clock;
             }
-            return (true, None);
+            self.hits += 1;
+            return (true, w as u32, None);
         }
-        // Miss.
-        let evicted = if self.sets[set].len() < assoc {
-            None
-        } else {
-            let victim_idx = match self.cfg.policy {
-                ReplacementPolicy::Lru => self.sets[set]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.1)
-                    .map(|(i, _)| i)
-                    .unwrap(),
-                ReplacementPolicy::Fifo => self.sets[set]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.2)
-                    .map(|(i, _)| i)
-                    .unwrap(),
-                ReplacementPolicy::RoundRobin | ReplacementPolicy::Random(_) => {
-                    unreachable!("not tested against the reference")
-                }
-            };
-            Some(self.sets[set].remove(victim_idx).0)
+        self.misses += 1;
+        let oldest = |key: fn(&Line) -> u64| {
+            (0..assoc)
+                .min_by_key(|&w| key(ways[w].as_ref().unwrap()))
+                .unwrap()
         };
-        self.sets[set].push((tag, self.clock, self.clock));
-        (false, evicted)
+        let victim = match ways.iter().position(Option::is_none) {
+            Some(w) => {
+                if matches!(self.cfg.policy, ReplacementPolicy::RoundRobin) {
+                    self.rr[set] = (w + 1) % assoc;
+                }
+                w
+            }
+            None => match self.cfg.policy {
+                ReplacementPolicy::Lru => oldest(|l| l.last_use),
+                ReplacementPolicy::Fifo => oldest(|l| l.filled),
+                ReplacementPolicy::RoundRobin => {
+                    let w = self.rr[set];
+                    self.rr[set] = (w + 1) % assoc;
+                    w
+                }
+                ReplacementPolicy::Random(_) => self.rng.gen_range(0..assoc),
+            },
+        };
+        let evicted = ways[victim].map(|l| l.tag);
+        ways[victim] = Some(Line {
+            tag,
+            last_use: self.clock,
+            filled: self.clock,
+        });
+        (false, victim as u32, evicted)
     }
 }
 
+/// An address stream biased the way an instruction replay is: an op
+/// `(kind, x)` with `kind < 3` revisits the line its set (`x` modulo
+/// the set count) touched last, at some offset in the line; any other
+/// op fetches `x` itself.
+fn biased_stream(cfg: &CacheConfig, ops: &[(u32, u32)]) -> Vec<u32> {
+    let mut last: Vec<Option<u32>> = vec![None; cfg.num_sets() as usize];
+    ops.iter()
+        .map(|&(kind, x)| {
+            let addr = match last[(x % cfg.num_sets()) as usize] {
+                Some(line) if kind < 3 => line * cfg.line_size + x % cfg.line_size,
+                _ => x,
+            };
+            last[cfg.map(addr) as usize] = Some(addr / cfg.line_size);
+            addr
+        })
+        .collect()
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn cache_matches_reference(
-        addrs in prop::collection::vec(0u32..4096, 1..300),
+        ops in prop::collection::vec((0u32..5, 0u32..4096), 1..400),
         size_pow in 6u32..12,
         line_pow in 2u32..6,
-        assoc_pow in 0u32..3,
-        policy_idx in 0usize..2,
+        assoc_pow in 0u32..4,
+        policy_idx in 0usize..4,
+        seed in any::<u64>(),
     ) {
         let line = 1u32 << line_pow;
         let assoc = 1u32 << assoc_pow;
         let size = (1u32 << size_pow).max(line * assoc);
-        // Round-robin is excluded: its victim choice depends on the
-        // physical way index, which an order-free reference cannot
-        // mirror; RR has dedicated unit tests in `cache.rs`.
         let policy = [
             ReplacementPolicy::Lru,
             ReplacementPolicy::Fifo,
+            ReplacementPolicy::RoundRobin,
+            ReplacementPolicy::Random(seed),
         ][policy_idx];
         let cfg = CacheConfig { size, line_size: line, associativity: assoc, policy };
         let mut real = Cache::new(cfg);
         let mut reference = ReferenceCache::new(cfg);
-        for (k, &a) in addrs.iter().enumerate() {
+        for (k, &a) in biased_stream(&cfg, &ops).iter().enumerate() {
             let got = real.access(a);
-            let (hit, _evicted) = reference.access(a);
+            let want = reference.access(a);
             prop_assert_eq!(
-                got.hit, hit,
-                "access #{} addr {} under {:?}: real {} vs reference {}",
-                k, a, cfg, got.hit, hit
+                (got.hit, got.way, got.evicted_tag),
+                want,
+                "access #{} addr {} under {:?}",
+                k, a, cfg
             );
         }
-        let miss_count = addrs.len() as u64;
-        prop_assert_eq!(real.hits() + real.misses(), miss_count);
+        prop_assert_eq!(
+            (real.hits(), real.misses()),
+            (reference.hits, reference.misses)
+        );
     }
 
     /// Round-robin victim choice differs from LRU in general, but hit

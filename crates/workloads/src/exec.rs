@@ -7,6 +7,13 @@
 //! given `(workload, seed)` pair always produces the identical
 //! execution — which lets every allocator be evaluated on exactly the
 //! same dynamic instruction stream.
+//!
+//! The walk runs once per executed block, so its per-block state is
+//! dense: branch behaviours, loop counters, block counts and the
+//! counts of each block's two outgoing arms live in vectors indexed by
+//! block id. The [`Profile`] is built once, when the walk exits, from
+//! the non-zero counts; the RNG is drawn in execution order, one draw
+//! per evaluated probabilistic branch, so a seed names one execution.
 
 use crate::spec::Workload;
 use casa_ir::inst::InstKind;
@@ -93,17 +100,40 @@ impl<'a> Walker<'a> {
     /// sequence and the execution profile (consistent with each other
     /// by construction).
     ///
+    /// The walk keeps per-block state in vectors indexed by block id:
+    /// the branch behaviours (behaviour entries naming blocks past the
+    /// program's last are never consulted), the loop counters, the
+    /// execution counts and, per block, the traversals of its
+    /// taken-or-only arm and of its fall-through arm. A call's arm is
+    /// its return-to block (the profile's edges are intra-procedural
+    /// and must satisfy flow conservation against the CFG's successor
+    /// lists); returns and exits have none. The profile gets one
+    /// `add_block` and one `add_edge` per non-zero count when the walk
+    /// exits, so a branch whose two arms name the same block merges
+    /// into one edge. Probabilistic branches and branches without a
+    /// behaviour draw from the seeded RNG in execution order.
+    ///
     /// # Errors
     ///
     /// [`WalkError::StepLimit`] if the program does not exit within
     /// `max_steps` blocks; [`WalkError::ReturnWithoutCall`] on a
     /// malformed call structure.
     pub fn run(&self, seed: u64) -> Result<(ExecutionTrace, Profile), WalkError> {
+        let blocks = self.program.blocks();
+        let mut behaviors = vec![None; blocks.len()];
+        for (&b, &behavior) in self.behaviors {
+            if let Some(slot) = behaviors.get_mut(b.index()) {
+                *slot = Some(behavior);
+            }
+        }
+        let mut loop_counters = vec![0u64; blocks.len()];
+        let mut counts = vec![0u64; blocks.len()];
+        // Per block: traversals of the taken-or-only arm, then of the
+        // fall-through arm.
+        let mut arms = vec![[0u64; 2]; blocks.len()];
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut seq: Vec<BlockId> = Vec::new();
-        let mut profile = Profile::new();
         let mut stack: Vec<BlockId> = Vec::new();
-        let mut loop_counters: HashMap<BlockId, u64> = HashMap::new();
 
         let mut cur = self.program.function(self.program.entry()).entry();
         let mut steps: u64 = 0;
@@ -115,53 +145,65 @@ impl<'a> Walker<'a> {
                 });
             }
             seq.push(cur);
-            profile.add_block(cur, 1);
-            let term = self.program.block(cur).terminator();
-            let next = match term {
-                Terminator::FallThrough { next } | Terminator::Jump { target: next } => Some(next),
+            let b = cur.index();
+            counts[b] += 1;
+            cur = match blocks[b].terminator() {
+                Terminator::FallThrough { next } | Terminator::Jump { target: next } => {
+                    arms[b][0] += 1;
+                    next
+                }
                 Terminator::Branch { taken, fallthrough } => {
-                    let take = match self.behaviors.get(&cur) {
+                    let take = match behaviors[b] {
                         Some(BranchBehavior::Prob { taken: p }) => rng.gen_bool(p.clamp(0.0, 1.0)),
                         Some(BranchBehavior::Loop {
                             trips,
                             taken_is_exit,
                         }) => {
-                            let c = loop_counters.entry(cur).or_insert(0);
-                            let exit_now = *c >= *trips;
+                            let c = &mut loop_counters[b];
+                            let exit_now = *c >= trips;
                             *c = if exit_now { 0 } else { *c + 1 };
-                            exit_now == *taken_is_exit
+                            exit_now == taken_is_exit
                         }
                         None => rng.gen_bool(0.5),
                     };
-                    Some(if take { taken } else { fallthrough })
+                    arms[b][usize::from(!take)] += 1;
+                    if take {
+                        taken
+                    } else {
+                        fallthrough
+                    }
                 }
                 Terminator::Call { callee, return_to } => {
                     stack.push(return_to);
-                    // The profile's edges are intra-procedural (they
-                    // must satisfy flow conservation against the CFG's
-                    // successor lists), so a call's edge goes to its
-                    // return-to block, not into the callee.
-                    profile.add_edge(cur, return_to, 1);
-                    cur = self.program.function(callee).entry();
-                    continue;
+                    arms[b][0] += 1;
+                    self.program.function(callee).entry()
                 }
-                Terminator::Return => match stack.pop() {
-                    Some(r) => {
-                        // Return edges are implicit (the CFG gives
-                        // Return no successors), so no edge is
-                        // recorded.
-                        cur = r;
-                        continue;
-                    }
-                    None => return Err(WalkError::ReturnWithoutCall { block: cur }),
-                },
-                Terminator::Exit => None,
+                Terminator::Return => stack
+                    .pop()
+                    .ok_or(WalkError::ReturnWithoutCall { block: cur })?,
+                Terminator::Exit => break,
             };
-            if let Some(n) = next {
-                profile.add_edge(cur, n, 1);
-                cur = n;
-            } else {
-                break;
+        }
+
+        let mut profile = Profile::new();
+        for ((block, &count), &[first, second]) in blocks.iter().zip(&counts).zip(&arms) {
+            if count == 0 {
+                continue;
+            }
+            let id = block.id();
+            profile.add_block(id, count);
+            let (first_to, second_to) = match block.terminator() {
+                Terminator::FallThrough { next } | Terminator::Jump { target: next } => {
+                    (Some(next), None)
+                }
+                Terminator::Branch { taken, fallthrough } => (Some(taken), Some(fallthrough)),
+                Terminator::Call { return_to, .. } => (Some(return_to), None),
+                Terminator::Return | Terminator::Exit => (None, None),
+            };
+            for (to, n) in [(first_to, first), (second_to, second)] {
+                if let Some(to) = to.filter(|_| n > 0) {
+                    profile.add_edge(id, to, n);
+                }
             }
         }
         Ok((ExecutionTrace::new(seq), profile))
@@ -222,8 +264,182 @@ impl<'a> Walker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::{random_spec, GeneratorConfig};
     use crate::spec::{BenchmarkSpec, Element, FunctionSpec};
-    use casa_ir::IsaMode;
+    use casa_ir::{IsaMode, ProgramBuilder};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The walk with hash-keyed state, one profile update per step and
+    /// one per edge: the reference the dense walk must equal.
+    fn reference_run(
+        program: &Program,
+        behaviors: &HashMap<BlockId, BranchBehavior>,
+        max_steps: u64,
+        seed: u64,
+    ) -> Result<(ExecutionTrace, Profile), WalkError> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut seq = Vec::new();
+        let mut counts: BTreeMap<BlockId, u64> = BTreeMap::new();
+        let mut edges: BTreeMap<(BlockId, BlockId), u64> = BTreeMap::new();
+        let mut stack = Vec::new();
+        let mut loop_counters: HashMap<BlockId, u64> = HashMap::new();
+        let mut cur = program.function(program.entry()).entry();
+        let mut steps = 0;
+        loop {
+            steps += 1;
+            if steps > max_steps {
+                return Err(WalkError::StepLimit { limit: max_steps });
+            }
+            seq.push(cur);
+            *counts.entry(cur).or_insert(0) += 1;
+            let next = match program.block(cur).terminator() {
+                Terminator::FallThrough { next } | Terminator::Jump { target: next } => Some(next),
+                Terminator::Branch { taken, fallthrough } => {
+                    let take = match behaviors.get(&cur) {
+                        Some(BranchBehavior::Prob { taken: p }) => rng.gen_bool(p.clamp(0.0, 1.0)),
+                        Some(BranchBehavior::Loop {
+                            trips,
+                            taken_is_exit,
+                        }) => {
+                            let c = loop_counters.entry(cur).or_insert(0);
+                            let exit_now = *c >= *trips;
+                            *c = if exit_now { 0 } else { *c + 1 };
+                            exit_now == *taken_is_exit
+                        }
+                        None => rng.gen_bool(0.5),
+                    };
+                    Some(if take { taken } else { fallthrough })
+                }
+                Terminator::Call { callee, return_to } => {
+                    stack.push(return_to);
+                    *edges.entry((cur, return_to)).or_insert(0) += 1;
+                    cur = program.function(callee).entry();
+                    continue;
+                }
+                Terminator::Return => match stack.pop() {
+                    Some(r) => {
+                        cur = r;
+                        continue;
+                    }
+                    None => return Err(WalkError::ReturnWithoutCall { block: cur }),
+                },
+                Terminator::Exit => None,
+            };
+            let Some(n) = next else { break };
+            *edges.entry((cur, n)).or_insert(0) += 1;
+            cur = n;
+        }
+        let mut profile = Profile::new();
+        for (b, c) in counts {
+            profile.add_block(b, c);
+        }
+        for ((from, to), c) in edges {
+            profile.add_edge(from, to, c);
+        }
+        Ok((ExecutionTrace::new(seq), profile))
+    }
+
+    /// The dense walk and the reference agree on `(program,
+    /// behaviors)` at `seed`, under the default step limit and a
+    /// 100-step one.
+    fn assert_matches_reference(
+        program: &Program,
+        behaviors: &HashMap<BlockId, BranchBehavior>,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let mut walker = Walker::new(program, behaviors);
+        for max_steps in [walker.max_steps, 100] {
+            walker.max_steps = max_steps;
+            let got = walker.run(seed);
+            let want = reference_run(program, behaviors, max_steps, seed);
+            prop_assert!(
+                got == want,
+                "seed {seed}, max_steps {max_steps}: walk {:?} vs reference {:?}",
+                got.as_ref().map(|(e, p)| (e.len(), p.blocks().count())),
+                want.as_ref().map(|(e, p)| (e.len(), p.blocks().count()))
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random programs, also with behaviours dropped (their
+        /// branches draw 50/50) and with entries naming blocks past
+        /// the program's end (never consulted).
+        #[test]
+        fn walk_equals_the_reference_on_random_programs(
+            spec_seed in any::<u64>(),
+            walk_seed in any::<u64>(),
+            dropped in any::<u64>(),
+        ) {
+            let w = random_spec(spec_seed, &GeneratorConfig::default()).compile();
+            assert_matches_reference(&w.program, &w.behaviors, walk_seed)?;
+            let n = w.program.blocks().len() as u32;
+            let mut behaviors: HashMap<BlockId, BranchBehavior> = w
+                .behaviors
+                .iter()
+                .filter(|(b, _)| dropped >> (b.index() % 64) & 1 == 0)
+                .map(|(&b, &behavior)| (b, behavior))
+                .collect();
+            behaviors.insert(BlockId::from_raw(n), BranchBehavior::Prob { taken: 0.5 });
+            behaviors.insert(
+                BlockId::from_raw(n + 7),
+                BranchBehavior::Loop { trips: 3, taken_is_exit: true },
+            );
+            assert_matches_reference(&w.program, &behaviors, walk_seed)?;
+        }
+    }
+
+    #[test]
+    fn walk_equals_the_reference_on_the_mediabench_programs() {
+        for spec in [crate::adpcm(), crate::g721(), crate::mpeg(), crate::epic()] {
+            for scale in [1, 2] {
+                let mut spec = spec.clone();
+                spec.scale_trips(scale);
+                let w = spec.compile();
+                for seed in [2004, 7, 11] {
+                    assert_matches_reference(&w.program, &w.behaviors, seed)
+                        .unwrap_or_else(|e| panic!("{} at scale {scale}: {e}", spec.name));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn branch_with_identical_arms_merges_into_one_edge() {
+        let mut bld = ProgramBuilder::new(IsaMode::Arm);
+        let f = bld.function("main");
+        let (head, join) = (bld.block(f), bld.block(f));
+        bld.push_n(head, InstKind::Alu, 2);
+        bld.branch(head, join, join);
+        bld.push(join, InstKind::Alu);
+        bld.exit(join);
+        let program = bld.finish().unwrap();
+        let none = HashMap::new();
+        let (_, profile) = Walker::new(&program, &none).run(5).unwrap();
+        assert_eq!(profile.edge_count(head, join), 1);
+        assert_eq!(profile.edges().count(), 1);
+        assert_matches_reference(&program, &none, 5).unwrap();
+    }
+
+    #[test]
+    fn return_without_call_matches_the_reference() {
+        let mut bld = ProgramBuilder::new(IsaMode::Arm);
+        let f = bld.function("main");
+        let b = bld.block(f);
+        bld.push(b, InstKind::Alu);
+        bld.ret(b);
+        let program = bld.finish().unwrap();
+        let none = HashMap::new();
+        assert_eq!(
+            Walker::new(&program, &none).run(0).unwrap_err(),
+            WalkError::ReturnWithoutCall { block: b }
+        );
+        assert_matches_reference(&program, &none, 0).unwrap();
+    }
 
     fn looped_workload(trips: u64) -> crate::spec::Workload {
         BenchmarkSpec::new(
