@@ -172,16 +172,16 @@ if grep -rn "#\[deprecated" crates src examples --include='*.rs'; then
 fi
 
 echo "== capture: worker byte-identity, golden replay, tree and explain renderers"
-# Capture is an output channel, never an input to the solve: the same
-# smoke grid runs under 1, 2 and 4 workers with --session-dir and
-# --ts-out. The deterministic report, the time-series and the whole
+# Capture and instrumentation are output channels, never inputs to the
+# solve: the same smoke grid runs under 1, 2 and 4 workers with
+# --session-dir and --trace-out. The deterministic report and the whole
 # capture directory (sessions, reports, search trees, explain
 # documents) must be byte-identical across worker counts, and a
-# capture-free run must reproduce the same deterministic report. Every
-# session must replay byte-identically offline: diag
-# replay re-executes the decision log, asserts the regenerated
-# response equals the recording, and the report it writes must match
-# the sibling byte for byte. One cell also goes through --divergence:
+# capture-free, uninstrumented run must reproduce the same
+# deterministic report. Every session must replay byte-identically
+# offline: diag replay re-executes the decision log, asserts the
+# regenerated response equals the recording, and the report it writes
+# must match the sibling byte for byte. One cell also goes through --divergence:
 # a cold re-solve of a cold recording must match the log decision for
 # decision. Finally diag tree and diag explain render the directory.
 # The smoke grid is a single profile group (its CASA and Steinke cells
@@ -189,22 +189,19 @@ echo "== capture: worker byte-identity, golden replay, tree and explain renderer
 # four workers: 24 profile groups spread over the pool, and the binary
 # asserts its serial and parallel reports are byte-identical.
 rm -rf /tmp/casa_capture_ref /tmp/casa_capture_cur
-rm -f /tmp/casa_det_ref.json /tmp/casa_ts_ref.json \
+rm -f /tmp/casa_det_ref.json \
       /tmp/casa_replay_report.json /tmp/casa_tree_render.txt /tmp/casa_explain_render.txt
 for T in 1 2 4; do
   rm -rf /tmp/casa_capture_cur
-  rm -f /tmp/casa_det_cur.json /tmp/casa_ts_cur.json
+  rm -f /tmp/casa_det_cur.json /tmp/casa_trace_cur.json
   (cd /tmp && CASA_SWEEP_THREADS=$T cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke \
-    --det-out /tmp/casa_det_cur.json --session-dir /tmp/casa_capture_cur --ts-out /tmp/casa_ts_cur.json)
+    --det-out /tmp/casa_det_cur.json --session-dir /tmp/casa_capture_cur --trace-out /tmp/casa_trace_cur.json)
   if [ ! -s /tmp/casa_det_ref.json ]; then
     mv /tmp/casa_det_cur.json /tmp/casa_det_ref.json
-    mv /tmp/casa_ts_cur.json /tmp/casa_ts_ref.json
     mv /tmp/casa_capture_cur /tmp/casa_capture_ref
   else
     cmp /tmp/casa_det_ref.json /tmp/casa_det_cur.json \
       || { echo "deterministic report depends on CASA_SWEEP_THREADS=$T"; exit 1; }
-    cmp /tmp/casa_ts_ref.json /tmp/casa_ts_cur.json \
-      || { echo "time-series depend on CASA_SWEEP_THREADS=$T"; exit 1; }
     diff -r /tmp/casa_capture_ref /tmp/casa_capture_cur \
       || { echo "captured solves depend on CASA_SWEEP_THREADS=$T"; exit 1; }
   fi
@@ -213,10 +210,8 @@ rm -f /tmp/casa_det_nocap.json
 (cd /tmp && cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep -- --smoke \
   --det-out /tmp/casa_det_nocap.json)
 cmp /tmp/casa_det_ref.json /tmp/casa_det_nocap.json \
-  || { echo "capture changed the deterministic report"; exit 1; }
+  || { echo "capture or instrumentation changed the deterministic report"; exit 1; }
 (cd /tmp && CASA_SWEEP_THREADS=4 cargo run --manifest-path "$ROOT/Cargo.toml" --release -q -p casa-bench --bin sweep)
-grep -q '"casa_timeseries":1' /tmp/casa_ts_ref.json \
-  || { echo "time-series document missing its schema tag"; exit 1; }
 ls /tmp/casa_capture_ref/*.casa-session >/dev/null 2>&1 \
   || { echo "smoke sweep recorded no sessions"; exit 1; }
 for f in /tmp/casa_capture_ref/*.casa-session; do

@@ -9,7 +9,7 @@
 //!
 //! Usage: `cargo run --release -p casa-bench --bin sweep [scale]
 //!         [--smoke] [--trace-out <path>] [--flight-dump <path>]
-//!         [--det-out <path>] [--ts-out <path>]
+//!         [--det-out <path>]
 //!         [--budget-nodes <n>] [--budget-ms <ms>]
 //!         [--session-dir <dir>]`
 //! Worker count: `CASA_SWEEP_THREADS` (default: available cores).
@@ -36,10 +36,6 @@
 //! `diag explain`). Capture changes no allocation decision, the serial
 //! and parallel captures must match byte for byte, and the files are
 //! written once, from the parallel run.
-//! `--ts-out <path>` writes the run's merged logical-tick time-series
-//! (`casa_timeseries` document: `sweep.*` per-cell series plus the
-//! flow/solver series from every cell, grid order); implies
-//! instrumentation. Byte-identical across worker counts.
 
 use casa_bench::runner::{cli_budget, cli_obs, cli_scale, cli_value};
 use casa_bench::sweep::{sweep_threads, SweepGrid};
@@ -156,18 +152,6 @@ fn main() {
         let det = parallel.deterministic_json();
         std::fs::write(&path, &det).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("wrote deterministic report to {path} ({} bytes)", det.len());
-    }
-
-    // The merged logical-tick time-series, byte-identical across worker
-    // counts (CI diffs it between CASA_SWEEP_THREADS values).
-    if let Some(path) = cli_value("--ts-out") {
-        let json = parallel.timeseries_json();
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!(
-            "wrote time-series to {path} ({} bytes, {} points)",
-            json.len(),
-            parallel.timeseries.points()
-        );
     }
 
     if let Some(path) = cli.finish() {

@@ -28,7 +28,6 @@ pub struct PreparedWorkload {
 /// [`cli_scale`] when scanning for the positional scale.
 const VALUE_FLAGS: &[&str] = &[
     "--trace-out",
-    "--ts-out",
     "--session-dir",
     "--budget-nodes",
     "--budget-ms",
@@ -129,10 +128,8 @@ pub fn cli_budget() -> Budget {
 /// Observability wiring for an experiment binary.
 ///
 /// Instrumentation turns on when `CASA_TRACE` is set to a non-empty
-/// value other than `0`, **or** `--trace-out <path>` is on the
-/// command line, **or** `--ts-out <path>` asks for the logical-tick
-/// time-series (which only the instrumented flows sample);
-/// [`CliObs::finish`] then writes the Chrome `trace_event`
+/// value other than `0`, or `--trace-out <path>` is on the command
+/// line; [`CliObs::finish`] then writes the Chrome `trace_event`
 /// JSON (open with `chrome://tracing` or Perfetto) to the requested
 /// path, defaulting to `casa_trace.json`.
 ///
@@ -148,11 +145,11 @@ pub struct CliObs {
     pub trace_out: Option<PathBuf>,
 }
 
-/// Parse `--trace-out` / `CASA_TRACE` / `--ts-out` / `--flight-dump`
-/// / `CASA_FLIGHT_DUMP` from the environment.
+/// Parse `--trace-out` / `CASA_TRACE` / `--flight-dump` /
+/// `CASA_FLIGHT_DUMP` from the environment.
 pub fn cli_obs() -> CliObs {
     let trace_out = cli_value("--trace-out").map(PathBuf::from);
-    let obs = if trace_out.is_some() || cli_value("--ts-out").is_some() {
+    let obs = if trace_out.is_some() {
         Obs::enabled()
     } else {
         Obs::from_env()

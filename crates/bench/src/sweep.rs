@@ -53,8 +53,7 @@ use casa_core::{Capture, Captured, EnergyModel, SolveJob};
 use casa_energy::TechParams;
 use casa_mem::CacheConfig;
 use casa_obs::{
-    jnum, json_escape, merge_snapshot, snapshot_to_json, timeseries_json, ArgValue, EventKind,
-    MetricsSnapshot, Obs, TimeSeriesSnapshot, TimeSeriesStore, DEFAULT_TIMESERIES_CAPACITY,
+    jnum, json_escape, merge_snapshot, snapshot_to_json, ArgValue, EventKind, MetricsSnapshot, Obs,
 };
 use casa_workloads::mediabench;
 use casa_workloads::spec::BenchmarkSpec;
@@ -182,11 +181,6 @@ pub struct CellResult {
     /// by [`SweepReport::to_json`] only, never by
     /// [`SweepReport::deterministic_json`].
     pub metrics: MetricsSnapshot,
-    /// Per-cell logical-tick time-series (flow phase progress, solver
-    /// convergence). Empty when observability is off. Exported by
-    /// [`SweepReport::timeseries_json`] after a grid-order merge;
-    /// never part of `CellResult::json` in either view.
-    pub timeseries: TimeSeriesSnapshot,
     /// The cell's captured solve — session, report, search tree (for
     /// tree-searching allocators) and explain document — when capture
     /// is on ([`SweepGrid::set_capture`]) and the cell is a scratchpad
@@ -237,12 +231,6 @@ pub struct SweepReport {
     /// Per-phase span rollups across the whole sweep. Empty when
     /// observability is off.
     pub phases: Vec<PhaseRollup>,
-    /// Grid-order merge of every cell's time-series, prefixed by the
-    /// sweep's own `sweep.energy_uj` / `sweep.cache_misses` series
-    /// sampled at the cell's grid index. Built the same way for every
-    /// worker count, so [`SweepReport::timeseries_json`] is
-    /// byte-identical across `CASA_SWEEP_THREADS` values.
-    pub timeseries: TimeSeriesSnapshot,
 }
 
 /// Resolve the sweep worker count: `CASA_SWEEP_THREADS` when set and
@@ -565,17 +553,6 @@ impl SweepGrid {
         for c in &cells {
             merge_snapshot(&mut metrics, &c.metrics);
         }
-        // Sweep-level time-series: one point per cell at its grid
-        // index (a logical tick), then each cell's own series appended
-        // in grid order — execution order never shows through.
-        let ts = TimeSeriesStore::new(DEFAULT_TIMESERIES_CAPACITY);
-        for (i, c) in cells.iter().enumerate() {
-            ts.sample("sweep.energy_uj", i as u64, c.energy_uj);
-            #[allow(clippy::cast_precision_loss)]
-            ts.sample("sweep.cache_misses", i as u64, c.cache_misses as f64);
-            ts.merge(&c.timeseries);
-        }
-        let timeseries = ts.snapshot();
         let phases = if obs.is_enabled() {
             let mut agg: std::collections::BTreeMap<String, (u64, u64)> =
                 std::collections::BTreeMap::new();
@@ -606,7 +583,6 @@ impl SweepGrid {
             cells,
             metrics,
             phases,
-            timeseries,
         }
     }
 
@@ -733,7 +709,6 @@ fn run_cell(
         solver_secs: report.solver_time.as_secs_f64(),
         cell_secs: t.elapsed().as_secs_f64(),
         metrics: obs.snapshot(),
-        timeseries: obs.timeseries_snapshot(),
         capture: captured,
     }
 }
@@ -839,14 +814,6 @@ impl SweepReport {
     pub fn deterministic_json(&self) -> String {
         let cells: Vec<String> = self.cells.iter().map(|c| c.json(false)).collect();
         format!("{{\"cells\":[{}]}}", cells.join(","))
-    }
-
-    /// The sweep's merged logical-tick time-series as a deterministic
-    /// `casa_timeseries` JSON document (what `sweep --ts-out` writes).
-    /// Byte-identical across worker counts: the merge walks cells in
-    /// grid order.
-    pub fn timeseries_json(&self) -> String {
-        timeseries_json(&self.timeseries)
     }
 
     /// Write every cell's capture under `dir` (created if missing) as
@@ -1077,11 +1044,6 @@ mod tests {
                 );
                 assert_eq!(c.status, alone.alloc_status.as_str(), "cell {i}");
                 assert_eq!(c.gap, alone.alloc_status.gap(), "cell {i}");
-                assert_eq!(
-                    timeseries_json(&c.timeseries),
-                    timeseries_json(&alone_obs.timeseries_snapshot()),
-                    "cell {i}"
-                );
                 match (&cell.kind, &c.capture) {
                     (CellKind::Spm(config), Some(cap)) => {
                         assert_eq!(cap.session.layout, alone.allocation.on_spm, "cell {i}");
@@ -1441,11 +1403,10 @@ mod tests {
         for r in &reports {
             assert_eq!(plain, r.deterministic_json());
         }
-        // ...and the captures and time-series are themselves
-        // byte-identical across worker counts (grid-order merging).
+        // ...and the captures are themselves byte-identical across
+        // worker counts.
         for r in &reports[1..] {
             assert_eq!(captures(&reports[0]), captures(r));
-            assert_eq!(reports[0].timeseries_json(), r.timeseries_json());
         }
         let r = &reports[0];
         for (c, cell) in r.cells.iter().zip(&g.cells) {
@@ -1489,21 +1450,11 @@ mod tests {
                     .all(|o| o.fixed_by != casa_core::FixedBy::Heuristic));
             }
         }
-        // Time-series carry the sweep's own per-cell series plus the
-        // flow- and solver-level series merged up from the cells.
-        let ts = &r.timeseries;
-        assert_eq!(
-            ts.series.get("sweep.energy_uj").map(Vec::len),
-            Some(r.cells.len())
-        );
-        assert!(ts.series.contains_key("flow.progress"));
-        assert!(ts.series.contains_key("bb.incumbent_savings"));
         // Capture rides the flow, not the Obs: an uninstrumented run
-        // captures identical artifacts but no flow series.
+        // captures identical artifacts.
         let off = g.run_with_threads(2);
         assert_eq!(plain, off.deterministic_json());
         assert_eq!(captures(&off), captures(r));
-        assert!(!off.timeseries.series.contains_key("flow.progress"));
         // Without opting in, no cell pays for capture.
         assert!(small_grid()
             .run_with_threads(1)

@@ -495,8 +495,6 @@ fn solve(
                         ("node".into(), ArgValue::U64(self.nodes)),
                     ],
                 );
-                self.obs
-                    .ts_sample("bb.incumbent_savings", self.nodes, cur_sav);
                 if self.tree.is_enabled() {
                     self.tree.record(TreeEvent {
                         kind: TreeEventKind::Incumbent,

@@ -5,9 +5,8 @@
 //! weight `m_ij` records that `m_ij` misses of `x_i` were caused by
 //! `x_j` evicting `x_i`'s cache lines.
 
-use casa_ir::Program;
-use casa_mem::{CacheConfig, SimOutcome};
-use casa_trace::{Layout, TraceSet};
+use casa_mem::SimOutcome;
+use casa_trace::TraceSet;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -203,63 +202,6 @@ impl ConflictGraph {
     }
 }
 
-/// A *static* conflict approximation from address overlap only: two
-/// objects conflict if their main-memory images share a cache set, and
-/// the edge weight is the pessimistic bound `min(exec_i, exec_j)`
-/// per shared set. The paper argues (§2) that such layout-only
-/// reasoning is imprecise — this function exists so the benches can
-/// quantify exactly how pessimistic it is against the profiled graph.
-pub fn static_approximation(
-    program: &Program,
-    traces: &TraceSet,
-    layout: &Layout,
-    cache: &CacheConfig,
-    fetches: &[u64],
-) -> ConflictGraph {
-    let line_size = cache.line_size;
-    let n = traces.len();
-    // Which sets each trace touches in main memory, per the cache's own
-    // `Map` function (so associativity folds lines into sets correctly).
-    let mut sets_of: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for t in traces.traces() {
-        let loc = layout.trace_location(t.id());
-        if loc.region != casa_trace::Region::Main {
-            continue;
-        }
-        let start_line = loc.addr / line_size;
-        let end_line = (loc.addr + t.padded_size(line_size)).div_ceil(line_size);
-        let mut sets: Vec<u32> = (start_line..end_line)
-            .map(|l| cache.map(l * line_size))
-            .collect();
-        sets.sort_unstable();
-        sets.dedup();
-        sets_of[t.id().index()] = sets;
-    }
-    let _ = program;
-    let mut edges = HashMap::new();
-    for i in 0..n {
-        for j in 0..n {
-            if i == j || fetches[i] == 0 || fetches[j] == 0 {
-                continue;
-            }
-            let shared = sets_of[i]
-                .iter()
-                .filter(|s| sets_of[j].binary_search(s).is_ok())
-                .count() as u64;
-            if shared > 0 {
-                // Pessimistic: every shared set could thrash on every
-                // pass over the smaller object.
-                let m = shared * fetches[i].min(fetches[j]) / (sets_of[i].len().max(1) as u64);
-                if m > 0 {
-                    edges.insert((i, j), m);
-                }
-            }
-        }
-    }
-    let sizes: Vec<u32> = traces.traces().iter().map(|t| t.code_size()).collect();
-    ConflictGraph::from_parts(fetches.to_vec(), sizes, edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,99 +235,6 @@ mod tests {
         assert!(dot.contains("f=100"));
         assert!(dot.contains("0 -> 1 [label=\"10\"]"));
         assert!(dot.starts_with("digraph"));
-    }
-
-    // A program whose traces land at lines 0 (x), 1-3 (filler), and
-    // 4 (y) of main memory with 16-byte lines.
-    fn line_spaced_program() -> (
-        casa_ir::Program,
-        casa_ir::BlockId,
-        casa_ir::BlockId,
-        casa_ir::BlockId,
-    ) {
-        use casa_ir::inst::{InstKind, IsaMode};
-        use casa_ir::ProgramBuilder;
-        let mut b = ProgramBuilder::new(IsaMode::Arm);
-        let f = b.function("f");
-        let x = b.block(f);
-        let filler = b.block(f);
-        let y = b.block(f);
-        let ex = b.block(f);
-        b.push_n(x, InstKind::Alu, 3);
-        b.jump(x, y);
-        b.push_n(filler, InstKind::Alu, 11);
-        b.jump(filler, ex);
-        b.push_n(y, InstKind::Alu, 3);
-        b.branch(y, x, ex);
-        b.push(ex, InstKind::Alu);
-        b.exit(ex);
-        (b.finish().unwrap(), x, filler, y)
-    }
-
-    #[test]
-    fn static_approximation_is_pessimistic_about_overlap() {
-        use casa_ir::Profile;
-        use casa_trace::trace::{form_traces, TraceConfig};
-        use casa_trace::Layout;
-        // Two blocks one cache-size apart: the static model must see
-        // the overlap; a disjoint pair must stay edge-free.
-        let (p, x, filler, y) = line_spaced_program();
-        let ts = form_traces(
-            &p,
-            &Profile::new(),
-            TraceConfig::new(256, 16),
-            &casa_obs::Obs::disabled(),
-        );
-        let layout = Layout::initial(&p, &ts);
-        // Everything "hot" for the approximation.
-        let fetches = vec![100u64; ts.len()];
-        let cache = CacheConfig::direct_mapped(64, 16);
-        let g = static_approximation(&p, &ts, &layout, &cache, &fetches);
-        let (ti, tj) = (ts.trace_of(x).index(), ts.trace_of(y).index());
-        assert!(
-            g.misses_between(ti, tj) > 0,
-            "overlapping traces must get a static edge"
-        );
-        // x at [0,16) and filler at [16,64) share no 64 B-cache set.
-        let tf = ts.trace_of(filler).index();
-        assert_eq!(g.misses_between(ti, tf), 0);
-    }
-
-    #[test]
-    fn static_approximation_respects_associativity() {
-        use casa_ir::Profile;
-        use casa_mem::ReplacementPolicy;
-        use casa_trace::trace::{form_traces, TraceConfig};
-        use casa_trace::Layout;
-        // 128 B 2-way cache with 16 B lines has 4 sets, so line 0 (x)
-        // and line 4 (y) collide in set 0. Treating it as direct-mapped
-        // (8 sets, the old `cache_size / line_size` bug) would put them
-        // in sets 0 and 4 and miss the conflict entirely.
-        let (p, x, filler, y) = line_spaced_program();
-        let ts = form_traces(
-            &p,
-            &Profile::new(),
-            TraceConfig::new(256, 16),
-            &casa_obs::Obs::disabled(),
-        );
-        let layout = Layout::initial(&p, &ts);
-        let fetches = vec![100u64; ts.len()];
-        let cache = CacheConfig {
-            size: 128,
-            line_size: 16,
-            associativity: 2,
-            policy: ReplacementPolicy::Lru,
-        };
-        assert_eq!(cache.num_sets(), 4);
-        let g = static_approximation(&p, &ts, &layout, &cache, &fetches);
-        let (ti, tj) = (ts.trace_of(x).index(), ts.trace_of(y).index());
-        assert!(
-            g.misses_between(ti, tj) > 0,
-            "2-way folding maps lines 0 and 4 to the same set"
-        );
-        // filler occupies lines 1-3 -> sets 1-3, disjoint from x's set 0.
-        let tf = ts.trace_of(filler).index();
-        assert_eq!(g.misses_between(ti, tf), 0);
     }
 
     #[test]

@@ -364,10 +364,8 @@ impl From<PreloadError> for FlowError {
 pub struct SpmProfile {
     /// The trace partition used as memory objects.
     pub traces: TraceSet,
-    /// The profiling simulation: initial layout, nothing on the
-    /// scratchpad.
-    pub sim: SimOutcome,
-    /// The conflict graph of the profiling simulation.
+    /// The conflict graph of the profiling simulation (initial
+    /// layout, nothing on the scratchpad).
     pub graph: ConflictGraph,
 }
 
@@ -409,7 +407,7 @@ pub fn profile_spm(
     let span = obs.span("conflict");
     let graph = ConflictGraph::from_simulation_obs(&traces, &sim, obs);
     drop(span);
-    Ok(SpmProfile { traces, sim, graph })
+    Ok(SpmProfile { traces, graph })
 }
 
 /// Allocate, lay out and simulate `config` on a profile from
@@ -441,14 +439,7 @@ pub fn allocate_spm(
 ) -> Result<FlowReport, FlowError> {
     let obs = &ctx.obs;
     let line = config.cache.line_size;
-    let SpmProfile { traces, sim, graph } = prof;
-    // Phase-completion samples on a logical clock (the fig. 3 phase
-    // ordinal), with a deterministic progress measure per phase —
-    // byte-identical across machines and worker counts, and whether
-    // or not the profile was shared.
-    obs.ts_sample("flow.progress", 0, traces.len() as f64);
-    obs.ts_sample("flow.progress", 1, sim.stats.cache_misses as f64);
-    obs.ts_sample("flow.progress", 2, graph.len() as f64);
+    let SpmProfile { traces, graph } = prof;
 
     let table = EnergyTable::build(
         config.cache.size,
@@ -477,7 +468,6 @@ pub fn allocate_spm(
     obs.add("solver.nodes", allocation.solver_nodes);
     obs.add("solver.spm_objects", allocation.spm_count() as u64);
     drop(span);
-    obs.ts_sample("flow.progress", 3, allocation.solver_nodes as f64);
 
     let span = obs.span("layout");
     let layout = Layout::with_placement(
@@ -491,10 +481,8 @@ pub fn allocate_spm(
     let cfg = HierarchyConfig::spm_system(config.cache, config.spm_size);
     let final_sim = run_final_sim(program, traces, &layout, exec, &cfg, obs)?;
     drop(span);
-    obs.ts_sample("flow.progress", 4, final_sim.stats.cache_misses as f64);
     let breakdown = EnergyBreakdown::from_stats(&final_sim.stats, &table, false);
     export_energy(obs, &breakdown);
-    obs.ts_sample("flow.progress", 5, breakdown.total_uj());
 
     Ok(FlowReport {
         traces: traces.clone(),
@@ -859,9 +847,8 @@ mod tests {
             AllocatorKind::None,
         ] {
             let cfg = config(kind);
-            let alone_obs = Obs::enabled();
             let alone =
-                run_spm_flow(&p, &prof, &exec, &cfg, &FlowCtx::observed(&alone_obs)).unwrap();
+                run_spm_flow(&p, &prof, &exec, &cfg, &FlowCtx::observed(&Obs::enabled())).unwrap();
             let obs = Obs::enabled();
             let r = allocate_spm(&p, &exec, &shared, &cfg, &FlowCtx::observed(&obs)).unwrap();
             assert_eq!(
@@ -873,13 +860,6 @@ mod tests {
             assert_eq!(r.allocation, alone.allocation, "{kind:?}");
             assert_eq!(r.alloc_status, alone.alloc_status, "{kind:?}");
             assert_eq!(r.traces, alone.traces, "{kind:?}");
-            // The phase series is the same whether or not the profile
-            // was shared: ticks 0-2 come from the profile's counts.
-            assert_eq!(
-                casa_obs::timeseries_json(&obs.timeseries_snapshot()),
-                casa_obs::timeseries_json(&alone_obs.timeseries_snapshot()),
-                "{kind:?}"
-            );
             // The allocation step opens no profiling span of its own.
             let names: Vec<String> = obs.events().into_iter().map(|e| e.name).collect();
             assert!(!names.iter().any(|n| n == "profile_sim"), "{names:?}");
@@ -922,9 +902,9 @@ mod tests {
                 .tree
                 .take()
                 .expect("enabled recorder yields a tree");
-            (report, obs.timeseries_snapshot(), log, tree)
+            (report, log, tree)
         };
-        let (report, ts, log, tree) = run();
+        let (report, log, tree) = run();
         // The recorded final incumbent IS the flow's allocation.
         let last = log
             .incumbents
@@ -932,25 +912,9 @@ mod tests {
             .expect("at least the initial incumbent");
         assert_eq!(last.on_spm, report.allocation.on_spm);
         assert_eq!(log.stop, None, "unbudgeted search closes");
-        let flow = ts.series.get("flow.progress").expect("flow phases sampled");
-        assert_eq!(
-            flow.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4, 5],
-            "one sample per fig. 3 phase, in phase order"
-        );
-        assert_eq!(flow[3].1, report.allocation.solver_nodes as f64);
-        assert!(
-            ts.series.contains_key("bb.incumbent_savings"),
-            "B&B incumbents sampled at node ticks: {:?}",
-            ts.series.keys().collect::<Vec<_>>()
-        );
         assert!(!tree.events.is_empty(), "flow tree capture records nodes");
-        // Determinism: both exports byte-identical across runs.
-        let (_, ts2, _, tree2) = run();
-        assert_eq!(
-            casa_obs::timeseries_json(&ts),
-            casa_obs::timeseries_json(&ts2)
-        );
+        // Determinism: the tree export is byte-identical across runs.
+        let (_, _, tree2) = run();
         assert_eq!(
             casa_ilp::tree::tree_log_json(&tree),
             casa_ilp::tree::tree_log_json(&tree2)

@@ -1096,7 +1096,6 @@ fn worker_loop(
     depth: &AtomicU64,
     session_dir: Option<&Path>,
 ) {
-    let mut completed = 0u64;
     while let Ok(q) = rx.recv() {
         let d = depth.fetch_sub(1, Ordering::Relaxed) - 1;
         obs.gauge_set(&format!("server.queue_depth.{worker}"), d as f64);
@@ -1128,16 +1127,6 @@ fn worker_loop(
             queue_wait_us,
             &id,
             session_dir,
-        );
-        // Request-completion series on a logical clock: tick = this
-        // worker's completion ordinal, value = search effort. Workers
-        // own their series, so interleaving across shards cannot
-        // scramble any one series' order.
-        completed += 1;
-        obs.ts_sample(
-            &format!("server.completed.{worker}"),
-            completed,
-            reply.attribution.nodes as f64,
         );
         let _ = q.reply.send(reply);
     }
@@ -1243,10 +1232,6 @@ fn solve_one(
         }
         meta.push(("exact_fp".to_string(), fp.clone()));
         if let Some(captured) = capture.finish(job, &out, &model, meta, obs) {
-            // `/explain.json` serves the most recent document.
-            if let Some(doc) = &captured.explain {
-                obs.publish_doc("explain", doc.clone());
-            }
             let stem = if req_id.is_empty() { &fp } else { req_id };
             match captured.write(dir, stem) {
                 Ok(()) => obs.add("server.captures_total", 1),
@@ -1982,8 +1967,6 @@ mod tests {
             assert_eq!(o.on_spm, on_spm.contains(&o.index), "object {}", o.index);
         }
         assert_eq!(doc.allocator, allocator_tag(tagged.allocator));
-        // The latest document is also served on the telemetry handle.
-        assert_eq!(obs.published_doc("explain"), Some(json));
         // A cache hit replays the body without re-deriving provenance:
         // no sibling, even with the flag set.
         let again = svc.submit_tagged(tagged, Some("exp-hit")).expect("solve");

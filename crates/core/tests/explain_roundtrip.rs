@@ -10,11 +10,21 @@
 //!    a silently shorter document.
 //! 4. Forward compatibility: unknown keys are skipped; documents
 //!    stamped with a newer schema are refused.
+//! 5. Mutated explain and search-tree documents of real solves (byte
+//!    flips, deletions, truncations, insertions) parse to a document or
+//!    an error in both readers, and a parsed explain mutant renders,
+//!    all without a panic.
+
+mod common;
 
 use casa_core::explain::{ExplainDoc, FixedBy, ObjectExplain, ProbeResult};
-use casa_core::{explain_json, parse_explain, EXPLAIN_SCHEMA};
+use casa_core::{explain_json, parse_explain, render_explain, EXPLAIN_SCHEMA};
+use casa_ilp::tree::{parse_tree_log, tree_log_json};
+use common::{captured, mutate};
 use proptest::prelude::*;
 use proptest::TestRng;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
 /// Printable-ish characters plus the ones that stress the JSON
 /// escaper: quotes, backslashes, control characters, non-ASCII.
@@ -136,6 +146,28 @@ fn truncate(text: &str, cut: usize) -> &str {
     &text[..end]
 }
 
+/// The explain and search-tree documents of real captured solves:
+/// explain for a tree search, an ILP and a heuristic, trees for the
+/// searches, one of them stopped by a node budget.
+fn real_documents() -> &'static [String] {
+    static DOCS: OnceLock<Vec<String>> = OnceLock::new();
+    DOCS.get_or_init(|| {
+        let mut docs = Vec::new();
+        for (allocator, budget) in [
+            ("casa-bb", None),
+            ("casa-ilp-tight", None),
+            ("steinke", None),
+            ("casa-bb", Some(1)),
+        ] {
+            let c = captured(allocator, budget, true);
+            docs.extend(c.explain);
+            docs.extend(c.tree);
+        }
+        assert_eq!(docs.len(), 7, "four explain documents, three trees");
+        docs
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -186,5 +218,34 @@ proptest! {
         let old = format!("\"casa_explain\":{EXPLAIN_SCHEMA}");
         let newer = text.replace(&old, &format!("\"casa_explain\":{}", EXPLAIN_SCHEMA + bump));
         prop_assert!(parse_explain(&newer).is_err());
+    }
+}
+
+proptest! {
+    // Parsing a document this size is cheap: 6,000 mutants take well
+    // under a second in a debug build.
+    #![proptest_config(ProptestConfig::with_cases(6000))]
+
+    #[test]
+    fn mutated_documents_parse_or_fail_without_panic(
+        pick in any::<u32>(),
+        kind in 0u8..4,
+        edits in prop::collection::vec((any::<u32>(), any::<u8>()), 1..=8),
+    ) {
+        let docs = real_documents();
+        let mut bytes = docs[pick as usize % docs.len()].clone().into_bytes();
+        mutate(&mut bytes, kind, &edits);
+        let text = String::from_utf8_lossy(&bytes);
+        // Both readers see every mutant; any verdict but a panic is
+        // fine.
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            if let Ok(doc) = parse_explain(&text) {
+                let _ = render_explain(&doc, 5);
+            }
+            if let Ok(log) = parse_tree_log(&text) {
+                let _ = tree_log_json(&log);
+            }
+        }));
+        prop_assert!(ran.is_ok(), "panic on {}", text);
     }
 }

@@ -8,11 +8,20 @@
 //! 3. Forward compatibility: a reader presented with sections it does
 //!    not know skips them and still reconstructs the session; a newer
 //!    schema number is refused.
+//! 4. Mutated recordings of real solves (byte flips, deletions,
+//!    truncations, insertions) decode to a session or a clean `Format`
+//!    error, and every mutant that decodes replays and diffs without a
+//!    panic.
+
+mod common;
 
 use casa_core::session::{BoundUpdate, DecisionLog, Incumbent};
 use casa_core::{Session, SessionError, SESSION_SCHEMA};
+use common::{captured, mutate};
 use proptest::prelude::*;
 use proptest::TestRng;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
 /// Printable-ish characters plus quotes, backslashes, control
 /// characters and non-ASCII.
@@ -88,6 +97,33 @@ impl Strategy for ArbSession {
     }
 }
 
+/// One recording per allocator, plus node-budgeted searches that stop
+/// early. Every recording replays cleanly before it is mutated.
+fn recorded_sessions() -> &'static [Vec<u8>] {
+    static SESSIONS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    SESSIONS.get_or_init(|| {
+        [
+            ("casa-bb", None),
+            ("casa-ilp-paper", None),
+            ("casa-ilp-tight", None),
+            ("casa-greedy", None),
+            ("steinke", None),
+            ("none", None),
+            ("casa-bb", Some(1)),
+            ("casa-ilp-tight", Some(1)),
+        ]
+        .iter()
+        .map(|&(allocator, budget)| {
+            let session = captured(allocator, budget, false).session;
+            session
+                .replay()
+                .unwrap_or_else(|e| panic!("{allocator} fixture does not replay: {e}"));
+            session.to_binary()
+        })
+        .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -125,5 +161,37 @@ proptest! {
         let mut s = s;
         s.schema = SESSION_SCHEMA + bump;
         prop_assert!(Session::from_binary(&s.to_binary()).is_err());
+    }
+}
+
+proptest! {
+    // Decoding and replaying a small solve is cheap: 6,000 mutants
+    // take well under a second in a debug build.
+    #![proptest_config(ProptestConfig::with_cases(6000))]
+
+    #[test]
+    fn mutated_recordings_decode_cleanly_and_replay_without_panic(
+        pick in any::<u32>(),
+        kind in 0u8..4,
+        edits in prop::collection::vec((any::<u32>(), any::<u8>()), 1..=8),
+    ) {
+        let sessions = recorded_sessions();
+        let mut bytes = sessions[pick as usize % sessions.len()].clone();
+        mutate(&mut bytes, kind, &edits);
+        let verdict = catch_unwind(AssertUnwindSafe(|| {
+            let decoded = Session::from_binary(&bytes);
+            if let Ok(s) = &decoded {
+                // Any replay verdict is fine (a mutant usually fails
+                // to replay); a panic is not.
+                let _ = s.replay();
+                let _ = s.divergence();
+            }
+            decoded.map(|_| ())
+        }));
+        prop_assert!(
+            matches!(verdict, Ok(Ok(()) | Err(SessionError::Format(_)))),
+            "{:?}",
+            verdict
+        );
     }
 }

@@ -567,7 +567,6 @@ fn search(
                     ],
                 );
                 obs.add("ilp.engine.warm_start.accepted", 1);
-                obs.ts_sample("ilp.bb.incumbent", 0, sense_sign * obj);
                 rec.incumbent(0, obj, &values);
                 if tree.is_enabled() {
                     tree.record(TreeEvent {
@@ -614,11 +613,8 @@ fn search(
     while let Some(HeapEntry { node, .. }) = heap.pop() {
         nodes += 1;
         stats.nodes = nodes;
-        if node.bound > bound_floor && node.bound.is_finite() {
-            if rec.is_enabled() {
-                rec.bound(nodes, node.bound);
-            }
-            obs.ts_sample("ilp.bb.bound", nodes, sense_sign * node.bound);
+        if node.bound > bound_floor && node.bound.is_finite() && rec.is_enabled() {
+            rec.bound(nodes, node.bound);
         }
         bound_floor = bound_floor.max(node.bound);
         if tree.is_enabled() {
@@ -735,7 +731,6 @@ fn search(
                                 ("node".to_string(), ArgValue::U64(nodes)),
                             ],
                         );
-                        obs.ts_sample("ilp.bb.incumbent", nodes, sense_sign * rounded_obj);
                         if tree.is_enabled() {
                             tree.record(TreeEvent {
                                 kind: TreeEventKind::Incumbent,

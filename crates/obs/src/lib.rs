@@ -5,7 +5,7 @@
 //!
 //! * **Metrics** ([`Registry`], [`Counter`], [`Gauge`], [`Histogram`])
 //!   — typed, `Send + Sync`, global-free. Snapshots are
-//!   [`BTreeMap`]s, so JSON export
+//!   [`BTreeMap`](std::collections::BTreeMap)s, so JSON export
 //!   iterates in sorted key order and is deterministic by
 //!   construction.
 //! * **Tracing** ([`TraceCollector`], RAII [`Span`] guards, instant
@@ -36,7 +36,6 @@ pub mod fnv;
 pub mod metrics;
 pub mod serve;
 pub mod span;
-pub mod timeseries;
 
 pub use export::{chrome_trace_json, jnum, json_escape, snapshot_to_json};
 pub use flight::{
@@ -59,22 +58,15 @@ pub use span::{
     render_span_table, span_tree, ArgValue, EventKind, Span, SpanSummary, StreamEvent,
     SubscriberId, TraceCollector, TraceEvent, TRACE_CAPACITY,
 };
-pub use timeseries::{
-    timeseries_json, TimePoint, TimeSeriesSnapshot, TimeSeriesStore, DEFAULT_TIMESERIES_CAPACITY,
-    TIMESERIES_SCHEMA,
-};
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 #[derive(Debug)]
 struct ObsInner {
     registry: Registry,
     collector: Arc<TraceCollector>,
     flight: Arc<FlightRecorder>,
-    timeseries: TimeSeriesStore,
-    docs: Mutex<BTreeMap<String, String>>,
 }
 
 /// Handle threaded through the allocation flow. Clones share the same
@@ -105,8 +97,6 @@ impl Obs {
                 registry: Registry::new(),
                 collector,
                 flight: Arc::new(FlightRecorder::from_env()),
-                timeseries: TimeSeriesStore::new(DEFAULT_TIMESERIES_CAPACITY),
-                docs: Mutex::new(BTreeMap::new()),
             })),
         }
     }
@@ -121,16 +111,14 @@ impl Obs {
                 registry: Registry::new(),
                 collector: Arc::new(TraceCollector::new()),
                 flight: Arc::new(FlightRecorder::new(cap)),
-                timeseries: TimeSeriesStore::new(DEFAULT_TIMESERIES_CAPACITY),
-                docs: Mutex::new(BTreeMap::new()),
             })),
         }
     }
 
-    /// A child handle: fresh registry and time-series store, shared
-    /// trace collector **and** shared flight recorder (including its
-    /// dump sink). This is what the sweep gives each cell — per-cell
-    /// metric/series isolation, one timeline, one post-mortem ring.
+    /// A child handle: fresh registry, shared trace collector **and**
+    /// shared flight recorder (including its dump sink). This is what
+    /// the sweep gives each cell — per-cell metric isolation, one
+    /// timeline, one post-mortem ring.
     /// Disabled parents produce disabled children.
     pub fn child(&self) -> Obs {
         match &self.inner {
@@ -139,8 +127,6 @@ impl Obs {
                     registry: Registry::new(),
                     collector: Arc::clone(&i.collector),
                     flight: Arc::clone(&i.flight),
-                    timeseries: TimeSeriesStore::new(DEFAULT_TIMESERIES_CAPACITY),
-                    docs: Mutex::new(BTreeMap::new()),
                 })),
             },
             None => Obs::disabled(),
@@ -154,24 +140,6 @@ impl Obs {
             Ok(v) if !v.is_empty() && v != "0" => Obs::enabled(),
             _ => Obs::disabled(),
         }
-    }
-
-    /// Publish a named JSON document for the telemetry server to
-    /// serve (e.g. `"explain"` behind `/explain.json`). Documents are
-    /// an output channel: publishing replaces any earlier document of
-    /// the same name and is a no-op on a disabled handle.
-    pub fn publish_doc(&self, name: &str, json: String) {
-        if let Some(i) = &self.inner {
-            if let Ok(mut docs) = i.docs.lock() {
-                docs.insert(name.to_string(), json);
-            }
-        }
-    }
-
-    /// The most recently published document under `name`, if any.
-    pub fn published_doc(&self, name: &str) -> Option<String> {
-        let i = self.inner.as_deref()?;
-        i.docs.lock().ok()?.get(name).cloned()
     }
 
     /// Whether instrumentation is live.
@@ -378,27 +346,6 @@ impl Obs {
         }
     }
 
-    /// Append one time-series sample at an explicit **logical** tick
-    /// (phase ordinal, B&B node count, request-completion counter —
-    /// never a wall-clock reading, or the series stops being
-    /// comparable across runs). Unlike the metric methods this does
-    /// **not** mirror into the flight ring: the sampling path is the
-    /// deterministic one, and per-node samples would flood the
-    /// post-mortem buffer. No-op when disabled.
-    pub fn ts_sample(&self, series: &str, tick: u64, value: f64) {
-        if let Some(i) = &self.inner {
-            i.timeseries.sample(series, tick, value);
-        }
-    }
-
-    /// Snapshot the time-series store; empty when disabled.
-    pub fn timeseries_snapshot(&self) -> TimeSeriesSnapshot {
-        match &self.inner {
-            Some(i) => i.timeseries.snapshot(),
-            None => TimeSeriesSnapshot::default(),
-        }
-    }
-
     /// Install a process-wide panic hook that writes the flight dump
     /// (to the sink, else `casa_flight_dump.json` in the working
     /// directory) before delegating to the previous hook. Intended for
@@ -473,36 +420,6 @@ mod tests {
         assert_eq!(a.snapshot().get("x"), Some(&MetricValue::Counter(1)));
         assert_eq!(b.snapshot().get("x"), Some(&MetricValue::Counter(10)));
         assert_eq!(collector.events().len(), 2, "one timeline for both");
-    }
-
-    #[test]
-    fn timeseries_is_isolated_per_child() {
-        let parent = Obs::enabled();
-        let child = parent.child();
-        child.ts_sample("bb.incumbent", 3, 42.0);
-        child.ts_sample("bb.incumbent", 9, 40.0);
-        parent.ts_sample("sweep.energy_uj", 0, 1.0);
-        // Stores are isolated (like registries).
-        assert!(!parent
-            .timeseries_snapshot()
-            .series
-            .contains_key("bb.incumbent"));
-        assert_eq!(child.timeseries_snapshot().points(), 2);
-        assert_eq!(
-            parent.timeseries_snapshot().series.get("sweep.energy_uj"),
-            Some(&vec![(0, 1.0)])
-        );
-        // Disabled handles stay inert and snapshot empty.
-        let off = Obs::disabled();
-        off.ts_sample("s", 0, 1.0);
-        assert!(off.timeseries_snapshot().is_empty());
-    }
-
-    #[test]
-    fn ts_sample_does_not_mirror_into_the_flight_ring() {
-        let obs = Obs::enabled();
-        obs.ts_sample("bb.bound", 1, 2.0);
-        assert!(obs.flight_events().is_empty());
     }
 
     #[test]

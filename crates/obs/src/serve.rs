@@ -11,9 +11,6 @@
 //! * `GET /snapshot.json` — the deterministic sorted-key JSON snapshot
 //!   ([`crate::snapshot_to_json`]).
 //! * `GET /flight.json` — the flight-recorder ring ([`Obs::dump_flight`]).
-//! * `GET /timeseries.json` — the logical-tick time-series store
-//!   ([`crate::timeseries_json`]): named series of `(tick, value)`
-//!   points sampled at deterministic logical clocks.
 //! * `GET /requests.json` — the bounded in-memory [`RequestJournal`]:
 //!   the last `CASA_REQ_JOURNAL_CAP` finished requests with status,
 //!   byte counts, handler wall time, and (for `/solve`) the
@@ -70,6 +67,7 @@ use crate::Obs;
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -1044,8 +1042,6 @@ fn route_label(path: &str) -> &'static str {
         "/metrics" => "metrics",
         "/snapshot.json" => "snapshot",
         "/flight.json" => "flight",
-        "/timeseries.json" => "timeseries",
-        "/explain.json" => "explain",
         "/healthz" => "healthz",
         "/events" => "events",
         "/requests.json" => "requests",
@@ -1057,8 +1053,8 @@ fn route_label(path: &str) -> &'static str {
 /// The methods a built-in route accepts, `None` for unknown paths.
 fn builtin_methods(path: &str) -> Option<&'static [&'static str]> {
     match path {
-        "/metrics" | "/snapshot.json" | "/flight.json" | "/timeseries.json" | "/explain.json"
-        | "/healthz" | "/events" | "/requests.json" => Some(&["GET"]),
+        "/metrics" | "/snapshot.json" | "/flight.json" | "/healthz" | "/events"
+        | "/requests.json" => Some(&["GET"]),
         "/quitquitquit" => Some(&["GET", "POST"]),
         _ => None,
     }
@@ -1192,7 +1188,12 @@ fn serve_one(
     if req.req_id.is_empty() {
         req.req_id = state.mint_id();
     }
-    let routed = router.as_ref().and_then(|r| r(&req));
+    // A panicking handler answers 500 like any other failure, so the
+    // client gets a reply and the request is journaled and counted.
+    let routed = router.as_ref().and_then(|r| {
+        panic::catch_unwind(AssertUnwindSafe(|| r(&req)))
+            .unwrap_or_else(|_| Some(Response::text(500, "internal error: handler panicked\n")))
+    });
     let resp = match routed {
         Some(resp) => resp,
         None => match (req.method.as_str(), req.path.as_str()) {
@@ -1205,18 +1206,7 @@ fn serve_one(
             },
             ("GET", "/snapshot.json") => Response::json(200, snapshot_to_json(&obs.snapshot())),
             ("GET", "/flight.json") => Response::json(200, obs.dump_flight()),
-            ("GET", "/timeseries.json") => Response::json(
-                200,
-                crate::timeseries::timeseries_json(&obs.timeseries_snapshot()),
-            ),
             ("GET", "/requests.json") => Response::json(200, state.journal.to_json()),
-            // The latest explain document published on this handle
-            // (`Obs::publish_doc("explain", ...)`); 404 until a solve
-            // has published one.
-            ("GET", "/explain.json") => match obs.published_doc("explain") {
-                Some(doc) => Response::json(200, doc),
-                None => Response::text(404, "no explain document published\n"),
-            },
             ("GET", "/healthz") => Response::text(200, "ok\n"),
             ("GET" | "POST", "/quitquitquit") => {
                 quit.store(true, Ordering::SeqCst);
@@ -1735,16 +1725,6 @@ mod tests {
         assert_eq!(st, 200);
         assert!(serde::json::parse(&flight).is_ok());
 
-        obs.ts_sample("bb.incumbent", 12, 99.5);
-        let (st, ts) = http_get(&addr, "/timeseries.json", t).unwrap();
-        assert_eq!(st, 200);
-        let v = serde::json::parse(&ts).expect("timeseries is valid JSON");
-        assert_eq!(v.get("casa_timeseries").and_then(|x| x.as_f64()), Some(1.0));
-        assert!(
-            ts.contains("\"bb.incumbent\":[[12,99.5]]"),
-            "sampled series missing: {ts}"
-        );
-
         let (st, journal) = http_get(&addr, "/requests.json", t).unwrap();
         assert_eq!(st, 200);
         let v = serde::json::parse(&journal).expect("journal is valid JSON");
@@ -1757,16 +1737,6 @@ mod tests {
         assert_eq!(first.get("path").and_then(|x| x.as_str()), Some("/healthz"));
         assert_eq!(first.get("status").and_then(|x| x.as_f64()), Some(200.0));
         assert!(first.get("id").and_then(|x| x.as_str()).is_some());
-
-        // /explain.json serves the latest published explain document,
-        // 404 before any solve has published one.
-        let (st, _) = http_get(&addr, "/explain.json", t).unwrap();
-        assert_eq!(st, 404);
-        obs.publish_doc("explain", "{\"casa_explain\":1,\"objects\":[]}".to_string());
-        let (st, doc) = http_get(&addr, "/explain.json", t).unwrap();
-        assert_eq!(st, 200);
-        let v = serde::json::parse(&doc).expect("explain doc is valid JSON");
-        assert_eq!(v.get("casa_explain").and_then(|x| x.as_f64()), Some(1.0));
 
         let (st, _) = http_get(&addr, "/nope", t).unwrap();
         assert_eq!(st, 404);
@@ -2161,6 +2131,72 @@ mod tests {
         assert_eq!(get("serve.responses.200_total"), 0, "{snap:?}");
         assert_eq!(get("serve.requests_total"), 4, "{snap:?}");
         handle.shutdown();
+    }
+
+    /// A panicking route handler answers 500 instead of dropping the
+    /// connection: the ID is echoed, the request is journaled and
+    /// counted, the in-flight gauge returns to 0, and the listener
+    /// keeps serving.
+    #[test]
+    fn panicking_handler_answers_500_and_is_journaled() {
+        let obs = Obs::enabled();
+        let router: Router = Arc::new(|req: &Request| {
+            if req.path == "/boom" {
+                panic!("route handler panicked on purpose");
+            }
+            None
+        });
+        let mut handle =
+            start_with(&obs, "127.0.0.1:0", ServeOptions::default(), Some(router)).expect("bind");
+        let addr = handle.local_addr();
+        let t = Duration::from_secs(5);
+        let (st, headers, _) = http_request(
+            &addr,
+            "GET",
+            "/boom",
+            &[(REQUEST_ID_HEADER, "boom-1")],
+            None,
+            t,
+        )
+        .expect("a panicking handler still answers");
+        assert_eq!(st, 500);
+        assert_eq!(header_value(&headers, REQUEST_ID_HEADER), Some("boom-1"));
+        let (st, body) = http_get(&addr, "/healthz", t).unwrap();
+        assert_eq!(
+            (st, body.as_str()),
+            (200, "ok\n"),
+            "the listener keeps serving"
+        );
+        // The journal entry lands just after the reply is written, so
+        // poll briefly rather than race it.
+        let mut journaled = None;
+        for _ in 0..100 {
+            let (_, journal) = http_get(&addr, "/requests.json", t).unwrap();
+            let v = serde::json::parse(&journal).expect("journal JSON");
+            let entries = v.get("entries").and_then(|x| x.as_array()).unwrap();
+            journaled = entries
+                .iter()
+                .find(|e| e.get("id").and_then(|x| x.as_str()) == Some("boom-1"))
+                .and_then(|e| e.get("status").and_then(|x| x.as_f64()));
+            if journaled.is_some() {
+                break;
+            }
+            thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(journaled, Some(500.0));
+        // After the drain every handler has finished its bookkeeping.
+        handle.shutdown();
+        let snap = obs.snapshot();
+        assert_eq!(
+            snap.get("serve.responses.500_total"),
+            Some(&MetricValue::Counter(1)),
+            "{snap:?}"
+        );
+        assert_eq!(
+            snap.get("serve.inflight"),
+            Some(&MetricValue::Gauge(0.0)),
+            "{snap:?}"
+        );
     }
 
     #[test]
