@@ -8,7 +8,7 @@ use casa_core::flow::{run_spm_flow, AllocatorKind, FlowConfig, FlowCtx, FlowRepo
 use casa_core::ross::allocate_loop_cache;
 use casa_ir::Profile;
 use casa_mem::cache::{Cache, CacheConfig, ReplacementPolicy};
-use casa_mem::{simulate, HierarchyConfig};
+use casa_mem::{simulate, simulate_stream, HierarchyConfig, LineStream};
 use casa_trace::trace::{form_traces, TraceConfig};
 use casa_trace::Layout;
 use casa_workloads::{mediabench, Walker};
@@ -134,17 +134,39 @@ fn bench_fetch_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("fetch_engine");
     group.sample_size(10);
     group.throughput(Throughput::Elements(w.profile.total_fetches(&w.program)));
-    for (label, traces, layout, cfg) in [
+    let cases = [
         ("g721_full_replay", &traces, &layout, &cfg),
         ("g721_loop_cache_replay", &lc_traces, &lc_layout, &lc_cfg),
         ("g721_4way_lru_replay", &traces, &layout, &lru_cfg),
         ("g721_copy_final_replay", &copy.traces, &copy.layout, &cfg),
         ("g721_move_final_replay", &moved.traces, &moved.layout, &cfg),
-    ] {
+    ];
+    // `simulate` compiles a line stream and replays it once.
+    for (label, traces, layout, cfg) in cases {
         group.bench_function(label, |b| {
             b.iter(|| {
                 black_box(simulate(&w.program, traces, layout, &w.exec, cfg).expect("simulates"))
             })
+        });
+    }
+    // The two halves apart: the compile, and each layout replayed from
+    // one stream compiled for its trace set beforehand (the 1024 B
+    // traces' stream, compiled for the 4-way cache, the one with the
+    // fewest sets, serves four of the five; the loop-cache run's 256 B
+    // traces have their own).
+    group.bench_function("g721_compile", |b| {
+        b.iter(|| black_box(LineStream::compile(&w.program, &traces, &w.exec, &lru_cfg)))
+    });
+    let stream = LineStream::compile(&w.program, &traces, &w.exec, &lru_cfg);
+    let lc_stream = LineStream::compile(&w.program, &lc_traces, &w.exec, &lc_cfg);
+    for (label, traces, layout, cfg) in cases {
+        let stream = if std::ptr::eq(traces, &lc_traces) {
+            &lc_stream
+        } else {
+            &stream
+        };
+        group.bench_function(format!("{label}_from_stream"), |b| {
+            b.iter(|| black_box(simulate_stream(stream, traces, layout, cfg).expect("replays")))
         });
     }
     group.finish();

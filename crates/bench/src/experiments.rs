@@ -55,7 +55,7 @@ fn casa_and_steinke(
     let prof = profile_spm(&w.program, &w.profile, &w.exec, &casa, obs)
         .unwrap_or_else(|e| panic!("{} spm profile failed: {e}", w.name));
     let allocate = |config: &FlowConfig| {
-        allocate_spm(&w.program, &w.exec, &prof, config, &FlowCtx::observed(obs))
+        allocate_spm(&w.program, &prof, config, &FlowCtx::observed(obs))
             .unwrap_or_else(|e| panic!("{} spm flow failed: {e}", w.name))
     };
     (allocate(&casa), allocate(&steinke))

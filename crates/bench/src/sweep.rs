@@ -25,16 +25,23 @@
 //! the cells and memoized per distinct (benchmark, scale, seed), so a
 //! grid sweeping 12 configurations of one benchmark walks it once.
 //!
-//! The execute phase's unit of work is a *profile group*: the
-//! scratchpad cells sharing (workload, cache, `spm_size`, effective
-//! trace cap), in grid order — everything [`profile_spm`] reads. A
-//! worker profiles the group once, under the registry of its first
-//! scratchpad cell, runs each cell's [`allocate_spm`] into that cell's
-//! own slot, then drops the profile, so the CASA and Steinke cells of
-//! one (program, cache, size) share one profiling simulation and at
-//! most one profile per worker is alive. A loop-cache cell is a group
-//! of its own. Profiling stays out of the prepare phase, whose wall
-//! time is [`SweepReport::prepare_secs`].
+//! The execute phase's unit of work is a *profile group*: the cells
+//! sharing (workload, cache line size, trace cap), in grid order —
+//! everything trace formation reads. A scratchpad cell's trace cap is
+//! its effective one; a loop-cache cell's is its capacity (at least one
+//! line), which is what its flow forms traces with. A worker forms the
+//! group's traces and compiles its line stream once
+//! ([`form_and_compile`]), for the group's cache with the fewest sets,
+//! which makes the stream serve every cache of the group; it profiles
+//! each cache once ([`profile_on`]), under the registry of the first
+//! scratchpad cell on it; and it runs each cell's [`allocate_spm`] or
+//! [`loop_cache_on`] into that cell's own slot, then drops the group.
+//! So the CASA, Steinke and loop-cache cells of one (program, size)
+//! share one trace formation and one compiled stream across the
+//! direct-mapped and set-associative caches of the grid, each cache
+//! has one profiling simulation, and at most one group's base and one
+//! profile per worker are alive. Profiling stays out of the prepare
+//! phase, whose wall time is [`SweepReport::prepare_secs`].
 //!
 //! The worker count comes from the `CASA_SWEEP_THREADS` environment
 //! variable when set (minimum 1), else from
@@ -46,22 +53,23 @@ use crate::experiments::{paper_sizes, LINE_SIZE, LOOP_CACHE_SLOTS};
 use crate::runner::{prepared, PreparedWorkload};
 use casa_core::engine::{AllocOutcome, Budget};
 use casa_core::flow::{
-    allocate_spm, profile_spm, run_loop_cache_flow, AllocatorKind, FlowConfig, FlowCtx,
+    allocate_spm, form_and_compile, loop_cache_on, profile_on, AllocatorKind, FlowConfig, FlowCtx,
     LoopCacheConfig, SpmProfile,
 };
 use casa_core::{Capture, Captured, EnergyModel, SolveJob};
 use casa_energy::TechParams;
-use casa_mem::CacheConfig;
+use casa_mem::{CacheConfig, LineStream};
 use casa_obs::{
     jnum, json_escape, merge_snapshot, snapshot_to_json, ArgValue, EventKind, MetricsSnapshot, Obs,
 };
+use casa_trace::TraceSet;
 use casa_workloads::mediabench;
 use casa_workloads::spec::BenchmarkSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 // The whole point of the pool is shipping these across threads; fail
@@ -90,9 +98,10 @@ pub struct WorkloadKey {
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellKind {
     /// A scratchpad flow under this configuration: [`allocate_spm`]
-    /// on its profile group's [`profile_spm`].
+    /// on its profile group's [`profile_on`] of its cache.
     Spm(FlowConfig),
-    /// A loop-cache flow ([`run_loop_cache_flow`]).
+    /// A loop-cache flow ([`loop_cache_on`] its profile group's traces
+    /// and stream).
     LoopCache {
         /// L1 I-cache.
         cache: CacheConfig,
@@ -504,9 +513,9 @@ impl SweepGrid {
                 if g >= groups.len() {
                     break;
                 }
-                // Filled by the group's first scratchpad cell, read by
-                // the rest, dropped with the group.
-                let mut spm_profile = None;
+                // Filled by the group's first cell, read by the rest,
+                // dropped with the group.
+                let mut state = GroupState::new(self.group_target(&groups[g]));
                 for &i in &groups[g] {
                     let cell = &self.cells[i];
                     let w = &prepared_workloads[cell.workload].0;
@@ -521,7 +530,7 @@ impl SweepGrid {
                         key,
                         w,
                         &cell.kind,
-                        &mut spm_profile,
+                        &mut state,
                         &self.budget,
                         self.capture,
                         &cell_obs,
@@ -587,21 +596,22 @@ impl SweepGrid {
     }
 
     /// The cell indices of each profile group, groups in order of
-    /// their first cell and cells in grid order. Scratchpad cells
-    /// share a group when they agree on the workload and on everything
-    /// [`profile_spm`] reads: cache, `spm_size` and effective trace
-    /// cap. A loop-cache cell is a group of its own.
+    /// their first cell and cells in grid order. Cells share a group
+    /// when they agree on the workload and on what trace formation
+    /// reads: the cache line size and the trace cap (a loop-cache
+    /// cell's is its capacity, at least one line).
     fn profile_groups(&self) -> Vec<Vec<usize>> {
-        let mut keys: Vec<Option<(usize, CacheConfig, u32, u32)>> = Vec::new();
+        let mut keys: Vec<(usize, u32, u32)> = Vec::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for (i, cell) in self.cells.iter().enumerate() {
-            let key = match &cell.kind {
-                CellKind::Spm(c) => {
-                    Some((cell.workload, c.cache, c.spm_size, c.effective_trace_cap()))
+            let (cache, cap) = match &cell.kind {
+                CellKind::Spm(c) => (c.cache, c.effective_trace_cap()),
+                CellKind::LoopCache { cache, capacity } => {
+                    (*cache, (*capacity).max(cache.line_size))
                 }
-                CellKind::LoopCache { .. } => None,
             };
-            match keys.iter().position(|k| key.is_some() && *k == key) {
+            let key = (cell.workload, cache.line_size, cap);
+            match keys.iter().position(|k| *k == key) {
                 Some(g) => groups[g].push(i),
                 None => {
                     keys.push(key);
@@ -610,6 +620,69 @@ impl SweepGrid {
             }
         }
         groups
+    }
+
+    /// The cache a group's stream is compiled for: among the group's
+    /// caches, which share a line size, one with the fewest sets, so
+    /// that the stream serves them all.
+    fn group_target(&self, group: &[usize]) -> CacheConfig {
+        group
+            .iter()
+            .map(|&i| match &self.cells[i].kind {
+                CellKind::Spm(c) => c.cache,
+                CellKind::LoopCache { cache, .. } => *cache,
+            })
+            .min_by_key(CacheConfig::num_sets)
+            .expect("a group has a cell")
+    }
+}
+
+/// What one profile group shares while its cells run: the traces and
+/// the compiled stream, formed by its first cell, and the profile of
+/// the cache its latest scratchpad cell ran on (a loop-cache cell on
+/// that cache replays the profile's copy stream).
+struct GroupState {
+    /// The cache the group's stream is compiled for.
+    target: CacheConfig,
+    base: Option<(TraceSet, Arc<LineStream>)>,
+    profile: Option<(CacheConfig, SpmProfile)>,
+}
+
+impl GroupState {
+    fn new(target: CacheConfig) -> Self {
+        GroupState {
+            target,
+            base: None,
+            profile: None,
+        }
+    }
+
+    /// The group's traces and stream, formed at trace cap `cap` on the
+    /// first call.
+    fn base(&mut self, w: &PreparedWorkload, cap: u32, obs: &Obs) -> &(TraceSet, Arc<LineStream>) {
+        let target = self.target;
+        self.base.get_or_insert_with(|| {
+            let (traces, stream) =
+                form_and_compile(&w.program, &w.profile, &w.exec, &target, cap, obs);
+            (traces, Arc::new(stream))
+        })
+    }
+
+    /// The profile of `config`'s cache on the group's base, profiled
+    /// unless the previous scratchpad cell ran on the same cache.
+    fn profile(&mut self, w: &PreparedWorkload, config: &FlowConfig, obs: &Obs) -> &SpmProfile {
+        if self
+            .profile
+            .as_ref()
+            .is_none_or(|(c, _)| *c != config.cache)
+        {
+            self.profile = None;
+            let (traces, stream) = self.base(w, config.effective_trace_cap(), obs).clone();
+            let prof = profile_on(&w.program, traces, stream, config, obs)
+                .unwrap_or_else(|e| panic!("{} spm profile failed: {e}", w.name));
+            self.profile = Some((config.cache, prof));
+        }
+        &self.profile.as_ref().expect("profiled").1
     }
 }
 
@@ -624,14 +697,15 @@ fn run_pool(workers: usize, worker: impl Fn() + Copy + Send) {
     });
 }
 
-/// Run one cell under `obs`. A scratchpad cell allocates on
-/// `spm_profile`, profiling its configuration into it first when its
-/// group has no profile yet.
+/// Run one cell under `obs` on its group's `state`: a scratchpad cell
+/// allocates on the profile of its cache, a loop-cache cell runs on
+/// the group's traces and stream, each formed first if the group has
+/// none yet.
 fn run_cell(
     key: &WorkloadKey,
     w: &PreparedWorkload,
     kind: &CellKind,
-    spm_profile: &mut Option<SpmProfile>,
+    state: &mut GroupState,
     budget: &Budget,
     capture: bool,
     obs: &Obs,
@@ -657,11 +731,8 @@ fn run_cell(
             if capture {
                 ctx = ctx.with_capture(Capture::on());
             }
-            let prof = spm_profile.get_or_insert_with(|| {
-                profile_spm(&w.program, &w.profile, &w.exec, config, obs)
-                    .unwrap_or_else(|e| panic!("{} spm profile failed: {e}", w.name))
-            });
-            let r = allocate_spm(&w.program, &w.exec, prof, config, &ctx)
+            let prof = state.profile(w, config, obs);
+            let r = allocate_spm(&w.program, prof, config, &ctx)
                 .unwrap_or_else(|e| panic!("{} spm cell failed: {e}", w.name));
             // Capture off builds no job: that would clone the graph.
             let captured = if capture {
@@ -673,8 +744,20 @@ fn run_cell(
         }
         CellKind::LoopCache { cache, capacity } => {
             let lc = LoopCacheConfig::new(*cache, *capacity, LOOP_CACHE_SLOTS);
-            let r = run_loop_cache_flow(&w.program, &w.profile, &w.exec, &lc, &ctx)
-                .unwrap_or_else(|e| panic!("{} loop-cache cell failed: {e}", w.name));
+            let cap = (*capacity).max(cache.line_size);
+            let r = match &state.profile {
+                // The profile of this cache: its copy stream replays the
+                // loop cache's initial layout with fewer lookups.
+                Some((c, p)) if c == cache => {
+                    let stream = p.copy_stream.as_ref().unwrap_or(&p.stream);
+                    loop_cache_on(&w.program, &w.profile, &p.traces, stream, &lc, &ctx)
+                }
+                _ => {
+                    let (traces, stream) = state.base(w, cap, obs);
+                    loop_cache_on(&w.program, &w.profile, traces, stream, &lc, &ctx)
+                }
+            }
+            .unwrap_or_else(|e| panic!("{} loop-cache cell failed: {e}", w.name));
             (r, *cache, None)
         }
     };
@@ -926,12 +1009,13 @@ mod tests {
         g
     }
 
-    /// Nine adpcm cells whose scratchpad cells form four profile
-    /// groups: A = {0, 1, 6, 7} at 128 B, B = {3, 5} at 64 B, C = {4}
-    /// and D = {8}. Cell 4 differs from A only in its trace cap and
-    /// cell 8 only in its walk seed, so neither may share; cell 6
-    /// differs only in `tech` and cell 7 only in spelling out its
-    /// (effective) trace cap, so both must share.
+    /// Nine adpcm cells forming three profile groups: A = {0, 1, 2, 6,
+    /// 7} at trace cap 128, B = {3, 4, 5} at trace cap 64 and D = {8}.
+    /// Cell 4 differs from A only in its trace cap, so it shares B's
+    /// profile despite its 128 B scratchpad, and cell 8 differs only in
+    /// its walk seed, so it may not share; cell 2 is the loop-cache cell
+    /// at 128 B, cell 6 differs only in `tech` and cell 7 only in
+    /// spelling out its (effective) trace cap, so all three must share.
     fn grouping_grid() -> SweepGrid {
         let mut g = SweepGrid::new();
         let w = g.workload("adpcm", 1, 2004);
@@ -1005,7 +1089,7 @@ mod tests {
                     CellKind::Spm(config) => {
                         casa_core::run_spm_flow(&w.program, &w.profile, &w.exec, config, &ctx)
                     }
-                    CellKind::LoopCache { cache, capacity } => run_loop_cache_flow(
+                    CellKind::LoopCache { cache, capacity } => casa_core::run_loop_cache_flow(
                         &w.program,
                         &w.profile,
                         &w.exec,
@@ -1055,17 +1139,19 @@ mod tests {
                     (_, cap) => panic!("cell {i}: unexpected capture {cap:?}"),
                 }
             }
-            // One profiling simulation per scratchpad group; every
-            // cell still solves and simulates.
+            // One trace formation and profiling simulation per group;
+            // the loop-cache cell builds its conflict graph from its
+            // final simulation, and every cell still solves and
+            // simulates.
             let count = |name: &str| {
                 r.phases
                     .iter()
                     .find(|p| p.name == name)
                     .map_or(0, |p| p.count)
             };
-            assert_eq!(count("profile_sim"), 4, "{threads} workers");
-            assert_eq!(count("trace"), 4 + 1, "{threads} workers");
-            assert_eq!(count("conflict"), 4 + 1, "{threads} workers");
+            assert_eq!(count("profile_sim"), 3, "{threads} workers");
+            assert_eq!(count("trace"), 3, "{threads} workers");
+            assert_eq!(count("conflict"), 3 + 1, "{threads} workers");
             for name in ["cell", "solve", "simulate"] {
                 assert_eq!(count(name), 9, "{name}, {threads} workers");
             }
@@ -1146,10 +1232,12 @@ mod tests {
             }
         }
         // Rollups cover the whole fig. 3 pipeline: every cell solves
-        // and simulates, while small_grid's five scratchpad cells form
-        // three profile groups (64 B, 128 B, and the Random(7) cache),
-        // each profiled once, and the loop-cache cell forms its own
-        // traces and conflict graph.
+        // and simulates, while small_grid's six cells form two profile
+        // groups (trace caps 64 B and 128 B; the loop-cache cell and the
+        // Random(7) cache join the second), each forming its traces
+        // once, with three caches profiled once each (the direct-mapped
+        // one in both groups, the Random(7) one in the second), and the
+        // loop-cache cell builds its own conflict graph.
         let r = &reports[0];
         assert!(!r.metrics.is_empty());
         let phase = |name: &str| r.phases.iter().find(|p| p.name == name);
@@ -1158,14 +1246,13 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing phase {name}"))
                 .count
         };
-        let (spm_groups, loop_cache_cells) = (3, 1);
+        let (groups, profiles, loop_cache_cells) = (2, 3, 1);
         for name in ["cell", "solve", "simulate"] {
             assert_eq!(count(name), g.cell_count() as u64, "phase {name}");
         }
-        for name in ["trace", "conflict"] {
-            assert_eq!(count(name), spm_groups + loop_cache_cells, "phase {name}");
-        }
-        assert_eq!(count("profile_sim"), spm_groups);
+        assert_eq!(count("trace"), groups);
+        assert_eq!(count("conflict"), profiles + loop_cache_cells);
+        assert_eq!(count("profile_sim"), profiles);
         assert_eq!(count("prepare"), 1);
         // The full JSON carries the metrics section; histogram keys in
         // it are sorted (BTreeMap order).

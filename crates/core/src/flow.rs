@@ -13,19 +13,25 @@
 //! The scratchpad flow is two steps, and [`run_spm_flow`] is their
 //! composition:
 //!
-//! 1. [`profile_spm`] forms the traces, lays them out with everything
-//!    in main memory, runs the profiling simulation and builds the
+//! 1. [`profile_spm`] forms the traces, compiles the execution against
+//!    them into a [`LineStream`], runs the profiling simulation from it
+//!    on the initial layout (everything in main memory) and builds the
 //!    conflict graph. It reads the workload (program, block profile,
-//!    execution) and, of the [`FlowConfig`], only the cache, the
-//!    scratchpad size and the effective trace cap.
+//!    execution) and, of the [`FlowConfig`], only the cache and the
+//!    effective trace cap.
 //! 2. [`allocate_spm`] prices the graph, solves, re-lays the code out
-//!    and runs the final simulation. It reads the [`SpmProfile`] plus
-//!    the allocator, `tech` and everything in the [`FlowCtx`].
+//!    and runs the final simulation from the profile's stream. It reads
+//!    the [`SpmProfile`] plus the allocator, scratchpad size, `tech` and
+//!    everything in the [`FlowCtx`].
 //!
-//! So configurations that differ only in the allocator or `tech` can
-//! share one profile, as the paper's fig. 3 profiles once and then
-//! allocates; the sweep runs the CASA and Steinke cells of one
-//! (program, cache, size) that way.
+//! So configurations that differ only in the allocator, scratchpad
+//! size or `tech` can share one profile, as the paper's fig. 3 profiles
+//! once and then allocates; the sweep runs the CASA and Steinke cells
+//! of one (program, cache, size) that way. Caches that differ only in
+//! size, ways or policy form the same traces, and one compiled stream
+//! serves them all ([`profile_on`]); the loop-cache flow forms the same
+//! traces when its capacity equals the effective trace cap, so
+//! [`loop_cache_on`] runs its preload and final simulation on them.
 //!
 //! The canonical entry points take a [`FlowCtx`] bundling everything
 //! ambient to a run — observability sink, solver [`Budget`], and the
@@ -44,7 +50,8 @@ use casa_ir::{Profile, Program};
 use casa_mem::cache::CacheConfig;
 use casa_mem::loop_cache::PreloadError;
 use casa_mem::{
-    simulate, simulate_observed, ExecutionTrace, HierarchyConfig, SetStatsRecorder, SimOutcome,
+    profile_stream, simulate_stream, simulate_stream_observed, ExecutionTrace, HierarchyConfig,
+    LineStream, SetStatsRecorder, SimError, SimOutcome, StreamError,
 };
 use casa_obs::Obs;
 use casa_trace::layout::PlacementSemantics;
@@ -53,6 +60,7 @@ use casa_trace::{Layout, TraceSet};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which allocator drives the scratchpad placement.
@@ -340,12 +348,17 @@ pub enum FlowError {
     /// Loop-cache preloading failed (allocator produced ranges the
     /// controller rejects — a bug, surfaced rather than panicking).
     Preload(PreloadError),
+    /// A profile's line stream cannot replay the final layout (a
+    /// profile used with another trace set, or preload bounds finer
+    /// than its units — a bug, surfaced rather than panicking).
+    Stream(StreamError),
 }
 
 impl fmt::Display for FlowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FlowError::Preload(e) => write!(f, "loop-cache preload failed: {e}"),
+            FlowError::Stream(e) => write!(f, "final simulation failed: {e}"),
         }
     }
 }
@@ -358,8 +371,18 @@ impl From<PreloadError> for FlowError {
     }
 }
 
+impl From<SimError> for FlowError {
+    fn from(e: SimError) -> Self {
+        match e {
+            SimError::Preload(e) => FlowError::Preload(e),
+            SimError::Stream(e) => FlowError::Stream(e),
+        }
+    }
+}
+
 /// What profiling one scratchpad configuration yields (the first step
-/// of the flow, [`profile_spm`]); [`allocate_spm`] reads it.
+/// of the flow, [`profile_spm`] or [`profile_on`]); [`allocate_spm`]
+/// reads it.
 #[derive(Debug, Clone)]
 pub struct SpmProfile {
     /// The trace partition used as memory objects.
@@ -367,16 +390,27 @@ pub struct SpmProfile {
     /// The conflict graph of the profiling simulation (initial
     /// layout, nothing on the scratchpad).
     pub graph: ConflictGraph,
+    /// The execution compiled against `traces`: the profiling and every
+    /// final simulation on this profile replay it. Shared, because one
+    /// compiled stream serves every cache with its line size and at
+    /// least the set count it was compiled for.
+    pub stream: Arc<LineStream>,
+    /// For a direct-mapped or LRU cache: the profiling replay's lookups
+    /// outside a set's first slot ([`casa_mem::profile_stream`]), which
+    /// the final simulation of a copy layout (CASA's, or the loop-cache
+    /// flow's initial one) replays instead of `stream`.
+    pub copy_stream: Option<LineStream>,
 }
 
-/// Profile `config` on one workload: form the traces, lay them out
-/// with everything in main memory, run the profiling simulation and
-/// build the conflict graph, each under its own span (`trace` →
-/// `profile_sim` → `conflict`) when `obs` is enabled.
+/// Profile `config` on one workload: form the traces and compile the
+/// execution against them (`trace`), run the profiling simulation on
+/// the initial layout (`profile_sim`) and build the conflict graph
+/// (`conflict`), each under its own span when `obs` is enabled.
 ///
-/// Of `config` this reads only `cache`, `spm_size` and
+/// Of `config` this reads only `cache` and
 /// [`FlowConfig::effective_trace_cap`]: configurations that agree on
-/// those three share one profile, whatever their allocator or `tech`.
+/// those two share one profile, whatever their allocator, scratchpad
+/// size or `tech`.
 ///
 /// # Errors
 ///
@@ -385,8 +419,7 @@ pub struct SpmProfile {
 ///
 /// # Panics
 ///
-/// Panics if `exec` is inconsistent with `program` (checked by the
-/// simulator's layout arithmetic).
+/// Panics if `exec` is inconsistent with `program`.
 pub fn profile_spm(
     program: &Program,
     profile: &Profile,
@@ -394,20 +427,71 @@ pub fn profile_spm(
     config: &FlowConfig,
     obs: &Obs,
 ) -> Result<SpmProfile, FlowError> {
-    let line = config.cache.line_size;
-    let trace_cap = config.effective_trace_cap();
-    let span = obs.span("trace");
-    let traces = form_traces(program, profile, TraceConfig::new(trace_cap, line), obs);
-    drop(span);
+    let (traces, stream) = form_and_compile(
+        program,
+        profile,
+        exec,
+        &config.cache,
+        config.effective_trace_cap(),
+        obs,
+    );
+    profile_on(program, traces, Arc::new(stream), config, obs)
+}
+
+/// Form the traces of cap `trace_cap` for `cache`'s line size and
+/// compile `exec` against them for `cache`, under a `trace` span: the
+/// base [`profile_on`] and [`loop_cache_on`] run on. The stream serves
+/// every cache of the same line size with at least as many sets as
+/// `cache`.
+pub fn form_and_compile(
+    program: &Program,
+    profile: &Profile,
+    exec: &ExecutionTrace,
+    cache: &CacheConfig,
+    trace_cap: u32,
+    obs: &Obs,
+) -> (TraceSet, LineStream) {
+    let _span = obs.span("trace");
+    let traces = form_traces(
+        program,
+        profile,
+        TraceConfig::new(trace_cap, cache.line_size),
+        obs,
+    );
+    let stream = LineStream::compile(program, &traces, exec, &HierarchyConfig::cache_only(*cache));
+    (traces, stream)
+}
+
+/// The profiling half of [`profile_spm`] on traces formed for `config`
+/// (cap [`FlowConfig::effective_trace_cap`], padded to its line size)
+/// and a stream compiled against them that serves `config.cache`:
+/// the profiling simulation and the conflict graph.
+///
+/// # Errors
+///
+/// Returns [`FlowError::Stream`] if `stream` does not serve
+/// `config.cache` or was compiled for other traces.
+pub fn profile_on(
+    program: &Program,
+    traces: TraceSet,
+    stream: Arc<LineStream>,
+    config: &FlowConfig,
+    obs: &Obs,
+) -> Result<SpmProfile, FlowError> {
     let layout0 = Layout::initial(program, &traces);
-    let prof_cfg = HierarchyConfig::spm_system(config.cache, config.spm_size);
+    let prof_cfg = HierarchyConfig::cache_only(config.cache);
     let span = obs.span("profile_sim");
-    let sim = simulate(program, &traces, &layout0, exec, &prof_cfg)?;
+    let (sim, copy_stream) = profile_stream(&stream, &traces, &layout0, &prof_cfg)?;
     drop(span);
     let span = obs.span("conflict");
     let graph = ConflictGraph::from_simulation_obs(&traces, &sim, obs);
     drop(span);
-    Ok(SpmProfile { traces, graph })
+    Ok(SpmProfile {
+        traces,
+        graph,
+        stream,
+        copy_stream,
+    })
 }
 
 /// Allocate, lay out and simulate `config` on a profile from
@@ -415,8 +499,8 @@ pub fn profile_spm(
 /// of the flow): energy table → `solve` → `layout` → `simulate` →
 /// energy breakdown.
 ///
-/// `prof` must come from a configuration with the same cache,
-/// scratchpad size and effective trace cap as `config`. The allocator
+/// `prof` must come from a configuration with the same cache and
+/// effective trace cap as `config`. The allocator
 /// runs through the anytime engine under `ctx.budget`, so budget
 /// exhaustion yields the incumbent with its proven gap
 /// ([`FlowReport::alloc_status`]) instead of an error.
@@ -424,22 +508,23 @@ pub fn profile_spm(
 /// # Errors
 ///
 /// Returns [`FlowError::Preload`] if hierarchy construction fails
-/// (does not occur for scratchpad systems in practice).
-///
-/// # Panics
-///
-/// Panics if `exec` is inconsistent with `program` (checked by the
-/// simulator's layout arithmetic).
+/// (does not occur for scratchpad systems in practice), and
+/// [`FlowError::Stream`] if `prof`'s stream cannot replay the final
+/// layout (does not occur for a profile of this flow).
 pub fn allocate_spm(
     program: &Program,
-    exec: &ExecutionTrace,
     prof: &SpmProfile,
     config: &FlowConfig,
     ctx: &FlowCtx,
 ) -> Result<FlowReport, FlowError> {
     let obs = &ctx.obs;
     let line = config.cache.line_size;
-    let SpmProfile { traces, graph } = prof;
+    let SpmProfile {
+        traces,
+        graph,
+        stream,
+        copy_stream,
+    } = prof;
 
     let table = EnergyTable::build(
         config.cache.size,
@@ -479,7 +564,11 @@ pub fn allocate_spm(
     drop(span);
     let span = obs.span("simulate");
     let cfg = HierarchyConfig::spm_system(config.cache, config.spm_size);
-    let final_sim = run_final_sim(program, traces, &layout, exec, &cfg, obs)?;
+    let stream = match (copy_stream, config.allocator.semantics()) {
+        (Some(copy), PlacementSemantics::Copy) => copy,
+        _ => stream,
+    };
+    let final_sim = run_final_sim(stream, traces, &layout, &cfg, obs)?;
     drop(span);
     let breakdown = EnergyBreakdown::from_stats(&final_sim.stats, &table, false);
     export_energy(obs, &breakdown);
@@ -521,7 +610,7 @@ pub fn run_spm_flow(
     ctx: &FlowCtx,
 ) -> Result<FlowReport, FlowError> {
     let prof = profile_spm(program, profile, exec, config, &ctx.obs)?;
-    allocate_spm(program, exec, &prof, config, ctx)
+    allocate_spm(program, &prof, config, ctx)
 }
 
 /// Run the preloaded-loop-cache workflow (paper fig. 1(b)) under
@@ -545,35 +634,58 @@ pub fn run_loop_cache_flow(
     config: &LoopCacheConfig,
     ctx: &FlowCtx,
 ) -> Result<FlowReport, FlowError> {
+    let cap = config.capacity.max(config.cache.line_size);
+    let (traces, stream) = form_and_compile(program, profile, exec, &config.cache, cap, &ctx.obs);
+    loop_cache_on(program, profile, &traces, &stream, config, ctx)
+}
+
+/// [`run_loop_cache_flow`] on given traces and line stream: `traces`
+/// must be the ones the loop-cache flow forms (cap `config.capacity`,
+/// at least one line, padded to the cache's line size), as a
+/// scratchpad profile of the same cache and effective trace cap
+/// carries, and `stream` must be compiled against them for a cache of
+/// the same line size and no more sets (see [`form_and_compile`]), or
+/// be the copy stream of a profile of `config.cache`
+/// ([`SpmProfile::copy_stream`]): the loop cache runs on the initial
+/// layout. Ross's preload ranges are whole trace slots, so such a
+/// stream serves the preloaded system.
+///
+/// # Errors
+///
+/// As [`run_loop_cache_flow`]; also [`FlowError::Stream`] if `stream`
+/// cannot replay the preloaded system.
+pub fn loop_cache_on(
+    program: &Program,
+    profile: &Profile,
+    traces: &TraceSet,
+    stream: &LineStream,
+    config: &LoopCacheConfig,
+    ctx: &FlowCtx,
+) -> Result<FlowReport, FlowError> {
     let obs = &ctx.obs;
     let cache = config.cache;
     let capacity = config.capacity;
     let max_objects = config.max_objects;
-    let line = cache.line_size;
-    let trace_cap = capacity.max(line);
-    let span = obs.span("trace");
-    let traces = form_traces(program, profile, TraceConfig::new(trace_cap, line), obs);
-    drop(span);
-    let layout = Layout::initial(program, &traces);
+    let layout = Layout::initial(program, traces);
 
     let span = obs.span("solve");
     let started = std::time::Instant::now();
-    let assignment = allocate_loop_cache(program, profile, &traces, &layout, capacity, max_objects);
+    let assignment = allocate_loop_cache(program, profile, traces, &layout, capacity, max_objects);
     let solver_time = started.elapsed();
     obs.add("solver.lc_ranges", assignment.ranges().len() as u64);
     drop(span);
 
     let cfg = HierarchyConfig::loop_cache_system(cache, capacity, max_objects, assignment.ranges());
     let span = obs.span("simulate");
-    let final_sim = run_final_sim(program, &traces, &layout, exec, &cfg, obs)?;
+    let final_sim = run_final_sim(stream, traces, &layout, &cfg, obs)?;
     drop(span);
     let span = obs.span("conflict");
-    let graph = ConflictGraph::from_simulation_obs(&traces, &final_sim, obs);
+    let graph = ConflictGraph::from_simulation_obs(traces, &final_sim, obs);
     drop(span);
 
     let table = EnergyTable::build(
         cache.size,
-        line,
+        cache.line_size,
         cache.associativity,
         0,
         Some((capacity, max_objects)),
@@ -584,7 +696,7 @@ pub fn run_loop_cache_flow(
     let n = traces.len();
 
     Ok(FlowReport {
-        traces,
+        traces: traces.clone(),
         layout,
         conflict_graph: graph,
         allocation: Allocation::none(n),
@@ -598,23 +710,22 @@ pub fn run_loop_cache_flow(
     })
 }
 
-/// The final simulation, with per-set statistics when `obs` is enabled
-/// and the allocation-free path otherwise.
+/// The final simulation from `stream`, with per-set statistics when
+/// `obs` is enabled and the allocation-free path otherwise.
 fn run_final_sim(
-    program: &Program,
+    stream: &LineStream,
     traces: &TraceSet,
     layout: &Layout,
-    exec: &ExecutionTrace,
     cfg: &HierarchyConfig,
     obs: &Obs,
-) -> Result<SimOutcome, PreloadError> {
+) -> Result<SimOutcome, SimError> {
     if obs.is_enabled() {
         let recorder = SetStatsRecorder::new(cfg.cache.num_sets() as usize);
-        let (sim, recorder) = simulate_observed(program, traces, layout, exec, cfg, recorder)?;
+        let (sim, recorder) = simulate_stream_observed(stream, traces, layout, cfg, recorder)?;
         recorder.export(obs);
         Ok(sim)
     } else {
-        simulate(program, traces, layout, exec, cfg)
+        simulate_stream(stream, traces, layout, cfg)
     }
 }
 
@@ -850,7 +961,7 @@ mod tests {
             let alone =
                 run_spm_flow(&p, &prof, &exec, &cfg, &FlowCtx::observed(&Obs::enabled())).unwrap();
             let obs = Obs::enabled();
-            let r = allocate_spm(&p, &exec, &shared, &cfg, &FlowCtx::observed(&obs)).unwrap();
+            let r = allocate_spm(&p, &shared, &cfg, &FlowCtx::observed(&obs)).unwrap();
             assert_eq!(
                 r.energy_uj().to_bits(),
                 alone.energy_uj().to_bits(),

@@ -94,8 +94,9 @@ pub use explain::{
     FixedBy, ObjectExplain, ProbeResult, EXPLAIN_SCHEMA, MAX_PROBES,
 };
 pub use flow::{
-    allocate_spm, profile_spm, run_loop_cache_flow, run_spm_flow, AllocatorKind, ConfigError,
-    FlowConfig, FlowCtx, FlowReport, LoopCacheConfig, SpmProfile,
+    allocate_spm, form_and_compile, loop_cache_on, profile_on, profile_spm, run_loop_cache_flow,
+    run_spm_flow, AllocatorKind, ConfigError, FlowConfig, FlowCtx, FlowReport, LoopCacheConfig,
+    SpmProfile,
 };
 pub use report::EnergyBreakdown;
 pub use server::{

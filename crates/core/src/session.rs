@@ -46,7 +46,12 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Current session schema number. Readers reject anything newer.
-pub const SESSION_SCHEMA: u32 = 1;
+///
+/// Schema 2 ends every file with a trailer section holding the number
+/// of sections before it, so a file cut at a section boundary is a
+/// format error rather than a shorter session; schema-1 files have no
+/// trailer and still decode.
+pub const SESSION_SCHEMA: u32 = 2;
 
 /// Magic bytes opening every binary session file.
 pub const SESSION_MAGIC: &[u8; 8] = b"CASASESS";
@@ -305,6 +310,11 @@ const T_LOG_STOP: u16 = 12;
 const T_INCUMBENT: u16 = 13;
 const T_BOUND: u16 = 14;
 const T_META: u16 = 15;
+/// The schema-2 trailer: the `u64` count of the sections before it.
+const T_END: u16 = 16;
+
+/// Bytes of a section header: `u16` tag and `u64` length.
+const SECTION_HEADER: usize = 10;
 
 fn section(out: &mut Vec<u8>, tag: u16, payload: &[u8]) {
     out.extend_from_slice(&tag.to_le_bytes());
@@ -349,6 +359,18 @@ impl<'a> Cursor<'a> {
     fn done(&self) -> bool {
         self.pos >= self.bytes.len()
     }
+}
+
+/// The number of sections framed in `bytes`, which holds whole
+/// sections only (as the writer produces them).
+fn count_sections(mut bytes: &[u8]) -> u64 {
+    let mut n = 0;
+    while bytes.len() >= SECTION_HEADER {
+        let len = u64::from_le_bytes(bytes[2..SECTION_HEADER].try_into().expect("8 bytes"));
+        bytes = &bytes[SECTION_HEADER + len as usize..];
+        n += 1;
+    }
+    n
 }
 
 fn utf8(payload: &[u8]) -> Result<String, SessionError> {
@@ -407,12 +429,18 @@ impl Session {
             p.extend_from_slice(v.as_bytes());
             section(&mut out, T_META, &p);
         }
+        if self.schema >= 2 {
+            let sections = count_sections(&out[12..]);
+            section(&mut out, T_END, &sections.to_le_bytes());
+        }
         out
     }
 
     /// Parse the binary framing. Unknown section tags are skipped
     /// (forward compatibility); truncated input and schema numbers
-    /// above [`SESSION_SCHEMA`] are errors.
+    /// above [`SESSION_SCHEMA`] are errors. From schema 2 on, the last
+    /// section must be the trailer and count the sections before it,
+    /// and nothing may follow it.
     ///
     /// # Errors
     ///
@@ -435,12 +463,32 @@ impl Session {
             ..Session::default()
         };
         let (mut saw_request, mut saw_status, mut saw_report) = (false, false, false);
+        let (mut sections, mut trailer) = (0u64, false);
         while !c.done() {
+            if trailer {
+                return Err(SessionError::Format(
+                    "bytes after the session trailer".to_string(),
+                ));
+            }
             let tag = c.u16()?;
             let len = c.u64()?;
             let len = usize::try_from(len)
                 .map_err(|_| SessionError::Format("section length overflows".to_string()))?;
             let payload = c.take(len)?;
+            if tag == T_END && schema >= 2 {
+                let mut c = Cursor {
+                    bytes: payload,
+                    pos: 0,
+                };
+                if c.u64()? != sections || !c.done() {
+                    return Err(SessionError::Format(
+                        "session trailer does not match its sections".to_string(),
+                    ));
+                }
+                trailer = true;
+                continue;
+            }
+            sections += 1;
             match tag {
                 T_REQUEST => {
                     s.request = utf8(payload)?;
@@ -541,6 +589,11 @@ impl Session {
                 }
                 _ => {} // unknown tag: payload already consumed, skip
             }
+        }
+        if schema >= 2 && !trailer {
+            return Err(SessionError::Format(
+                "session file ends without its trailer".to_string(),
+            ));
         }
         if !saw_request || !saw_status || !saw_report {
             return Err(SessionError::Format(
@@ -1216,10 +1269,21 @@ mod tests {
     #[test]
     fn binary_reader_skips_unknown_tags_and_rejects_truncation() {
         let s = record(&job(AllocatorKind::CasaGreedy, None));
-        let mut bytes = s.to_binary();
-        // Unknown trailing section: skipped, still equal.
+        let written = s.to_binary();
+        // An unknown section before the trailer, which counts it, as a
+        // future writer would put it: skipped, still equal.
+        let mut bytes = written[..written.len() - SECTION_HEADER - 8].to_vec();
         section(&mut bytes, 0x7FFF, b"from the future");
+        let sections = count_sections(&bytes[12..]);
+        section(&mut bytes, T_END, &sections.to_le_bytes());
         assert_eq!(Session::from_binary(&bytes).expect("tolerant"), s);
+        // After the trailer, the same section is refused.
+        let mut after = written.clone();
+        section(&mut after, 0x7FFF, b"from the future");
+        assert!(matches!(
+            Session::from_binary(&after),
+            Err(SessionError::Format(_))
+        ));
         // Any prefix cut inside a section is a truncation error.
         let cut = bytes.len() - 4;
         assert!(matches!(

@@ -4,10 +4,12 @@
 //!    f64 bit patterns (NaN payloads travel as bits) and strings with
 //!    quotes, control characters and non-ASCII.
 //! 2. Truncated input is always a clean `Format` error, never a panic
-//!    and never a silently shorter session.
+//!    and never a silently shorter session: every strict prefix of a
+//!    real recording, section boundaries included, is refused.
 //! 3. Forward compatibility: a reader presented with sections it does
 //!    not know skips them and still reconstructs the session; a newer
-//!    schema number is refused.
+//!    schema number is refused. Schema-1 files, which have no trailer,
+//!    still decode.
 //! 4. Mutated recordings of real solves (byte flips, deletions,
 //!    truncations, insertions) decode to a session or a clean `Format`
 //!    error, and every mutant that decodes replays and diffs without a
@@ -146,14 +148,42 @@ proptest! {
 
     #[test]
     fn unknown_binary_sections_are_skipped(s in ArbSession, payload in prop::collection::vec(any::<u8>(), 0..32)) {
-        // A section tag this build has never heard of, spliced onto the
-        // end exactly as a future writer would: u16 tag, u64 length,
-        // payload — all little-endian.
-        let mut bytes = s.to_binary();
-        bytes.extend_from_slice(&999u16.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        prop_assert_eq!(Session::from_binary(&bytes).expect("tolerant reader"), s);
+        // A section tag this build has never heard of, spliced in
+        // exactly as a future writer would: u16 tag, u64 length,
+        // payload — all little-endian — before the trailer, which
+        // counts it.
+        let bytes = s.to_binary();
+        let (body, trailer) = bytes.split_at(bytes.len() - TRAILER);
+        let mut spliced = body.to_vec();
+        spliced.extend_from_slice(&999u16.to_le_bytes());
+        spliced.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        spliced.extend_from_slice(&payload);
+        let count = u64::from_le_bytes(trailer[10..].try_into().unwrap());
+        spliced.extend_from_slice(&trailer[..10]);
+        spliced.extend_from_slice(&(count + 1).to_le_bytes());
+        prop_assert_eq!(Session::from_binary(&spliced).expect("tolerant reader"), s);
+    }
+
+    #[test]
+    fn schema_1_files_decode_without_a_trailer(s in ArbSession) {
+        let mut s = s;
+        s.schema = 1;
+        let bytes = s.to_binary();
+        prop_assert_eq!(Session::from_binary(&bytes).expect("schema 1 reads"), s);
+    }
+
+    #[test]
+    fn a_miscounting_or_followed_trailer_is_refused(s in ArbSession, extra in 1u64..3) {
+        let bytes = s.to_binary();
+        let (body, trailer) = bytes.split_at(bytes.len() - TRAILER);
+        let count = u64::from_le_bytes(trailer[10..].try_into().unwrap());
+        let mut wrong = body.to_vec();
+        wrong.extend_from_slice(&trailer[..10]);
+        wrong.extend_from_slice(&(count + extra).to_le_bytes());
+        prop_assert!(matches!(Session::from_binary(&wrong), Err(SessionError::Format(_))));
+        let mut followed = bytes.clone();
+        followed.extend_from_slice(&bytes[12..12 + 10]);
+        prop_assert!(matches!(Session::from_binary(&followed), Err(SessionError::Format(_))));
     }
 
     #[test]
@@ -161,6 +191,26 @@ proptest! {
         let mut s = s;
         s.schema = SESSION_SCHEMA + bump;
         prop_assert!(Session::from_binary(&s.to_binary()).is_err());
+    }
+}
+
+/// Bytes of the schema-2 trailer: a 10-byte section header and the
+/// `u64` section count.
+const TRAILER: usize = 18;
+
+#[test]
+fn every_strict_prefix_of_a_recording_is_a_format_error() {
+    for bytes in recorded_sessions() {
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    Session::from_binary(&bytes[..cut]),
+                    Err(SessionError::Format(_))
+                ),
+                "a {cut} B prefix of a {} B recording decodes",
+                bytes.len()
+            );
+        }
     }
 }
 

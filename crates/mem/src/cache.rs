@@ -98,31 +98,55 @@ pub struct CacheAccess {
     pub evicted_tag: Option<u32>,
 }
 
-/// The tag of an invalid way. Tags are `u32` values widened to `u64`,
-/// so no reachable tag equals it: with 1-byte lines and one set the
-/// tag is the whole address, and `u32::MAX` is one.
+/// The slot value of an invalid way. Slots hold line ids, which are
+/// `u32` values widened to `u64`, so no reachable line equals it: with
+/// 1-byte lines the line id is the whole address, and `u32::MAX` is
+/// one.
 const INVALID: u64 = u64::MAX;
 
+/// How a set orders its slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Order {
+    /// Most recently used first (LRU): a hit moves its slot to the
+    /// front, a fill enters at the front and the last slot is the
+    /// victim.
+    Recency,
+    /// Newest fill first (FIFO): a hit changes nothing, a fill enters
+    /// at the front and the last slot is the victim.
+    Fill,
+    /// Slot `w` is physical way `w` (round-robin, random): the victim
+    /// names a way, so the order never changes.
+    Physical,
+}
+
+/// The value of the first slot of one extra set past the last. No line
+/// a replay looks up has this id, so it is never resident elsewhere; a
+/// stream replay sends the units it skips (scratchpad or loop-cache
+/// fetches) to that set, where they hit its first slot without a branch
+/// of their own.
+const SKIPPED: u64 = u32::MAX as u64;
+
 /// A set-associative cache.
+///
+/// Each set is `associativity` slots, each holding a resident line id
+/// (or nothing) and the physical way it occupies. LRU keeps a set's
+/// slots in recency order and FIFO in fill order, so the victim is
+/// always the last valid slot and no stamps or clock are needed;
+/// round-robin and random keep physical order, because their victims
+/// name a way. Nothing ever invalidates a line, so a set's valid slots
+/// are a prefix and its invalid ones keep physical order: a cold fill
+/// takes the lowest invalid way under every policy.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Per way, row-major by set: the resident line's tag, or
-    /// [`INVALID`].
-    tags: Vec<u64>,
-    /// Per way: the `clock` value of the way's last use for LRU, of
-    /// its fill for FIFO. A direct-mapped set's one way is always the
-    /// victim, so there the stamp is never read and not kept.
-    stamps: Vec<u64>,
-    /// Per set of a set-associative cache: the way its last access hit
-    /// or filled, which under LRU holds the set's newest stamp.
-    mru: Vec<u32>,
+    /// Per slot, row-major by set: the resident line id, or
+    /// [`INVALID`]; then one more set whose first slot holds
+    /// [`SKIPPED`].
+    lines: Vec<u64>,
+    /// Per slot: the physical way holding the slot's line.
+    ways: Vec<u32>,
     rr_counters: Vec<u32>,
     rng: SmallRng,
-    /// Counts the lookups that write a stamp; a stamp is the count at
-    /// the time, so within a set the stamps order the ways by last use
-    /// (LRU) or fill (FIFO).
-    clock: u64,
     hits: LocalCounter,
     misses: LocalCounter,
     /// `log2(line_size)`: `addr >> line_shift` is the line id.
@@ -133,8 +157,7 @@ pub struct Cache {
     set_mask: u32,
     /// Ways per set.
     assoc: usize,
-    /// Whether hits refresh the stamp (LRU).
-    lru: bool,
+    order: Order,
 }
 
 impl Cache {
@@ -146,26 +169,31 @@ impl Cache {
     /// (non-power-of-two line size or set count, zero ways).
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
-        let n = (config.num_sets() * config.associativity) as usize;
+        let assoc = config.associativity as usize;
+        let n = config.num_sets() as usize * assoc;
         let seed = match config.policy {
             ReplacementPolicy::Random(s) => s,
             _ => 0,
         };
+        let mut lines = vec![INVALID; n + assoc];
+        lines[n] = SKIPPED;
         Cache {
             config,
-            tags: vec![INVALID; n],
-            stamps: vec![0; n],
-            mru: vec![0; config.num_sets() as usize],
+            lines,
+            ways: (0..n + assoc).map(|i| (i % assoc) as u32).collect(),
             rr_counters: vec![0; config.num_sets() as usize],
             rng: SmallRng::seed_from_u64(seed),
-            clock: 0,
             hits: LocalCounter::new(),
             misses: LocalCounter::new(),
             line_shift: config.line_size.trailing_zeros(),
             set_shift: config.num_sets().trailing_zeros(),
             set_mask: config.num_sets() - 1,
-            assoc: config.associativity as usize,
-            lru: matches!(config.policy, ReplacementPolicy::Lru),
+            assoc,
+            order: match config.policy {
+                ReplacementPolicy::Lru => Order::Recency,
+                ReplacementPolicy::Fifo => Order::Fill,
+                ReplacementPolicy::RoundRobin | ReplacementPolicy::Random(_) => Order::Physical,
+            },
         }
     }
 
@@ -177,142 +205,265 @@ impl Cache {
     /// Access `addr`, updating state. Returns hit/miss plus victim
     /// information for conflict attribution.
     pub fn access(&mut self, addr: u32) -> CacheAccess {
-        let access = self.access_line(self.line_of(addr), 1);
+        let access = self.access_line(self.line_of(addr));
         self.hits.add(u64::from(access.hit));
         access
     }
 
-    /// Access line `line` (see [`Cache::line_of`]) `n ≥ 1` times in a
-    /// row, as `n` calls of [`Cache::access`] on addresses of that
-    /// line would: only the first can miss, the other `n − 1` hit the
-    /// line it leaves resident, and hits touch no replacement state
-    /// but an LRU stamp. The returned outcome is the first access's.
-    /// Hits are not counted here: the caller charges them (see
-    /// [`Cache::add_hits`]); misses are.
+    /// Look line `line` (see [`Cache::line_of`]) up once, updating
+    /// state as [`Cache::access`] does. Misses are counted here; hits
+    /// are left to the caller (see [`Cache::add_hits`]), which may
+    /// charge them in bulk.
     ///
-    /// A direct-mapped lookup compares and replaces its set's one tag
-    /// and keeps no clock, since a one-way set never reads a stamp;
-    /// under `Random` a miss still asks the victim picker, so the RNG
-    /// draws as the set-associative path does. A set-associative
-    /// lookup checks the set's most-recently-used way first. A hit
-    /// there returns without touching stamps: that way already holds
-    /// its set's newest stamp under LRU, and FIFO stamps only fills,
-    /// so the order within the set is what a fresh stamp would leave.
-    /// Any other lookup scans the set, stamps a scan hit (LRU) or a
-    /// fill with the next clock value, and makes that way the set's
-    /// most recently used.
-    #[inline]
-    pub(crate) fn access_line(&mut self, line: u32, n: u64) -> CacheAccess {
-        debug_assert!(n >= 1, "a run holds at least one access");
+    /// A set-associative LRU lookup is [`Cache::lru_lookup`]. Under
+    /// every other policy a hit changes nothing, and a hit in a set's
+    /// first slot is the whole lookup: the replay loop makes that check
+    /// inline ([`Cache::slot_holds`]) and calls this only when it
+    /// fails.
+    #[inline(always)]
+    pub(crate) fn access_line(&mut self, line: u32) -> CacheAccess {
         let set = line & self.set_mask;
-        if self.in_first_way(line) {
+        let base = set as usize * self.assoc;
+        if self.lru_sets() {
+            return self.lru_access(base, line);
+        }
+        if self.lines[base] == u64::from(line) {
             return CacheAccess {
                 hit: true,
                 set,
-                way: if self.assoc == 1 {
-                    0
-                } else {
-                    self.mru[set as usize]
-                },
+                way: self.ways[base],
                 evicted_tag: None,
             };
         }
-        let tag = u64::from(line >> self.set_shift);
         if self.assoc == 1 {
-            self.fill_direct_mapped(set, tag)
+            self.fill_direct_mapped(set, line)
         } else {
-            self.scan(set, tag)
+            self.scan(set, line)
         }
     }
 
-    /// Whether line `line` sits in the way its set checks first: a
-    /// direct-mapped set's one way, a set-associative set's most
-    /// recently used one (see [`Cache::access_line`]). A lookup that
-    /// hits there changes no cache state, so this is the whole of it.
+    /// [`Cache::access_line`] for set-associative LRU sets.
     #[inline(always)]
-    pub(crate) fn in_first_way(&self, line: u32) -> bool {
-        let set = (line & self.set_mask) as usize;
-        let slot = if self.assoc == 1 {
-            set
+    fn lru_access(&mut self, base: usize, line: u32) -> CacheAccess {
+        let (hit, old, way) = self.lru_lookup(base, u64::from(line));
+        if hit {
+            CacheAccess {
+                hit,
+                set: line & self.set_mask,
+                way,
+                evicted_tag: None,
+            }
         } else {
-            set * self.assoc + self.mru[set] as usize
-        };
-        self.tags[slot] == u64::from(line >> self.set_shift)
+            self.missed(line, old, way)
+        }
     }
 
-    /// The set line `line` maps to.
+    /// The index of line `line`'s set's first slot: a direct-mapped
+    /// set's one way, an LRU set's most recently used way. A lookup
+    /// that hits there changes no state.
+    #[inline]
+    pub(crate) fn first_slot(&self, line: u32) -> usize {
+        (line & self.set_mask) as usize * self.assoc
+    }
+
+    /// The first slot of the set skipped units are sent to, and the
+    /// value it holds (see [`SKIPPED`]).
+    #[inline]
+    pub(crate) fn skip_slot(&self) -> (usize, u32) {
+        (self.lines.len() - self.assoc, SKIPPED as u32)
+    }
+
+    /// Whether sets are set-associative and kept in LRU order, the
+    /// policy whose hits reorder a set.
+    #[inline]
+    fn lru_sets(&self) -> bool {
+        self.order == Order::Recency && self.assoc > 1
+    }
+
+    /// The whole LRU lookup of `line` in the set whose first slot is
+    /// `base`. Hit or miss, the line ends in the first slot: a hit in
+    /// slot `k`, or a fill of victim slot `k` (the first invalid slot,
+    /// else the last, the least recently used), moves slots `0..k` back
+    /// by one. For 4-way sets, the benchmark's set-associative caches,
+    /// the hit position, the victim and the shift are selects, not
+    /// branches, so where a lookup hits costs no misprediction.
+    /// Returns whether it hit, the slot's previous line (on a miss: the
+    /// evicted line or [`INVALID`]) and the way now holding `line`.
+    /// Misses are not counted here (see [`Cache::missed`]).
     #[inline(always)]
-    pub(crate) fn set_of(&self, line: u32) -> u32 {
-        line & self.set_mask
+    fn lru_lookup(&mut self, base: usize, line: u64) -> (bool, u64, u32) {
+        match self.assoc {
+            4 => self.lru_lookup_ways::<4>(base, line),
+            _ => {
+                let k = (0..self.assoc).find(|&i| self.lines[base + i] == line);
+                let valid = self.lines[base..base + self.assoc]
+                    .iter()
+                    .take_while(|&&l| l != INVALID)
+                    .count();
+                let last = self.assoc - 1;
+                let k_at = k.unwrap_or(valid.min(last));
+                let (old, way) = (self.lines[base + k_at], self.ways[base + k_at]);
+                move_to_front(
+                    &mut self.lines[base..base + self.assoc],
+                    &mut self.ways[base..base + self.assoc],
+                    k_at,
+                );
+                self.lines[base] = line;
+                (k.is_some(), old, way)
+            }
+        }
+    }
+
+    /// [`Cache::lru_lookup`] for `W`-way sets, where the set is an
+    /// array and every step a select.
+    #[inline(always)]
+    fn lru_lookup_ways<const W: usize>(&mut self, base: usize, line: u64) -> (bool, u64, u32) {
+        let lines: &mut [u64; W] = (&mut self.lines[base..base + W])
+            .try_into()
+            .expect("W ways");
+        let ways: &mut [u32; W] = (&mut self.ways[base..base + W]).try_into().expect("W ways");
+        let (old_lines, old_ways) = (*lines, *ways);
+        let (mut k, mut hit, mut valid) = (W - 1, false, 0);
+        for i in (0..W).rev() {
+            let eq = old_lines[i] == line;
+            k = if eq { i } else { k };
+            hit |= eq;
+            valid += usize::from(old_lines[i] != INVALID);
+        }
+        // Valid slots are a prefix: the first invalid one is `valid`.
+        let k = if hit { k } else { valid.min(W - 1) };
+        let (old, way) = (old_lines[k], old_ways[k]);
+        for i in 1..W {
+            let moves = i <= k;
+            lines[i] = if moves {
+                old_lines[i - 1]
+            } else {
+                old_lines[i]
+            };
+            ways[i] = if moves { old_ways[i - 1] } else { old_ways[i] };
+        }
+        lines[0] = line;
+        ways[0] = way;
+        (hit, old, way)
+    }
+
+    /// The outcome of a set-associative LRU miss that put `line` in
+    /// `way` in place of slot value `old`, counting the miss.
+    fn missed(&mut self, line: u32, old: u64, way: u32) -> CacheAccess {
+        self.misses.inc();
+        CacheAccess {
+            hit: false,
+            set: line & self.set_mask,
+            way,
+            evicted_tag: self.tag_of(old),
+        }
+    }
+
+    /// Whether slot `slot` holds line `line`.
+    #[inline(always)]
+    pub(crate) fn slot_holds(&self, slot: usize, line: u64) -> bool {
+        self.lines[slot] == line
     }
 
     /// The miss side of a direct-mapped [`Cache::access_line`].
-    fn fill_direct_mapped(&mut self, set: u32, tag: u64) -> CacheAccess {
+    #[inline(always)]
+    fn fill_direct_mapped(&mut self, set: u32, line: u32) -> CacheAccess {
         self.misses.inc();
-        if matches!(self.config.policy, ReplacementPolicy::Random(_)) {
-            // Keeps the RNG drawing exactly as the set-associative
-            // path does; the victim is way 0 all the same.
-            self.pick_victim(set);
+        let old = std::mem::replace(&mut self.lines[set as usize], u64::from(line));
+        if old != INVALID && matches!(self.config.policy, ReplacementPolicy::Random(_)) {
+            // The set-associative path draws for a full set; drawing
+            // here too keeps the RNG sequence policy-uniform. The
+            // victim is way 0 all the same.
+            self.rng.gen_range(0..1usize);
         }
-        let old = std::mem::replace(&mut self.tags[set as usize], tag);
         CacheAccess {
             hit: false,
             set,
             way: 0,
-            evicted_tag: (old != INVALID).then_some(old as u32),
+            evicted_tag: self.tag_of(old),
         }
     }
 
-    /// A set-associative lookup that missed the set's MRU way: search
-    /// the other ways, then fill a victim on a miss.
+    /// A FIFO, round-robin or random lookup that missed the set's
+    /// first slot: search the others, then fill a victim on a miss.
     #[inline(never)]
-    fn scan(&mut self, set: u32, tag: u64) -> CacheAccess {
+    fn scan(&mut self, set: u32, line: u32) -> CacheAccess {
         let base = set as usize * self.assoc;
-        self.clock += 1;
-        // A line sits in at most one way, so the search needs no early
-        // exit (a data-dependent branch per way).
-        let mut hit_way = None;
-        for (w, &t) in self.tags[base..base + self.assoc].iter().enumerate() {
-            if t == tag {
-                hit_way = Some(w);
-            }
-        }
-        if let Some(w) = hit_way {
-            if self.lru {
-                self.stamps[base + w] = self.clock;
-            }
-            self.mru[set as usize] = w as u32;
+        let slots = base..base + self.assoc;
+        let key = u64::from(line);
+        let lines = &self.lines[slots.clone()];
+        if let Some(k) = (1..lines.len()).find(|&k| lines[k] == key) {
+            let way = self.ways[base + k];
             return CacheAccess {
                 hit: true,
                 set,
-                way: w as u32,
+                way,
                 evicted_tag: None,
             };
         }
 
         self.misses.inc();
-        let victim = self.pick_victim(set);
-        let old = std::mem::replace(&mut self.tags[base + victim], tag);
-        self.stamps[base + victim] = self.clock;
-        self.mru[set as usize] = victim as u32;
+        // Valid slots are a prefix, so a set whose last slot is valid
+        // is full.
+        let last = self.assoc - 1;
+        let invalid = if lines[last] == INVALID {
+            lines.iter().position(|&l| l == INVALID)
+        } else {
+            None
+        };
+        let k = match (self.order, invalid) {
+            (Order::Physical, _) => self.pick_physical_victim(set, invalid),
+            (_, Some(k)) => k,
+            (_, None) => last,
+        };
+        let old = std::mem::replace(&mut self.lines[base + k], key);
+        let way = self.ways[base + k];
+        if self.order == Order::Fill {
+            // The victim's slot moves to the front: the newest fill.
+            move_to_front(&mut self.lines[slots.clone()], &mut self.ways[slots], k);
+        }
         CacheAccess {
             hit: false,
             set,
-            way: victim as u32,
-            evicted_tag: (old != INVALID).then_some(old as u32),
+            way,
+            evicted_tag: self.tag_of(old),
         }
+    }
+
+    /// The victim way of a round-robin or random set: the lowest
+    /// invalid way if any (round-robin's fill pointer still moves past
+    /// it: ARM-style counters track every linefill, not just
+    /// evictions), else the set's counter or a draw from the seeded
+    /// RNG.
+    fn pick_physical_victim(&mut self, set: u32, invalid: Option<usize>) -> usize {
+        let assoc = self.assoc;
+        let round_robin = matches!(self.config.policy, ReplacementPolicy::RoundRobin);
+        if let Some(w) = invalid {
+            if round_robin {
+                self.rr_counters[set as usize] = ((w + 1) % assoc) as u32;
+            }
+            return w;
+        }
+        if round_robin {
+            let c = &mut self.rr_counters[set as usize];
+            let w = *c as usize;
+            *c = (*c + 1) % self.config.associativity;
+            w
+        } else {
+            self.rng.gen_range(0..assoc)
+        }
+    }
+
+    /// The tag of slot value `slot`, `None` for an invalid one.
+    #[inline]
+    fn tag_of(&self, slot: u64) -> Option<u32> {
+        (slot != INVALID).then_some((slot as u32) >> self.set_shift)
     }
 
     /// Count `n` hits that [`Cache::access_line`] left to its caller.
     #[inline]
     pub(crate) fn add_hits(&mut self, n: u64) {
         self.hits.add(n);
-    }
-
-    /// The first address past `addr`'s cache line.
-    #[inline]
-    pub(crate) fn line_end(&self, addr: u32) -> u32 {
-        (addr | ((1 << self.line_shift) - 1)).saturating_add(1)
     }
 
     /// The dense line id of `addr`: `addr / line_size`.
@@ -327,6 +478,12 @@ impl Cache {
         line << self.line_shift
     }
 
+    /// The set line `line` maps to.
+    #[inline]
+    pub(crate) fn set_of(&self, line: u32) -> u32 {
+        line & self.set_mask
+    }
+
     /// The id of the line a miss evicted, if it evicted one.
     #[inline]
     pub(crate) fn evicted_line(&self, access: &CacheAccess) -> Option<u32> {
@@ -335,40 +492,11 @@ impl Cache {
             .map(|t| (t << self.set_shift) | access.set)
     }
 
-    fn pick_victim(&mut self, set: u32) -> usize {
-        let assoc = self.assoc;
-        let base = set as usize * assoc;
-        // Prefer an invalid way. Round-robin's fill pointer must still
-        // advance on these cold allocations (ARM-style counters track
-        // every linefill, not just evictions), or the counter decouples
-        // from the true fill order.
-        if let Some(w) = self.tags[base..base + assoc]
-            .iter()
-            .position(|&t| t == INVALID)
-        {
-            if matches!(self.config.policy, ReplacementPolicy::RoundRobin) {
-                self.rr_counters[set as usize] = ((w + 1) % assoc) as u32;
-            }
-            return w;
-        }
-        match self.config.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => (0..assoc)
-                .min_by_key(|&w| self.stamps[base + w])
-                .expect("at least one way"),
-            ReplacementPolicy::RoundRobin => {
-                let c = &mut self.rr_counters[set as usize];
-                let w = *c as usize;
-                *c = (*c + 1) % self.config.associativity;
-                w
-            }
-            ReplacementPolicy::Random(_) => self.rng.gen_range(0..assoc),
-        }
-    }
-
     /// Look up whether `addr` is currently resident (no state change).
     pub fn probe(&self, addr: u32) -> bool {
-        let base = self.config.map(addr) as usize * self.assoc;
-        self.tags[base..base + self.assoc].contains(&u64::from(self.config.tag(addr)))
+        let line = self.line_of(addr);
+        let base = self.set_of(line) as usize * self.assoc;
+        self.lines[base..base + self.assoc].contains(&u64::from(line))
     }
 
     /// Hits recorded so far.
@@ -387,6 +515,19 @@ impl Cache {
     pub fn line_addr(&self, set: u32, tag: u32) -> u32 {
         self.line_start((tag << self.set_shift) | set)
     }
+}
+
+/// Move slot `k` of a set to the front, shifting slots `0..k` back by
+/// one.
+#[inline]
+fn move_to_front(lines: &mut [u64], ways: &mut [u32], k: usize) {
+    let (line, way) = (lines[k], ways[k]);
+    for i in (0..k).rev() {
+        lines[i + 1] = lines[i];
+        ways[i + 1] = ways[i];
+    }
+    lines[0] = line;
+    ways[0] = way;
 }
 
 #[cfg(test)]

@@ -8,14 +8,13 @@
 //! sequence can be replayed against different layouts and hierarchies,
 //! which keeps comparisons between allocators exact.
 //!
-//! Each [`Replayer::replay`] call first compiles a **block plan**:
-//! every static block resolved once against the layout and the memory
-//! system into its memory object, fetch and base-cycle counts, its
-//! scratchpad and loop-cache fetches, its I-cache line runs and its
-//! glue jump. The loop over the execution then counts block
-//! executions, looks up each I-cache run and checks for glue jumps;
-//! everything else is folded in from the counts when the call ends
-//! (see the crate docs for why that is exact).
+//! A replay runs from a [`LineStream`]: the execution compiled once
+//! against its trace set into the units its fetches touch, in order.
+//! [`Replayer::replay_stream`] maps each unit to the layout's I-cache
+//! line through one table, looks each one up in one flat loop and
+//! folds everything else in from the stream's totals when the call
+//! ends (see the crate docs for why that is exact). [`simulate`] and
+//! [`Replayer::replay`] compile the stream for their one replay.
 //!
 //! [`Replayer`] supports segment-wise replay with **layout switching**
 //! between segments, which is what the overlay extension (paper §7
@@ -29,18 +28,28 @@ use crate::hierarchy::{HierarchyConfig, InstMemorySystem};
 use crate::loop_cache::PreloadError;
 use crate::recorder::{NullRecorder, Recorder};
 use crate::stats::FetchStats;
-use casa_ir::{BlockId, InstKind, Program, Terminator};
-use casa_trace::{Layout, Location, Region, TraceSet};
+use crate::stream::{Id, Ids, LineStream, StreamError, LOOP, SPM};
+use casa_ir::{BlockId, Program, Terminator};
+use casa_trace::{Layout, Region, TraceId, TraceSet};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// A dynamic execution: the sequence of basic blocks a program run
-/// visits, in order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// visits, in order. Block ids take 16 bits each while every id fits
+/// (programs of fewer than 65,536 blocks), 32 bits otherwise.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExecutionTrace {
-    blocks: Vec<BlockId>,
+    pub(crate) ids: Ids,
 }
+
+impl PartialEq for ExecutionTrace {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for ExecutionTrace {}
 
 /// An inconsistency between an [`ExecutionTrace`] and the program's
 /// CFG, found by [`ExecutionTrace::check`].
@@ -67,22 +76,56 @@ impl Error for ExecError {}
 impl ExecutionTrace {
     /// Wrap a block sequence.
     pub fn new(blocks: Vec<BlockId>) -> Self {
-        ExecutionTrace { blocks }
+        let bound = blocks.iter().map(|b| b.index() + 1).max().unwrap_or(0);
+        let mut trace = ExecutionTrace::for_blocks(bound);
+        match &mut trace.ids {
+            Ids::Narrow(v) => v.extend(blocks.iter().map(|b| b.index() as u16)),
+            Ids::Wide(v) => v.extend(blocks.iter().map(|b| b.index() as u32)),
+        }
+        trace
     }
 
-    /// The block sequence.
-    pub fn blocks(&self) -> &[BlockId] {
-        &self.blocks
+    /// An empty sequence for a program of `n_blocks` blocks, to
+    /// [`push`](Self::push) onto.
+    pub fn for_blocks(n_blocks: usize) -> Self {
+        ExecutionTrace {
+            ids: Ids::for_bound(n_blocks),
+        }
+    }
+
+    /// Append one block execution.
+    #[inline]
+    pub fn push(&mut self, block: BlockId) {
+        self.ids.push(block.index() as u32);
+    }
+
+    /// The block executed at `pos`.
+    #[inline]
+    pub fn get(&self, pos: usize) -> Option<BlockId> {
+        self.ids.get(pos).map(BlockId::from_raw)
+    }
+
+    /// The block sequence, in order.
+    pub fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
+        let (narrow, wide): (&[u16], &[u32]) = match &self.ids {
+            Ids::Narrow(v) => (v, &[]),
+            Ids::Wide(v) => (&[], v),
+        };
+        narrow
+            .iter()
+            .map(|&b| u32::from(b))
+            .chain(wide.iter().copied())
+            .map(BlockId::from_raw)
     }
 
     /// Number of block executions.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.ids.len()
     }
 
     /// Whether the sequence is empty.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.len() == 0
     }
 
     /// Verify that every step follows a legal CFG edge, maintaining a
@@ -93,8 +136,9 @@ impl ExecutionTrace {
     /// Returns the first illegal step.
     pub fn check(&self, program: &Program) -> Result<(), ExecError> {
         let mut stack: Vec<BlockId> = Vec::new();
-        for (pos, w) in self.blocks.windows(2).enumerate() {
-            let (cur, next) = (w[0], w[1]);
+        let mut steps = self.iter().peekable();
+        let mut pos = 0;
+        while let (Some(cur), Some(&next)) = (steps.next(), steps.peek()) {
             let term = program.block(cur).terminator();
             let ok = match term {
                 Terminator::FallThrough { next: t } | Terminator::Jump { target: t } => next == t,
@@ -115,12 +159,13 @@ impl ExecutionTrace {
                     reason: format!("{cur} ({term:?}) cannot be followed by {next}"),
                 });
             }
+            pos += 1;
         }
-        if let Some(&last) = self.blocks.last() {
+        if let Some(last) = self.len().checked_sub(1).and_then(|p| self.get(p)) {
             let term = program.block(last).terminator();
             if !matches!(term, Terminator::Exit) {
                 return Err(ExecError {
-                    position: self.blocks.len() - 1,
+                    position: self.len() - 1,
                     reason: format!(
                         "execution ends at {last} whose terminator is {term:?}, not Exit"
                     ),
@@ -170,6 +215,45 @@ impl SimOutcome {
     /// fetches are single-cycle (pipelined).
     pub fn total_cycles(&self, miss_penalty: u64) -> u64 {
         self.base_cycles + self.stats.cache_misses * miss_penalty
+    }
+}
+
+/// A lookup key: the cache slot to compare in the high half, the line
+/// in the low half.
+fn key(slot: usize, line: u32) -> u64 {
+    (slot as u64) << 32 | u64::from(line)
+}
+
+/// Why a stream replay could not run: the memory system is invalid, or
+/// the stream does not fit the layout.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// The configuration carries an invalid loop-cache preload.
+    Preload(PreloadError),
+    /// The stream cannot replay the layout.
+    Stream(StreamError),
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::Preload(e) => e.fmt(f),
+            SimError::Stream(e) => e.fmt(f),
+        }
+    }
+}
+
+impl Error for SimError {}
+
+impl From<PreloadError> for SimError {
+    fn from(e: PreloadError) -> Self {
+        SimError::Preload(e)
+    }
+}
+
+impl From<StreamError> for SimError {
+    fn from(e: StreamError) -> Self {
+        SimError::Stream(e)
     }
 }
 
@@ -232,17 +316,18 @@ impl<R: Recorder> Replayer<R> {
         })
     }
 
-    /// Replay `exec.blocks()[range]` under `layout`. Glue-jump
-    /// detection looks one block past the end of the range, so
-    /// consecutive segment replays behave exactly like one big replay
-    /// under a constant layout. Every counter is complete when the
-    /// call returns.
+    /// Replay `exec[range]` under `layout`: compile the range's
+    /// [`LineStream`] and replay it. Glue-jump detection looks one
+    /// block past the end of the range, so consecutive segment replays
+    /// behave exactly like one big replay under a constant layout, and
+    /// the cache keeps its state across layout switches. Every counter
+    /// is complete when the call returns.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds or a location is
     /// inconsistent with the system (layout/config bug); a scratchpad
-    /// location only when its block executes in the range.
+    /// location only when its trace executes in the range.
     pub fn replay(
         &mut self,
         program: &Program,
@@ -251,46 +336,116 @@ impl<R: Recorder> Replayer<R> {
         exec: &ExecutionTrace,
         range: std::ops::Range<usize>,
     ) {
-        let blocks = exec.blocks();
-        assert!(range.end <= blocks.len(), "segment out of bounds");
-        let plan = Plan::new(program, traces, layout, &self.system);
-        let mut counts = vec![0u64; plan.steps.len()];
-        let mut glue_counts = vec![0u64; plan.steps.len()];
+        let target = self.system.target(traces.line_size());
+        let stream = LineStream::compile_range(program, traces, exec, range, target);
+        self.replay_stream(&stream, traces, layout)
+            .expect("a stream compiled for this system replays on it");
+    }
+
+    /// Replay `stream` under `layout`, a layout of the trace set the
+    /// stream was compiled for. Every counter is complete when the
+    /// call returns.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::OtherTraceSet`] if `traces` is not the stream's
+    /// trace set; [`StreamError::OtherSystem`] if this memory system
+    /// does not fit the stream (see [`LineStream::compile`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a location is inconsistent with the system: a
+    /// scratchpad location only when its trace has fetches in the
+    /// stream.
+    pub fn replay_stream(
+        &mut self,
+        stream: &LineStream,
+        traces: &TraceSet,
+        layout: &Layout,
+    ) -> Result<(), StreamError> {
+        self.replay_units(stream, traces, layout, None)
+    }
+
+    /// Replay `stream` and collect, when `kept` is given, the units
+    /// whose lookup left the first slot of its set, in order.
+    fn replay_units(
+        &mut self,
+        stream: &LineStream,
+        traces: &TraceSet,
+        layout: &Layout,
+        kept: Option<&mut Ids>,
+    ) -> Result<(), StreamError> {
+        let target = self.system.target(traces.line_size());
+        stream.check(traces, layout, target, self.system.cache().config())?;
+        let map = stream.remap(layout, &self.system);
+        let cache = self.system.cache();
+        let (skip_slot, skipped) = cache.skip_slot();
+        let keys: Vec<u64> = map
+            .iter()
+            .map(|&line| match line {
+                _ if line < LOOP => key(cache.first_slot(line), line),
+                _ => key(skip_slot, skipped),
+            })
+            .collect();
+        let lines = map
+            .iter()
+            .filter(|&&l| l < LOOP)
+            .max()
+            .map_or(0, |&l| l as usize + 1);
+        self.recorder.reserve_lines(lines);
         let misses_before = self.trace_misses.clone();
-        for pos in range {
-            let b = blocks[pos].index();
-            let step = &plan.steps[b];
-            counts[b] += 1;
-            for run in &plan.runs[step.runs.0 as usize..step.runs.1 as usize] {
-                self.cache_run(step.obj, run.line, u64::from(run.n));
+        let obj = &stream.unit_obj;
+        match (stream.units(), kept) {
+            (Ids::Narrow(units), None) => {
+                self.lookups::<_, false>(units, &keys, obj, &mut Vec::new())
             }
-            if let Some((next, place)) = step.glue {
-                if blocks.get(pos + 1) == Some(&next) {
-                    glue_counts[b] += 1;
-                    if let Place::Cache(line) = place {
-                        self.cache_run(step.obj, line, 1);
-                    }
+            (Ids::Wide(units), None) => {
+                self.lookups::<_, false>(units, &keys, obj, &mut Vec::new())
+            }
+            (Ids::Narrow(units), Some(Ids::Narrow(k))) => {
+                self.lookups::<_, true>(units, &keys, obj, k)
+            }
+            (Ids::Wide(units), Some(Ids::Wide(k))) => self.lookups::<_, true>(units, &keys, obj, k),
+            (_, Some(_)) => unreachable!("kept units have the stream's width"),
+        }
+        self.fold(stream, layout, &map, &misses_before);
+        Ok(())
+    }
+
+    /// One I-cache lookup per stream unit. `keys` holds, per unit, the
+    /// first slot of its line's set and the line (see [`key`]); a unit
+    /// the layout does not fetch from the I-cache names the cache's
+    /// skip slot, so it "hits" there. A hit in the first slot is the
+    /// whole lookup and stays in the loop; with `KEEP`, every other
+    /// unit is also appended to `kept`.
+    fn lookups<U: Id, const KEEP: bool>(
+        &mut self,
+        units: &[U],
+        keys: &[u64],
+        unit_obj: &[u32],
+        kept: &mut Vec<U>,
+    ) {
+        for &u in units {
+            let k = keys[u.index()];
+            if !self
+                .system
+                .cache()
+                .slot_holds((k >> 32) as usize, k & 0xFFFF_FFFF)
+            {
+                if KEEP {
+                    kept.push(u);
                 }
+                self.lookup_rest(unit_obj[u.index()], k as u32);
             }
         }
-        self.fold(&plan, &counts, &glue_counts, &misses_before);
     }
 
-    /// `n` I-cache fetches of `line` by object `obj`, with conflict
-    /// attribution of a miss. A hit in the way the line's set checks
-    /// first is the whole lookup and stays in the loop.
-    #[inline(always)]
-    fn cache_run(&mut self, obj: u32, line: u32, n: u64) {
-        if !self.system.cache_run_hits_first_way(line, n) {
-            self.cache_run_rest(obj, line, n);
-        }
-    }
-
-    /// Every other lookup: a set scan or a miss, which also counts the
-    /// object's miss and hands it to the conflict recorder.
+    /// Every other lookup: a set scan (under LRU, a reordering of the
+    /// set) or a miss, which also counts the object's miss and hands it
+    /// to the conflict recorder.
     #[inline(never)]
-    fn cache_run_rest(&mut self, obj: u32, line: u32, n: u64) {
-        let access = self.system.cache_run(line, n);
+    fn lookup_rest(&mut self, obj: u32, line: u32) {
+        let access = self.system.cache_lookup(line);
         if !access.hit {
             let ti = obj as usize;
             self.trace_misses[ti] += 1;
@@ -299,65 +454,52 @@ impl<R: Recorder> Replayer<R> {
         }
     }
 
-    /// Charge everything that depends only on the block counts of one
-    /// `replay` call: fetches, base cycles, scratchpad and loop-cache
-    /// service, and the I-cache access and hit totals. An object's
+    /// Charge everything that depends only on the stream's totals:
+    /// fetches, base cycles, scratchpad and loop-cache service, and the
+    /// I-cache access and hit totals and per-set fetches. An object's
     /// I-cache hits are its I-cache fetches minus the misses the call
     /// counted (eq. 4).
-    fn fold(&mut self, plan: &Plan, counts: &[u64], glue_counts: &[u64], misses_before: &[u64]) {
-        let jump_cycles = u64::from(InstKind::Jump.base_cycles());
-        let mut cache = vec![0u64; self.trace_fetches.len()];
+    fn fold(&mut self, stream: &LineStream, layout: &Layout, map: &[u32], misses_before: &[u64]) {
+        let n = self.trace_fetches.len();
         let mut fetches = 0;
-        for (((step, p), &c), &g) in plan
-            .steps
-            .iter()
-            .zip(&plan.blocks)
-            .zip(counts)
-            .zip(glue_counts)
-        {
-            if c == 0 {
+        for o in 0..n {
+            let f = stream.obj_fetches[o];
+            if f == 0 {
                 continue;
             }
-            let ti = step.obj as usize;
-            let f = c * u64::from(p.fetches);
-            self.trace_fetches[ti] += f + g;
-            fetches += f + g;
-            self.base_cycles += c * u64::from(p.cycles) + g * jump_cycles;
-            match p.spm {
-                Some((bank, last)) if f > 0 => {
-                    self.system.spm_fetches(bank, last, f);
-                    self.trace_spm[ti] += f;
-                }
-                Some(_) => {}
-                None => {
-                    let lc = c * u64::from(p.lc);
-                    if lc > 0 {
-                        self.system.loop_cache_fetches(lc);
-                        self.trace_lc[ti] += lc;
-                    }
-                    cache[ti] += c * u64::from(p.cache);
-                }
-            }
-            match step.glue {
-                _ if g == 0 => {}
-                Some((_, Place::Spm(bank, addr))) => {
-                    self.system.spm_fetches(bank, addr, g);
-                    self.trace_spm[ti] += g;
-                }
-                Some((_, Place::LoopCache)) => {
-                    self.system.loop_cache_fetches(g);
-                    self.trace_lc[ti] += g;
-                }
-                Some((_, Place::Cache(_))) => cache[ti] += g,
-                None => unreachable!("glue jumps counted for a block without one"),
+            self.trace_fetches[o] += f;
+            fetches += f;
+            let loc = layout.trace_location(TraceId::from_raw(o as u32));
+            if let Region::Spm(bank) = loc.region {
+                self.system
+                    .spm_fetches(bank, loc.addr + stream.obj_last[o], f);
+                self.trace_spm[o] += f;
             }
         }
         self.system.charge_fetches(fetches);
+        self.base_cycles += stream.base_cycles;
+        let mut cache = vec![0u64; n];
+        let mut lc = vec![0u64; n];
+        for ((&f, &o), &line) in stream.unit_fetches.iter().zip(&stream.unit_obj).zip(map) {
+            match line {
+                _ if f == 0 => {}
+                SPM => {}
+                LOOP => lc[o as usize] += f,
+                line => {
+                    cache[o as usize] += f;
+                    self.system.record_cache_fetches(line, f);
+                }
+            }
+        }
         let (mut accesses, mut hits) = (0, 0);
-        for (ti, &c) in cache.iter().enumerate() {
-            let h = c - (self.trace_misses[ti] - misses_before[ti]);
-            self.trace_hits[ti] += h;
-            accesses += c;
+        for o in 0..n {
+            if lc[o] > 0 {
+                self.system.loop_cache_fetches(lc[o]);
+                self.trace_lc[o] += lc[o];
+            }
+            let h = cache[o] - (self.trace_misses[o] - misses_before[o]);
+            self.trace_hits[o] += h;
+            accesses += cache[o];
             hits += h;
         }
         self.system.charge_cache_fetches(accesses, hits);
@@ -399,156 +541,8 @@ impl<R: Recorder> Replayer<R> {
     }
 }
 
-/// Where a single fetch is served.
-#[derive(Debug, Clone, Copy)]
-enum Place {
-    /// Scratchpad bank `.0`, at address `.1`.
-    Spm(u8, u32),
-    /// The loop cache.
-    LoopCache,
-    /// I-cache line `.0`.
-    Cache(u32),
-}
-
-/// `n` consecutive fetches of one I-cache line.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    line: u32,
-    n: u32,
-}
-
-/// What the replay loop reads per executed block.
-#[derive(Debug, Clone, Copy)]
-struct Step {
-    /// The block's memory object.
-    obj: u32,
-    /// The block's I-cache runs: `runs.0..runs.1` of [`Plan::runs`].
-    runs: (u32, u32),
-    /// For the last block of a trace with a glue jump: the fall-through
-    /// successor whose execution next fetches the glue jump, and where
-    /// it is fetched from.
-    glue: Option<(BlockId, Place)>,
-}
-
-/// The rest of how one static block is fetched under one layout and
-/// memory system: what only the fold reads.
-#[derive(Debug, Clone, Copy)]
-struct BlockPlan {
-    /// Instruction fetches of one execution.
-    fetches: u32,
-    /// Base cycles of one execution.
-    cycles: u32,
-    /// For a block in a scratchpad bank: the bank and the highest
-    /// address an execution fetches.
-    spm: Option<(u8, u32)>,
-    /// For a block in main memory: the fetches of one execution the
-    /// loop cache serves, and those the I-cache serves.
-    lc: u32,
-    cache: u32,
-}
-
-/// Every static block's [`Step`] and [`BlockPlan`], indexed by block
-/// id.
-struct Plan {
-    steps: Vec<Step>,
-    blocks: Vec<BlockPlan>,
-    runs: Vec<Run>,
-}
-
-impl Plan {
-    /// Resolve every block of `program` under `layout` against
-    /// `system`. Runs are cut where a fetch-at-a-time replay would
-    /// change place: at I-cache line ends and loop-cache preload
-    /// bounds ([`InstMemorySystem::run_end`]). Nothing here checks a
-    /// scratchpad bank, so a block that never executes cannot panic.
-    fn new<R: Recorder>(
-        program: &Program,
-        traces: &TraceSet,
-        layout: &Layout,
-        system: &InstMemorySystem<R>,
-    ) -> Self {
-        let cache = system.cache();
-        let place = |loc: Location| match loc.region {
-            Region::Spm(bank) => Place::Spm(bank, loc.addr),
-            Region::Main if system.in_loop_cache(loc.addr) => Place::LoopCache,
-            Region::Main => Place::Cache(cache.line_of(loc.addr)),
-        };
-        let mut runs = Vec::new();
-        let (steps, blocks) = program
-            .blocks()
-            .iter()
-            .map(|block| {
-                let id = block.id();
-                let tid = traces.trace_of(id);
-                let start = layout.block_location(traces, id);
-                let first_run = runs.len() as u32;
-                let (mut lc, mut in_cache, mut cycles) = (0, 0, 0);
-                let mut run = |first: Location, n: u32| match place(first) {
-                    Place::Spm(..) => {}
-                    Place::LoopCache => lc += n,
-                    Place::Cache(line) => {
-                        runs.push(Run { line, n });
-                        in_cache += n;
-                    }
-                };
-                let (mut first, mut last, mut n) = (start, start.addr, 0);
-                let mut end = system.run_end(start);
-                let mut loc = start;
-                for inst in block.insts() {
-                    if loc.addr >= end {
-                        run(first, n);
-                        (first, n) = (loc, 0);
-                        end = system.run_end(loc);
-                    }
-                    last = loc.addr;
-                    n += 1;
-                    cycles += inst.kind().base_cycles();
-                    loc.addr += inst.size();
-                }
-                if n > 0 {
-                    run(first, n);
-                }
-                let trace = traces.trace(tid);
-                let glue = match block.terminator().fallthrough_successor() {
-                    Some(next)
-                        if trace.glue_jump_size().is_some()
-                            && trace.blocks().last() == Some(&id) =>
-                    {
-                        let at = layout
-                            .glue_location(tid)
-                            .expect("trace with glue jump has a glue location");
-                        Some((next, place(at)))
-                    }
-                    _ => None,
-                };
-                let step = Step {
-                    obj: tid.index() as u32,
-                    runs: (first_run, runs.len() as u32),
-                    glue,
-                };
-                let plan = BlockPlan {
-                    fetches: block.insts().len() as u32,
-                    cycles,
-                    spm: match start.region {
-                        Region::Spm(bank) => Some((bank, last)),
-                        Region::Main => None,
-                    },
-                    lc,
-                    cache: in_cache,
-                };
-                (step, plan)
-            })
-            .unzip();
-        Plan {
-            steps,
-            blocks,
-            runs,
-        }
-    }
-}
-
 /// Replay `exec` under `layout` against the memory system described by
-/// `config`.
+/// `config`: compile its [`LineStream`] and replay it once.
 ///
 /// # Errors
 ///
@@ -593,6 +587,96 @@ pub fn simulate_observed<R: Recorder>(
 ) -> Result<(SimOutcome, R), PreloadError> {
     let mut session = Replayer::with_recorder(traces, config, recorder)?;
     session.replay(program, traces, layout, exec, 0..exec.len());
+    Ok(session.into_outcome_and_recorder())
+}
+
+/// Replay a compiled `stream` under `layout`, a layout of the trace
+/// set it was compiled for, against the memory system described by
+/// `config`. Equal to [`simulate`] of the stream's execution, field for
+/// field.
+///
+/// # Errors
+///
+/// [`SimError::Preload`] for an invalid loop-cache preload;
+/// [`SimError::Stream`] if the stream cannot replay `layout` on this
+/// system (see [`Replayer::replay_stream`]).
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`simulate`].
+pub fn simulate_stream(
+    stream: &LineStream,
+    traces: &TraceSet,
+    layout: &Layout,
+    config: &HierarchyConfig,
+) -> Result<SimOutcome, SimError> {
+    Ok(simulate_stream_observed(stream, traces, layout, config, NullRecorder)?.0)
+}
+
+/// [`simulate_stream`] on the initial `layout`, also returning, when
+/// `config`'s I-cache is direct-mapped or LRU, the *copy stream*: the
+/// lookups of this replay that left a set's first slot (misses and set
+/// scans), in order, with `stream`'s totals.
+///
+/// The copy stream replays exactly, and with fewer lookups, any layout
+/// that keeps every main-memory object at its initial address — a copy
+/// placement, a whole-object loop-cache preload — on the same I-cache:
+/// such a layout only drops lookups, and under LRU (direct-mapped is
+/// LRU with one way) a lookup whose line was its set's most recent one
+/// stays so when other lookups are dropped, so it still hits the first
+/// slot and changes nothing. It refuses other layouts and caches
+/// ([`StreamError::OtherLayout`], [`StreamError::OtherSystem`]).
+///
+/// # Errors
+///
+/// As [`simulate_stream`]; also [`StreamError::OtherLayout`] if
+/// `layout` moves an object from its initial address.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`simulate`].
+pub fn profile_stream(
+    stream: &LineStream,
+    traces: &TraceSet,
+    layout: &Layout,
+    config: &HierarchyConfig,
+) -> Result<(SimOutcome, Option<LineStream>), SimError> {
+    if !stream.keeps_addresses(layout) {
+        return Err(StreamError::OtherLayout.into());
+    }
+    let mut session = Replayer::new(traces, config)?;
+    let stack = config.cache.associativity == 1
+        || matches!(config.cache.policy, crate::ReplacementPolicy::Lru);
+    let copy = if stack {
+        let mut kept = stream.units().empty_like();
+        session.replay_units(stream, traces, layout, Some(&mut kept))?;
+        Some(stream.with_units(kept, config.cache))
+    } else {
+        session.replay_stream(stream, traces, layout)?;
+        None
+    };
+    Ok((session.into_outcome(), copy))
+}
+
+/// Like [`simulate_stream`], but reporting every memory-system event to
+/// `recorder` and returning it alongside the outcome.
+///
+/// # Errors
+///
+/// As [`simulate_stream`].
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`simulate`].
+pub fn simulate_stream_observed<R: Recorder>(
+    stream: &LineStream,
+    traces: &TraceSet,
+    layout: &Layout,
+    config: &HierarchyConfig,
+    recorder: R,
+) -> Result<(SimOutcome, R), SimError> {
+    let mut session = Replayer::with_recorder(traces, config, recorder)?;
+    session.replay_stream(stream, traces, layout)?;
     Ok(session.into_outcome_and_recorder())
 }
 
@@ -790,7 +874,7 @@ mod tests {
         // `filler`, the second block built, is the one the execution
         // never visits.
         let filler = BlockId::from_raw(1);
-        assert!(!exec.blocks().contains(&filler));
+        assert!(!exec.iter().any(|b| b == filler));
         let cfg = HierarchyConfig::spm_system(CacheConfig::direct_mapped(64, 16), 128);
         let out = simulate(&p, &ts, &in_bank_1(&p, &ts, filler), &exec, &cfg).unwrap();
         let initial = simulate(&p, &ts, &Layout::initial(&p, &ts), &exec, &cfg).unwrap();

@@ -6,6 +6,7 @@ use crate::loop_cache::{LoopCacheController, PreloadError};
 use crate::recorder::{NullRecorder, Recorder};
 use crate::scratchpad::Scratchpad;
 use crate::stats::{FetchCounters, FetchStats};
+use crate::stream::Target;
 use casa_trace::{Location, Region};
 use serde::{Deserialize, Serialize};
 
@@ -174,30 +175,20 @@ impl<R: Recorder> InstMemorySystem<R> {
                 FetchEvent::LoopCache
             }
             Region::Main => {
-                let access = self.cache_run(self.cache.line_of(loc.addr), 1);
+                let line = self.cache.line_of(loc.addr);
+                self.recorder.cache_fetches(self.cache.set_of(line), 1);
+                let access = self.cache_lookup(line);
                 self.charge_cache_fetches(1, u64::from(access.hit));
                 FetchEvent::Cache(access)
             }
         }
     }
 
-    /// The first address past `loc` that a run of fetches starting at
-    /// `loc` must not reach: the end of `loc`'s I-cache line, cut at
-    /// the nearest loop-cache range bound. A run inside a loop-cache
-    /// range ends where the range does; a scratchpad bank serves
-    /// every address alike, so a run there never has to end.
-    #[inline]
-    pub(crate) fn run_end(&self, loc: Location) -> u32 {
-        match loc.region {
-            Region::Spm(_) => u32::MAX,
-            Region::Main => {
-                let line_end = self.cache.line_end(loc.addr);
-                match &self.loop_cache {
-                    Some(lc) => lc.run_end(loc.addr, line_end),
-                    None => line_end,
-                }
-            }
-        }
+    /// What a line stream replayed on this system must be compiled
+    /// for, with traces padded to `padding` bytes.
+    pub(crate) fn target(&self, padding: u32) -> Target {
+        let ranges = self.loop_cache.as_ref().map_or(&[][..], |lc| lc.ranges());
+        Target::of(self.cache.config(), padding, ranges)
     }
 
     /// Whether the loop cache serves main-memory address `addr`.
@@ -241,7 +232,7 @@ impl<R: Recorder> InstMemorySystem<R> {
 
     /// Charge `accesses` I-cache fetches, `hits` of them hits, to the
     /// access and hit counters and to [`Cache::hits`].
-    /// [`Self::cache_run`] leaves all three to its caller.
+    /// [`Self::cache_lookup`] leaves all three to its caller.
     #[inline]
     pub(crate) fn charge_cache_fetches(&mut self, accesses: u64, hits: u64) {
         self.counters.cache_accesses.add(accesses);
@@ -249,38 +240,30 @@ impl<R: Recorder> InstMemorySystem<R> {
         self.cache.add_hits(hits);
     }
 
-    /// Fetch line `line` `n ≥ 1` times in a row from the I-cache, as
-    /// `n` single fetches would: one lookup, of which only the first
-    /// fetch can miss; the recorder's access event; and on a miss the
+    /// Report `n` I-cache fetches of line `line` to the recorder's
+    /// per-set tally.
+    #[inline]
+    pub(crate) fn record_cache_fetches(&mut self, line: u32, n: u64) {
+        self.recorder.cache_fetches(self.cache.set_of(line), n);
+    }
+
+    /// Look line `line` up in the I-cache once: on a miss also the
     /// miss counters, the recorder's fill and eviction events and the
-    /// line fill from the L2 or main memory. The returned outcome is
-    /// the first fetch's. The access and hit counters, the cache's own
-    /// included, are charged by the caller (see
+    /// line fill from the L2 or main memory. The access and hit
+    /// counters, the cache's own included, and the recorder's fetch
+    /// tally are charged by the caller (see
     /// [`Self::charge_cache_fetches`]).
     #[inline]
-    pub(crate) fn cache_run(&mut self, line: u32, n: u64) -> CacheAccess {
-        let access = self.cache.access_line(line, n);
-        self.recorder.cache_access(access.set, n, access.hit);
+    pub(crate) fn cache_lookup(&mut self, line: u32) -> CacheAccess {
+        let access = self.cache.access_line(line);
         if !access.hit {
             self.line_fill(line, &access);
         }
         access
     }
 
-    /// The hit path of [`Self::cache_run`]: whether line `line` hits
-    /// the way its set checks first, a lookup that changes no cache
-    /// state. On `true` the recorder has seen the `n` hits and nothing
-    /// else is left to do; on `false` nothing has happened yet.
+    /// The miss side of [`Self::cache_lookup`].
     #[inline(always)]
-    pub(crate) fn cache_run_hits_first_way(&mut self, line: u32, n: u64) -> bool {
-        let hit = self.cache.in_first_way(line);
-        if hit {
-            self.recorder.cache_access(self.cache.set_of(line), n, true);
-        }
-        hit
-    }
-
-    /// The miss side of [`Self::cache_run`].
     fn line_fill(&mut self, line: u32, access: &CacheAccess) {
         self.counters.cache_misses.inc();
         self.recorder.cache_fill(access.set);

@@ -20,60 +20,70 @@
 //! object, `fetches == hits + misses` regardless of hierarchy, which
 //! the property tests assert.
 //!
-//! ## Block plans
+//! ## The line stream
 //!
-//! The engine does not step once per instruction. Each
-//! [`Replayer::replay`] call first resolves every static block against
-//! the layout and the memory system into a *block plan*: its memory
-//! object, fetch count and base cycles, its scratchpad and loop-cache
-//! fetches, its I-cache *line runs* (the consecutive fetches of one
-//! line, split where a loop-cache preload range starts or ends inside
-//! it) and its trace-exit glue jump. The loop over the execution keeps
-//! only the work that depends on history: one execution count per
-//! block, one cache lookup per I-cache run and the glue-jump check. It
-//! reads one compact entry per executed block (the object, the run
-//! range and the glue successor); only the fold reads the rest of the
-//! plan, and set scans and misses run out of line. Everything else is
-//! folded in from the block counts before the call returns. The result
-//! is identical, counter for counter, to one fetch at a time under
-//! every replacement policy:
+//! The engine does not step once per instruction, and it walks the
+//! block sequence once per trace set, not once per simulation.
+//! [`LineStream::compile`] walks the execution against the *initial*
+//! image of a [`casa_trace::TraceSet`] and records the I-cache lines
+//! (more generally *units*, see below) its fetches touch, in fetch
+//! order, consecutive repeats merged, plus the totals that do not
+//! depend on history: per-unit and per-object fetches, the highest
+//! offset each object fetches, and base cycles. Line ids are `u16`
+//! when the image has fewer than 65,536 of them. A replay
+//! ([`Replayer::replay_stream`], [`simulate_stream`]) maps each unit
+//! through one table built for the layout and runs one flat loop of
+//! lookups; [`simulate`] and [`Replayer::replay`] compile a stream for
+//! their one replay. The result is identical, counter for counter, to
+//! one fetch at a time under every replacement policy:
 //!
-//! * scratchpad and loop-cache service depends only on the address and
-//!   the system, never on history, so their counters, `trace_spm`,
-//!   `trace_lc`, `trace_fetches` and `base_cycles` are block counts
-//!   times per-block constants;
-//! * eq. (4) gives an object's I-cache hits as its I-cache fetches
-//!   minus its misses, and the loop counts the misses one by one; the
-//!   lookup counts no hits, and the fold charges the call's hit total
-//!   to the counters and to [`Cache::hits`], so every counter is exact
+//! * *same offsets in every layout:* every main-memory trace slot
+//!   starts on a multiple of the trace padding, and a trace keeps its
+//!   blocks' and glue jump's offsets in its slot under copy, move and
+//!   reordered layouts. So the `k`-th line of object `o` in layout `L`
+//!   is `base_L(o) + k`, and the table holds `line₀ − base₀(o) +
+//!   base_L(o)` per initial-image line, or "skip" when `o` sits on a
+//!   scratchpad or the line in a loop-cache range. A unit is a line,
+//!   or a smaller power of two when a loop-cache range starts or ends
+//!   inside a line, so that every unit is fetched one way; such a
+//!   system compiles its own stream;
+//! * *merging repeats changes nothing:* a lookup of the line just
+//!   looked up hits the slot it left first in its set and changes no
+//!   state under any policy, and skipping one object's lookups leaves
+//!   every other lookup in the same order. The run filter of
+//!   [`LineStream::compile`] drops more such first-slot hits;
+//! * *counts come from the fold:* scratchpad and loop-cache service
+//!   depends only on the address and the system, never on history, so
+//!   their counters, `trace_spm`, `trace_lc`, `trace_fetches` and
+//!   `base_cycles` are the stream's totals mapped through the layout;
+//!   eq. (4) gives an object's I-cache hits as its I-cache fetches
+//!   minus its misses, which the loop counts one by one, and a set's
+//!   hits for [`SetStatsRecorder`] likewise; every counter is exact
 //!   when the call returns;
-//! * in a run only the first fetch can miss: the trailing `n − 1` hit
-//!   the line it left resident, since nothing else touches the cache in
-//!   between;
-//! * a direct-mapped lookup compares and replaces its set's one tag and
-//!   keeps no clock: a one-way set never reads a stamp;
-//! * a set-associative lookup checks the set's most-recently-used way
-//!   first, and a hit there touches nothing: under LRU that way already
-//!   holds the set's newest stamp, and FIFO stamps only fills, so the
-//!   order within the set is what a fresh stamp would leave. Any other
-//!   lookup scans the set, stamps a scan hit (LRU) or a fill with the
-//!   next value of a count of such stamps, and records that way as the
-//!   most recently used. Stamps are only compared within a set, so
-//!   their order is the one per-fetch clocks leave;
-//! * FIFO, round-robin and `Random(seed)` change state (fill stamp,
-//!   victim counter, RNG draw) only on misses, as before; the
-//!   direct-mapped lookup still asks the victim picker under `Random`,
-//!   so the RNG draws exactly as before;
-//! * the L2, the main-memory line fills, the conflict recorder and the
-//!   per-set fill and eviction tallies see only misses, and
-//!   [`Recorder::cache_access`] takes the run length as a count.
+//! * *one cache model:* the loop compares the set's first slot inline.
+//!   A direct-mapped set has one; LRU and FIFO sets keep their ways in
+//!   recency or fill order (each slot carrying its physical way), and
+//!   an LRU lookup that misses the first slot reorders the set with
+//!   selects rather than branches. Round-robin and `Random(seed)` keep
+//!   physical order, so their victims and RNG draws are the per-fetch
+//!   ones. [`Cache::access`] is the one-fetch case of the same lookup;
+//! * *misses go out of line:* the L2, the main-memory line fills, the
+//!   conflict recorder and the per-set fill and eviction tallies see
+//!   only misses, in order.
 //!
-//! A plan holds one layout, so a [`Replayer`] layout switch between
-//! segments takes effect at the next call. Scratchpad banks are checked
-//! when the fold charges an executed block: a layout that puts a block
-//! that never executes in a missing bank replays cleanly.
-//! [`InstMemorySystem::fetch`] and [`Cache::access`] are the one-fetch
-//! case of the same lookup.
+//! A profiling replay on the initial layout also records its *copy
+//! stream* ([`profile_stream`]): the lookups that left a set's first
+//! slot. Under LRU (and direct-mapped caches) a layout that only drops
+//! lookups — a copy placement, a whole-object loop-cache preload —
+//! leaves every other first-slot hit a first-slot hit, so the copy
+//! stream replays such layouts exactly with fewer lookups.
+//!
+//! A stream is compiled for one trace set and refuses a layout of
+//! another ([`StreamError`]). A [`Replayer`] layout switch between
+//! segments compiles the next segment and keeps the cache state.
+//! Scratchpad banks are checked when the fold charges an object with
+//! fetches: a layout that puts a trace that never executes in a missing
+//! bank replays cleanly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -87,16 +97,21 @@ pub mod loop_cache;
 pub mod recorder;
 pub mod scratchpad;
 pub mod stats;
+pub mod stream;
 
 pub use cache::{Cache, CacheConfig, ReplacementPolicy};
 pub use conflict::ConflictRecorder;
 pub use data::{simulate_data, DataAccess, DataSimOutcome, DataTrace};
-pub use fetch::{simulate, simulate_observed, ExecutionTrace, Replayer, SimOutcome};
+pub use fetch::{
+    profile_stream, simulate, simulate_observed, simulate_stream, simulate_stream_observed,
+    ExecutionTrace, Replayer, SimError, SimOutcome,
+};
 pub use hierarchy::{HierarchyConfig, InstMemorySystem};
 pub use loop_cache::LoopCacheController;
 pub use recorder::{NullRecorder, Recorder, SetStatsRecorder};
 pub use scratchpad::Scratchpad;
 pub use stats::{FetchCounters, FetchStats};
+pub use stream::{LineStream, StreamError};
 
 // The sweep engine in casa-bench shares simulators and their outputs
 // across worker threads; keep that property compile-time checked here
@@ -108,6 +123,7 @@ const _: () = {
     _assert_send_sync::<CacheConfig>();
     _assert_send_sync::<ExecutionTrace>();
     _assert_send_sync::<SimOutcome>();
+    _assert_send_sync::<LineStream>();
     _assert_send_sync::<InstMemorySystem>();
     _assert_send_sync::<FetchStats>();
 };

@@ -152,23 +152,6 @@ impl LoopCacheController {
         self.accesses += n;
     }
 
-    /// The first address past `addr` whose fetch may be served
-    /// differently: the end of the range holding `addr`, or else the
-    /// nearest range start above `addr`, capped at `cap`.
-    #[inline]
-    pub(crate) fn run_end(&self, addr: u32, cap: u32) -> u32 {
-        let mut end = cap;
-        for &(s, e) in &self.ranges {
-            if addr >= s && addr < e {
-                return e;
-            }
-            if s > addr {
-                end = end.min(s);
-            }
-        }
-        end
-    }
-
     /// Loop-cache accesses recorded so far.
     pub fn accesses(&self) -> u64 {
         self.accesses

@@ -1,19 +1,18 @@
 //! Fine-grained simulation event recording behind a zero-cost trait.
 //!
-//! The fetch engine reports I-cache events to a [`Recorder`] as they
-//! happen: one `cache_access` per run of consecutive fetches of one
-//! line, with the run's length as a count, and one `cache_fill`,
-//! `cache_eviction` and `l2_access` per miss. Scratchpad and loop-cache
-//! service does not depend on history, so a replay reports it as
-//! per-block totals to `spm_access` and `loop_cache_access` when each
-//! [`crate::Replayer::replay`] call ends (see [`crate::fetch`]). Summed,
-//! every tally is what one fetch at a time gives. The
-//! default [`NullRecorder`] has empty inlined methods, so the
-//! uninstrumented path monomorphizes to exactly the old code — no
-//! allocation, no branch. [`SetStatsRecorder`] keeps
-//! per-set hit/miss/eviction/fill tallies (the raw material behind the
-//! paper's conflict analysis: a set with evictions ≫ cold fills is
-//! where `m_ij` lives) and can export them into a `casa-obs` registry.
+//! The fetch engine reports I-cache misses to a [`Recorder`] as they
+//! happen: one `cache_fill`, `cache_eviction` and `l2_access` per miss.
+//! Everything that does not depend on history arrives as totals when a
+//! [`crate::Replayer`] replay call ends (see [`crate::fetch`]): the
+//! I-cache fetches of each set (`cache_fetches`), and the scratchpad
+//! and loop-cache fetches of each memory object. Summed, every tally
+//! is what one fetch at a time gives. The default [`NullRecorder`] has
+//! empty inlined methods, so the uninstrumented path monomorphizes to
+//! no recording at all — no allocation, no branch.
+//! [`SetStatsRecorder`] keeps per-set hit/miss/eviction/fill tallies
+//! (the raw material behind the paper's conflict analysis: a set with
+//! evictions ≫ cold fills is where `m_ij` lives) and can export them
+//! into a `casa-obs` registry.
 
 use casa_obs::Obs;
 
@@ -23,14 +22,15 @@ use casa_obs::Obs;
 /// need. Methods take `&mut self` so recorders can be plain structs
 /// without interior mutability.
 pub trait Recorder {
-    /// `n ≥ 1` I-cache lookups of one line in `set`: the first hit
-    /// (`hit`) or missed, the other `n − 1` hit.
+    /// `n` I-cache fetches that mapped to `set`, hits and misses alike.
+    /// A replay reports each set's total when the call ends; its hits
+    /// are these fetches minus the set's fills.
     #[inline]
-    fn cache_access(&mut self, set: u32, n: u64, hit: bool) {
-        let _ = (set, n, hit);
+    fn cache_fetches(&mut self, set: u32, n: u64) {
+        let _ = (set, n);
     }
 
-    /// A line fill into `set` (every miss allocates a line).
+    /// A miss in `set`, which fills a line (every miss allocates one).
     #[inline]
     fn cache_fill(&mut self, set: u32) {
         let _ = set;
@@ -43,14 +43,14 @@ pub trait Recorder {
     }
 
     /// `n` fetches served by scratchpad bank `bank`. A replay reports a
-    /// block's total when the [`crate::Replayer::replay`] call ends.
+    /// memory object's total when the call ends.
     #[inline]
     fn spm_access(&mut self, bank: u8, n: u64) {
         let _ = (bank, n);
     }
 
-    /// `n` fetches served by the loop cache. A replay reports a
-    /// block's total when the [`crate::Replayer::replay`] call ends.
+    /// `n` fetches served by the loop cache. A replay reports a memory
+    /// object's total when the call ends.
     #[inline]
     fn loop_cache_access(&mut self, n: u64) {
         let _ = n;
@@ -69,14 +69,14 @@ pub struct NullRecorder;
 
 impl Recorder for NullRecorder {}
 
-/// Per-set cache statistics: hits, misses, evictions and line fills
-/// indexed by set, plus per-bank SPM and loop-cache/L2 tallies.
+/// Per-set cache statistics: fetches, misses (line fills) and
+/// evictions indexed by set, plus per-bank SPM and loop-cache/L2
+/// tallies.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SetStatsRecorder {
-    hits: Vec<u64>,
-    misses: Vec<u64>,
-    evictions: Vec<u64>,
+    fetches: Vec<u64>,
     fills: Vec<u64>,
+    evictions: Vec<u64>,
     spm: Vec<u64>,
     loop_cache: u64,
     l2_hits: u64,
@@ -87,22 +87,25 @@ impl SetStatsRecorder {
     /// A recorder for a cache with `num_sets` sets.
     pub fn new(num_sets: usize) -> Self {
         SetStatsRecorder {
-            hits: vec![0; num_sets],
-            misses: vec![0; num_sets],
-            evictions: vec![0; num_sets],
+            fetches: vec![0; num_sets],
             fills: vec![0; num_sets],
+            evictions: vec![0; num_sets],
             ..SetStatsRecorder::default()
         }
     }
 
-    /// Per-set hit counts.
-    pub fn hits(&self) -> &[u64] {
-        &self.hits
+    /// Per-set hit counts: each set's fetches minus its misses.
+    pub fn hits(&self) -> Vec<u64> {
+        self.fetches
+            .iter()
+            .zip(&self.fills)
+            .map(|(&f, &m)| f.saturating_sub(m))
+            .collect()
     }
 
     /// Per-set miss counts.
     pub fn misses(&self) -> &[u64] {
-        &self.misses
+        &self.fills
     }
 
     /// Per-set eviction counts (valid lines displaced).
@@ -131,32 +134,27 @@ impl SetStatsRecorder {
             return;
         }
         let total = |v: &[u64]| v.iter().sum::<u64>();
-        obs.add("sim.cache.hits", total(&self.hits));
-        obs.add("sim.cache.misses", total(&self.misses));
+        let hits = self.hits();
+        obs.add("sim.cache.hits", total(&hits));
+        obs.add("sim.cache.misses", total(&self.fills));
         obs.add("sim.cache.evictions", total(&self.evictions));
         obs.add("sim.cache.fills", total(&self.fills));
         obs.add("sim.spm.accesses", total(&self.spm));
         obs.add("sim.loop_cache.accesses", self.loop_cache);
         obs.add("sim.l2.hits", self.l2_hits);
         obs.add("sim.l2.misses", self.l2_misses);
-        for s in 0..self.hits.len() {
-            obs.record("sim.cache.set_hits", self.hits[s]);
-            obs.record("sim.cache.set_misses", self.misses[s]);
-            obs.record("sim.cache.set_evictions", self.evictions[s]);
+        for ((&h, &m), &e) in hits.iter().zip(&self.fills).zip(&self.evictions) {
+            obs.record("sim.cache.set_hits", h);
+            obs.record("sim.cache.set_misses", m);
+            obs.record("sim.cache.set_evictions", e);
         }
     }
 }
 
 impl Recorder for SetStatsRecorder {
     #[inline]
-    fn cache_access(&mut self, set: u32, n: u64, hit: bool) {
-        let s = set as usize;
-        if hit {
-            self.hits[s] += n;
-        } else {
-            self.misses[s] += 1;
-            self.hits[s] += n - 1;
-        }
+    fn cache_fetches(&mut self, set: u32, n: u64) {
+        self.fetches[set as usize] += n;
     }
 
     #[inline]
@@ -201,17 +199,16 @@ mod tests {
     #[test]
     fn set_stats_accumulate() {
         let mut r = SetStatsRecorder::new(4);
-        r.cache_access(0, 1, false);
         r.cache_fill(0);
-        r.cache_access(0, 1, true);
-        r.cache_access(3, 4, false);
+        r.cache_fetches(0, 2);
         r.cache_fill(3);
         r.cache_eviction(3);
-        r.cache_access(2, 3, true);
+        r.cache_fetches(3, 4);
+        r.cache_fetches(2, 3);
         r.spm_access(1, 2);
         r.loop_cache_access(5);
         r.l2_access(true);
-        assert_eq!(r.hits(), &[1, 0, 3, 3], "a run's trailing fetches hit");
+        assert_eq!(r.hits(), vec![1, 0, 3, 3], "fetches minus misses");
         assert_eq!(r.misses(), &[1, 0, 0, 1]);
         assert_eq!(r.fills(), &[1, 0, 0, 1]);
         assert_eq!(r.evictions(), &[0, 0, 0, 1]);
@@ -222,8 +219,8 @@ mod tests {
     #[test]
     fn export_writes_totals_and_distributions() {
         let mut r = SetStatsRecorder::new(2);
-        r.cache_access(0, 2, true);
-        r.cache_access(1, 1, false);
+        r.cache_fetches(0, 2);
+        r.cache_fetches(1, 1);
         r.cache_fill(1);
         r.cache_eviction(1);
         let obs = Obs::enabled();

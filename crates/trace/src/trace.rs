@@ -52,7 +52,7 @@ impl TraceConfig {
 
 /// One trace: a straight-line path of basic blocks connected by
 /// fall-through edges, forming a memory object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Trace {
     id: TraceId,
     blocks: Vec<BlockId>,
@@ -129,7 +129,7 @@ impl Trace {
 
 /// The result of trace formation: a partition of all program blocks
 /// into traces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TraceSet {
     traces: Vec<Trace>,
     block_trace: Vec<TraceId>,

@@ -132,7 +132,7 @@ impl<'a> Walker<'a> {
         // fall-through arm.
         let mut arms = vec![[0u64; 2]; blocks.len()];
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut seq: Vec<BlockId> = Vec::new();
+        let mut seq = ExecutionTrace::for_blocks(blocks.len());
         let mut stack: Vec<BlockId> = Vec::new();
 
         let mut cur = self.program.function(self.program.entry()).entry();
@@ -206,7 +206,7 @@ impl<'a> Walker<'a> {
                 }
             }
         }
-        Ok((ExecutionTrace::new(seq), profile))
+        Ok((seq, profile))
     }
 
     /// Like [`Self::run`], additionally producing the data-access
@@ -237,7 +237,7 @@ impl<'a> Walker<'a> {
         let mut cursors = vec![0u32; workload.data_objects.len()];
         let mut accesses = Vec::new();
         let mut kinds = Vec::new();
-        for &block in exec.blocks() {
+        for block in exec.iter() {
             let f = self.program.block(block).function();
             let Some(obj) = workload.data_object_of[f.index()] else {
                 continue;
@@ -489,8 +489,8 @@ mod tests {
         let (a, _) = walker.run(99).unwrap();
         let (b, _) = walker.run(99).unwrap();
         let (c, _) = walker.run(100).unwrap();
-        assert_eq!(a.blocks(), b.blocks());
-        assert_ne!(a.blocks(), c.blocks(), "different seed, different path");
+        assert_eq!(a, b);
+        assert_ne!(a, c, "different seed, different path");
     }
 
     #[test]

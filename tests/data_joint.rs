@@ -109,7 +109,7 @@ fn data_stream_is_deterministic() {
     let s1 = setup();
     let s2 = setup();
     assert_eq!(s1.data, s2.data);
-    assert_eq!(s1.exec.blocks(), s2.exec.blocks());
+    assert_eq!(s1.exec, s2.exec);
 }
 
 #[test]

@@ -1,31 +1,35 @@
 //! Differential test of the compiled fetch engine.
 //!
 //! `simulate`, `simulate_observed` and segmented `Replayer` sessions
-//! compile a block plan per replay call, look each I-cache line run up
-//! once and fold scratchpad, loop-cache, fetch, hit and cycle counts in
-//! from block execution counts. The reference replay here does none of
-//! that: it issues one `InstMemorySystem::fetch` per
-//! `Layout::inst_locations` entry, applies the trace-exit glue-jump
-//! rule itself and attributes conflict misses through its own
-//! `(set, tag)` eviction map. Every counter, per-object vector,
-//! conflict edge, cold miss, base cycle and per-set recorder tally must
-//! agree, on generated programs in ARM and Thumb mode, under copy and
-//! move placements, every replacement policy at 1, 2 and 4 ways, with
-//! and without an L2, with loop-cache preloads that start and end
-//! mid-line, and across layout switches, where the counters must also
-//! be complete after every segment.
+//! compile a line stream per replay call, and `simulate_stream` replays
+//! one compiled stream under many layouts and memory systems: each
+//! looks up the stream's units through a per-layout remap and folds
+//! scratchpad, loop-cache, fetch, hit and cycle counts in from the
+//! stream's totals. The reference replay here does none of that: it
+//! issues one `InstMemorySystem::fetch` per `Layout::inst_locations`
+//! entry, applies the trace-exit glue-jump rule itself and attributes
+//! conflict misses through its own `(set, tag)` eviction map. Every
+//! counter, per-object vector, conflict edge, cold miss, base cycle and
+//! per-set recorder tally must agree, on generated programs in ARM and
+//! Thumb mode, under copy, move and reordered placements, every
+//! replacement policy at 1, 2 and 4 ways, with and without an L2, with
+//! loop-cache preloads of whole trace slots and ones that start and
+//! end mid-line, and across layout switches, where the counters must
+//! also be complete after every segment.
 
 use casa::ir::inst::{InstKind, IsaMode};
+use casa::ir::BlockId;
 use casa::ir::Program;
 use casa::mem::cache::{CacheConfig, ReplacementPolicy};
 use casa::mem::hierarchy::FetchEvent;
 use casa::mem::{
-    simulate, simulate_observed, ExecutionTrace, FetchStats, HierarchyConfig, InstMemorySystem,
-    Replayer, SetStatsRecorder, SimOutcome,
+    profile_stream, simulate, simulate_observed, simulate_stream_observed, ExecutionTrace,
+    FetchStats, HierarchyConfig, InstMemorySystem, LineStream, Replayer, SetStatsRecorder,
+    SimError, SimOutcome, StreamError,
 };
 use casa::obs::Obs;
 use casa::trace::layout::PlacementSemantics;
-use casa::trace::{form_traces, Layout, Location, TraceConfig, TraceSet};
+use casa::trace::{form_traces, Layout, Location, TraceConfig, TraceId, TraceSet};
 use casa::workloads::generator::{random_spec, GeneratorConfig};
 use casa::workloads::Walker;
 use rand::rngs::SmallRng;
@@ -76,9 +80,8 @@ impl Reference {
         exec: &ExecutionTrace,
         range: Range<usize>,
     ) {
-        let blocks = exec.blocks();
         for pos in range {
-            let block = blocks[pos];
+            let block = exec.get(pos).expect("in range");
             let tid = traces.trace_of(block);
             let ti = tid.index();
             for (loc, _) in layout.inst_locations(program, traces, block) {
@@ -90,7 +93,7 @@ impl Reference {
             let trace = traces.trace(tid);
             if trace.glue_jump_size().is_some() && trace.blocks().last() == Some(&block) {
                 let ft = program.block(block).terminator().fallthrough_successor();
-                if ft.is_some() && ft == blocks.get(pos + 1).copied() {
+                if ft.is_some() && ft == exec.get(pos + 1) {
                     self.fetch(ti, layout.glue_location(tid).expect("glue placed"));
                     self.base_cycles += u64::from(InstKind::Jump.base_cycles());
                 }
@@ -205,7 +208,10 @@ fn placement(rng: &mut SmallRng, n: usize) -> Vec<Option<u8>> {
 fn preload(rng: &mut SmallRng, c: &Case, layout: &Layout) -> Vec<(u32, u32)> {
     (0..rng.gen_range(1..=4))
         .map(|_| {
-            let block = c.exec.blocks()[rng.gen_range(0..c.exec.len())];
+            let block = c
+                .exec
+                .get(rng.gen_range(0..c.exec.len()))
+                .expect("in range");
             let start = layout.block_location(&c.traces, block).addr + rng.gen_range(0..8u32) * 2;
             (start, start + rng.gen_range(1..=40u32) * 2)
         })
@@ -394,4 +400,297 @@ fn segmented_replay_with_layout_switches_matches_per_fetch_replay() {
         assert_eq!(out.stats.overlay_copy_words, 7);
         reference.assert_matches(&out, None, &format!("seed {seed} segmented"));
     }
+}
+
+/// Loop-cache preload ranges.
+type Preload = Vec<(u32, u32)>;
+
+/// A random permutation of the trace ids.
+fn shuffled(rng: &mut SmallRng, n: usize) -> Vec<TraceId> {
+    let mut order: Vec<TraceId> = (0..n as u32).map(TraceId::from_raw).collect();
+    for i in (1..n).rev() {
+        order.swap(i, rng.gen_range(0..=i));
+    }
+    order
+}
+
+/// Up to four executed traces' whole slots in `layout`.
+fn whole_slots(rng: &mut SmallRng, c: &Case, layout: &Layout) -> Vec<(u32, u32)> {
+    let mut ranges: Vec<(u32, u32)> = Vec::new();
+    for _ in 0..4 {
+        let block = c
+            .exec
+            .get(rng.gen_range(0..c.exec.len()))
+            .expect("in range");
+        let t = c.traces.trace_of(block);
+        let start = layout.trace_location(t).addr;
+        let range = (start, start + c.traces.trace(t).padded_size(LINE));
+        if !ranges.contains(&range) {
+            ranges.push(range);
+        }
+    }
+    ranges
+}
+
+#[test]
+fn one_stream_replays_many_layouts_and_systems() {
+    let mut total = FetchStats::new();
+    for seed in 7..10u64 {
+        let c = case(seed, [IsaMode::Arm, IsaMode::Thumb][seed as usize % 2]);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x57ea);
+        // Compiled once, for the cache with the fewest sets, so that
+        // the run filter holds on every cache below.
+        let stream = LineStream::compile(
+            &c.program,
+            &c.traces,
+            &c.exec,
+            &HierarchyConfig::cache_only(cache(128, 4, ReplacementPolicy::Lru)),
+        );
+        assert_eq!(stream.granule(), LINE);
+        let n = c.traces.len();
+        let initial = Layout::initial(&c.program, &c.traces);
+        // (name, layout, whole-slot preload ranges).
+        let mut layouts: Vec<(String, Layout, Preload)> = (0..8)
+            .map(|k| {
+                let semantics = [PlacementSemantics::Copy, PlacementSemantics::Move][k % 2];
+                let place = placement(&mut rng, n);
+                let layout = Layout::with_placement(&c.program, &c.traces, &place, semantics);
+                (format!("placement {k} {semantics:?}"), layout, Vec::new())
+            })
+            .collect();
+        let order = shuffled(&mut rng, n);
+        let place = placement(&mut rng, n);
+        let reordered = Layout::with_order(
+            &c.program,
+            &c.traces,
+            &order,
+            &place,
+            PlacementSemantics::Move,
+        );
+        layouts.push(("reordered".to_string(), reordered, Vec::new()));
+        let ranges = whole_slots(&mut rng, &c, &initial);
+        layouts.push(("whole-slot preload".to_string(), initial, ranges));
+        for (i, (name, layout, ranges)) in layouts.iter().enumerate() {
+            // Six of the 24 (policy, ways, L2) systems per layout,
+            // rotating, so the ten layouts cover each at least twice.
+            for j in 0..6 {
+                let combo = i * 6 + j;
+                let policy = policies(seed)[combo % 4];
+                let ways = [1, 2, 4][combo / 4 % 3];
+                let l1 = cache(128, ways, policy);
+                let mut config = if ranges.is_empty() {
+                    spm_system(l1, &[layout])
+                } else {
+                    let capacity = ranges.iter().map(|(s, e)| e - s).sum();
+                    HierarchyConfig::loop_cache_system(l1, capacity, 4, ranges.clone())
+                };
+                let l2 = combo / 12 % 2 == 1;
+                if l2 {
+                    config = config.with_l2(cache(512, 2, ReplacementPolicy::Lru));
+                }
+                let what = format!("seed {seed} {name} {policy:?} {ways}-way l2={l2}");
+                let mut reference = Reference::new(n, &config);
+                reference.replay(&c.program, &c.traces, layout, &c.exec, 0..c.exec.len());
+                let recorder = SetStatsRecorder::new(config.cache.num_sets() as usize);
+                let (out, recorder) =
+                    simulate_stream_observed(&stream, &c.traces, layout, &config, recorder)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                reference.assert_matches(&out, Some(&recorder), &what);
+                total += out.stats;
+            }
+        }
+    }
+    assert!(
+        total.cache_misses > 1000
+            && total.spm_accesses > 0
+            && total.loop_cache_accesses > 0
+            && total.l2_hits > 0,
+        "{total:?}"
+    );
+}
+
+#[test]
+fn a_copy_stream_replays_copy_layouts_on_its_cache() {
+    let mut total = FetchStats::new();
+    let mut dropped = 0;
+    for seed in 7..10u64 {
+        let c = case(seed, [IsaMode::Arm, IsaMode::Thumb][seed as usize % 2]);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xc0b1);
+        let initial = Layout::initial(&c.program, &c.traces);
+        let n = c.traces.len();
+        // Caches big enough that many lookups hit the first slot, so
+        // the copy stream is much shorter than the stream.
+        for (k, l1) in [
+            cache(512, 1, ReplacementPolicy::Random(seed)),
+            cache(512, 2, ReplacementPolicy::Lru),
+            cache(512, 4, ReplacementPolicy::Lru),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let profiling = HierarchyConfig::cache_only(l1);
+            let stream = LineStream::compile(&c.program, &c.traces, &c.exec, &profiling);
+            let (profiled, copy) = profile_stream(&stream, &c.traces, &initial, &profiling)
+                .expect("the initial layout profiles");
+            let mut reference = Reference::new(n, &profiling);
+            reference.replay(&c.program, &c.traces, &initial, &c.exec, 0..c.exec.len());
+            reference.assert_matches(&profiled, None, &format!("seed {seed} profile {k}"));
+            let copy = copy.expect("direct-mapped and LRU caches keep a copy stream");
+            dropped += stream.len() - copy.len();
+            for j in 0..5 {
+                let (layout, mut config) = if j < 4 {
+                    let place = placement(&mut rng, n);
+                    let layout = Layout::with_placement(
+                        &c.program,
+                        &c.traces,
+                        &place,
+                        PlacementSemantics::Copy,
+                    );
+                    let config = spm_system(l1, &[&layout]);
+                    (layout, config)
+                } else {
+                    let ranges = whole_slots(&mut rng, &c, &initial);
+                    let capacity = ranges.iter().map(|(s, e)| e - s).sum();
+                    let config = HierarchyConfig::loop_cache_system(l1, capacity, 4, ranges);
+                    (initial.clone(), config)
+                };
+                if j % 2 == 1 {
+                    config = config.with_l2(cache(2048, 2, ReplacementPolicy::Lru));
+                }
+                let what = format!("seed {seed} cache {k} copy layout {j}");
+                let mut reference = Reference::new(n, &config);
+                reference.replay(&c.program, &c.traces, &layout, &c.exec, 0..c.exec.len());
+                let recorder = SetStatsRecorder::new(config.cache.num_sets() as usize);
+                let (out, recorder) =
+                    simulate_stream_observed(&copy, &c.traces, &layout, &config, recorder)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                reference.assert_matches(&out, Some(&recorder), &what);
+                total += out.stats;
+            }
+            // It refuses a layout that moves code, and another cache.
+            let moved = Layout::with_placement(
+                &c.program,
+                &c.traces,
+                &placement(&mut rng, n),
+                PlacementSemantics::Move,
+            );
+            let config = spm_system(l1, &[&moved]);
+            assert!(matches!(
+                simulate_stream_observed(
+                    &copy,
+                    &c.traces,
+                    &moved,
+                    &config,
+                    SetStatsRecorder::new(8)
+                ),
+                Err(SimError::Stream(StreamError::OtherLayout))
+            ));
+            let other = HierarchyConfig::cache_only(cache(1024, l1.associativity, l1.policy));
+            assert!(matches!(
+                simulate_stream_observed(
+                    &copy,
+                    &c.traces,
+                    &initial,
+                    &other,
+                    SetStatsRecorder::new(8)
+                ),
+                Err(SimError::Stream(StreamError::OtherSystem))
+            ));
+        }
+        // FIFO is not a stack policy: dropping lookups can turn a hit
+        // into a miss, so it keeps no copy stream.
+        let fifo = HierarchyConfig::cache_only(cache(512, 4, ReplacementPolicy::Fifo));
+        let stream = LineStream::compile(&c.program, &c.traces, &c.exec, &fifo);
+        let (_, copy) = profile_stream(&stream, &c.traces, &initial, &fifo).expect("profiles");
+        assert!(copy.is_none());
+    }
+    assert!(
+        total.cache_misses > 1000 && total.spm_accesses > 0 && total.loop_cache_accesses > 0,
+        "{total:?}"
+    );
+    assert!(
+        dropped > 1000,
+        "copy streams dropped only {dropped} lookups"
+    );
+}
+
+#[test]
+fn a_stream_refuses_another_trace_set_and_finer_preloads() {
+    let c = case(8, IsaMode::Arm);
+    let config = HierarchyConfig::cache_only(cache(64, 1, ReplacementPolicy::Lru));
+    let stream = LineStream::compile(&c.program, &c.traces, &c.exec, &config);
+    // The traces a cold profile forms at another cap.
+    let other = form_traces(
+        &c.program,
+        &casa::ir::Profile::new(),
+        TraceConfig::new(256, LINE),
+        &Obs::disabled(),
+    );
+    assert_ne!(other, c.traces);
+    let layout = Layout::initial(&c.program, &other);
+    let mut session = Replayer::new(&other, &config).expect("valid config");
+    assert_eq!(
+        session.replay_stream(&stream, &other, &layout),
+        Err(StreamError::OtherTraceSet)
+    );
+    // A preload bound inside a line needs units finer than a line: the
+    // whole-line stream refuses it, and a stream compiled for it has
+    // sub-line units, so its run filter is off.
+    let initial = Layout::initial(&c.program, &c.traces);
+    let start = initial.trace_location(TraceId::from_raw(0)).addr + 4;
+    let mid_line = HierarchyConfig::loop_cache_system(
+        cache(64, 1, ReplacementPolicy::Lru),
+        8,
+        4,
+        vec![(start, start + 8)],
+    );
+    let mut session = Replayer::new(&c.traces, &mid_line).expect("valid preload");
+    assert_eq!(
+        session.replay_stream(&stream, &c.traces, &initial),
+        Err(StreamError::OtherSystem)
+    );
+    let fine = LineStream::compile(&c.program, &c.traces, &c.exec, &mid_line);
+    assert_eq!(fine.granule(), 4);
+    assert!(fine.len() >= stream.len(), "no run filter below a line");
+    // A cache with fewer sets than the run filter assumed is refused.
+    let fewer_sets = HierarchyConfig::cache_only(cache(64, 4, ReplacementPolicy::Lru));
+    let mut session = Replayer::new(&c.traces, &fewer_sets).expect("valid config");
+    assert_eq!(
+        session.replay_stream(&stream, &c.traces, &initial),
+        Err(StreamError::OtherSystem)
+    );
+}
+
+#[test]
+fn execution_trace_round_trips_ids_across_the_16_bit_boundary() {
+    let ids = |raw: &[u32]| -> Vec<BlockId> { raw.iter().map(|&r| BlockId::from_raw(r)).collect() };
+    for raw in [
+        vec![0, 1, 65_535, 7],
+        vec![65_535, 65_536, 0],
+        vec![70_000, 3, 1 << 31],
+        vec![],
+    ] {
+        let built = ExecutionTrace::new(ids(&raw));
+        let mut pushed = ExecutionTrace::for_blocks(10);
+        for &b in &ids(&raw) {
+            pushed.push(b);
+        }
+        for t in [&built, &pushed] {
+            assert_eq!(t.len(), raw.len());
+            assert_eq!(t.iter().collect::<Vec<_>>(), ids(&raw), "{raw:?}");
+            for (pos, &r) in raw.iter().enumerate() {
+                assert_eq!(t.get(pos), Some(BlockId::from_raw(r)));
+            }
+            assert_eq!(t.get(raw.len()), None);
+        }
+        assert_eq!(built, pushed, "{raw:?}");
+    }
+    // The width follows the program, not the ids: a 16-bit trace and a
+    // 32-bit one of the same blocks are equal.
+    let mut wide = ExecutionTrace::for_blocks(100_000);
+    for b in ids(&[1, 2, 3]) {
+        wide.push(b);
+    }
+    assert_eq!(wide, ExecutionTrace::new(ids(&[1, 2, 3])));
+    assert_ne!(wide, ExecutionTrace::new(ids(&[1, 2])));
 }
