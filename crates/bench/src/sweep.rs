@@ -39,9 +39,9 @@
 //! So the CASA, Steinke and loop-cache cells of one (program, size)
 //! share one trace formation and one compiled stream across the
 //! direct-mapped and set-associative caches of the grid, each cache
-//! has one profiling simulation, and at most one group's base and one
-//! profile per worker are alive. Profiling stays out of the prepare
-//! phase, whose wall time is [`SweepReport::prepare_secs`].
+//! has one profiling simulation, and at most one group's traces,
+//! stream and profile per worker are alive. Profiling stays out of the
+//! prepare phase, whose wall time is [`SweepReport::prepare_secs`].
 //!
 //! The worker count comes from the `CASA_SWEEP_THREADS` environment
 //! variable when set (minimum 1), else from
@@ -69,7 +69,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 // The whole point of the pool is shipping these across threads; fail
@@ -637,52 +637,74 @@ impl SweepGrid {
     }
 }
 
-/// What one profile group shares while its cells run: the traces and
-/// the compiled stream, formed by its first cell, and the profile of
-/// the cache its latest scratchpad cell ran on (a loop-cache cell on
-/// that cache replays the profile's copy stream).
+/// What one profile group shares while its cells run: its traces and
+/// compiled stream, formed by its first cell, which the profile of the
+/// cache its latest scratchpad cell ran on takes over, so one copy of
+/// each is alive.
 struct GroupState {
     /// The cache the group's stream is compiled for.
     target: CacheConfig,
-    base: Option<(TraceSet, Arc<LineStream>)>,
-    profile: Option<(CacheConfig, SpmProfile)>,
+    shared: Shared,
+}
+
+/// Who holds a group's traces and stream.
+enum Shared {
+    /// Nothing formed yet.
+    Empty,
+    /// The group's traces and stream.
+    Base(TraceSet, LineStream),
+    /// The profile of this cache, holding the group's traces and
+    /// stream.
+    Profiled(CacheConfig, SpmProfile),
 }
 
 impl GroupState {
     fn new(target: CacheConfig) -> Self {
         GroupState {
             target,
-            base: None,
-            profile: None,
+            shared: Shared::Empty,
         }
     }
 
-    /// The group's traces and stream, formed at trace cap `cap` on the
-    /// first call.
-    fn base(&mut self, w: &PreparedWorkload, cap: u32, obs: &Obs) -> &(TraceSet, Arc<LineStream>) {
-        let target = self.target;
-        self.base.get_or_insert_with(|| {
-            let (traces, stream) =
-                form_and_compile(&w.program, &w.profile, &w.exec, &target, cap, obs);
-            (traces, Arc::new(stream))
-        })
+    /// Take the group's traces and stream, formed at trace cap `cap`
+    /// if the group has none yet.
+    fn take_base(&mut self, w: &PreparedWorkload, cap: u32, obs: &Obs) -> (TraceSet, LineStream) {
+        match std::mem::replace(&mut self.shared, Shared::Empty) {
+            Shared::Empty => {
+                form_and_compile(&w.program, &w.profile, &w.exec, &self.target, cap, obs)
+            }
+            Shared::Base(traces, stream) => (traces, stream),
+            Shared::Profiled(_, p) => (p.traces, p.stream),
+        }
+    }
+
+    /// The group's traces and stream, formed at trace cap `cap` if the
+    /// group has none yet.
+    fn base(&mut self, w: &PreparedWorkload, cap: u32, obs: &Obs) -> (&TraceSet, &LineStream) {
+        if matches!(self.shared, Shared::Empty) {
+            let (traces, stream) = self.take_base(w, cap, obs);
+            self.shared = Shared::Base(traces, stream);
+        }
+        match &self.shared {
+            Shared::Base(traces, stream) => (traces, stream),
+            Shared::Profiled(_, p) => (&p.traces, &p.stream),
+            Shared::Empty => unreachable!("formed above"),
+        }
     }
 
     /// The profile of `config`'s cache on the group's base, profiled
     /// unless the previous scratchpad cell ran on the same cache.
     fn profile(&mut self, w: &PreparedWorkload, config: &FlowConfig, obs: &Obs) -> &SpmProfile {
-        if self
-            .profile
-            .as_ref()
-            .is_none_or(|(c, _)| *c != config.cache)
-        {
-            self.profile = None;
-            let (traces, stream) = self.base(w, config.effective_trace_cap(), obs).clone();
+        if !matches!(&self.shared, Shared::Profiled(c, _) if *c == config.cache) {
+            let (traces, stream) = self.take_base(w, config.effective_trace_cap(), obs);
             let prof = profile_on(&w.program, traces, stream, config, obs)
                 .unwrap_or_else(|e| panic!("{} spm profile failed: {e}", w.name));
-            self.profile = Some((config.cache, prof));
+            self.shared = Shared::Profiled(config.cache, prof);
         }
-        &self.profile.as_ref().expect("profiled").1
+        match &self.shared {
+            Shared::Profiled(_, p) => p,
+            _ => unreachable!("profiled above"),
+        }
     }
 }
 
@@ -745,19 +767,9 @@ fn run_cell(
         CellKind::LoopCache { cache, capacity } => {
             let lc = LoopCacheConfig::new(*cache, *capacity, LOOP_CACHE_SLOTS);
             let cap = (*capacity).max(cache.line_size);
-            let r = match &state.profile {
-                // The profile of this cache: its copy stream replays the
-                // loop cache's initial layout with fewer lookups.
-                Some((c, p)) if c == cache => {
-                    let stream = p.copy_stream.as_ref().unwrap_or(&p.stream);
-                    loop_cache_on(&w.program, &w.profile, &p.traces, stream, &lc, &ctx)
-                }
-                _ => {
-                    let (traces, stream) = state.base(w, cap, obs);
-                    loop_cache_on(&w.program, &w.profile, traces, stream, &lc, &ctx)
-                }
-            }
-            .unwrap_or_else(|e| panic!("{} loop-cache cell failed: {e}", w.name));
+            let (traces, stream) = state.base(w, cap, obs);
+            let r = loop_cache_on(&w.program, &w.profile, traces, stream, &lc, &ctx)
+                .unwrap_or_else(|e| panic!("{} loop-cache cell failed: {e}", w.name));
             (r, *cache, None)
         }
     };

@@ -50,8 +50,8 @@ use casa_ir::{Profile, Program};
 use casa_mem::cache::CacheConfig;
 use casa_mem::loop_cache::PreloadError;
 use casa_mem::{
-    profile_stream, simulate_stream, simulate_stream_observed, ExecutionTrace, HierarchyConfig,
-    LineStream, SetStatsRecorder, SimError, SimOutcome, StreamError,
+    simulate_stream, simulate_stream_observed, ExecutionTrace, HierarchyConfig, LineStream,
+    SetStatsRecorder, SimError, SimOutcome, StreamError,
 };
 use casa_obs::Obs;
 use casa_trace::layout::PlacementSemantics;
@@ -60,7 +60,6 @@ use casa_trace::{Layout, TraceSet};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Which allocator drives the scratchpad placement.
@@ -391,15 +390,10 @@ pub struct SpmProfile {
     /// layout, nothing on the scratchpad).
     pub graph: ConflictGraph,
     /// The execution compiled against `traces`: the profiling and every
-    /// final simulation on this profile replay it. Shared, because one
-    /// compiled stream serves every cache with its line size and at
-    /// least the set count it was compiled for.
-    pub stream: Arc<LineStream>,
-    /// For a direct-mapped or LRU cache: the profiling replay's lookups
-    /// outside a set's first slot ([`casa_mem::profile_stream`]), which
-    /// the final simulation of a copy layout (CASA's, or the loop-cache
-    /// flow's initial one) replays instead of `stream`.
-    pub copy_stream: Option<LineStream>,
+    /// final simulation on this profile replay it. It serves every
+    /// cache with its line size and at least the set count it was
+    /// compiled for.
+    pub stream: LineStream,
 }
 
 /// Profile `config` on one workload: form the traces and compile the
@@ -435,7 +429,7 @@ pub fn profile_spm(
         config.effective_trace_cap(),
         obs,
     );
-    profile_on(program, traces, Arc::new(stream), config, obs)
+    profile_on(program, traces, stream, config, obs)
 }
 
 /// Form the traces of cap `trace_cap` for `cache`'s line size and
@@ -474,14 +468,14 @@ pub fn form_and_compile(
 pub fn profile_on(
     program: &Program,
     traces: TraceSet,
-    stream: Arc<LineStream>,
+    stream: LineStream,
     config: &FlowConfig,
     obs: &Obs,
 ) -> Result<SpmProfile, FlowError> {
     let layout0 = Layout::initial(program, &traces);
     let prof_cfg = HierarchyConfig::cache_only(config.cache);
     let span = obs.span("profile_sim");
-    let (sim, copy_stream) = profile_stream(&stream, &traces, &layout0, &prof_cfg)?;
+    let sim = simulate_stream(&stream, &traces, &layout0, &prof_cfg)?;
     drop(span);
     let span = obs.span("conflict");
     let graph = ConflictGraph::from_simulation_obs(&traces, &sim, obs);
@@ -490,7 +484,6 @@ pub fn profile_on(
         traces,
         graph,
         stream,
-        copy_stream,
     })
 }
 
@@ -523,7 +516,6 @@ pub fn allocate_spm(
         traces,
         graph,
         stream,
-        copy_stream,
     } = prof;
 
     let table = EnergyTable::build(
@@ -564,10 +556,6 @@ pub fn allocate_spm(
     drop(span);
     let span = obs.span("simulate");
     let cfg = HierarchyConfig::spm_system(config.cache, config.spm_size);
-    let stream = match (copy_stream, config.allocator.semantics()) {
-        (Some(copy), PlacementSemantics::Copy) => copy,
-        _ => stream,
-    };
     let final_sim = run_final_sim(stream, traces, &layout, &cfg, obs)?;
     drop(span);
     let breakdown = EnergyBreakdown::from_stats(&final_sim.stats, &table, false);
@@ -644,11 +632,9 @@ pub fn run_loop_cache_flow(
 /// at least one line, padded to the cache's line size), as a
 /// scratchpad profile of the same cache and effective trace cap
 /// carries, and `stream` must be compiled against them for a cache of
-/// the same line size and no more sets (see [`form_and_compile`]), or
-/// be the copy stream of a profile of `config.cache`
-/// ([`SpmProfile::copy_stream`]): the loop cache runs on the initial
-/// layout. Ross's preload ranges are whole trace slots, so such a
-/// stream serves the preloaded system.
+/// the same line size and no more sets (see [`form_and_compile`]).
+/// Ross's preload ranges are whole trace slots, so such a stream
+/// serves the preloaded system.
 ///
 /// # Errors
 ///

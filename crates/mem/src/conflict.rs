@@ -46,23 +46,14 @@ pub struct ConflictRecorder {
     /// Indexed by line id: the object that most recently evicted the
     /// line, `NONE` if no record stands. Grows on demand.
     evicted_by: Vec<u32>,
-    /// Indexed by line id: the `(i << 32) | j` pair of the line's
-    /// latest conflict misses and how many of them came in a row. A
-    /// thrashing line repeats one pair, so most misses only count here;
-    /// a new pair first adds the run to `misses_between`.
-    runs: Vec<(u64, u64)>,
-    /// `m_ij` keyed by `(i << 32) | j`, without the standing runs;
-    /// with them it becomes [`RawConflicts::misses_between`] when
-    /// recording ends.
+    /// `m_ij` keyed by `(i << 32) | j`; becomes
+    /// [`RawConflicts::misses_between`] when recording ends.
     misses_between: HashMap<u64, u64, BuildHasherDefault<PairHasher>>,
     cold_misses: Vec<u64>,
 }
 
 /// The `evicted_by` entry of a line without a standing eviction.
 const NONE: u32 = u32::MAX;
-
-/// The pair of a line without a run: no object index reaches `NONE`.
-const NO_PAIR: u64 = u64::MAX;
 
 /// One multiply per key: conflict misses are a few percent of all
 /// fetches, and a SipHash round on each costs more than the cache
@@ -98,18 +89,8 @@ impl ConflictRecorder {
         assert!(n_objects < NONE as usize, "too many memory objects");
         ConflictRecorder {
             evicted_by: Vec::new(),
-            runs: Vec::new(),
             misses_between: HashMap::default(),
             cold_misses: vec![0; n_objects],
-        }
-    }
-
-    /// Make room for line ids below `lines`, so that recording misses
-    /// on them never grows the tables.
-    pub(crate) fn reserve_lines(&mut self, lines: usize) {
-        if self.evicted_by.len() < lines {
-            self.evicted_by.resize(lines, NONE);
-            self.runs.resize(lines, (NO_PAIR, 0));
         }
     }
 
@@ -120,24 +101,17 @@ impl ConflictRecorder {
     /// # Panics
     ///
     /// Panics if `missed` is out of range.
-    #[inline]
     pub fn on_miss(&mut self, missed: usize, line: u32, evicted_line: Option<u32>) {
         assert!(missed < self.cold_misses.len(), "object index out of range");
         // Charge the miss: conflict if this line was evicted before.
         // Our own line is now resident, so the record is cleared: a
         // later self-re-fetch after *another* eviction is charged to
         // the right causer.
-        let l = line as usize;
-        match self.evicted_by.get_mut(l) {
+        match self.evicted_by.get_mut(line as usize) {
             Some(slot) if *slot != NONE => {
                 let evictor = std::mem::replace(slot, NONE);
                 let key = (missed as u64) << 32 | u64::from(evictor);
-                let run = &mut self.runs[l];
-                if run.0 == key {
-                    run.1 += 1;
-                } else {
-                    self.new_run(l, key);
-                }
+                *self.misses_between.entry(key).or_insert(0) += 1;
             }
             _ => self.cold_misses[missed] += 1,
         }
@@ -145,29 +119,14 @@ impl ConflictRecorder {
         if let Some(victim) = evicted_line {
             let v = victim as usize;
             if v >= self.evicted_by.len() {
-                self.reserve_lines(v + 1);
+                self.evicted_by.resize(v + 1, NONE);
             }
             self.evicted_by[v] = missed as u32;
         }
     }
 
-    /// Close line `l`'s run into `misses_between` and start one of
-    /// pair `key`.
-    #[inline(never)]
-    fn new_run(&mut self, l: usize, key: u64) {
-        let (pair, n) = std::mem::replace(&mut self.runs[l], (key, 1));
-        if pair != NO_PAIR {
-            *self.misses_between.entry(pair).or_insert(0) += n;
-        }
-    }
-
     /// Finish recording and return the collected conflicts.
-    pub fn into_conflicts(mut self) -> RawConflicts {
-        for &(pair, n) in &self.runs {
-            if pair != NO_PAIR {
-                *self.misses_between.entry(pair).or_insert(0) += n;
-            }
-        }
+    pub fn into_conflicts(self) -> RawConflicts {
         RawConflicts {
             misses_between: self
                 .misses_between

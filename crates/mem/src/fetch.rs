@@ -99,6 +99,15 @@ impl ExecutionTrace {
         self.ids.push(block.index() as u32);
     }
 
+    /// Release the capacity [`push`](Self::push) left unused, once the
+    /// sequence is complete.
+    pub fn shrink_to_fit(&mut self) {
+        match &mut self.ids {
+            Ids::Narrow(v) => v.shrink_to_fit(),
+            Ids::Wide(v) => v.shrink_to_fit(),
+        }
+    }
+
     /// The block executed at `pos`.
     #[inline]
     pub fn get(&self, pos: usize) -> Option<BlockId> {
@@ -363,20 +372,8 @@ impl<R: Recorder> Replayer<R> {
         traces: &TraceSet,
         layout: &Layout,
     ) -> Result<(), StreamError> {
-        self.replay_units(stream, traces, layout, None)
-    }
-
-    /// Replay `stream` and collect, when `kept` is given, the units
-    /// whose lookup left the first slot of its set, in order.
-    fn replay_units(
-        &mut self,
-        stream: &LineStream,
-        traces: &TraceSet,
-        layout: &Layout,
-        kept: Option<&mut Ids>,
-    ) -> Result<(), StreamError> {
         let target = self.system.target(traces.line_size());
-        stream.check(traces, layout, target, self.system.cache().config())?;
+        stream.check(traces, target, self.system.cache().config())?;
         let map = stream.remap(layout, &self.system);
         let cache = self.system.cache();
         let (skip_slot, skipped) = cache.skip_slot();
@@ -387,26 +384,11 @@ impl<R: Recorder> Replayer<R> {
                 _ => key(skip_slot, skipped),
             })
             .collect();
-        let lines = map
-            .iter()
-            .filter(|&&l| l < LOOP)
-            .max()
-            .map_or(0, |&l| l as usize + 1);
-        self.recorder.reserve_lines(lines);
         let misses_before = self.trace_misses.clone();
         let obj = &stream.unit_obj;
-        match (stream.units(), kept) {
-            (Ids::Narrow(units), None) => {
-                self.lookups::<_, false>(units, &keys, obj, &mut Vec::new())
-            }
-            (Ids::Wide(units), None) => {
-                self.lookups::<_, false>(units, &keys, obj, &mut Vec::new())
-            }
-            (Ids::Narrow(units), Some(Ids::Narrow(k))) => {
-                self.lookups::<_, true>(units, &keys, obj, k)
-            }
-            (Ids::Wide(units), Some(Ids::Wide(k))) => self.lookups::<_, true>(units, &keys, obj, k),
-            (_, Some(_)) => unreachable!("kept units have the stream's width"),
+        match stream.units() {
+            Ids::Narrow(units) => self.lookups(units, &keys, obj),
+            Ids::Wide(units) => self.lookups(units, &keys, obj),
         }
         self.fold(stream, layout, &map, &misses_before);
         Ok(())
@@ -416,15 +398,8 @@ impl<R: Recorder> Replayer<R> {
     /// first slot of its line's set and the line (see [`key`]); a unit
     /// the layout does not fetch from the I-cache names the cache's
     /// skip slot, so it "hits" there. A hit in the first slot is the
-    /// whole lookup and stays in the loop; with `KEEP`, every other
-    /// unit is also appended to `kept`.
-    fn lookups<U: Id, const KEEP: bool>(
-        &mut self,
-        units: &[U],
-        keys: &[u64],
-        unit_obj: &[u32],
-        kept: &mut Vec<U>,
-    ) {
+    /// whole lookup and stays in the loop.
+    fn lookups<U: Id>(&mut self, units: &[U], keys: &[u64], unit_obj: &[u32]) {
         for &u in units {
             let k = keys[u.index()];
             if !self
@@ -432,9 +407,6 @@ impl<R: Recorder> Replayer<R> {
                 .cache()
                 .slot_holds((k >> 32) as usize, k & 0xFFFF_FFFF)
             {
-                if KEEP {
-                    kept.push(u);
-                }
                 self.lookup_rest(unit_obj[u.index()], k as u32);
             }
         }
@@ -611,51 +583,6 @@ pub fn simulate_stream(
     config: &HierarchyConfig,
 ) -> Result<SimOutcome, SimError> {
     Ok(simulate_stream_observed(stream, traces, layout, config, NullRecorder)?.0)
-}
-
-/// [`simulate_stream`] on the initial `layout`, also returning, when
-/// `config`'s I-cache is direct-mapped or LRU, the *copy stream*: the
-/// lookups of this replay that left a set's first slot (misses and set
-/// scans), in order, with `stream`'s totals.
-///
-/// The copy stream replays exactly, and with fewer lookups, any layout
-/// that keeps every main-memory object at its initial address — a copy
-/// placement, a whole-object loop-cache preload — on the same I-cache:
-/// such a layout only drops lookups, and under LRU (direct-mapped is
-/// LRU with one way) a lookup whose line was its set's most recent one
-/// stays so when other lookups are dropped, so it still hits the first
-/// slot and changes nothing. It refuses other layouts and caches
-/// ([`StreamError::OtherLayout`], [`StreamError::OtherSystem`]).
-///
-/// # Errors
-///
-/// As [`simulate_stream`]; also [`StreamError::OtherLayout`] if
-/// `layout` moves an object from its initial address.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate`].
-pub fn profile_stream(
-    stream: &LineStream,
-    traces: &TraceSet,
-    layout: &Layout,
-    config: &HierarchyConfig,
-) -> Result<(SimOutcome, Option<LineStream>), SimError> {
-    if !stream.keeps_addresses(layout) {
-        return Err(StreamError::OtherLayout.into());
-    }
-    let mut session = Replayer::new(traces, config)?;
-    let stack = config.cache.associativity == 1
-        || matches!(config.cache.policy, crate::ReplacementPolicy::Lru);
-    let copy = if stack {
-        let mut kept = stream.units().empty_like();
-        session.replay_units(stream, traces, layout, Some(&mut kept))?;
-        Some(stream.with_units(kept, config.cache))
-    } else {
-        session.replay_stream(stream, traces, layout)?;
-        None
-    };
-    Ok((session.into_outcome(), copy))
 }
 
 /// Like [`simulate_stream`], but reporting every memory-system event to

@@ -71,13 +71,6 @@
 //!   conflict recorder and the per-set fill and eviction tallies see
 //!   only misses, in order.
 //!
-//! A profiling replay on the initial layout also records its *copy
-//! stream* ([`profile_stream`]): the lookups that left a set's first
-//! slot. Under LRU (and direct-mapped caches) a layout that only drops
-//! lookups — a copy placement, a whole-object loop-cache preload —
-//! leaves every other first-slot hit a first-slot hit, so the copy
-//! stream replays such layouts exactly with fewer lookups.
-//!
 //! A stream is compiled for one trace set and refuses a layout of
 //! another ([`StreamError`]). A [`Replayer`] layout switch between
 //! segments compiles the next segment and keeps the cache state.
@@ -103,8 +96,8 @@ pub use cache::{Cache, CacheConfig, ReplacementPolicy};
 pub use conflict::ConflictRecorder;
 pub use data::{simulate_data, DataAccess, DataSimOutcome, DataTrace};
 pub use fetch::{
-    profile_stream, simulate, simulate_observed, simulate_stream, simulate_stream_observed,
-    ExecutionTrace, Replayer, SimError, SimOutcome,
+    simulate, simulate_observed, simulate_stream, simulate_stream_observed, ExecutionTrace,
+    Replayer, SimError, SimOutcome,
 };
 pub use hierarchy::{HierarchyConfig, InstMemorySystem};
 pub use loop_cache::LoopCacheController;

@@ -113,14 +113,6 @@ impl Ids {
             Ids::Wide(v) => v.get(pos).copied(),
         }
     }
-
-    /// An empty sequence of the same width.
-    pub(crate) fn empty_like(&self) -> Ids {
-        match self {
-            Ids::Narrow(_) => Ids::Narrow(Vec::new()),
-            Ids::Wide(_) => Ids::Wide(Vec::new()),
-        }
-    }
 }
 
 /// The map value of a unit of a scratchpad-resident object.
@@ -182,14 +174,11 @@ impl Target {
 pub enum StreamError {
     /// The trace set differs from the one the stream was compiled for.
     OtherTraceSet,
-    /// A copy stream ([`crate::profile_stream`]) was given a layout
-    /// that moves an object from its initial address.
-    OtherLayout,
     /// The memory system does not fit the stream: it tells apart
     /// addresses inside one of the stream's units (a loop-cache range
-    /// bound or an I-cache line finer than the units), its I-cache has
-    /// another line size or fewer sets than the stream's run filter
-    /// assumes, or it is not the I-cache a copy stream was recorded on.
+    /// bound or an I-cache line finer than the units), or its I-cache
+    /// has another line size or fewer sets than the stream's run filter
+    /// assumes.
     OtherSystem,
 }
 
@@ -198,9 +187,6 @@ impl fmt::Display for StreamError {
         match self {
             StreamError::OtherTraceSet => {
                 write!(f, "line stream was compiled for another trace set")
-            }
-            StreamError::OtherLayout => {
-                write!(f, "copy stream given a layout that moves code")
             }
             StreamError::OtherSystem => {
                 write!(f, "line stream was compiled for another memory system")
@@ -244,9 +230,6 @@ pub struct LineStream {
     pub(crate) obj_last: Vec<u32>,
     /// Base cycles of every fetched instruction, glue jumps included.
     pub(crate) base_cycles: u64,
-    /// For a copy stream ([`crate::profile_stream`]): the I-cache it was
-    /// recorded on, the only one it replays.
-    copy_of: Option<CacheConfig>,
 }
 
 /// How one static block is fetched in the initial image.
@@ -470,39 +453,7 @@ impl LineStream {
             obj_fetches,
             obj_last,
             base_cycles,
-            copy_of: None,
         }
-    }
-
-    /// This stream's totals with `units` as its lookups: the copy
-    /// stream recorded on `cache`.
-    pub(crate) fn with_units(&self, mut units: Ids, cache: CacheConfig) -> LineStream {
-        match &mut units {
-            Ids::Narrow(v) => v.shrink_to_fit(),
-            Ids::Wide(v) => v.shrink_to_fit(),
-        }
-        LineStream {
-            traces: self.traces,
-            target: self.target,
-            shift: self.shift,
-            units,
-            unit_obj: self.unit_obj.clone(),
-            unit_fetches: self.unit_fetches.clone(),
-            first_unit: self.first_unit.clone(),
-            obj_fetches: self.obj_fetches.clone(),
-            obj_last: self.obj_last.clone(),
-            base_cycles: self.base_cycles,
-            copy_of: Some(cache),
-        }
-    }
-
-    /// Whether `layout` keeps every main-memory object at its address
-    /// in the initial image.
-    pub(crate) fn keeps_addresses(&self, layout: &Layout) -> bool {
-        self.first_unit.windows(2).enumerate().all(|(o, w)| {
-            let loc = layout.trace_location(TraceId::from_raw(o as u32));
-            loc.region != Region::Main || loc.addr == w[0] << self.shift
-        })
     }
 
     /// Lookups in the stream: the compiled units after merging
@@ -521,23 +472,19 @@ impl LineStream {
         1 << self.shift
     }
 
-    /// Check that this stream can replay `layout` of `traces` on a
+    /// Check that this stream can replay a layout of `traces` on a
     /// memory system of target `system` and I-cache `cache`.
     pub(crate) fn check(
         &self,
         traces: &TraceSet,
-        layout: &Layout,
         system: Target,
         cache: &CacheConfig,
     ) -> Result<(), StreamError> {
         if fingerprint(traces) != self.traces {
             return Err(StreamError::OtherTraceSet);
         }
-        if !self.target.serves(system, cache) || self.copy_of.is_some_and(|c| c != *cache) {
+        if !self.target.serves(system, cache) {
             return Err(StreamError::OtherSystem);
-        }
-        if self.copy_of.is_some() && !self.keeps_addresses(layout) {
-            return Err(StreamError::OtherLayout);
         }
         Ok(())
     }

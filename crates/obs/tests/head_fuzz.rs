@@ -18,7 +18,7 @@ use casa_obs::Obs;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const MAX_BODY: usize = 256;
 /// Long enough for a loopback exchange, short enough that a request
@@ -260,18 +260,12 @@ fn oversized_claims_are_refused_before_the_body_is_read() {
         // The head only: the body is held back, and the write side
         // stays open, so a reader that waited for it would answer 408
         // after the read deadline instead.
-        let sent = Instant::now();
         stream
             .write_all(head(&addr, &[claim.to_string()]).as_bytes())
             .expect("head");
         let mut raw = String::new();
         let _ = stream.read_to_string(&mut raw);
         assert_eq!(status(&raw), Some(413), "claim {claim}: {raw:?}");
-        assert!(
-            sent.elapsed() < READ_DEADLINE,
-            "claim {claim}: refused only after {:?}",
-            sent.elapsed()
-        );
     }
     let (st, _) = http_get(&addr, "/healthz", Duration::from_secs(5)).expect("healthz");
     assert_eq!(st, 200);

@@ -206,6 +206,7 @@ impl<'a> Walker<'a> {
                 }
             }
         }
+        seq.shrink_to_fit();
         Ok((seq, profile))
     }
 

@@ -23,9 +23,9 @@ use casa::ir::Program;
 use casa::mem::cache::{CacheConfig, ReplacementPolicy};
 use casa::mem::hierarchy::FetchEvent;
 use casa::mem::{
-    profile_stream, simulate, simulate_observed, simulate_stream_observed, ExecutionTrace,
-    FetchStats, HierarchyConfig, InstMemorySystem, LineStream, Replayer, SetStatsRecorder,
-    SimError, SimOutcome, StreamError,
+    simulate, simulate_observed, simulate_stream_observed, ExecutionTrace, FetchStats,
+    HierarchyConfig, InstMemorySystem, LineStream, Replayer, SetStatsRecorder, SimOutcome,
+    StreamError,
 };
 use casa::obs::Obs;
 use casa::trace::layout::PlacementSemantics;
@@ -506,111 +506,6 @@ fn one_stream_replays_many_layouts_and_systems() {
             && total.loop_cache_accesses > 0
             && total.l2_hits > 0,
         "{total:?}"
-    );
-}
-
-#[test]
-fn a_copy_stream_replays_copy_layouts_on_its_cache() {
-    let mut total = FetchStats::new();
-    let mut dropped = 0;
-    for seed in 7..10u64 {
-        let c = case(seed, [IsaMode::Arm, IsaMode::Thumb][seed as usize % 2]);
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xc0b1);
-        let initial = Layout::initial(&c.program, &c.traces);
-        let n = c.traces.len();
-        // Caches big enough that many lookups hit the first slot, so
-        // the copy stream is much shorter than the stream.
-        for (k, l1) in [
-            cache(512, 1, ReplacementPolicy::Random(seed)),
-            cache(512, 2, ReplacementPolicy::Lru),
-            cache(512, 4, ReplacementPolicy::Lru),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let profiling = HierarchyConfig::cache_only(l1);
-            let stream = LineStream::compile(&c.program, &c.traces, &c.exec, &profiling);
-            let (profiled, copy) = profile_stream(&stream, &c.traces, &initial, &profiling)
-                .expect("the initial layout profiles");
-            let mut reference = Reference::new(n, &profiling);
-            reference.replay(&c.program, &c.traces, &initial, &c.exec, 0..c.exec.len());
-            reference.assert_matches(&profiled, None, &format!("seed {seed} profile {k}"));
-            let copy = copy.expect("direct-mapped and LRU caches keep a copy stream");
-            dropped += stream.len() - copy.len();
-            for j in 0..5 {
-                let (layout, mut config) = if j < 4 {
-                    let place = placement(&mut rng, n);
-                    let layout = Layout::with_placement(
-                        &c.program,
-                        &c.traces,
-                        &place,
-                        PlacementSemantics::Copy,
-                    );
-                    let config = spm_system(l1, &[&layout]);
-                    (layout, config)
-                } else {
-                    let ranges = whole_slots(&mut rng, &c, &initial);
-                    let capacity = ranges.iter().map(|(s, e)| e - s).sum();
-                    let config = HierarchyConfig::loop_cache_system(l1, capacity, 4, ranges);
-                    (initial.clone(), config)
-                };
-                if j % 2 == 1 {
-                    config = config.with_l2(cache(2048, 2, ReplacementPolicy::Lru));
-                }
-                let what = format!("seed {seed} cache {k} copy layout {j}");
-                let mut reference = Reference::new(n, &config);
-                reference.replay(&c.program, &c.traces, &layout, &c.exec, 0..c.exec.len());
-                let recorder = SetStatsRecorder::new(config.cache.num_sets() as usize);
-                let (out, recorder) =
-                    simulate_stream_observed(&copy, &c.traces, &layout, &config, recorder)
-                        .unwrap_or_else(|e| panic!("{what}: {e}"));
-                reference.assert_matches(&out, Some(&recorder), &what);
-                total += out.stats;
-            }
-            // It refuses a layout that moves code, and another cache.
-            let moved = Layout::with_placement(
-                &c.program,
-                &c.traces,
-                &placement(&mut rng, n),
-                PlacementSemantics::Move,
-            );
-            let config = spm_system(l1, &[&moved]);
-            assert!(matches!(
-                simulate_stream_observed(
-                    &copy,
-                    &c.traces,
-                    &moved,
-                    &config,
-                    SetStatsRecorder::new(8)
-                ),
-                Err(SimError::Stream(StreamError::OtherLayout))
-            ));
-            let other = HierarchyConfig::cache_only(cache(1024, l1.associativity, l1.policy));
-            assert!(matches!(
-                simulate_stream_observed(
-                    &copy,
-                    &c.traces,
-                    &initial,
-                    &other,
-                    SetStatsRecorder::new(8)
-                ),
-                Err(SimError::Stream(StreamError::OtherSystem))
-            ));
-        }
-        // FIFO is not a stack policy: dropping lookups can turn a hit
-        // into a miss, so it keeps no copy stream.
-        let fifo = HierarchyConfig::cache_only(cache(512, 4, ReplacementPolicy::Fifo));
-        let stream = LineStream::compile(&c.program, &c.traces, &c.exec, &fifo);
-        let (_, copy) = profile_stream(&stream, &c.traces, &initial, &fifo).expect("profiles");
-        assert!(copy.is_none());
-    }
-    assert!(
-        total.cache_misses > 1000 && total.spm_accesses > 0 && total.loop_cache_accesses > 0,
-        "{total:?}"
-    );
-    assert!(
-        dropped > 1000,
-        "copy streams dropped only {dropped} lookups"
     );
 }
 
