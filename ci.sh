@@ -22,7 +22,7 @@ echo "== benchmark package: cargo test --release --manifest-path perfbench/Cargo
 # schedule, the table1 grid fingerprint). It builds where run.py does.
 CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml
 
-echo "== benchmark answers: table1 (48 walk seeds) and sim-scaled (16) match perfbench/expected; fetch_engine (simulate, compile, replay from one stream) and workload_walk microbenches run"
+echo "== benchmark answers: table1 (48 walk seeds) and sim-scaled (16) match perfbench/expected; fetch_engine (simulate, compile, profiling and count-only final replays from one stream) and workload_walk microbenches run"
 # Energy, status and final-simulation counters of every cell at every
 # walk seed a run can reach. A faster search or simulator may change
 # node counts and timings, never one of these lines. table1 runs
@@ -38,8 +38,9 @@ done
 # The simulator's layer microbenches, filtered to the fetch engine and
 # the execution walk: the initial-layout, loop-cache and final-layout
 # simulations, the line-stream compile, the same layouts replayed from
-# one compiled stream, and the trip-scale-2 walks must run, not only
-# compile.
+# one compiled stream (the initial layout's as an attributing profiling
+# replay, the four final layouts' count-only, as the flow runs them),
+# and the trip-scale-2 walks must run, not only compile.
 cargo bench -q -p casa-bench --bench simulator -- fetch_engine
 cargo bench -q -p casa-bench --bench simulator -- workload_walk
 

@@ -1151,10 +1151,9 @@ mod tests {
                     (_, cap) => panic!("cell {i}: unexpected capture {cap:?}"),
                 }
             }
-            // One trace formation and profiling simulation per group;
-            // the loop-cache cell builds its conflict graph from its
-            // final simulation, and every cell still solves and
-            // simulates.
+            // One trace formation, profiling simulation and conflict
+            // graph per group (the loop-cache cell attributes no
+            // conflicts), and every cell still solves and simulates.
             let count = |name: &str| {
                 r.phases
                     .iter()
@@ -1163,7 +1162,7 @@ mod tests {
             };
             assert_eq!(count("profile_sim"), 3, "{threads} workers");
             assert_eq!(count("trace"), 3, "{threads} workers");
-            assert_eq!(count("conflict"), 3 + 1, "{threads} workers");
+            assert_eq!(count("conflict"), 3, "{threads} workers");
             for name in ["cell", "solve", "simulate"] {
                 assert_eq!(count(name), 9, "{name}, {threads} workers");
             }
@@ -1248,8 +1247,8 @@ mod tests {
         // groups (trace caps 64 B and 128 B; the loop-cache cell and the
         // Random(7) cache join the second), each forming its traces
         // once, with three caches profiled once each (the direct-mapped
-        // one in both groups, the Random(7) one in the second), and the
-        // loop-cache cell builds its own conflict graph.
+        // one in both groups, the Random(7) one in the second); only
+        // profiles build conflict graphs.
         let r = &reports[0];
         assert!(!r.metrics.is_empty());
         let phase = |name: &str| r.phases.iter().find(|p| p.name == name);
@@ -1258,12 +1257,12 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing phase {name}"))
                 .count
         };
-        let (groups, profiles, loop_cache_cells) = (2, 3, 1);
+        let (groups, profiles) = (2, 3);
         for name in ["cell", "solve", "simulate"] {
             assert_eq!(count(name), g.cell_count() as u64, "phase {name}");
         }
         assert_eq!(count("trace"), groups);
-        assert_eq!(count("conflict"), profiles + loop_cache_cells);
+        assert_eq!(count("conflict"), profiles);
         assert_eq!(count("profile_sim"), profiles);
         assert_eq!(count("prepare"), 1);
         // The full JSON carries the metrics section; histogram keys in

@@ -51,7 +51,7 @@ use casa_mem::cache::CacheConfig;
 use casa_mem::loop_cache::PreloadError;
 use casa_mem::{
     simulate_stream, simulate_stream_observed, ExecutionTrace, HierarchyConfig, LineStream,
-    SetStatsRecorder, SimError, SimOutcome, StreamError,
+    NullRecorder, SetStatsRecorder, SimError, SimOutcome, StreamError,
 };
 use casa_obs::Obs;
 use casa_trace::layout::PlacementSemantics;
@@ -314,7 +314,9 @@ pub struct FlowReport {
     pub traces: TraceSet,
     /// The final code layout.
     pub layout: Layout,
-    /// The conflict graph from the profiling run.
+    /// The conflict graph from the profiling run. The loop-cache flow
+    /// profiles nothing (Ross's preload reads no conflict graph): its
+    /// graph carries the final run's fetch counts and no edges.
     pub conflict_graph: ConflictGraph,
     /// The chosen allocation (empty for the loop-cache flow).
     pub allocation: Allocation,
@@ -665,9 +667,7 @@ pub fn loop_cache_on(
     let span = obs.span("simulate");
     let final_sim = run_final_sim(stream, traces, &layout, &cfg, obs)?;
     drop(span);
-    let span = obs.span("conflict");
-    let graph = ConflictGraph::from_simulation_obs(traces, &final_sim, obs);
-    drop(span);
+    let graph = ConflictGraph::from_simulation(traces, &final_sim);
 
     let table = EnergyTable::build(
         cache.size,
@@ -697,7 +697,9 @@ pub fn loop_cache_on(
 }
 
 /// The final simulation from `stream`, with per-set statistics when
-/// `obs` is enabled and the allocation-free path otherwise.
+/// `obs` is enabled and the allocation-free path otherwise. Nothing
+/// reads a final run's conflicts, so it counts hits and misses without
+/// attributing them.
 fn run_final_sim(
     stream: &LineStream,
     traces: &TraceSet,
@@ -711,7 +713,7 @@ fn run_final_sim(
         recorder.export(obs);
         Ok(sim)
     } else {
-        simulate_stream(stream, traces, layout, cfg)
+        Ok(simulate_stream_observed(stream, traces, layout, cfg, NullRecorder)?.0)
     }
 }
 

@@ -387,9 +387,9 @@ pub fn run_overlay_flow(
     // conservative per-phase conflict view).
     let mut graphs = Vec::with_capacity(windows.len());
     for w in &windows {
-        let mut session = Replayer::new(&traces, &cfg).map_err(OverlayError::Preload)?;
+        let mut session = Replayer::attributing(&traces, &cfg).map_err(OverlayError::Preload)?;
         session.replay(program, &traces, &layout0, exec, w.clone());
-        let out = session.into_outcome();
+        let out = session.into_attributed();
         graphs.push(ConflictGraph::from_simulation(&traces, &out));
     }
 

@@ -119,6 +119,22 @@ enum Order {
     Physical,
 }
 
+/// Where a stream replay finishes a lookup that missed its set's first
+/// slot. It follows from the cache's ways and policy, and from whether
+/// an L2 serves the misses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Finish {
+    /// In the replay loop: [`Cache::replace_slot`] of the set's one
+    /// slot (direct-mapped, every policy but `Random`).
+    DirectMapped,
+    /// In the replay loop: [`Cache::lru_finish`] (set-associative LRU).
+    Lru,
+    /// Out of the loop, through [`Cache::access_line`]: FIFO,
+    /// round-robin and random set scans, a `Random(seed)` direct-mapped
+    /// fill (which draws), and every lookup of a system with an L2.
+    OutOfLine,
+}
+
 /// The value of the first slot of one extra set past the last. No line
 /// a replay looks up has this id, so it is never resident elsewhere; a
 /// stream replay sends the units it skips (scratchpad or loop-cache
@@ -218,8 +234,8 @@ impl Cache {
     /// A set-associative LRU lookup is [`Cache::lru_lookup`]. Under
     /// every other policy a hit changes nothing, and a hit in a set's
     /// first slot is the whole lookup: the replay loop makes that check
-    /// inline ([`Cache::slot_holds`]) and calls this only when it
-    /// fails.
+    /// inline ([`Cache::slot_holds`]), finishes a failed one itself
+    /// where [`Finish`] allows, and calls this for the rest.
     #[inline(always)]
     pub(crate) fn access_line(&mut self, line: u32) -> CacheAccess {
         let set = line & self.set_mask;
@@ -278,6 +294,42 @@ impl Cache {
     #[inline]
     fn lru_sets(&self) -> bool {
         self.order == Order::Recency && self.assoc > 1
+    }
+
+    /// Where a stream replay finishes a lookup that missed the first
+    /// slot, before an L2 is considered.
+    pub(crate) fn finish(&self) -> Finish {
+        if self.lru_sets() {
+            Finish::Lru
+        } else if self.assoc == 1 && !matches!(self.config.policy, ReplacementPolicy::Random(_)) {
+            Finish::DirectMapped
+        } else {
+            Finish::OutOfLine
+        }
+    }
+
+    /// A direct-mapped miss of `line`, whose set's one slot is `slot`:
+    /// fill the slot and count the miss. Returns the line it evicted,
+    /// if the slot was valid. Draws nothing (see
+    /// [`Cache::fill_direct_mapped`]).
+    #[inline(always)]
+    pub(crate) fn replace_slot(&mut self, slot: usize, line: u32) -> Option<u32> {
+        self.misses.inc();
+        let old = std::mem::replace(&mut self.lines[slot], u64::from(line));
+        (old != INVALID).then_some(old as u32)
+    }
+
+    /// [`Cache::lru_lookup`] of `line` in the set whose first slot is
+    /// `base`, counting a miss. Returns whether it hit and, on a miss,
+    /// the line the fill evicted, if the set was full.
+    #[inline(always)]
+    pub(crate) fn lru_finish(&mut self, base: usize, line: u32) -> (bool, Option<u32>) {
+        let (hit, old, _) = self.lru_lookup(base, u64::from(line));
+        if hit {
+            return (true, None);
+        }
+        self.misses.inc();
+        (false, (old != INVALID).then_some(old as u32))
     }
 
     /// The whole LRU lookup of `line` in the set whose first slot is
@@ -368,9 +420,8 @@ impl Cache {
     /// The miss side of a direct-mapped [`Cache::access_line`].
     #[inline(always)]
     fn fill_direct_mapped(&mut self, set: u32, line: u32) -> CacheAccess {
-        self.misses.inc();
-        let old = std::mem::replace(&mut self.lines[set as usize], u64::from(line));
-        if old != INVALID && matches!(self.config.policy, ReplacementPolicy::Random(_)) {
+        let evicted = self.replace_slot(set as usize, line);
+        if evicted.is_some() && matches!(self.config.policy, ReplacementPolicy::Random(_)) {
             // The set-associative path draws for a full set; drawing
             // here too keeps the RNG sequence policy-uniform. The
             // victim is way 0 all the same.
@@ -380,7 +431,7 @@ impl Cache {
             hit: false,
             set,
             way: 0,
-            evicted_tag: self.tag_of(old),
+            evicted_tag: evicted.map(|l| l >> self.set_shift),
         }
     }
 

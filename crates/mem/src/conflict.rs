@@ -8,7 +8,12 @@
 //! re-fetched and misses, the miss is charged to the recorded evictor.
 //! Misses on lines that were never evicted are *cold* (compulsory)
 //! misses and carry no conflict edge.
+//!
+//! [`ConflictRecorder`] is a [`Recorder`]: a replay attributes only
+//! when it is handed one, as the profiling replays that build conflict
+//! graphs are.
 
+use crate::recorder::Recorder;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -135,6 +140,13 @@ impl ConflictRecorder {
                 .collect(),
             cold_misses: self.cold_misses,
         }
+    }
+}
+
+impl Recorder for ConflictRecorder {
+    #[inline]
+    fn cache_miss(&mut self, obj: usize, line: u32, evicted: Option<u32>) {
+        self.on_miss(obj, line, evicted);
     }
 }
 

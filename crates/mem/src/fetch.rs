@@ -1,5 +1,6 @@
 //! The fetch engine: replays a dynamic basic-block sequence against a
-//! code layout, driving the memory system and the conflict recorder.
+//! code layout, driving the memory system and its event recorder (a
+//! [`ConflictRecorder`] in a profiling replay).
 //!
 //! This is the reproduction of the paper's profiling/accounting step:
 //! ARMulator produced an instruction trace, and `memsim` counted hits
@@ -11,10 +12,11 @@
 //! A replay runs from a [`LineStream`]: the execution compiled once
 //! against its trace set into the units its fetches touch, in order.
 //! [`Replayer::replay_stream`] maps each unit to the layout's I-cache
-//! line through one table, looks each one up in one flat loop and
-//! folds everything else in from the stream's totals when the call
-//! ends (see the crate docs for why that is exact). [`simulate`] and
-//! [`Replayer::replay`] compile the stream for their one replay.
+//! line through one table, looks each one up in one flat loop, which
+//! also finishes direct-mapped and LRU misses, and folds everything
+//! else in from the stream's totals when the call ends (see the crate
+//! docs for why that is exact). [`simulate`] and [`Replayer::replay`]
+//! compile the stream for their one replay.
 //!
 //! [`Replayer`] supports segment-wise replay with **layout switching**
 //! between segments, which is what the overlay extension (paper §7
@@ -23,6 +25,7 @@
 //! cost of (re)loading the scratchpad is charged via
 //! [`Replayer::charge_copy_words`].
 
+use crate::cache::Finish;
 use crate::conflict::{ConflictRecorder, RawConflicts};
 use crate::hierarchy::{HierarchyConfig, InstMemorySystem};
 use crate::loop_cache::PreloadError;
@@ -200,7 +203,9 @@ pub struct SimOutcome {
     pub trace_spm: Vec<u64>,
     /// Per-object loop-cache fetches.
     pub trace_lc: Vec<u64>,
-    /// Conflict-miss attribution (`m_ij` raw data).
+    /// Conflict-miss attribution (`m_ij` raw data) of an attributing
+    /// replay ([`simulate`], [`simulate_stream`],
+    /// [`Replayer::into_attributed`]); empty for every other.
     pub conflicts: RawConflicts,
     /// Base CPU cycles of every executed instruction (ALU/load/…
     /// latencies, no memory stalls — add those from `stats`).
@@ -271,11 +276,13 @@ impl From<StreamError> for SimError {
 ///
 /// Generic over an event [`Recorder`] (default: none) that observes
 /// the replay's cache, SPM and loop-cache events (see [`Recorder`] for
-/// when each arrives).
+/// when each arrives). A session attributes conflict misses only when
+/// that recorder is a [`ConflictRecorder`] ([`Replayer::attributing`]):
+/// the profiling replays that build conflict graphs take one, and
+/// replays that only count hits and misses skip the attribution.
 #[derive(Debug, Clone)]
 pub struct Replayer<R: Recorder = NullRecorder> {
     system: InstMemorySystem<R>,
-    recorder: ConflictRecorder,
     trace_fetches: Vec<u64>,
     trace_hits: Vec<u64>,
     trace_misses: Vec<u64>,
@@ -298,6 +305,27 @@ impl Replayer {
     }
 }
 
+impl Replayer<ConflictRecorder> {
+    /// Like [`Replayer::new`], but every miss is attributed to the
+    /// memory object that evicted its line: a profiling session, whose
+    /// outcome ([`Self::into_attributed`]) feeds a conflict graph.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PreloadError`] if `config` carries an invalid
+    /// loop-cache preload.
+    pub fn attributing(traces: &TraceSet, config: &HierarchyConfig) -> Result<Self, PreloadError> {
+        Replayer::with_recorder(traces, config, ConflictRecorder::new(traces.len()))
+    }
+
+    /// Finish an attributing session: the outcome, with its conflicts.
+    pub fn into_attributed(self) -> SimOutcome {
+        let (mut outcome, recorder) = self.into_outcome_and_recorder();
+        outcome.conflicts = recorder.into_conflicts();
+        outcome
+    }
+}
+
 impl<R: Recorder> Replayer<R> {
     /// Like [`Replayer::new`], but every memory-system event is also
     /// reported to `recorder`.
@@ -314,7 +342,6 @@ impl<R: Recorder> Replayer<R> {
         let n = traces.len();
         Ok(Replayer {
             system: InstMemorySystem::with_recorder(config, recorder)?,
-            recorder: ConflictRecorder::new(n),
             trace_fetches: vec![0; n],
             trace_hits: vec![0; n],
             trace_misses: vec![0; n],
@@ -394,36 +421,68 @@ impl<R: Recorder> Replayer<R> {
         Ok(())
     }
 
+    /// [`Self::lookup_loop`] with `finish` a constant in each arm, so
+    /// that the compiler specializes the one loop to each way a lookup
+    /// can finish.
+    fn lookups<U: Id>(&mut self, units: &[U], keys: &[u64], unit_obj: &[u32]) {
+        match self.system.finish() {
+            Finish::DirectMapped => self.lookup_loop(units, keys, unit_obj, Finish::DirectMapped),
+            Finish::Lru => self.lookup_loop(units, keys, unit_obj, Finish::Lru),
+            Finish::OutOfLine => self.lookup_loop(units, keys, unit_obj, Finish::OutOfLine),
+        }
+    }
+
     /// One I-cache lookup per stream unit. `keys` holds, per unit, the
     /// first slot of its line's set and the line (see [`key`]); a unit
     /// the layout does not fetch from the I-cache names the cache's
     /// skip slot, so it "hits" there. A hit in the first slot is the
-    /// whole lookup and stays in the loop.
-    fn lookups<U: Id>(&mut self, units: &[U], keys: &[u64], unit_obj: &[u32]) {
+    /// whole lookup. Without an L2, a direct-mapped miss (the slot is
+    /// replaced) and an LRU lookup (the set is reordered) finish in the
+    /// loop too; every other lookup leaves it ([`Self::lookup_rest`]).
+    #[inline(always)]
+    fn lookup_loop<U: Id>(&mut self, units: &[U], keys: &[u64], unit_obj: &[u32], finish: Finish) {
         for &u in units {
             let k = keys[u.index()];
-            if !self
-                .system
-                .cache()
-                .slot_holds((k >> 32) as usize, k & 0xFFFF_FFFF)
-            {
-                self.lookup_rest(unit_obj[u.index()], k as u32);
+            let (slot, line) = ((k >> 32) as usize, k as u32);
+            if self.system.cache().slot_holds(slot, u64::from(line)) {
+                continue;
             }
+            let obj = unit_obj[u.index()] as usize;
+            let evicted = match finish {
+                Finish::DirectMapped => self.system.cache_mut().replace_slot(slot, line),
+                Finish::Lru => match self.system.cache_mut().lru_finish(slot, line) {
+                    (true, _) => continue,
+                    (false, evicted) => evicted,
+                },
+                Finish::OutOfLine => {
+                    self.lookup_rest(obj, line);
+                    continue;
+                }
+            };
+            self.missed(obj, line, evicted);
         }
     }
 
-    /// Every other lookup: a set scan (under LRU, a reordering of the
-    /// set) or a miss, which also counts the object's miss and hands it
-    /// to the conflict recorder.
+    /// A lookup the loop does not finish: a FIFO, round-robin or random
+    /// set scan, a random direct-mapped fill, or any lookup of a system
+    /// with an L2.
     #[inline(never)]
-    fn lookup_rest(&mut self, obj: u32, line: u32) {
-        let access = self.system.cache_lookup(line);
+    fn lookup_rest(&mut self, obj: usize, line: u32) {
+        let access = self.system.cache_mut().access_line(line);
         if !access.hit {
-            let ti = obj as usize;
-            self.trace_misses[ti] += 1;
             let evicted = self.system.cache().evicted_line(&access);
-            self.recorder.on_miss(ti, line, evicted);
+            self.missed(obj, line, evicted);
         }
+    }
+
+    /// Charge a miss of object `obj` on `line`, which evicted line
+    /// `evicted` if any, after the cache has counted it: the object's
+    /// miss, the line fill and the recorder's miss events, in order.
+    #[inline(always)]
+    fn missed(&mut self, obj: usize, line: u32, evicted: Option<u32>) {
+        self.trace_misses[obj] += 1;
+        self.system.line_fill(line, evicted.is_some());
+        self.system.recorder_mut().cache_miss(obj, line, evicted);
     }
 
     /// Charge everything that depends only on the stream's totals:
@@ -495,7 +554,9 @@ impl<R: Recorder> Replayer<R> {
         self.into_outcome_and_recorder().0
     }
 
-    /// Finish the session, also yielding the event recorder.
+    /// Finish the session, also yielding the event recorder. The
+    /// outcome carries no conflicts: an attributing session's are in
+    /// its recorder (see [`Self::into_attributed`]).
     pub fn into_outcome_and_recorder(self) -> (SimOutcome, R) {
         let mut stats = self.system.stats();
         stats.overlay_copy_words = self.copy_words;
@@ -506,7 +567,7 @@ impl<R: Recorder> Replayer<R> {
             trace_misses: self.trace_misses,
             trace_spm: self.trace_spm,
             trace_lc: self.trace_lc,
-            conflicts: self.recorder.into_conflicts(),
+            conflicts: RawConflicts::default(),
             base_cycles: self.base_cycles,
         };
         (outcome, self.system.into_recorder())
@@ -514,7 +575,8 @@ impl<R: Recorder> Replayer<R> {
 }
 
 /// Replay `exec` under `layout` against the memory system described by
-/// `config`: compile its [`LineStream`] and replay it once.
+/// `config`: compile its [`LineStream`] and replay it once, attributing
+/// every conflict miss ([`SimOutcome::conflicts`]).
 ///
 /// # Errors
 ///
@@ -533,13 +595,15 @@ pub fn simulate(
     exec: &ExecutionTrace,
     config: &HierarchyConfig,
 ) -> Result<SimOutcome, PreloadError> {
-    let mut session = Replayer::new(traces, config)?;
+    let mut session = Replayer::attributing(traces, config)?;
     session.replay(program, traces, layout, exec, 0..exec.len());
-    Ok(session.into_outcome())
+    Ok(session.into_attributed())
 }
 
 /// Like [`simulate`], but reporting every memory-system event to
-/// `recorder` and returning it alongside the outcome.
+/// `recorder` and returning it alongside the outcome, which carries no
+/// conflicts: the replay attributes only if `recorder` is a
+/// [`ConflictRecorder`], and then into it.
 ///
 /// # Errors
 ///
@@ -564,8 +628,8 @@ pub fn simulate_observed<R: Recorder>(
 
 /// Replay a compiled `stream` under `layout`, a layout of the trace
 /// set it was compiled for, against the memory system described by
-/// `config`. Equal to [`simulate`] of the stream's execution, field for
-/// field.
+/// `config`, attributing every conflict miss. Equal to [`simulate`] of
+/// the stream's execution, field for field.
 ///
 /// # Errors
 ///
@@ -582,11 +646,15 @@ pub fn simulate_stream(
     layout: &Layout,
     config: &HierarchyConfig,
 ) -> Result<SimOutcome, SimError> {
-    Ok(simulate_stream_observed(stream, traces, layout, config, NullRecorder)?.0)
+    let mut session = Replayer::attributing(traces, config)?;
+    session.replay_stream(stream, traces, layout)?;
+    Ok(session.into_attributed())
 }
 
 /// Like [`simulate_stream`], but reporting every memory-system event to
-/// `recorder` and returning it alongside the outcome.
+/// `recorder` and returning it alongside the outcome, which carries no
+/// conflicts (see [`simulate_observed`]). With [`NullRecorder`] this is
+/// the count-only replay of a final simulation.
 ///
 /// # Errors
 ///
@@ -780,11 +848,12 @@ mod tests {
         let layout = Layout::initial(&p, &ts);
         let cfg = HierarchyConfig::cache_only(CacheConfig::direct_mapped(64, 16));
         let whole = simulate(&p, &ts, &layout, &exec, &cfg).unwrap();
-        let mut session = Replayer::new(&ts, &cfg).unwrap();
+        let mut session = Replayer::attributing(&ts, &cfg).unwrap();
         let mid = exec.len() / 2;
         session.replay(&p, &ts, &layout, &exec, 0..mid);
         session.replay(&p, &ts, &layout, &exec, mid..exec.len());
-        let split = session.into_outcome();
+        let split = session.into_attributed();
+        assert!(!split.conflicts.misses_between.is_empty());
         assert_eq!(whole, split, "segment boundary must be invisible");
     }
 

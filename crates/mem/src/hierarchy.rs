@@ -1,7 +1,7 @@
 //! The instruction memory system: cache + optional scratchpad banks or
 //! loop cache, backed by off-chip main memory.
 
-use crate::cache::{Cache, CacheAccess, CacheConfig};
+use crate::cache::{Cache, CacheAccess, CacheConfig, Finish};
 use crate::loop_cache::{LoopCacheController, PreloadError};
 use crate::recorder::{NullRecorder, Recorder};
 use crate::scratchpad::Scratchpad;
@@ -177,7 +177,10 @@ impl<R: Recorder> InstMemorySystem<R> {
             Region::Main => {
                 let line = self.cache.line_of(loc.addr);
                 self.recorder.cache_fetches(self.cache.set_of(line), 1);
-                let access = self.cache_lookup(line);
+                let access = self.cache.access_line(line);
+                if !access.hit {
+                    self.line_fill(line, access.evicted_tag.is_some());
+                }
                 self.charge_cache_fetches(1, u64::from(access.hit));
                 FetchEvent::Cache(access)
             }
@@ -231,8 +234,8 @@ impl<R: Recorder> InstMemorySystem<R> {
     }
 
     /// Charge `accesses` I-cache fetches, `hits` of them hits, to the
-    /// access and hit counters and to [`Cache::hits`].
-    /// [`Self::cache_lookup`] leaves all three to its caller.
+    /// access and hit counters and to [`Cache::hits`]. A lookup and
+    /// [`Self::line_fill`] leave all three to their caller.
     #[inline]
     pub(crate) fn charge_cache_fetches(&mut self, accesses: u64, hits: u64) {
         self.counters.cache_accesses.add(accesses);
@@ -247,28 +250,29 @@ impl<R: Recorder> InstMemorySystem<R> {
         self.recorder.cache_fetches(self.cache.set_of(line), n);
     }
 
-    /// Look line `line` up in the I-cache once: on a miss also the
-    /// miss counters, the recorder's fill and eviction events and the
-    /// line fill from the L2 or main memory. The access and hit
-    /// counters, the cache's own included, and the recorder's fetch
-    /// tally are charged by the caller (see
-    /// [`Self::charge_cache_fetches`]).
-    #[inline]
-    pub(crate) fn cache_lookup(&mut self, line: u32) -> CacheAccess {
-        let access = self.cache.access_line(line);
-        if !access.hit {
-            self.line_fill(line, &access);
+    /// Where a stream replay finishes an I-cache lookup that missed its
+    /// set's first slot: out of the loop whenever an L2 serves misses.
+    pub(crate) fn finish(&self) -> Finish {
+        match self.l2 {
+            Some(_) => Finish::OutOfLine,
+            None => self.cache.finish(),
         }
-        access
     }
 
-    /// The miss side of [`Self::cache_lookup`].
+    /// The miss side of an I-cache lookup of line `line`, which
+    /// evicted a valid line if `evicted`: the miss counters, the
+    /// recorder's fill and eviction events and the line fill from the
+    /// L2 or main memory. The cache has counted its own miss; the
+    /// access and hit counters, the cache's own included, and the
+    /// recorder's fetch tally are charged by the caller (see
+    /// [`Self::charge_cache_fetches`]).
     #[inline(always)]
-    fn line_fill(&mut self, line: u32, access: &CacheAccess) {
+    pub(crate) fn line_fill(&mut self, line: u32, evicted: bool) {
+        let set = self.cache.set_of(line);
         self.counters.cache_misses.inc();
-        self.recorder.cache_fill(access.set);
-        if access.evicted_tag.is_some() {
-            self.recorder.cache_eviction(access.set);
+        self.recorder.cache_fill(set);
+        if evicted {
+            self.recorder.cache_eviction(set);
         }
         let words = self.cache.config().words_per_line() as u64;
         match &mut self.l2 {
@@ -292,6 +296,12 @@ impl<R: Recorder> InstMemorySystem<R> {
         &self.cache
     }
 
+    /// The I-cache, for a replay that finishes lookups itself.
+    #[inline]
+    pub(crate) fn cache_mut(&mut self) -> &mut Cache {
+        &mut self.cache
+    }
+
     /// Counters accumulated so far, as a plain-integer snapshot.
     pub fn stats(&self) -> FetchStats {
         self.counters.view()
@@ -300,6 +310,12 @@ impl<R: Recorder> InstMemorySystem<R> {
     /// The event recorder.
     pub fn recorder(&self) -> &R {
         &self.recorder
+    }
+
+    /// The event recorder, for the events a replay reports itself.
+    #[inline]
+    pub(crate) fn recorder_mut(&mut self) -> &mut R {
+        &mut self.recorder
     }
 
     /// Tear down, yielding the recorder.

@@ -14,7 +14,9 @@
 //!   sequence against a [`casa_trace::Layout`], and
 //! * a **conflict recorder** ([`conflict`]) attributing every conflict
 //!   miss of memory object `x_i` to the object `x_j` that evicted its
-//!   line — the raw material of the paper's conflict graph (§3.3).
+//!   line — the raw material of the paper's conflict graph (§3.3). It
+//!   is a [`Recorder`], and only the replays whose outcome becomes a
+//!   conflict graph take one (see below).
 //!
 //! The fetch engine guarantees the paper's eq. (4): for every memory
 //! object, `fetches == hits + misses` regardless of hierarchy, which
@@ -67,9 +69,28 @@
 //!   selects rather than branches. Round-robin and `Random(seed)` keep
 //!   physical order, so their victims and RNG draws are the per-fetch
 //!   ones. [`Cache::access`] is the one-fetch case of the same lookup;
-//! * *misses go out of line:* the L2, the main-memory line fills, the
-//!   conflict recorder and the per-set fill and eviction tallies see
-//!   only misses, in order.
+//! * *misses finish in the loop where they can:* without an L2, a
+//!   direct-mapped miss replaces the set's one slot and an LRU lookup
+//!   that fails the first slot reorders the set through the same
+//!   [`Cache`] code a per-fetch access runs, so both finish inside the
+//!   loop; FIFO, round-robin and random scans, a `Random(seed)`
+//!   direct-mapped fill (which draws) and every lookup of a system with
+//!   an L2 leave it. Either way a miss then runs the same accounting:
+//!   the object's miss, the miss counters and the main-memory or L2
+//!   line fill, and the recorder's fill, eviction, L2 and miss events,
+//!   in order.
+//!
+//! ## Which replays attribute
+//!
+//! The paper builds its conflict graph from one profiling run; pricing
+//! an allocation needs only hit and miss counts (eqs. 1–6). So a replay
+//! attributes misses to conflict edges only when it is handed a
+//! [`ConflictRecorder`]: [`simulate`], [`simulate_stream`] and
+//! [`Replayer::attributing`] do, and fill [`SimOutcome::conflicts`];
+//! [`Replayer::new`], [`simulate_observed`] and
+//! [`simulate_stream_observed`] with any other recorder only count,
+//! and leave it empty. The flow's profiling runs and the overlay's
+//! per-window profiles attribute; its final simulations count.
 //!
 //! A stream is compiled for one trace set and refuses a layout of
 //! another ([`StreamError`]). A [`Replayer`] layout switch between

@@ -1,18 +1,21 @@
 //! Fine-grained simulation event recording behind a zero-cost trait.
 //!
 //! The fetch engine reports I-cache misses to a [`Recorder`] as they
-//! happen: one `cache_fill`, `cache_eviction` and `l2_access` per miss.
-//! Everything that does not depend on history arrives as totals when a
-//! [`crate::Replayer`] replay call ends (see [`crate::fetch`]): the
-//! I-cache fetches of each set (`cache_fetches`), and the scratchpad
-//! and loop-cache fetches of each memory object. Summed, every tally
-//! is what one fetch at a time gives. The default [`NullRecorder`] has
+//! happen: one `cache_fill`, `cache_eviction` and `l2_access` per miss,
+//! and in a [`crate::Replayer`] one `cache_miss` naming the memory
+//! object. Everything that does not depend on history arrives as
+//! totals when a replay call ends (see [`crate::fetch`]): the I-cache
+//! fetches of each set (`cache_fetches`), and the scratchpad and
+//! loop-cache fetches of each memory object. Summed, every tally is
+//! what one fetch at a time gives. The default [`NullRecorder`] has
 //! empty inlined methods, so the uninstrumented path monomorphizes to
 //! no recording at all — no allocation, no branch.
 //! [`SetStatsRecorder`] keeps per-set hit/miss/eviction/fill tallies
 //! (the raw material behind the paper's conflict analysis: a set with
 //! evictions ≫ cold fills is where `m_ij` lives) and can export them
-//! into a `casa-obs` registry.
+//! into a `casa-obs` registry. [`crate::ConflictRecorder`] attributes
+//! each miss to the object that evicted its line: a replay builds
+//! conflict edges only when it is handed one.
 
 use casa_obs::Obs;
 
@@ -60,6 +63,15 @@ pub trait Recorder {
     #[inline]
     fn l2_access(&mut self, hit: bool) {
         let _ = hit;
+    }
+
+    /// A [`crate::Replayer`]'s I-cache miss of memory object `obj` on
+    /// line id `line` (`addr / line_size`), which displaced line
+    /// `evicted` if the set was full. Arrives after the miss's fill,
+    /// eviction and L2 events.
+    #[inline]
+    fn cache_miss(&mut self, obj: usize, line: u32, evicted: Option<u32>) {
+        let _ = (obj, line, evicted);
     }
 }
 

@@ -920,7 +920,8 @@ fn head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Read one full request — head and (`Content-Length`-framed) body —
-/// under `opts`'s size and deadline bounds.
+/// under `opts`'s size and deadline bounds. Repeated `Content-Length`
+/// headers must agree; differing ones are refused.
 fn read_request(stream: &mut TcpStream, opts: &ServeOptions) -> Result<Request, ReadError> {
     let deadline = Instant::now() + opts.read_deadline;
     let mut buf = Vec::with_capacity(512);
@@ -945,15 +946,21 @@ fn read_request(stream: &mut TcpStream, opts: &ServeOptions) -> Result<Request, 
         (Some(m), Some(p)) => (m.to_string(), p.to_string()),
         _ => return Err(ReadError::Malformed("malformed request line")),
     };
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut req_id = String::new();
     for line in head.lines().skip(1) {
         if let Some((name, value)) = line.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value
+                let n = value
                     .trim()
                     .parse()
                     .map_err(|_| ReadError::Malformed("unparsable Content-Length"))?;
+                // RFC 9112 §6.3: differing lengths leave the body's
+                // framing undefined, so refuse rather than pick one.
+                if content_length.is_some_and(|c| c != n) {
+                    return Err(ReadError::Malformed("differing Content-Length headers"));
+                }
+                content_length = Some(n);
             } else if name.trim().eq_ignore_ascii_case(REQUEST_ID_HEADER) {
                 let id = value.trim();
                 // A malformed ID is treated as absent (minted instead),
@@ -964,6 +971,7 @@ fn read_request(stream: &mut TcpStream, opts: &ServeOptions) -> Result<Request, 
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > opts.max_body_bytes {
         return Err(ReadError::BodyTooLarge);
     }

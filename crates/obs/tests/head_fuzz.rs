@@ -6,10 +6,11 @@
 //! above `max_body_bytes` — and sent over loopback one connection at
 //! a time. Every connection must get a status line: a normal reply
 //! from the route or a structured 4xx, never an empty reply and never
-//! a 500 (a panicking handler). A claim above `max_body_bytes` must be
-//! refused before any body byte is read: its 413 arrives while the
-//! client still holds the body back. The listener must serve a
-//! well-formed request afterwards.
+//! a 500 (a panicking handler). Two `Content-Length` headers that
+//! differ must be refused with 400 (RFC 9112 §6.3), whichever comes
+//! first. A claim above `max_body_bytes` must be refused before any
+//! body byte is read: its 413 arrives while the client still holds the
+//! body back. The listener must serve a well-formed request afterwards.
 
 use casa_obs::serve::{
     http_get, start_with, valid_request_id, Request, Response, Router, ServeOptions,
@@ -62,11 +63,12 @@ fn head(addr: &SocketAddr, lengths: &[String]) -> String {
     h
 }
 
-/// One mutated request: the bytes to send and the mutation that made
-/// them.
+/// One mutated request: the bytes to send, the mutation that made
+/// them and, where the mutation decides it, the status it must get.
 struct Case {
     bytes: Vec<u8>,
     kind: &'static str,
+    status: Option<u16>,
 }
 
 fn case(rng: &mut Rng, addr: &SocketAddr) -> Case {
@@ -88,6 +90,7 @@ fn case(rng: &mut Rng, addr: &SocketAddr) -> Case {
             Case {
                 bytes: b,
                 kind: "flip",
+                status: None,
             }
         }
         1 => {
@@ -98,19 +101,25 @@ fn case(rng: &mut Rng, addr: &SocketAddr) -> Case {
             Case {
                 bytes: b,
                 kind: "cut",
+                status: None,
             }
         }
         2 => {
-            // Duplicate Content-Length, equal or not.
+            // Duplicate Content-Length, equal or not, the body's own
+            // length first or last.
             let other = (body.len() + rng.below(8)).to_string();
-            let lengths = if rng.below(2) == 0 {
-                vec![len.clone(), len]
-            } else {
-                vec![other, len]
+            let mut lengths = match rng.below(2) {
+                0 => vec![len.clone(), len],
+                _ => vec![other, len],
             };
+            if rng.below(2) == 0 {
+                lengths.reverse();
+            }
+            let status = (lengths[0] != lengths[1]).then_some(400);
             Case {
                 bytes: whole(&lengths),
                 kind: "duplicate length",
+                status,
             }
         }
         3 => {
@@ -130,6 +139,7 @@ fn case(rng: &mut Rng, addr: &SocketAddr) -> Case {
             Case {
                 bytes: whole(&[g]),
                 kind: "garbage length",
+                status: None,
             }
         }
         4 => {
@@ -138,6 +148,7 @@ fn case(rng: &mut Rng, addr: &SocketAddr) -> Case {
             Case {
                 bytes: whole(&[short]),
                 kind: "short claim",
+                status: None,
             }
         }
         5 => {
@@ -150,6 +161,7 @@ fn case(rng: &mut Rng, addr: &SocketAddr) -> Case {
             Case {
                 bytes: b,
                 kind: "spliced head",
+                status: None,
             }
         }
         _ => {
@@ -163,6 +175,7 @@ fn case(rng: &mut Rng, addr: &SocketAddr) -> Case {
             Case {
                 bytes: b,
                 kind: "odd header",
+                status: None,
             }
         }
     }
@@ -213,8 +226,13 @@ fn mutated_solve_heads_get_a_structured_reply() {
     let (mut handle, addr) = server();
     let mut rng = Rng(0x5eed_f00d);
     let mut statuses = std::collections::BTreeMap::new();
+    let mut differing = 0;
     for k in 0..240 {
-        let Case { bytes, kind } = case(&mut rng, &addr);
+        let Case {
+            bytes,
+            kind,
+            status: want,
+        } = case(&mut rng, &addr);
         let raw = exchange(&addr, &bytes);
         let code = status(&raw).unwrap_or_else(|| {
             panic!(
@@ -227,6 +245,15 @@ fn mutated_solve_heads_get_a_structured_reply() {
             "case {k} ({kind}): status {code} for {:?}",
             String::from_utf8_lossy(&bytes)
         );
+        if let Some(want) = want {
+            assert_eq!(
+                code,
+                want,
+                "case {k} ({kind}): {:?}",
+                String::from_utf8_lossy(&bytes)
+            );
+            differing += 1;
+        }
         if (400..500).contains(&code) {
             // Structured: a reason in the body and the correlation id.
             let (head, body) = raw.split_once("\r\n\r\n").expect("reply head");
@@ -243,6 +270,7 @@ fn mutated_solve_heads_get_a_structured_reply() {
     for code in [200, 400] {
         assert!(statuses.contains_key(&code), "no {code} among {statuses:?}");
     }
+    assert!(differing >= 8, "{differing} differing duplicate lengths");
     let (st, body) = http_get(&addr, "/healthz", Duration::from_secs(5)).expect("healthz");
     assert_eq!((st, body.as_str()), (200, "ok\n"));
     handle.shutdown();

@@ -9,23 +9,29 @@
 //! issues one `InstMemorySystem::fetch` per `Layout::inst_locations`
 //! entry, applies the trace-exit glue-jump rule itself and attributes
 //! conflict misses through its own `(set, tag)` eviction map. Every
-//! counter, per-object vector, conflict edge, cold miss, base cycle and
-//! per-set recorder tally must agree, on generated programs in ARM and
-//! Thumb mode, under copy, move and reordered placements, every
-//! replacement policy at 1, 2 and 4 ways, with and without an L2, with
-//! loop-cache preloads of whole trace slots and ones that start and
-//! end mid-line, and across layout switches, where the counters must
-//! also be complete after every segment.
+//! counter, per-object vector, base cycle and per-set recorder tally
+//! must agree, on generated programs in ARM and Thumb mode, under
+//! copy, move and reordered placements, every replacement policy at 1,
+//! 2 and 4 ways, with and without an L2, with loop-cache preloads of
+//! whole trace slots and ones that start and end mid-line, and across
+//! layout switches, where the counters must also be complete after
+//! every segment. Each case replays twice: attributing, as a profiling
+//! replay does (`simulate`, `simulate_stream`,
+//! `Replayer::attributing`), where every conflict edge and cold miss
+//! must agree too; and count-only, as a final simulation does (through
+//! `NullRecorder` and `SetStatsRecorder`), which leaves the conflicts
+//! empty.
 
 use casa::ir::inst::{InstKind, IsaMode};
 use casa::ir::BlockId;
 use casa::ir::Program;
 use casa::mem::cache::{CacheConfig, ReplacementPolicy};
+use casa::mem::conflict::RawConflicts;
 use casa::mem::hierarchy::FetchEvent;
 use casa::mem::{
-    simulate, simulate_observed, simulate_stream_observed, ExecutionTrace, FetchStats,
-    HierarchyConfig, InstMemorySystem, LineStream, Replayer, SetStatsRecorder, SimOutcome,
-    StreamError,
+    simulate, simulate_observed, simulate_stream, simulate_stream_observed, ExecutionTrace,
+    FetchStats, HierarchyConfig, InstMemorySystem, LineStream, NullRecorder, Replayer,
+    SetStatsRecorder, SimOutcome, StreamError,
 };
 use casa::obs::Obs;
 use casa::trace::layout::PlacementSemantics;
@@ -122,9 +128,26 @@ impl Reference {
         }
     }
 
-    /// Assert that `out` (and, when given, the engine's recorder)
-    /// match this replay exactly.
+    /// Assert that an attributing replay's `out` (and, when given, the
+    /// engine's recorder) match this replay exactly.
     fn assert_matches(&self, out: &SimOutcome, recorder: Option<&SetStatsRecorder>, case: &str) {
+        self.assert_counted(out, recorder, case);
+        assert_eq!(
+            out.conflicts.misses_between, self.misses_between,
+            "{case}: misses_between"
+        );
+        assert_eq!(out.conflicts.cold_misses, self.cold, "{case}: cold_misses");
+    }
+
+    /// Assert that a count-only replay's `out` (and, when given, the
+    /// engine's recorder) match this replay in every field but the
+    /// conflicts, which it leaves empty.
+    fn assert_counts(&self, out: &SimOutcome, recorder: Option<&SetStatsRecorder>, case: &str) {
+        self.assert_counted(out, recorder, case);
+        assert_eq!(out.conflicts, RawConflicts::default(), "{case}: conflicts");
+    }
+
+    fn assert_counted(&self, out: &SimOutcome, recorder: Option<&SetStatsRecorder>, case: &str) {
         let mut stats = self.sys.stats();
         stats.overlay_copy_words = out.stats.overlay_copy_words;
         assert_eq!(out.stats, stats, "{case}: stats");
@@ -133,11 +156,6 @@ impl Reference {
         assert_eq!(out.trace_misses, self.misses, "{case}: trace_misses");
         assert_eq!(out.trace_spm, self.spm, "{case}: trace_spm");
         assert_eq!(out.trace_lc, self.lc, "{case}: trace_lc");
-        assert_eq!(
-            out.conflicts.misses_between, self.misses_between,
-            "{case}: misses_between"
-        );
-        assert_eq!(out.conflicts.cold_misses, self.cold, "{case}: cold_misses");
         assert_eq!(out.base_cycles, self.base_cycles, "{case}: base_cycles");
         if let Some(r) = recorder {
             assert_eq!(r, self.sys.recorder(), "{case}: per-set recorder tallies");
@@ -236,7 +254,14 @@ fn spm_system(cache: CacheConfig, layouts: &[&Layout]) -> HierarchyConfig {
     }
 }
 
-/// `simulate` and `simulate_observed` against the reference; returns
+fn set_stats(config: &HierarchyConfig) -> SetStatsRecorder {
+    SetStatsRecorder::new(config.cache.num_sets() as usize)
+}
+
+/// `simulate`, which attributes, against the reference in every field;
+/// then the count-only replays of a final simulation, from one stream
+/// compiled for `config` through `NullRecorder` and `SetStatsRecorder`,
+/// and `simulate_observed`, in every field but the conflicts. Returns
 /// the checked outcome's counters.
 fn check(c: &Case, layout: &Layout, config: &HierarchyConfig, name: &str) -> FetchStats {
     let mut reference = Reference::new(c.traces.len(), config);
@@ -244,12 +269,24 @@ fn check(c: &Case, layout: &Layout, config: &HierarchyConfig, name: &str) -> Fet
     let out = simulate(&c.program, &c.traces, layout, &c.exec, config).expect("simulates");
     reference.assert_matches(&out, None, name);
     assert!(out.check_fetch_identity(), "{name}: eq. (4)");
-    let recorder = SetStatsRecorder::new(config.cache.num_sets() as usize);
-    let (observed, recorder) =
-        simulate_observed(&c.program, &c.traces, layout, &c.exec, config, recorder)
-            .expect("simulates");
-    assert_eq!(observed, out, "{name}: observed outcome");
-    reference.assert_matches(&observed, Some(&recorder), name);
+    let stream = LineStream::compile(&c.program, &c.traces, &c.exec, config);
+    let (counted, _) = simulate_stream_observed(&stream, &c.traces, layout, config, NullRecorder)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    reference.assert_counts(&counted, None, &format!("{name} count-only"));
+    let (counted, recorder) =
+        simulate_stream_observed(&stream, &c.traces, layout, config, set_stats(config))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    reference.assert_counts(&counted, Some(&recorder), &format!("{name} set stats"));
+    let (observed, recorder) = simulate_observed(
+        &c.program,
+        &c.traces,
+        layout,
+        &c.exec,
+        config,
+        set_stats(config),
+    )
+    .expect("simulates");
+    reference.assert_counts(&observed, Some(&recorder), &format!("{name} observed"));
     out.stats
 }
 
@@ -385,20 +422,32 @@ fn segmented_replay_with_layout_switches_matches_per_fetch_replay() {
             (&a, 2 * len / 3..len),
         ];
         let mut reference = Reference::new(c.traces.len(), &config);
-        let mut session = Replayer::new(&c.traces, &config).expect("valid config");
+        let mut session = Replayer::attributing(&c.traces, &config).expect("valid config");
+        let mut counting =
+            Replayer::with_recorder(&c.traces, &config, set_stats(&config)).expect("valid config");
         for (k, (layout, range)) in segments.into_iter().enumerate() {
             reference.replay(&c.program, &c.traces, layout, &c.exec, range.clone());
-            session.replay(&c.program, &c.traces, layout, &c.exec, range);
-            assert_eq!(
-                session.stats(),
-                reference.sys.stats(),
-                "seed {seed} segment {k}: a replay call leaves its counters complete"
-            );
+            session.replay(&c.program, &c.traces, layout, &c.exec, range.clone());
+            counting.replay(&c.program, &c.traces, layout, &c.exec, range);
+            for s in [session.stats(), counting.stats()] {
+                assert_eq!(
+                    s,
+                    reference.sys.stats(),
+                    "seed {seed} segment {k}: a replay call leaves its counters complete"
+                );
+            }
         }
         session.charge_copy_words(7);
-        let out = session.into_outcome();
+        counting.charge_copy_words(7);
+        let out = session.into_attributed();
         assert_eq!(out.stats.overlay_copy_words, 7);
         reference.assert_matches(&out, None, &format!("seed {seed} segmented"));
+        let (counted, recorder) = counting.into_outcome_and_recorder();
+        reference.assert_counts(
+            &counted,
+            Some(&recorder),
+            &format!("seed {seed} segmented count-only"),
+        );
     }
 }
 
@@ -491,11 +540,22 @@ fn one_stream_replays_many_layouts_and_systems() {
                 let what = format!("seed {seed} {name} {policy:?} {ways}-way l2={l2}");
                 let mut reference = Reference::new(n, &config);
                 reference.replay(&c.program, &c.traces, layout, &c.exec, 0..c.exec.len());
-                let recorder = SetStatsRecorder::new(config.cache.num_sets() as usize);
-                let (out, recorder) =
-                    simulate_stream_observed(&stream, &c.traces, layout, &config, recorder)
+                let out = simulate_stream(&stream, &c.traces, layout, &config)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                reference.assert_matches(&out, None, &what);
+                let (counted, _) =
+                    simulate_stream_observed(&stream, &c.traces, layout, &config, NullRecorder)
                         .unwrap_or_else(|e| panic!("{what}: {e}"));
-                reference.assert_matches(&out, Some(&recorder), &what);
+                reference.assert_counts(&counted, None, &format!("{what} count-only"));
+                let (counted, recorder) = simulate_stream_observed(
+                    &stream,
+                    &c.traces,
+                    layout,
+                    &config,
+                    set_stats(&config),
+                )
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                reference.assert_counts(&counted, Some(&recorder), &format!("{what} set stats"));
                 total += out.stats;
             }
         }

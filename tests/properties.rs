@@ -83,6 +83,25 @@ fn near_tie_graph(n: usize, state: u64) -> (ConflictGraph, u32) {
     (ConflictGraph::from_parts(fetches, sizes, edges), cap)
 }
 
+/// Bytes of `g`'s objects that `on` puts on the scratchpad.
+fn used(g: &ConflictGraph, on: &[bool]) -> u32 {
+    (0..g.len()).filter(|&i| on[i]).map(|i| g.size_of(i)).sum()
+}
+
+/// The minimum of eq. (11) over every subset of `g`'s objects that
+/// fits in `cap` bytes.
+fn brute_force_optimum(g: &ConflictGraph, m: &EnergyModel, cap: u32) -> f64 {
+    let n = g.len();
+    let mut best = f64::INFINITY;
+    for mask in 0u32..1 << n {
+        let on: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
+        if used(g, &on) <= cap {
+            best = best.min(m.total_energy(&on));
+        }
+    }
+    best
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -167,22 +186,14 @@ proptest! {
             let n = g.len();
             let t = table();
             let m = EnergyModel::new(&g, &t);
-            let used =
-                |on: &[bool]| -> u32 { (0..n).filter(|&i| on[i]).map(|i| g.size_of(i)).sum() };
-            let mut best = f64::INFINITY;
-            for mask in 0u32..1 << n {
-                let on: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
-                if used(&on) <= cap {
-                    best = best.min(m.total_energy(&on));
-                }
-            }
+            let best = brute_force_optimum(&g, &m, cap);
             let tol = 1e-6 * best.abs().max(1.0);
             let bb = allocate_bb(&m, cap);
             let eb = bb.predicted_energy.expect("casa-bb predicts");
             prop_assert!((eb - best).abs() < tol, "bb {} vs brute force {} (n {}, capacity {})", eb, best, n, cap);
-            prop_assert!(used(&bb.on_spm) <= cap);
+            prop_assert!(used(&g, &bb.on_spm) <= cap);
             let greedy = allocate_greedy(&m, cap);
-            prop_assert!(used(&greedy.on_spm) <= cap);
+            prop_assert!(used(&g, &greedy.on_spm) <= cap);
             let eg = m.total_energy(&greedy.on_spm);
             prop_assert!(eg > best - tol, "greedy {} below the optimum {}", eg, best);
         }
@@ -246,5 +257,39 @@ proptest! {
             r.final_sim.stats.fetches <= profile_fetches + exec.len() as u64,
             "at most one glue fetch per executed block"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Both ILP linearizations are exact on the CASA model: each one's
+    /// predicted energy is the minimum of eq. (11) over every subset
+    /// that fits, and its own set fits and prices at that energy. Each
+    /// case checks a random instance and a near-tie one. `n` stays at 9
+    /// or below, where a debug build solves both within ~0.1 s.
+    #[test]
+    fn ilp_matches_brute_force_on_the_model(
+        n in 2usize..10,
+        cap in 0u32..600,
+        seed in 0u64..10_000,
+        tie_n in 6usize..10,
+    ) {
+        let state = seed.wrapping_mul(0x9E3779B9).wrapping_add(3);
+        for (g, cap) in [(random_graph(n, state), cap), near_tie_graph(tie_n, state)] {
+            let n = g.len();
+            let t = table();
+            let m = EnergyModel::new(&g, &t);
+            let best = brute_force_optimum(&g, &m, cap);
+            let tol = 1e-6 * best.abs().max(1.0);
+            for lin in [Linearization::Paper, Linearization::Tight] {
+                let a = allocate_ilp(&m, cap, lin, &SolverOptions::default())
+                    .expect("the ILP solves");
+                let e = a.predicted_energy.expect("the ILP predicts");
+                prop_assert!((e - best).abs() < tol, "{:?} {} vs brute force {} (n {}, capacity {})", lin, e, best, n, cap);
+                prop_assert!(used(&g, &a.on_spm) <= cap, "{:?} over capacity", lin);
+                prop_assert!((m.total_energy(&a.on_spm) - best).abs() < tol, "{:?} set prices off its prediction", lin);
+            }
+        }
     }
 }
