@@ -81,12 +81,18 @@ impl ConflictGraph {
     /// # Panics
     ///
     /// Panics if `sim` was produced for a different trace set (length
-    /// mismatch).
+    /// mismatch) or by a replay that did not attribute conflicts (a
+    /// count-only final simulation, whose `conflicts` are empty).
     pub fn from_simulation(traces: &TraceSet, sim: &SimOutcome) -> Self {
         assert_eq!(
             sim.trace_fetches.len(),
             traces.len(),
             "simulation does not match the trace set"
+        );
+        assert_eq!(
+            sim.conflicts.cold_misses.len(),
+            traces.len(),
+            "simulation did not attribute conflicts"
         );
         ConflictGraph::from_edge_map(
             sim.trace_fetches.clone(),
@@ -103,7 +109,7 @@ impl ConflictGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `sim` was produced for a different trace set.
+    /// As [`Self::from_simulation`].
     pub fn from_simulation_obs(traces: &TraceSet, sim: &SimOutcome, obs: &casa_obs::Obs) -> Self {
         let span = obs.span("conflict.build");
         let g = ConflictGraph::from_simulation(traces, sim);

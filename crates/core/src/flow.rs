@@ -58,6 +58,7 @@ use casa_trace::layout::PlacementSemantics;
 use casa_trace::trace::{form_traces, TraceConfig};
 use casa_trace::{Layout, TraceSet};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
@@ -326,7 +327,8 @@ pub struct FlowReport {
     pub stopped_by: Option<BudgetKind>,
     /// Loop-cache assignment (loop-cache flow only).
     pub loop_cache: Option<LoopCacheAssignment>,
-    /// Simulation of the final configuration.
+    /// Simulation of the final configuration. It only counts: its
+    /// `conflicts` are empty.
     pub final_sim: SimOutcome,
     /// Per-event energies used.
     pub energy_table: EnergyTable,
@@ -667,7 +669,8 @@ pub fn loop_cache_on(
     let span = obs.span("simulate");
     let final_sim = run_final_sim(stream, traces, &layout, &cfg, obs)?;
     drop(span);
-    let graph = ConflictGraph::from_simulation(traces, &final_sim);
+    let sizes = traces.traces().iter().map(|t| t.code_size()).collect();
+    let graph = ConflictGraph::from_parts(final_sim.trace_fetches.clone(), sizes, HashMap::new());
 
     let table = EnergyTable::build(
         cache.size,
@@ -861,6 +864,12 @@ mod tests {
         .unwrap();
         assert!(r.final_sim.stats.is_consistent());
         assert!(r.loop_cache.is_some());
+        // Nothing is profiled: the graph carries the final run's fetch
+        // counts and no edges.
+        let g = &r.conflict_graph;
+        assert_eq!(g.edge_count(), 0);
+        let fetches: Vec<u64> = (0..g.len()).map(|i| g.fetches_of(i)).collect();
+        assert_eq!(fetches, r.final_sim.trace_fetches);
         // Completion semantics: the preload heuristic always finishes.
         assert!(r.alloc_status.is_optimal());
         assert_eq!(r.alloc_status.gap(), Some(0.0));
@@ -868,6 +877,14 @@ mod tests {
         // controller may or may not capture it, but energy must be
         // computed either way.
         assert!(r.energy_uj() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "did not attribute")]
+    fn a_count_only_final_simulation_builds_no_conflict_graph() {
+        let (p, prof, exec) = thrash_workload();
+        let r = run_spm_flow(&p, &prof, &exec, &config(AllocatorKind::CasaBb), &ctx()).unwrap();
+        ConflictGraph::from_simulation(&r.traces, &r.final_sim);
     }
 
     #[test]

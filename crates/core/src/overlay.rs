@@ -302,7 +302,8 @@ pub struct OverlayReport {
     pub traces: TraceSet,
     /// The chosen phase-wise allocation.
     pub allocation: OverlayAllocation,
-    /// Final simulation (all phases, DMA charged).
+    /// Final simulation (all phases, DMA charged). It only counts: its
+    /// `conflicts` are empty.
     pub final_sim: SimOutcome,
     /// Per-event energies used.
     pub energy_table: EnergyTable,

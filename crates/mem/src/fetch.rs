@@ -421,17 +421,6 @@ impl<R: Recorder> Replayer<R> {
         Ok(())
     }
 
-    /// [`Self::lookup_loop`] with `finish` a constant in each arm, so
-    /// that the compiler specializes the one loop to each way a lookup
-    /// can finish.
-    fn lookups<U: Id>(&mut self, units: &[U], keys: &[u64], unit_obj: &[u32]) {
-        match self.system.finish() {
-            Finish::DirectMapped => self.lookup_loop(units, keys, unit_obj, Finish::DirectMapped),
-            Finish::Lru => self.lookup_loop(units, keys, unit_obj, Finish::Lru),
-            Finish::OutOfLine => self.lookup_loop(units, keys, unit_obj, Finish::OutOfLine),
-        }
-    }
-
     /// One I-cache lookup per stream unit. `keys` holds, per unit, the
     /// first slot of its line's set and the line (see [`key`]); a unit
     /// the layout does not fetch from the I-cache names the cache's
@@ -439,8 +428,8 @@ impl<R: Recorder> Replayer<R> {
     /// whole lookup. Without an L2, a direct-mapped miss (the slot is
     /// replaced) and an LRU lookup (the set is reordered) finish in the
     /// loop too; every other lookup leaves it ([`Self::lookup_rest`]).
-    #[inline(always)]
-    fn lookup_loop<U: Id>(&mut self, units: &[U], keys: &[u64], unit_obj: &[u32], finish: Finish) {
+    fn lookups<U: Id>(&mut self, units: &[U], keys: &[u64], unit_obj: &[u32]) {
+        let finish = self.system.finish();
         for &u in units {
             let k = keys[u.index()];
             let (slot, line) = ((k >> 32) as usize, k as u32);
