@@ -174,6 +174,25 @@ if grep -rn "#\[deprecated" crates src examples --include='*.rs'; then
   echo "deprecated item reintroduced"; exit 1
 fi
 
+echo "== environment knobs: the CASA_* names in the Rust sources are exactly this list"
+# Every CASA_* name the Rust sources under crates/, src/, tests/ and
+# examples/ read, set or mention. A new knob, or a stale mention of a
+# deleted one, fails here until the list below changes with it.
+grep -rhoE 'CASA_[A-Z0-9_]+' crates src tests examples --include='*.rs' | LC_ALL=C sort -u > /tmp/casa_knobs.txt
+cat > /tmp/casa_knobs_expected.txt <<'KNOBS'
+CASA_ACCESS_LOG
+CASA_FLIGHT_DUMP
+CASA_REQ_JOURNAL_CAP
+CASA_SELFTEST_PANIC
+CASA_SELFTEST_SLOW_REQ
+CASA_SESSION_DIR
+CASA_SLOW_REQ_MS
+CASA_SWEEP_THREADS
+CASA_TRACE
+KNOBS
+diff /tmp/casa_knobs_expected.txt /tmp/casa_knobs.txt \
+  || { echo "CASA_* names in the sources differ from the list in ci.sh (< listed, > found)"; exit 1; }
+
 echo "== capture: worker byte-identity, golden replay, tree and explain renderers"
 # Capture and instrumentation are output channels, never inputs to the
 # solve: the same smoke grid runs under 1, 2 and 4 workers with

@@ -19,7 +19,10 @@
 //! attribution (cache outcome, gap, nodes, queue wait, worker shard)
 //! lands in the request journal at `/requests.json` and the access
 //! log — see the "Request observability" section of the README.
-//! `--flight-dump` sets the sink slow/degraded requests auto-dump to.
+//! `--flight-dump` sets the sink a slow or degraded request writes a
+//! flight dump to: the trace collector's newest events, including the
+//! `serve.slow_request` instant that names the request and the
+//! `server.request` spans that carry each request's ID.
 //!
 //! `--addr-file` writes the bound address (useful with port 0) once
 //! the service is up — CI polls for the file, then points the load

@@ -29,17 +29,20 @@
 //! reply body to `--out` (or stdout).
 //! `probe` is a std-only HTTP client for the live telemetry service:
 //! it checks `/healthz`, validates `/metrics` as Prometheus text
-//! exposition, parses `/snapshot.json` and `/flight.json`, and — with
-//! `--expect-spans <name>` — demands frames of `name` spans over
-//! `/events`. `--quick`
-//! only does the healthz + exposition checks (for polling until a
-//! background run is ready); `--expect <family>` (repeatable) asserts
-//! a metric family is declared; `--quit` sends `/quitquitquit` at the
-//! end. Any failed check panics, so CI fails loudly.
-//! `flight` re-parses a flight-recorder dump (written on panic, on
-//! engine degradation, or by `Obs::dump_flight`) and prints its events
-//! as a time-ordered table. `render-trace` re-parses a captured Chrome
-//! `trace_event` file and prints its span tree.
+//! exposition, parses `/snapshot.json` and the `/flight.json` flight
+//! dump, and — with `--expect-spans <name>` — demands frames of
+//! `name` spans over `/events`. `--quick` only does the healthz +
+//! exposition checks (for polling until a background run is ready);
+//! `--expect <family>` (repeatable) asserts a metric family is
+//! declared; `--quit` sends `/quitquitquit` at the end. Any failed
+//! check panics, so CI fails loudly.
+//! `flight` re-parses a flight dump (the trace collector's newest
+//! events and a metric snapshot, written on panic, on a degradation
+//! note, or by `Obs::dump_flight`) and prints its events as a
+//! time-ordered table: spans with their duration (`open` if the dump
+//! caught them running), instants, and their arguments.
+//! `render-trace` re-parses a captured Chrome `trace_event` file and
+//! prints its span tree.
 //! `tree` and `explain` take one captured document or a whole capture
 //! directory (`sweep --session-dir`, casa-server's `CASA_SESSION_DIR`),
 //! whose `<stem>.tree.json` / `<stem>.explain.json` siblings they walk
@@ -68,8 +71,7 @@ use casa_energy::TechParams;
 use casa_mem::cache::CacheConfig;
 use casa_obs::{
     collect_sse, header_value, http_get, http_request, render_flight_table, render_span_table,
-    validate_exposition, ArgValue, EventKind, FlightEvent, FlightKind, TraceEvent,
-    REQUEST_ID_HEADER,
+    validate_exposition, ArgValue, EventKind, TraceEvent, FLIGHT_DUMP_SCHEMA, REQUEST_ID_HEADER,
 };
 use casa_workloads::mediabench;
 use std::net::SocketAddr;
@@ -106,14 +108,19 @@ fn parse_chrome_trace(json: &str) -> Vec<TraceEvent> {
         .collect()
 }
 
-/// Rebuild [`FlightEvent`]s from a flight-recorder dump
-/// (`flight_dump_json` output). Unknown kinds are skipped rather than
-/// fatal, so a newer dump still renders on an older `diag`.
-fn parse_flight_dump(json: &str) -> (Vec<FlightEvent>, u64, u64) {
+/// Rebuild the numbered events of a flight dump (`Obs::dump_flight`,
+/// schema [`FLIGHT_DUMP_SCHEMA`]), with its capacity and drop count.
+/// Any other schema is refused; an event of an unknown kind is skipped.
+fn parse_flight_dump(json: &str) -> (Vec<(u64, TraceEvent)>, u64, u64) {
     let v = serde::json::parse(json).expect("malformed flight-dump JSON");
-    assert!(
-        v.get("casa_flight").and_then(|x| x.as_f64()).is_some(),
-        "not a flight dump (missing casa_flight version field)"
+    let schema = v
+        .get("casa_flight")
+        .and_then(|x| x.as_f64())
+        .expect("not a flight dump (missing casa_flight version field)");
+    assert_eq!(
+        schema,
+        f64::from(FLIGHT_DUMP_SCHEMA),
+        "unsupported flight dump schema {schema}"
     );
     let capacity = v.get("capacity").and_then(|x| x.as_f64()).unwrap_or(0.0) as u64;
     let dropped = v.get("dropped").and_then(|x| x.as_f64()).unwrap_or(0.0) as u64;
@@ -123,18 +130,33 @@ fn parse_flight_dump(json: &str) -> (Vec<FlightEvent>, u64, u64) {
         .expect("events array")
         .iter()
         .filter_map(|e| {
-            let value = e.get("value").and_then(|val| {
-                val.as_str()
-                    .map(|s| ArgValue::Str(s.to_string()))
-                    .or_else(|| val.as_f64().map(ArgValue::F64))
-            });
-            Some(FlightEvent {
-                seq: e.get("seq")?.as_f64()? as u64,
-                ts_us: e.get("ts_us")?.as_f64()? as u64,
-                kind: FlightKind::from_tag(e.get("kind")?.as_str()?)?,
+            let kind = match e.get("kind")?.as_str()? {
+                "span" => EventKind::Span,
+                "instant" => EventKind::Instant,
+                _ => return None,
+            };
+            let args = e
+                .get("args")?
+                .as_object()?
+                .iter()
+                .map(|(k, val)| {
+                    let arg = match val.as_str() {
+                        Some(s) => ArgValue::Str(s.to_string()),
+                        None => ArgValue::F64(val.as_f64().unwrap_or(f64::NAN)),
+                    };
+                    (k.clone(), arg)
+                })
+                .collect();
+            let event = TraceEvent {
                 name: e.get("name")?.as_str()?.to_string(),
-                value,
-            })
+                kind,
+                tid: e.get("tid")?.as_f64()? as u32,
+                parent: None,
+                ts_us: e.get("ts_us")?.as_f64()? as u64,
+                dur_us: e.get("dur_us")?.as_f64().map(|d| d as u64),
+                args,
+            };
+            Some((e.get("seq")?.as_f64()? as u64, event))
         })
         .collect();
     (events, capacity, dropped)
@@ -192,12 +214,11 @@ fn probe(addr: &str, quick: bool) {
         serde::json::parse(&body).expect("/snapshot.json is not valid JSON");
         let (code, body) = get("/flight.json");
         assert_eq!(code, 200, "/flight.json returned {code}");
-        let flight = serde::json::parse(&body).expect("/flight.json is not valid JSON");
-        assert!(
-            flight.get("casa_flight").is_some(),
-            "/flight.json is not a flight dump"
+        let (events, _, dropped) = parse_flight_dump(&body);
+        println!(
+            "  /snapshot.json and /flight.json parse ({} flight event(s), {dropped} dropped)",
+            events.len()
         );
-        println!("  /snapshot.json and /flight.json parse");
 
         if let Some(name) = cli_value("--expect-spans") {
             // Subscribing replays the collector's retained events
@@ -589,7 +610,7 @@ fn flight_cmd(path: &str) {
     let json = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     let (events, capacity, dropped) = parse_flight_dump(&json);
     println!(
-        "flight buffer {path}: {} event(s), capacity {capacity}, {dropped} dropped",
+        "flight dump {path}: {} event(s), capacity {capacity}, {dropped} dropped",
         events.len()
     );
     print!("{}", render_flight_table(&events));
@@ -601,7 +622,7 @@ const USAGE: &str = "diag subcommands:\n\
     \x20 post <addr> <body-file> [--req-id <id>] [--out <p>]  POST a /solve body\n\
     \x20 probe <addr> [--quick] [--expect <fam>]... [--expect-spans <name>] [--quit]\n\
     \x20                                                      validate a live telemetry server\n\
-    \x20 flight <path>                                        render a flight-recorder dump\n\
+    \x20 flight <path>                                        render a flight dump\n\
     \x20 render-trace <path>                                  render a Chrome trace span tree\n\
     \x20 tree <path|dir> [--json]                             render captured B&B search trees\n\
     \x20 explain <path|dir> [--top <n>]                       render captured explain documents\n\

@@ -17,8 +17,9 @@
 //! workload, three cells) — the CI smoke configuration.
 //! `--trace-out <path>` (or `CASA_TRACE=1`) instruments every flow
 //! phase and writes a Chrome `trace_event` timeline; instrumented
-//! runs also arm the flight recorder's dump sink (`--flight-dump
-//! <path>` / `CASA_FLIGHT_DUMP`) and panic hook.
+//! runs also arm the flight-dump sink (`--flight-dump <path>` /
+//! `CASA_FLIGHT_DUMP`) and a panic hook that writes the timeline's
+//! newest events there.
 //! `--budget-nodes <n>` / `--budget-ms <ms>` solve every cell under
 //! the given anytime budget: cells then report `status` (`optimal` /
 //! `feasible` / `fallback`) and the proven optimality `gap`. Node
@@ -159,7 +160,7 @@ fn main() {
     }
 
     // CI self-test of the crash path: a deliberate panic *after* the
-    // sweep has filled the flight ring, so the installed hook must
+    // sweep has filled the trace collector, so the installed hook must
     // leave a non-empty dump at the configured sink. A real panic (not
     // debug_assert!) so the release binary CI runs exercises it too.
     if std::env::var("CASA_SELFTEST_PANIC").is_ok_and(|v| !v.is_empty() && v != "0") {

@@ -133,10 +133,10 @@ pub fn cli_budget() -> Budget {
 /// JSON (open with `chrome://tracing` or Perfetto) to the requested
 /// path, defaulting to `casa_trace.json`.
 ///
-/// When instrumentation is on, the flight recorder's dump sink is
-/// also wired up — to `--flight-dump <path>` or `CASA_FLIGHT_DUMP`,
-/// defaulting to `casa_flight_dump.json` — and a panic hook is
-/// installed so a crash leaves the recent-event ring on disk.
+/// When instrumentation is on, the flight-dump sink is also wired up
+/// — to `--flight-dump <path>` or `CASA_FLIGHT_DUMP`, defaulting to
+/// `casa_flight_dump.json` — and a panic hook is installed so a crash
+/// leaves the trace collector's newest events on disk.
 #[derive(Debug)]
 pub struct CliObs {
     /// The observability handle to thread through the flows.

@@ -520,11 +520,10 @@ impl SweepGrid {
                     let cell = &self.cells[i];
                     let w = &prepared_workloads[cell.workload].0;
                     let key = &self.workloads[cell.workload];
-                    // Fresh registry per cell, shared timeline and
-                    // shared flight ring: counters stay per-cell
-                    // deterministic while spans interleave into one
-                    // Chrome trace and the flight recorder keeps one
-                    // post-mortem buffer for the run.
+                    // Fresh registry per cell, shared timeline:
+                    // counters stay per-cell deterministic while spans
+                    // interleave into one Chrome trace, which every
+                    // flight dump of the run reads.
                     let cell_obs = obs.child();
                     let res = run_cell(
                         key,
@@ -1277,11 +1276,11 @@ mod tests {
 
     #[test]
     fn flight_recorder_does_not_leak_into_deterministic_json() {
-        // Satellite guard for the PR-4 flight recorder: CellResult's
-        // wall-clock fields and the flight ring are both quarantined
-        // away from deterministic_json, so turning the recorder on
-        // (via an enabled Obs) must not change a single byte, for any
-        // worker count.
+        // CellResult's wall-clock fields and the trace collector that
+        // flight dumps read are both quarantined away from
+        // deterministic_json, so turning instrumentation on (via an
+        // enabled Obs) must not change a single byte, for any worker
+        // count.
         let g = small_grid();
         let plain = g.run_with_threads(2).deterministic_json();
         for threads in [1usize, 2, 4] {
@@ -1292,16 +1291,13 @@ mod tests {
                 r.deterministic_json(),
                 "flight-enabled sweep must be byte-identical ({threads} workers)"
             );
-            // The recorder really was live: cells mirrored events into
-            // the shared ring.
+            // Instrumentation really was live: the cells' spans reached
+            // the shared collector, and so the parent's flight dump.
             assert!(
-                !obs.flight_events().is_empty(),
-                "flight ring empty with {threads} workers"
+                obs.dump_flight()
+                    .contains("\"kind\":\"span\",\"name\":\"cell\""),
+                "no cell span in the flight dump with {threads} workers"
             );
-            assert!(obs
-                .flight_events()
-                .iter()
-                .any(|e| e.kind == casa_obs::FlightKind::Span && e.name == "cell"));
         }
     }
 

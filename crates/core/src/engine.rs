@@ -312,10 +312,10 @@ fn ilp_rung(
         }
         Err(e) => {
             obs.add("core.engine.fallback", 1);
-            // Degradation is exactly what the flight recorder exists
-            // for: annotate the ring and trigger an automatic dump if
-            // a sink is configured, so the post-mortem shows what led
-            // up to the substitution.
+            // Degradation is exactly what flight dumps exist for:
+            // record the reason as an instant and dump the newest
+            // events if a sink is configured, so the post-mortem shows
+            // what led up to the substitution.
             obs.note_degradation("core.engine.fallback", &e.to_string());
             AllocOutcome {
                 allocation: warm,

@@ -1021,10 +1021,10 @@ impl AllocService {
 
     /// [`AllocService::submit`] with a correlation ID: the worker opens
     /// a `server.request` span carrying `req_id` (parenting the
-    /// engine/B&B spans it runs, since spans nest per-thread) and
-    /// stamps the ID into the flight ring, so traces and flight dumps
-    /// are filterable to one request. Tagging never changes the reply
-    /// body — only what telemetry records about producing it.
+    /// engine/B&B spans it runs, since spans nest per-thread), so
+    /// traces and flight dumps are filterable to one request. Tagging
+    /// never changes the reply body — only what telemetry records
+    /// about producing it.
     pub fn submit_tagged(
         &self,
         mut job: SolveJob,
@@ -1103,8 +1103,8 @@ fn worker_loop(
         obs.record("server.queue_wait_us", queue_wait_us);
         // The request span opens on the worker thread, so the engine
         // and B&B spans the solve produces nest under it — that
-        // parent/child link is what makes a trace filterable to one
-        // request ID.
+        // parent/child link is what makes a trace, and a flight dump,
+        // filterable to one request ID.
         let id = q.req_id.clone().unwrap_or_default();
         let _span = obs.span_with(
             "server.request",
@@ -1113,11 +1113,6 @@ fn worker_loop(
                 ("shard".to_string(), ArgValue::U64(worker)),
             ],
         );
-        if !id.is_empty() {
-            // Stamp the ID into the flight ring (no dump) so a
-            // post-mortem dump can be filtered to this request too.
-            obs.annotate("server.request", &id);
-        }
         let reply = solve_one(
             &q.job,
             &q.keys,
@@ -1837,12 +1832,8 @@ mod tests {
             })
             .expect("tagged request span recorded");
         assert!(req_span.dur_us.is_some());
-        // And the flight ring holds the correlation note.
-        assert!(obs
-            .flight_events()
-            .iter()
-            .any(|e| e.name == "server.request"
-                && e.value == Some(ArgValue::Str("req-attr-1".to_string()))));
+        // And a flight dump carries the span with its ID.
+        assert!(obs.dump_flight().contains("\"req_id\":\"req-attr-1\""));
     }
 
     #[test]

@@ -1166,12 +1166,11 @@ mod tests {
     }
 
     #[test]
-    fn tree_instants_respect_a_tiny_flight_ring() {
-        // Satellite: tree-adjacent observability must coexist with a
-        // tiny flight ring — exact drop accounting, no panic, and a
-        // valid deterministic dump of whatever survived.
+    fn a_tiny_tree_ring_counts_its_drops_under_an_enabled_obs() {
+        // Tree capture must coexist with live observability: exact drop
+        // accounting in a 2-event ring, no panic, and valid documents.
         let (m, _, _) = branching_model();
-        let obs = casa_obs::Obs::with_flight_capacity(3);
+        let obs = casa_obs::Obs::enabled();
         let tree = TreeRecorder::with_cap(2);
         let out = SolveRequest::new(&m)
             .observe(&obs)
@@ -1191,16 +1190,6 @@ mod tests {
             log.dropped,
             log.nodes
         );
-        let flight = obs.flight().expect("enabled obs has a flight ring");
-        let events = obs.flight_events();
-        assert!(events.len() <= 3, "flight ring respects its cap");
-        if let Some(first) = events.first() {
-            assert_eq!(
-                flight.dropped(),
-                first.seq,
-                "drop count equals the number of evicted leading seqs"
-            );
-        }
         let json = obs.dump_flight();
         assert!(serde::json::parse(&json).is_ok(), "valid dump: {json}");
         let tree_json = crate::tree::tree_log_json(&log);

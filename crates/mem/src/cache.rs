@@ -9,7 +9,6 @@
 //! plus the replacement policies whose antisymmetric victim relation
 //! defines the conflict graph.
 
-use casa_obs::LocalCounter;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -163,8 +162,8 @@ pub struct Cache {
     ways: Vec<u32>,
     rr_counters: Vec<u32>,
     rng: SmallRng,
-    hits: LocalCounter,
-    misses: LocalCounter,
+    hits: u64,
+    misses: u64,
     /// `log2(line_size)`: `addr >> line_shift` is the line id.
     line_shift: u32,
     /// `log2(num_sets)`: `line >> set_shift` is the tag.
@@ -199,8 +198,8 @@ impl Cache {
             ways: (0..n + assoc).map(|i| (i % assoc) as u32).collect(),
             rr_counters: vec![0; config.num_sets() as usize],
             rng: SmallRng::seed_from_u64(seed),
-            hits: LocalCounter::new(),
-            misses: LocalCounter::new(),
+            hits: 0,
+            misses: 0,
             line_shift: config.line_size.trailing_zeros(),
             set_shift: config.num_sets().trailing_zeros(),
             set_mask: config.num_sets() - 1,
@@ -222,7 +221,7 @@ impl Cache {
     /// information for conflict attribution.
     pub fn access(&mut self, addr: u32) -> CacheAccess {
         let access = self.access_line(self.line_of(addr));
-        self.hits.add(u64::from(access.hit));
+        self.hits += u64::from(access.hit);
         access
     }
 
@@ -314,7 +313,7 @@ impl Cache {
     /// [`Cache::fill_direct_mapped`]).
     #[inline(always)]
     pub(crate) fn replace_slot(&mut self, slot: usize, line: u32) -> Option<u32> {
-        self.misses.inc();
+        self.misses += 1;
         let old = std::mem::replace(&mut self.lines[slot], u64::from(line));
         (old != INVALID).then_some(old as u32)
     }
@@ -328,7 +327,7 @@ impl Cache {
         if hit {
             return (true, None);
         }
-        self.misses.inc();
+        self.misses += 1;
         (false, (old != INVALID).then_some(old as u32))
     }
 
@@ -402,7 +401,7 @@ impl Cache {
     /// The outcome of a set-associative LRU miss that put `line` in
     /// `way` in place of slot value `old`, counting the miss.
     fn missed(&mut self, line: u32, old: u64, way: u32) -> CacheAccess {
-        self.misses.inc();
+        self.misses += 1;
         CacheAccess {
             hit: false,
             set: line & self.set_mask,
@@ -453,7 +452,7 @@ impl Cache {
             };
         }
 
-        self.misses.inc();
+        self.misses += 1;
         // Valid slots are a prefix, so a set whose last slot is valid
         // is full.
         let last = self.assoc - 1;
@@ -514,7 +513,7 @@ impl Cache {
     /// Count `n` hits that [`Cache::access_line`] left to its caller.
     #[inline]
     pub(crate) fn add_hits(&mut self, n: u64) {
-        self.hits.add(n);
+        self.hits += n;
     }
 
     /// The dense line id of `addr`: `addr / line_size`.
@@ -552,12 +551,12 @@ impl Cache {
 
     /// Hits recorded so far.
     pub fn hits(&self) -> u64 {
-        self.hits.get()
+        self.hits
     }
 
     /// Misses recorded so far.
     pub fn misses(&self) -> u64 {
-        self.misses.get()
+        self.misses
     }
 
     /// Reconstruct the base address of a line from its set and tag

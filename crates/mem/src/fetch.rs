@@ -589,32 +589,6 @@ pub fn simulate(
     Ok(session.into_attributed())
 }
 
-/// Like [`simulate`], but reporting every memory-system event to
-/// `recorder` and returning it alongside the outcome, which carries no
-/// conflicts: the replay attributes only if `recorder` is a
-/// [`ConflictRecorder`], and then into it.
-///
-/// # Errors
-///
-/// Returns a [`PreloadError`] if `config` carries an invalid loop-cache
-/// preload.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate`].
-pub fn simulate_observed<R: Recorder>(
-    program: &Program,
-    traces: &TraceSet,
-    layout: &Layout,
-    exec: &ExecutionTrace,
-    config: &HierarchyConfig,
-    recorder: R,
-) -> Result<(SimOutcome, R), PreloadError> {
-    let mut session = Replayer::with_recorder(traces, config, recorder)?;
-    session.replay(program, traces, layout, exec, 0..exec.len());
-    Ok(session.into_outcome_and_recorder())
-}
-
 /// Replay a compiled `stream` under `layout`, a layout of the trace
 /// set it was compiled for, against the memory system described by
 /// `config`, attributing every conflict miss. Equal to [`simulate`] of
@@ -642,8 +616,9 @@ pub fn simulate_stream(
 
 /// Like [`simulate_stream`], but reporting every memory-system event to
 /// `recorder` and returning it alongside the outcome, which carries no
-/// conflicts (see [`simulate_observed`]). With [`NullRecorder`] this is
-/// the count-only replay of a final simulation.
+/// conflicts: the replay attributes only if `recorder` is a
+/// [`ConflictRecorder`], and then into it. With [`NullRecorder`] this
+/// is the count-only replay of a final simulation.
 ///
 /// # Errors
 ///

@@ -5,7 +5,7 @@ use crate::cache::{Cache, CacheAccess, CacheConfig, Finish};
 use crate::loop_cache::{LoopCacheController, PreloadError};
 use crate::recorder::{NullRecorder, Recorder};
 use crate::scratchpad::Scratchpad;
-use crate::stats::{FetchCounters, FetchStats};
+use crate::stats::FetchStats;
 use crate::stream::Target;
 use casa_trace::{Location, Region};
 use serde::{Deserialize, Serialize};
@@ -109,7 +109,7 @@ pub struct InstMemorySystem<R: Recorder = NullRecorder> {
     l2: Option<Cache>,
     spm: Vec<Scratchpad>,
     loop_cache: Option<LoopCacheController>,
-    counters: FetchCounters,
+    counters: FetchStats,
     recorder: R,
 }
 
@@ -151,7 +151,7 @@ impl<R: Recorder> InstMemorySystem<R> {
                 .map(|&s| Scratchpad::new(s))
                 .collect(),
             loop_cache,
-            counters: FetchCounters::new(),
+            counters: FetchStats::new(),
             recorder,
         })
     }
@@ -204,7 +204,7 @@ impl<R: Recorder> InstMemorySystem<R> {
     /// counter.
     #[inline]
     pub(crate) fn charge_fetches(&mut self, n: u64) {
-        self.counters.fetches.add(n);
+        self.counters.fetches += n;
     }
 
     /// Charge `n` fetches from scratchpad bank `bank`, the highest at
@@ -219,7 +219,7 @@ impl<R: Recorder> InstMemorySystem<R> {
             .get_mut(bank as usize)
             .unwrap_or_else(|| panic!("no scratchpad bank {bank}"));
         spm.access_run(last, n);
-        self.counters.spm_accesses.add(n);
+        self.counters.spm_accesses += n;
         self.recorder.spm_access(bank, n);
     }
 
@@ -229,7 +229,7 @@ impl<R: Recorder> InstMemorySystem<R> {
             .as_mut()
             .expect("only a loop cache serves loop-cache fetches")
             .count(n);
-        self.counters.loop_cache_accesses.add(n);
+        self.counters.loop_cache_accesses += n;
         self.recorder.loop_cache_access(n);
     }
 
@@ -238,8 +238,8 @@ impl<R: Recorder> InstMemorySystem<R> {
     /// [`Self::line_fill`] leave all three to their caller.
     #[inline]
     pub(crate) fn charge_cache_fetches(&mut self, accesses: u64, hits: u64) {
-        self.counters.cache_accesses.add(accesses);
-        self.counters.cache_hits.add(hits);
+        self.counters.cache_accesses += accesses;
+        self.counters.cache_hits += hits;
         self.cache.add_hits(hits);
     }
 
@@ -269,7 +269,7 @@ impl<R: Recorder> InstMemorySystem<R> {
     #[inline(always)]
     pub(crate) fn line_fill(&mut self, line: u32, evicted: bool) {
         let set = self.cache.set_of(line);
-        self.counters.cache_misses.inc();
+        self.counters.cache_misses += 1;
         self.recorder.cache_fill(set);
         if evicted {
             self.recorder.cache_eviction(set);
@@ -277,17 +277,17 @@ impl<R: Recorder> InstMemorySystem<R> {
         let words = self.cache.config().words_per_line() as u64;
         match &mut self.l2 {
             Some(l2) => {
-                self.counters.l2_accesses.inc();
+                self.counters.l2_accesses += 1;
                 let l2_hit = l2.access(self.cache.line_start(line)).hit;
                 self.recorder.l2_access(l2_hit);
                 if l2_hit {
-                    self.counters.l2_hits.inc();
+                    self.counters.l2_hits += 1;
                 } else {
-                    self.counters.l2_misses.inc();
-                    self.counters.main_word_accesses.add(words);
+                    self.counters.l2_misses += 1;
+                    self.counters.main_word_accesses += words;
                 }
             }
-            None => self.counters.main_word_accesses.add(words),
+            None => self.counters.main_word_accesses += words,
         }
     }
 
@@ -302,9 +302,9 @@ impl<R: Recorder> InstMemorySystem<R> {
         &mut self.cache
     }
 
-    /// Counters accumulated so far, as a plain-integer snapshot.
+    /// Counters accumulated so far.
     pub fn stats(&self) -> FetchStats {
-        self.counters.view()
+        self.counters
     }
 
     /// The event recorder.

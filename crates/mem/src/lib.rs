@@ -87,10 +87,10 @@
 //! attributes misses to conflict edges only when it is handed a
 //! [`ConflictRecorder`]: [`simulate`], [`simulate_stream`] and
 //! [`Replayer::attributing`] do, and fill [`SimOutcome::conflicts`];
-//! [`Replayer::new`], [`simulate_observed`] and
-//! [`simulate_stream_observed`] with any other recorder only count,
-//! and leave it empty. The flow's profiling runs and the overlay's
-//! per-window profiles attribute; its final simulations count.
+//! [`Replayer::new`] and [`simulate_stream_observed`] with any other
+//! recorder only count, and leave it empty. The flow's profiling runs
+//! and the overlay's per-window profiles attribute; its final
+//! simulations count.
 //!
 //! A stream is compiled for one trace set and refuses a layout of
 //! another ([`StreamError`]). A [`Replayer`] layout switch between
@@ -117,14 +117,14 @@ pub use cache::{Cache, CacheConfig, ReplacementPolicy};
 pub use conflict::ConflictRecorder;
 pub use data::{simulate_data, DataAccess, DataSimOutcome, DataTrace};
 pub use fetch::{
-    simulate, simulate_observed, simulate_stream, simulate_stream_observed, ExecutionTrace,
-    Replayer, SimError, SimOutcome,
+    simulate, simulate_stream, simulate_stream_observed, ExecutionTrace, Replayer, SimError,
+    SimOutcome,
 };
 pub use hierarchy::{HierarchyConfig, InstMemorySystem};
 pub use loop_cache::LoopCacheController;
 pub use recorder::{NullRecorder, Recorder, SetStatsRecorder};
 pub use scratchpad::Scratchpad;
-pub use stats::{FetchCounters, FetchStats};
+pub use stats::FetchStats;
 pub use stream::{LineStream, StreamError};
 
 // The sweep engine in casa-bench shares simulators and their outputs

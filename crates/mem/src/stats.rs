@@ -1,12 +1,8 @@
 //! Access counters for one simulation run.
 //!
-//! [`FetchCounters`] is the live tally the fetch engine mutates,
-//! built from `casa-obs` [`LocalCounter`]s; [`FetchStats`] is its
-//! plain-integer snapshot view, which is what everything downstream
-//! (energy model, reports, tests) consumes. One set of counters, two
-//! faces — no parallel stat structs to keep in sync.
+//! [`FetchStats`] is both the tally the fetch engine increments and
+//! what everything downstream (energy model, reports, tests) reads.
 
-use casa_obs::LocalCounter;
 use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
@@ -83,78 +79,9 @@ impl AddAssign for FetchStats {
     }
 }
 
-/// Live access counters the fetch engine increments; the typed
-/// mutable face of [`FetchStats`]. View with [`FetchCounters::view`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FetchCounters {
-    /// Total instruction fetches issued.
-    pub fetches: LocalCounter,
-    /// Fetches served by a scratchpad bank.
-    pub spm_accesses: LocalCounter,
-    /// Fetches served by the loop cache.
-    pub loop_cache_accesses: LocalCounter,
-    /// Fetches that accessed the I-cache (hits + misses).
-    pub cache_accesses: LocalCounter,
-    /// I-cache hits.
-    pub cache_hits: LocalCounter,
-    /// I-cache misses.
-    pub cache_misses: LocalCounter,
-    /// 32-bit words transferred from main memory.
-    pub main_word_accesses: LocalCounter,
-    /// Words copied to the scratchpad by the overlay manager.
-    pub overlay_copy_words: LocalCounter,
-    /// L2 lookups.
-    pub l2_accesses: LocalCounter,
-    /// L2 hits.
-    pub l2_hits: LocalCounter,
-    /// L2 misses.
-    pub l2_misses: LocalCounter,
-}
-
-impl FetchCounters {
-    /// New zeroed counters.
-    pub fn new() -> Self {
-        FetchCounters::default()
-    }
-
-    /// Snapshot as the plain-integer stats struct.
-    pub fn view(&self) -> FetchStats {
-        FetchStats {
-            fetches: self.fetches.get(),
-            spm_accesses: self.spm_accesses.get(),
-            loop_cache_accesses: self.loop_cache_accesses.get(),
-            cache_accesses: self.cache_accesses.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            main_word_accesses: self.main_word_accesses.get(),
-            overlay_copy_words: self.overlay_copy_words.get(),
-            l2_accesses: self.l2_accesses.get(),
-            l2_hits: self.l2_hits.get(),
-            l2_misses: self.l2_misses.get(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_view_as_stats() {
-        let mut c = FetchCounters::new();
-        c.fetches.inc();
-        c.fetches.inc();
-        c.cache_accesses.inc();
-        c.cache_hits.inc();
-        c.spm_accesses.inc();
-        c.main_word_accesses.add(4);
-        let s = c.view();
-        assert_eq!(s.fetches, 2);
-        assert_eq!(s.cache_accesses, 1);
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.spm_accesses, 1);
-        assert_eq!(s.main_word_accesses, 4);
-    }
 
     #[test]
     fn miss_rate_handles_zero() {

@@ -84,7 +84,7 @@ pub fn snapshot_to_json(snap: &MetricsSnapshot) -> String {
     s
 }
 
-fn arg_json(v: &ArgValue) -> String {
+pub(crate) fn arg_json(v: &ArgValue) -> String {
     match v {
         ArgValue::U64(n) => n.to_string(),
         ArgValue::F64(n) => jnum(*n),
@@ -251,25 +251,15 @@ mod tests {
             "escaped key round-trips: {snap_json}"
         );
 
-        let ring = crate::flight::FlightRecorder::new(4);
-        ring.push(
-            crate::flight::FlightKind::Note,
-            nasty,
-            1,
-            Some(ArgValue::Str("r\u{1f}eason".to_string())),
-        );
-        let dump = crate::flight::flight_dump_json(
-            ring.capacity(),
-            ring.dropped(),
-            &ring.events(),
-            &r.snapshot(),
-        );
+        let dump = crate::flight::flight_dump_json(&[(0, events[0].clone())], 0, &r.snapshot());
         let v = serde::json::parse(&dump).expect("flight dump stays valid JSON");
         let ev = &v.get("events").and_then(|x| x.as_array()).unwrap()[0];
         assert_eq!(ev.get("name").and_then(|x| x.as_str()), Some(nasty));
         assert_eq!(
-            ev.get("value").and_then(|x| x.as_str()),
-            Some("r\u{1f}eason")
+            ev.get("args")
+                .and_then(|a| a.get("why\u{2}"))
+                .and_then(|x| x.as_str()),
+            Some("ctrl\u{3}arg")
         );
     }
 

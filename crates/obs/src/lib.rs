@@ -20,7 +20,10 @@
 //!   ([`Obs::disabled`]) makes every call a no-op without heap
 //!   traffic, so instrumented code paths cost nothing when
 //!   observability is off; [`Obs::from_env`] enables it when
-//!   `CASA_TRACE` is set.
+//!   `CASA_TRACE` is set. Each call records once: spans and instants
+//!   in the collector, counters, gauges and histograms in the
+//!   registry. A flight dump ([`Obs::dump_flight`], [`flight`]) reads
+//!   the collector's newest events and the registry's snapshot.
 //!
 //! Timing lives only in trace events; metric snapshots carry counts
 //! and values, never wall clock — that split is what lets
@@ -38,15 +41,11 @@ pub mod serve;
 pub mod span;
 
 pub use export::{chrome_trace_json, jnum, json_escape, snapshot_to_json};
-pub use flight::{
-    flight_dump_json, render_flight_table, FlightEvent, FlightKind, FlightRecorder,
-    DEFAULT_FLIGHT_CAPACITY, FLIGHT_DUMP_SCHEMA,
-};
+pub use flight::{render_flight_table, FLIGHT_DUMP_SCHEMA, FLIGHT_EVENTS};
 pub use fnv::{fnv1a_64, Fnv1a, FNV_OFFSET, FNV_PRIME};
 pub use metrics::{
     bucket_index, bucket_lower_bound, bucket_upper_bound, merge_snapshot, Counter, Gauge,
-    Histogram, HistogramSnapshot, LocalCounter, MetricValue, MetricsSnapshot, Registry,
-    HISTOGRAM_BUCKETS,
+    Histogram, HistogramSnapshot, MetricValue, MetricsSnapshot, Registry, HISTOGRAM_BUCKETS,
 };
 pub use serve::{
     collect_sse, header_value, http_get, http_post, http_request, prometheus_name, prometheus_text,
@@ -60,13 +59,25 @@ pub use span::{
 };
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 #[derive(Debug)]
 struct ObsInner {
     registry: Registry,
     collector: Arc<TraceCollector>,
-    flight: Arc<FlightRecorder>,
+    /// Where automatic flight dumps go. Every dump write holds this
+    /// lock, so two dumps never interleave in one file.
+    flight_sink: Arc<Mutex<Option<PathBuf>>>,
+}
+
+impl ObsInner {
+    /// The dump sink, locked. Poison-tolerant: dumps run inside panic
+    /// hooks, where a poisoned mutex must not abort the write.
+    fn sink(&self) -> MutexGuard<'_, Option<PathBuf>> {
+        self.flight_sink
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 }
 
 /// Handle threaded through the allocation flow. Clones share the same
@@ -84,49 +95,26 @@ impl Obs {
 
     /// An enabled handle with a fresh registry and trace collector.
     pub fn enabled() -> Obs {
-        Obs::with_collector(Arc::new(TraceCollector::new()))
-    }
-
-    /// An enabled handle with a fresh registry but a shared trace
-    /// collector — lets parallel per-cell registries feed one
-    /// timeline. The flight recorder is fresh; use [`Obs::child`] to
-    /// share it too.
-    pub fn with_collector(collector: Arc<TraceCollector>) -> Obs {
-        Obs {
-            inner: Some(Arc::new(ObsInner {
-                registry: Registry::new(),
-                collector,
-                flight: Arc::new(FlightRecorder::from_env()),
-            })),
-        }
-    }
-
-    /// An enabled handle whose flight ring holds at most `cap` events
-    /// — for tests and tools that exercise ring-wrap behaviour without
-    /// touching `CASA_FLIGHT_CAP` (environment writes race across
-    /// threads).
-    pub fn with_flight_capacity(cap: usize) -> Obs {
         Obs {
             inner: Some(Arc::new(ObsInner {
                 registry: Registry::new(),
                 collector: Arc::new(TraceCollector::new()),
-                flight: Arc::new(FlightRecorder::new(cap)),
+                flight_sink: Arc::new(Mutex::new(None)),
             })),
         }
     }
 
     /// A child handle: fresh registry, shared trace collector **and**
-    /// shared flight recorder (including its dump sink). This is what
-    /// the sweep gives each cell — per-cell metric isolation, one
-    /// timeline, one post-mortem ring.
-    /// Disabled parents produce disabled children.
+    /// shared flight-dump sink. This is what the sweep gives each cell
+    /// — per-cell metric isolation, one timeline that every flight dump
+    /// reads. Disabled parents produce disabled children.
     pub fn child(&self) -> Obs {
         match &self.inner {
             Some(i) => Obs {
                 inner: Some(Arc::new(ObsInner {
                     registry: Registry::new(),
                     collector: Arc::clone(&i.collector),
-                    flight: Arc::clone(&i.flight),
+                    flight_sink: Arc::clone(&i.flight_sink),
                 })),
             },
             None => Obs::disabled(),
@@ -159,24 +147,13 @@ impl Obs {
 
     /// Open a span (no-op guard when disabled).
     pub fn span(&self, name: &str) -> Span {
-        match &self.inner {
-            Some(i) => {
-                i.flight
-                    .push(FlightKind::Span, name, i.collector.elapsed_us(), None);
-                i.collector.begin_span(name, Vec::new())
-            }
-            None => Span::noop(),
-        }
+        self.span_with(name, Vec::new())
     }
 
     /// Open a span with arguments (no-op guard when disabled).
     pub fn span_with(&self, name: &str, args: Vec<(String, ArgValue)>) -> Span {
         match &self.inner {
-            Some(i) => {
-                i.flight
-                    .push(FlightKind::Span, name, i.collector.elapsed_us(), None);
-                i.collector.begin_span(name, args)
-            }
+            Some(i) => i.collector.begin_span(name, args),
             None => Span::noop(),
         }
     }
@@ -184,8 +161,6 @@ impl Obs {
     /// Record an instant event.
     pub fn instant(&self, name: &str, args: Vec<(String, ArgValue)>) {
         if let Some(i) = &self.inner {
-            i.flight
-                .push(FlightKind::Instant, name, i.collector.elapsed_us(), None);
             i.collector.instant(name, args);
         }
     }
@@ -193,12 +168,6 @@ impl Obs {
     /// Add to a named counter.
     pub fn add(&self, name: &str, v: u64) {
         if let Some(i) = &self.inner {
-            i.flight.push(
-                FlightKind::Counter,
-                name,
-                i.collector.elapsed_us(),
-                Some(ArgValue::U64(v)),
-            );
             i.registry.counter(name).add(v);
         }
     }
@@ -206,12 +175,6 @@ impl Obs {
     /// Set a named gauge.
     pub fn gauge_set(&self, name: &str, v: f64) {
         if let Some(i) = &self.inner {
-            i.flight.push(
-                FlightKind::Gauge,
-                name,
-                i.collector.elapsed_us(),
-                Some(ArgValue::F64(v)),
-            );
             i.registry.gauge(name).set(v);
         }
     }
@@ -219,12 +182,6 @@ impl Obs {
     /// Record a histogram observation.
     pub fn record(&self, name: &str, v: u64) {
         if let Some(i) = &self.inner {
-            i.flight.push(
-                FlightKind::Histogram,
-                name,
-                i.collector.elapsed_us(),
-                Some(ArgValue::U64(v)),
-            );
             i.registry.histogram(name).record(v);
         }
     }
@@ -245,47 +202,31 @@ impl Obs {
         }
     }
 
-    /// The flight recorder, if enabled.
-    pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
-        self.inner.as_deref().map(|i| &i.flight)
-    }
-
-    /// Snapshot the flight-recorder ring, oldest first; empty when
-    /// disabled.
-    pub fn flight_events(&self) -> Vec<FlightEvent> {
-        match &self.inner {
-            Some(i) => i.flight.events(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Serialize the flight ring (plus this handle's metric snapshot)
-    /// as a deterministic JSON document. Empty-but-valid when
-    /// disabled.
+    /// The flight dump: the collector's newest [`FLIGHT_EVENTS`]
+    /// events, its drop count and this handle's metric snapshot, as a
+    /// deterministic JSON document (see [`flight`]). Empty-but-valid
+    /// when disabled.
     pub fn dump_flight(&self) -> String {
         match &self.inner {
-            Some(i) => flight_dump_json(
-                i.flight.capacity(),
-                i.flight.dropped(),
-                &i.flight.events(),
-                &i.registry.snapshot(),
-            ),
-            None => flight_dump_json(0, 0, &[], &MetricsSnapshot::new()),
+            Some(i) => {
+                let (events, dropped) = i.collector.newest(FLIGHT_EVENTS);
+                flight::flight_dump_json(&events, dropped, &i.registry.snapshot())
+            }
+            None => flight::flight_dump_json(&[], 0, &MetricsSnapshot::new()),
         }
     }
 
     /// Configure where automatic flight dumps (panic hook, engine
-    /// degradation) are written. The sink lives on the flight
-    /// recorder, so [`Obs::child`] handles inherit it.
+    /// degradation) are written. [`Obs::child`] handles share it.
     pub fn set_flight_sink(&self, path: Option<PathBuf>) {
         if let Some(i) = &self.inner {
-            i.flight.set_sink(path);
+            *i.sink() = path;
         }
     }
 
     /// The configured automatic-dump sink, if any.
     pub fn flight_sink(&self) -> Option<PathBuf> {
-        self.inner.as_deref().and_then(|i| i.flight.sink())
+        self.inner.as_deref().and_then(|i| i.sink().clone())
     }
 
     /// Write [`Obs::dump_flight`] to the configured sink, **falling
@@ -294,15 +235,15 @@ impl Obs {
     /// situations a post-mortem dump must survive). Returns the path
     /// actually written; `None` when disabled or when both writes
     /// fail. Concurrent dumps (panic hook, degradation note)
-    /// serialize on the flight recorder's dump lock so no file ever
-    /// holds two interleaved documents.
+    /// serialize on the sink's lock so no file ever holds two
+    /// interleaved documents.
     pub fn dump_flight_to_sink_or(&self, fallback: &str) -> Option<PathBuf> {
         let i = self.inner.as_deref()?;
-        let _guard = i.flight.dump_guard();
+        let sink = i.sink();
         let body = self.dump_flight();
-        if let Some(sink) = self.flight_sink() {
-            if std::fs::write(&sink, &body).is_ok() {
-                return Some(sink);
+        if let Some(path) = sink.as_ref() {
+            if std::fs::write(path, &body).is_ok() {
+                return Some(path.clone());
             }
         }
         let fallback = PathBuf::from(fallback);
@@ -311,39 +252,21 @@ impl Obs {
     }
 
     /// Record a degradation note (e.g. the allocation engine
-    /// substituting a fallback allocator) and trigger an automatic
-    /// flight dump to the configured sink. Returns the dump path when
-    /// one was written. No-op (returning `None`) when disabled or when
-    /// no sink is configured — the note is still buffered for later
-    /// on-demand dumps.
+    /// substituting a fallback allocator) as an instant event named
+    /// `name` carrying `reason`, and write a flight dump to the
+    /// configured sink. Returns the dump path when one was written;
+    /// `None` when disabled or when no sink is configured (the instant
+    /// is recorded all the same).
     pub fn note_degradation(&self, name: &str, reason: &str) -> Option<PathBuf> {
         let i = self.inner.as_deref()?;
-        i.flight.push(
-            FlightKind::Note,
+        i.collector.instant(
             name,
-            i.collector.elapsed_us(),
-            Some(ArgValue::Str(reason.to_string())),
+            vec![("reason".to_string(), ArgValue::Str(reason.to_string()))],
         );
-        let sink = i.flight.sink()?;
-        let _guard = i.flight.dump_guard();
-        std::fs::write(&sink, self.dump_flight()).ok()?;
-        Some(sink)
-    }
-
-    /// Buffer a note in the flight ring **without** triggering a dump
-    /// — the quiet sibling of [`Obs::note_degradation`]. The server
-    /// uses this to stamp each request's correlation ID into the
-    /// post-mortem ring, so a captured flight dump can be filtered to
-    /// one request without every request forcing a disk write.
-    pub fn annotate(&self, name: &str, value: &str) {
-        if let Some(i) = &self.inner {
-            i.flight.push(
-                FlightKind::Note,
-                name,
-                i.collector.elapsed_us(),
-                Some(ArgValue::Str(value.to_string())),
-            );
-        }
+        let sink = i.sink();
+        let path = sink.as_ref()?;
+        std::fs::write(path, self.dump_flight()).ok()?;
+        Some(path.clone())
     }
 
     /// Install a process-wide panic hook that writes the flight dump
@@ -359,9 +282,9 @@ impl Obs {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             if let Some(path) = obs.dump_flight_to_sink_or("casa_flight_dump.json") {
+                let events = obs.collector().map_or(0, |c| c.len().min(FLIGHT_EVENTS));
                 eprintln!(
-                    "flight recorder: dumped {} events to {}",
-                    obs.flight_events().len(),
+                    "flight recorder: dumped {events} events to {}",
                     path.display()
                 );
             }
@@ -405,73 +328,25 @@ mod tests {
     }
 
     #[test]
-    fn shared_collector_distinct_registries() {
-        let collector = Arc::new(TraceCollector::new());
-        let a = Obs::with_collector(Arc::clone(&collector));
-        let b = Obs::with_collector(Arc::clone(&collector));
-        a.add("x", 1);
-        b.add("x", 10);
-        {
-            let _ga = a.span("a");
-        }
-        {
-            let _gb = b.span("b");
-        }
-        assert_eq!(a.snapshot().get("x"), Some(&MetricValue::Counter(1)));
-        assert_eq!(b.snapshot().get("x"), Some(&MetricValue::Counter(10)));
-        assert_eq!(collector.events().len(), 2, "one timeline for both");
-    }
-
-    #[test]
     fn obs_is_send_sync() {
         const fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Obs>();
-        assert_send_sync::<FlightRecorder>();
     }
 
     #[test]
-    fn flight_ring_mirrors_obs_activity() {
-        let obs = Obs::enabled();
-        {
-            let _g = obs.span("phase");
-            obs.add("n", 2);
-            obs.gauge_set("g", 0.5);
-            obs.record("h", 8);
-            obs.instant("tick", Vec::new());
-        }
-        let evs = obs.flight_events();
-        let kinds: Vec<FlightKind> = evs.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                FlightKind::Span,
-                FlightKind::Counter,
-                FlightKind::Gauge,
-                FlightKind::Histogram,
-                FlightKind::Instant,
-            ]
-        );
-        // Sequence numbers are monotone and the payloads survive.
-        assert!(evs.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert_eq!(evs[1].value, Some(ArgValue::U64(2)));
-        assert_eq!(evs[2].value, Some(ArgValue::F64(0.5)));
-        // Disabled handles record nothing.
-        let off = Obs::disabled();
-        off.add("n", 1);
-        assert!(off.flight_events().is_empty());
-        assert!(off.flight().is_none());
-    }
-
-    #[test]
-    fn child_shares_flight_ring_and_sink_but_not_registry() {
+    fn child_shares_collector_and_sink_but_not_registry() {
         let parent = Obs::enabled();
         parent.set_flight_sink(Some(std::path::PathBuf::from("/tmp/never-written.json")));
         let child = parent.child();
         child.add("x", 3);
         parent.add("y", 1);
-        // One shared ring sees both, in order.
-        let names: Vec<String> = parent.flight_events().into_iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["x".to_string(), "y".to_string()]);
+        {
+            let _c = child.span("c");
+        }
+        parent.instant("p", Vec::new());
+        // One shared timeline sees both, in order.
+        let names: Vec<String> = parent.events().into_iter().map(|e| e.name).collect();
+        assert_eq!(names, ["c", "p"]);
         assert_eq!(child.flight_sink(), parent.flight_sink());
         // Registries stay isolated.
         assert!(parent.snapshot().contains_key("y"));
@@ -481,31 +356,80 @@ mod tests {
         assert!(!Obs::disabled().child().is_enabled());
     }
 
+    fn dump_events(dump: &str) -> Vec<serde::json::Value> {
+        let v = serde::json::parse(dump).expect("flight dump must be valid JSON");
+        v.get("events").and_then(|x| x.as_array()).unwrap().to_vec()
+    }
+
+    fn str_field<'a>(e: &'a serde::json::Value, key: &str) -> Option<&'a str> {
+        e.get(key).and_then(|x| x.as_str())
+    }
+
     #[test]
-    fn dump_flight_round_trips_through_the_json_parser() {
+    fn dump_lists_events_once_and_metrics_by_value() {
         let obs = Obs::enabled();
         obs.add("solver.nodes", 41);
         obs.record("trace.size", 64);
+        {
+            let _g = obs.span_with("solve", vec![("n".to_string(), ArgValue::U64(3))]);
+        }
+        obs.instant("tick", Vec::new());
         let dump = obs.dump_flight();
-        let v = serde::json::parse(&dump).expect("flight dump must be valid JSON");
-        let events = v.get("events").and_then(|x| x.as_array()).unwrap();
-        assert_eq!(events.len(), 2);
+        // Only the collector's events: metric updates are not events.
+        let events = dump_events(&dump);
+        let names: Vec<&str> = events.iter().filter_map(|e| str_field(e, "name")).collect();
+        assert_eq!(names, ["solve", "tick"]);
+        assert_eq!(str_field(&events[0], "kind"), Some("span"));
+        assert!(events[0].get("dur_us").and_then(|d| d.as_f64()).is_some());
         assert_eq!(
-            events[0].get("name").and_then(|x| x.as_str()),
-            Some("solver.nodes")
+            events[0]
+                .get("args")
+                .and_then(|a| a.get("n"))
+                .and_then(|x| x.as_f64()),
+            Some(3.0)
         );
+        assert_eq!(str_field(&events[1], "kind"), Some("instant"));
         // The registry snapshot rides along for post-mortem context.
+        let v = serde::json::parse(&dump).unwrap();
         let metrics = v.get("metrics").and_then(|x| x.as_object()).unwrap();
         assert!(metrics.contains_key("solver.nodes"));
+        assert!(metrics.contains_key("trace.size"));
         // A disabled handle still dumps a valid (empty) document.
-        let empty = serde::json::parse(&Obs::disabled().dump_flight()).unwrap();
-        assert_eq!(
-            empty
-                .get("events")
-                .and_then(|x| x.as_array())
-                .map(<[_]>::len),
-            Some(0)
-        );
+        assert!(dump_events(&Obs::disabled().dump_flight()).is_empty());
+    }
+
+    #[test]
+    fn dump_inside_an_open_span_lists_it_as_open() {
+        let obs = Obs::enabled();
+        {
+            let _done = obs.span("done");
+        }
+        let _open = obs.span("running");
+        let events = dump_events(&obs.dump_flight());
+        assert_eq!(str_field(&events[1], "name"), Some("running"));
+        assert_eq!(events[1].get("dur_us"), Some(&serde::json::Value::Null));
+        assert!(events[0].get("dur_us").and_then(|d| d.as_f64()).is_some());
+        // Obs::events still reports the open span's duration so far.
+        assert!(obs.events()[1].dur_us.is_some());
+    }
+
+    #[test]
+    fn a_full_collector_dumps_its_newest_events_and_drop_count() {
+        let obs = Obs::enabled();
+        let pushed = TRACE_CAPACITY + 100;
+        for i in 0..pushed {
+            obs.instant("tick", vec![("i".to_string(), ArgValue::U64(i as u64))]);
+        }
+        let v = serde::json::parse(&obs.dump_flight()).expect("valid JSON");
+        let evicted = (pushed - TRACE_CAPACITY) as f64;
+        assert_eq!(v.get("dropped").and_then(|x| x.as_f64()), Some(evicted));
+        let events = v.get("events").and_then(|x| x.as_array()).unwrap();
+        assert_eq!(events.len(), FLIGHT_EVENTS);
+        // The newest events, numbered by their place in everything the
+        // collector recorded.
+        let seq = |e: &serde::json::Value| e.get("seq").and_then(|x| x.as_f64());
+        assert_eq!(seq(&events[0]), Some((pushed - FLIGHT_EVENTS) as f64));
+        assert_eq!(seq(events.last().unwrap()), Some((pushed - 1) as f64));
     }
 
     #[test]
@@ -547,7 +471,7 @@ mod tests {
         obs.set_flight_sink(Some(sink.clone()));
         let fallback = sink.display().to_string();
         // Panic-hook-style dumps and degradation notes race onto the
-        // same sink from many threads; the dump lock serializes the
+        // same sink from many threads; the sink's lock serializes the
         // writes so the file never ends up holding two interleaved
         // documents. (Readers racing an in-progress write can still
         // see a truncated file — the guarantee is about writers, so
@@ -576,27 +500,9 @@ mod tests {
     }
 
     #[test]
-    fn annotate_buffers_a_note_without_dumping() {
+    fn note_degradation_records_an_instant_and_dumps_to_sink() {
         let obs = Obs::enabled();
-        let sink =
-            std::env::temp_dir().join(format!("casa_annotate_never_{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&sink);
-        obs.set_flight_sink(Some(sink.clone()));
-        obs.annotate("server.request", "r000001");
-        assert!(!sink.exists(), "annotate must not write the sink");
-        let evs = obs.flight_events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].kind, FlightKind::Note);
-        assert_eq!(evs[0].name, "server.request");
-        assert_eq!(evs[0].value, Some(ArgValue::Str("r000001".to_string())));
-        // Disabled handles stay inert.
-        Obs::disabled().annotate("x", "y");
-    }
-
-    #[test]
-    fn note_degradation_buffers_and_dumps_to_sink() {
-        let obs = Obs::enabled();
-        // Without a sink: buffered, no file written.
+        // Without a sink: recorded, no file written.
         assert_eq!(obs.note_degradation("engine.fallback", "no sink yet"), None);
         let path =
             std::env::temp_dir().join(format!("casa_flight_test_{}.json", std::process::id()));
@@ -606,17 +512,35 @@ mod tests {
             .note_degradation("engine.fallback", "ilp solve failed: singular basis")
             .expect("sink configured");
         assert_eq!(written, path);
+        let reason = |e: &serde::json::Value| {
+            e.get("args")
+                .and_then(|a| a.get("reason"))
+                .and_then(|x| x.as_str())
+                .map(str::to_string)
+        };
         let dump = std::fs::read_to_string(&path).unwrap();
-        let v = serde::json::parse(&dump).unwrap();
-        let events = v.get("events").and_then(|x| x.as_array()).unwrap();
-        let notes: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("kind").and_then(|k| k.as_str()) == Some("note"))
+        let notes: Vec<serde::json::Value> = dump_events(&dump)
+            .into_iter()
+            .filter(|e| str_field(e, "name") == Some("engine.fallback"))
             .collect();
-        assert_eq!(notes.len(), 2, "both degradation notes buffered");
+        assert_eq!(notes.len(), 2, "both degradation notes recorded");
+        assert!(notes
+            .iter()
+            .all(|e| str_field(e, "kind") == Some("instant")));
         assert_eq!(
-            notes[1].get("value").and_then(|x| x.as_str()),
+            reason(&notes[1]).as_deref(),
             Some("ilp solve failed: singular basis")
+        );
+        // The same instants are on the timeline every other view reads.
+        let events = obs.events();
+        assert_eq!(events.len(), 2);
+        assert!(events.iter().all(|e| e.kind == EventKind::Instant));
+        assert_eq!(
+            events[1].args,
+            vec![(
+                "reason".to_string(),
+                ArgValue::Str("ilp solve failed: singular basis".to_string())
+            )]
         );
         let _ = std::fs::remove_file(&path);
     }

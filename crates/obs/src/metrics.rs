@@ -1,14 +1,8 @@
 //! Typed counters, gauges and histograms in a global-free [`Registry`].
 //!
-//! Two counter flavours serve two regimes:
-//!
-//! * [`Counter`] / [`Gauge`] / [`Histogram`] are atomic handles vended
-//!   by a [`Registry`]; the registry is `Send + Sync`, so handles can
-//!   be updated from the sweep thread pool without coordination.
-//! * [`LocalCounter`] is a plain `u64` for single-owner hot paths (the
-//!   fetch engine increments one per simulated instruction); it costs
-//!   exactly an integer add and is flushed into a registry — or viewed
-//!   as a snapshot struct — after the run.
+//! [`Counter`] / [`Gauge`] / [`Histogram`] are atomic handles vended by
+//! a [`Registry`]; the registry is `Send + Sync`, so handles can be
+//! updated from the sweep thread pool without coordination.
 //!
 //! Exported state is always read through [`Registry::snapshot`], which
 //! returns a [`MetricsSnapshot`] — a `BTreeMap`, so iteration (and the
@@ -18,36 +12,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-/// A plain single-owner counter for hot paths: no atomics, no
-/// allocation, `Copy`. The uninstrumented path pays one integer add.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LocalCounter(u64);
-
-impl LocalCounter {
-    /// A zeroed counter.
-    pub const fn new() -> Self {
-        LocalCounter(0)
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-}
 
 /// A monotonically increasing atomic counter handle.
 ///
@@ -513,14 +477,6 @@ mod tests {
         assert_eq!(snap.quantile(f64::NEG_INFINITY), snap.quantile(0.0));
         assert_eq!(snap.quantile(f64::INFINITY), snap.quantile(1.0));
         assert_eq!(snap.quantile(-0.0), Some(4.0));
-    }
-
-    #[test]
-    fn local_counter_is_a_plain_add() {
-        let mut c = LocalCounter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
     }
 
     #[test]

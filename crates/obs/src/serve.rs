@@ -10,7 +10,8 @@
 //!   p50/p90/p99 quantile lines.
 //! * `GET /snapshot.json` — the deterministic sorted-key JSON snapshot
 //!   ([`crate::snapshot_to_json`]).
-//! * `GET /flight.json` — the flight-recorder ring ([`Obs::dump_flight`]).
+//! * `GET /flight.json` — a flight dump ([`Obs::dump_flight`]): the
+//!   trace collector's newest events plus the metric snapshot.
 //! * `GET /requests.json` — the bounded in-memory [`RequestJournal`]:
 //!   the last `CASA_REQ_JOURNAL_CAP` finished requests with status,
 //!   byte counts, handler wall time, and (for `/solve`) the
@@ -39,8 +40,9 @@
 //! one JSON object per line), and records per-route latency
 //! histograms plus per-status counters. Requests slower than
 //! `CASA_SLOW_REQ_MS` — or whose solve attribution carries a
-//! degradation reason — trigger a flight-dump capture tagged with the
-//! request ID ([`Obs::note_degradation`]). None of this touches
+//! degradation reason — record a `serve.slow_request` instant whose
+//! reason names the request ID and write a flight dump
+//! ([`Obs::note_degradation`]). None of this touches
 //! response *bodies*: the determinism contract (byte-identical
 //! `/solve` replies with the journal on or off) is pinned by test.
 //!
@@ -639,9 +641,9 @@ pub struct ServeOptions {
     /// reads `CASA_REQ_JOURNAL_CAP` (256 when unset).
     pub journal_cap: usize,
     /// Requests whose handler wall time reaches this many
-    /// milliseconds trigger a flight-dump capture tagged with the
-    /// request ID. The default reads `CASA_SLOW_REQ_MS` (off when
-    /// unset).
+    /// milliseconds record a degradation note naming the request ID
+    /// and write a flight dump. The default reads `CASA_SLOW_REQ_MS`
+    /// (off when unset).
     pub slow_req_ms: Option<u64>,
     /// Optional access-log sink: one [`JournalEntry`] JSON object per
     /// line, appended. The default reads `CASA_ACCESS_LOG` (off when
@@ -1070,8 +1072,8 @@ fn builtin_methods(path: &str) -> Option<&'static [&'static str]> {
 
 /// Post-response bookkeeping for one finished request: counters,
 /// per-route latency, the `http.access` instant event, the journal,
-/// the optional access-log sink, and the slow/degraded flight
-/// capture. Runs after the response bytes are on the wire, so none of
+/// the optional access-log sink, and the slow/degraded note and
+/// flight dump. Runs after the response bytes are on the wire, so none of
 /// it can perturb response content.
 #[allow(clippy::too_many_arguments)]
 fn finish_request(

@@ -73,6 +73,17 @@ pub enum EventKind {
     Instant,
 }
 
+impl EventKind {
+    /// Stable lowercase tag (`span` / `instant`), as flight dumps
+    /// write it.
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            EventKind::Span => "span",
+            EventKind::Instant => "instant",
+        }
+    }
+}
+
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
@@ -251,13 +262,6 @@ impl TraceCollector {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Microseconds elapsed since the collector's epoch — the timebase
-    /// every event in this collector (and the flight recorder sharing
-    /// it) is stamped with.
-    pub fn elapsed_us(&self) -> u64 {
-        self.now_us()
-    }
-
     /// Open a span; the returned guard closes it on drop.
     pub fn begin_span(
         self: &Arc<Self>,
@@ -406,6 +410,21 @@ impl TraceCollector {
                 e
             })
             .collect()
+    }
+
+    /// The newest `n` retained events as recorded, each with its event
+    /// number, plus the drop count, read under one lock. A span still
+    /// open has `dur_us: None`; `parent` indexes the retained events,
+    /// as in [`Self::events`]. Event numbers count every event the
+    /// collector recorded, so an event keeps its number while older
+    /// ones are dropped.
+    pub fn newest(&self, n: usize) -> (Vec<(u64, TraceEvent)>, u64) {
+        let st = self.state.lock().unwrap();
+        let end = st.dropped + st.events.len();
+        let events = (end - n.min(st.events.len())..end)
+            .map(|idx| (idx as u64, st.view(idx)))
+            .collect();
+        (events, st.dropped as u64)
     }
 
     /// Number of events retained.

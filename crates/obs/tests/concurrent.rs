@@ -1,28 +1,23 @@
-//! Multi-threaded writer storm over `Obs::child()` registries sharing
-//! one flight ring: per-child metric counts must be exact (isolated
-//! registries lose nothing) and the shared ring must stay bounded at
-//! `CASA_FLIGHT_CAP` with honest drop accounting.
+//! Multi-threaded writer storm over `Obs::child()` handles sharing one
+//! trace collector: per-child metric counts must be exact (isolated
+//! registries lose nothing), and the shared collector must stay bounded
+//! at `TRACE_CAPACITY` with every event it dropped counted.
 
-use casa_obs::{MetricValue, Obs};
+use casa_obs::{MetricValue, Obs, FLIGHT_EVENTS, TRACE_CAPACITY};
 
-const FLIGHT_CAP: usize = 64;
 const WRITERS: usize = 8;
-const OPS_PER_WRITER: u64 = 500;
+const OPS_PER_WRITER: u64 = 600;
 
 #[test]
-fn writer_storm_keeps_registries_exact_and_ring_bounded() {
-    // Sized via env because `Obs::enabled()` builds its recorder with
-    // `FlightRecorder::from_env()`. This is the only test in this
-    // integration binary, so nothing races the variable.
-    std::env::set_var("CASA_FLIGHT_CAP", FLIGHT_CAP.to_string());
+fn writer_storm_keeps_registries_exact_and_the_collector_bounded() {
     let parent = Obs::enabled();
-    assert_eq!(parent.flight().unwrap().capacity(), FLIGHT_CAP);
-
     let children: Vec<Obs> = (0..WRITERS).map(|_| parent.child()).collect();
     std::thread::scope(|s| {
         for (t, child) in children.iter().enumerate() {
             s.spawn(move || {
                 for j in 0..OPS_PER_WRITER {
+                    let _span = child.span("storm.span");
+                    child.instant("storm.tick", Vec::new());
                     child.add("storm.count", 1);
                     child.record("storm.hist", j + 1);
                     if j % 64 == 0 {
@@ -50,18 +45,23 @@ fn writer_storm_keeps_registries_exact_and_ring_bounded() {
         }
     }
 
-    // One shared ring, bounded at CASA_FLIGHT_CAP, with every evicted
-    // event counted. Gauge writes fire every 64th iteration from each
-    // writer (including j == 0).
-    let gauge_writes = WRITERS as u64 * OPS_PER_WRITER.div_ceil(64);
-    let total_pushes = WRITERS as u64 * OPS_PER_WRITER * 2 + gauge_writes;
-    let flight = parent.flight().unwrap();
-    assert_eq!(flight.len(), FLIGHT_CAP);
-    assert_eq!(flight.dropped(), total_pushes - FLIGHT_CAP as u64);
-    // The surviving tail is contiguous: sequence numbers are the last
-    // FLIGHT_CAP of the total push count, in order.
-    let events = parent.flight_events();
-    let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-    let expect: Vec<u64> = (total_pushes - FLIGHT_CAP as u64..total_pushes).collect();
+    // One shared collector, bounded, with every evicted event counted:
+    // a span and an instant per iteration from each writer, and no
+    // metric update among them.
+    let pushed = WRITERS as u64 * OPS_PER_WRITER * 2;
+    assert!(
+        pushed > TRACE_CAPACITY as u64,
+        "the storm overflows the ring"
+    );
+    let collector = parent.collector().unwrap();
+    assert_eq!(collector.len(), TRACE_CAPACITY);
+    assert_eq!(collector.len() as u64 + collector.dropped(), pushed);
+    // Every child sees the same timeline, and its dump carries the
+    // newest events, numbered contiguously up to the last one pushed.
+    assert_eq!(children[3].events().len(), TRACE_CAPACITY);
+    let (newest, dropped) = collector.newest(FLIGHT_EVENTS);
+    assert_eq!(dropped, pushed - TRACE_CAPACITY as u64);
+    let seqs: Vec<u64> = newest.iter().map(|(seq, _)| *seq).collect();
+    let expect: Vec<u64> = (pushed - FLIGHT_EVENTS as u64..pushed).collect();
     assert_eq!(seqs, expect);
 }

@@ -1,9 +1,9 @@
 //! Differential test of the compiled fetch engine.
 //!
-//! `simulate`, `simulate_observed` and segmented `Replayer` sessions
-//! compile a line stream per replay call, and `simulate_stream` replays
-//! one compiled stream under many layouts and memory systems: each
-//! looks up the stream's units through a per-layout remap and folds
+//! `simulate` and segmented `Replayer` sessions compile a line stream
+//! per replay call, and `simulate_stream` and `simulate_stream_observed`
+//! replay one compiled stream under many layouts and memory systems:
+//! each looks up the stream's units through a per-layout remap and folds
 //! scratchpad, loop-cache, fetch, hit and cycle counts in from the
 //! stream's totals. The reference replay here does none of that: it
 //! issues one `InstMemorySystem::fetch` per `Layout::inst_locations`
@@ -29,9 +29,9 @@ use casa::mem::cache::{CacheConfig, ReplacementPolicy};
 use casa::mem::conflict::RawConflicts;
 use casa::mem::hierarchy::FetchEvent;
 use casa::mem::{
-    simulate, simulate_observed, simulate_stream, simulate_stream_observed, ExecutionTrace,
-    FetchStats, HierarchyConfig, InstMemorySystem, LineStream, NullRecorder, Replayer,
-    SetStatsRecorder, SimOutcome, StreamError,
+    simulate, simulate_stream, simulate_stream_observed, ExecutionTrace, FetchStats,
+    HierarchyConfig, InstMemorySystem, LineStream, NullRecorder, Replayer, SetStatsRecorder,
+    SimOutcome, StreamError,
 };
 use casa::obs::Obs;
 use casa::trace::layout::PlacementSemantics;
@@ -261,8 +261,8 @@ fn set_stats(config: &HierarchyConfig) -> SetStatsRecorder {
 /// `simulate`, which attributes, against the reference in every field;
 /// then the count-only replays of a final simulation, from one stream
 /// compiled for `config` through `NullRecorder` and `SetStatsRecorder`,
-/// and `simulate_observed`, in every field but the conflicts. Returns
-/// the checked outcome's counters.
+/// in every field but the conflicts. Returns the checked outcome's
+/// counters.
 fn check(c: &Case, layout: &Layout, config: &HierarchyConfig, name: &str) -> FetchStats {
     let mut reference = Reference::new(c.traces.len(), config);
     reference.replay(&c.program, &c.traces, layout, &c.exec, 0..c.exec.len());
@@ -277,16 +277,6 @@ fn check(c: &Case, layout: &Layout, config: &HierarchyConfig, name: &str) -> Fet
         simulate_stream_observed(&stream, &c.traces, layout, config, set_stats(config))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
     reference.assert_counts(&counted, Some(&recorder), &format!("{name} set stats"));
-    let (observed, recorder) = simulate_observed(
-        &c.program,
-        &c.traces,
-        layout,
-        &c.exec,
-        config,
-        set_stats(config),
-    )
-    .expect("simulates");
-    reference.assert_counts(&observed, Some(&recorder), &format!("{name} observed"));
     out.stats
 }
 
