@@ -95,6 +95,15 @@ cargo run --release -q -p casa-bench --bin casa-loadgen -- \
   || { echo "load generator failed"; kill $SERVER_PID; exit 1; }
 cmp /tmp/casa_solve_a.json /tmp/casa_solve_b.json \
   || { echo "repeated solve responses differ"; kill $SERVER_PID; exit 1; }
+# Connection threads are reused, so after the load the server runs at
+# most main + 2 solver workers + 3 threads parked in accept() (the
+# listener's idle limit) + 1 still finishing. A pool that grows with
+# the request count fails here. `cargo run` execs the server in place
+# on Unix, so its pid is the server's unless cargo kept a child.
+SERVER_TASK="$(pgrep -P "$SERVER_PID" -x casa-server || echo "$SERVER_PID")"
+SERVER_THREADS="$(awk '/^Threads:/ {print $2}' "/proc/$SERVER_TASK/status")"
+[ "$(cat "/proc/$SERVER_TASK/comm")" = casa-server ] && [ "${SERVER_THREADS:-99}" -le $((1 + 2 + 3 + 1)) ] \
+  || { echo "casa-server runs ${SERVER_THREADS:-?} threads after the load (at most 7)"; kill $SERVER_PID; exit 1; }
 cargo run --release -q -p casa-bench --bin diag -- probe "$SERVER_ADDR" \
   --expect casa_server_requests_total --expect casa_server_cache_hits_total \
   --expect casa_server_cache_misses_total --expect-spans server.request --quit \

@@ -46,11 +46,18 @@
 //! response *bodies*: the determinism contract (byte-identical
 //! `/solve` replies with the journal on or off) is pinned by test.
 //!
-//! The server is deliberately boring: blocking `TcpListener`, one
-//! thread per connection, `Connection: close` on every response. It
-//! never touches the instrumented path — readers take the same locks
-//! any snapshot does, and SSE subscribers are bounded channels that
-//! drop on overflow rather than block a writer.
+//! The server is deliberately boring: blocking `TcpListener`,
+//! `Connection: close` on every response, and reused connection
+//! threads. A thread parked in `accept()` serves the connection it
+//! gets itself, first starting a replacement when no other thread is
+//! parked, so concurrency is unbounded and a stalled client holds one
+//! thread until its read deadline; done, it parks again unless three
+//! threads already wait there, and exits otherwise. A request refused
+//! before it was read in full gets a lingering close, so its reply is
+//! not lost to a reset. The server never touches the instrumented
+//! path — readers take the same locks any snapshot does, and SSE
+//! subscribers are bounded channels that drop on overflow rather than
+//! block a writer.
 //!
 //! The std-only HTTP *client* helpers ([`http_get`], [`collect_sse`])
 //! and the exposition validator ([`validate_exposition`]) live here
@@ -67,11 +74,12 @@ use crate::metrics::{MetricValue, MetricsSnapshot};
 use crate::span::{ArgValue, StreamEvent};
 use crate::Obs;
 use std::collections::{BTreeSet, VecDeque};
+use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -676,12 +684,27 @@ impl Default for ServeOptions {
     }
 }
 
-/// Count of in-flight connection handlers, waitable for shutdown
-/// draining.
+/// Threads a listener keeps parked in `accept()` between connections.
+/// A thread that finishes its connection while this many already wait
+/// there exits instead of parking; each parked thread costs a stack.
+/// With three, two closed-loop clients (serve-mix, ci's loadgen) never
+/// start or retire a thread after warm-up; with two, a thread retired
+/// whenever one finished while the other client was between requests,
+/// and serve-mix started one for about a quarter of its connections.
+const IDLE_THREADS: usize = 3;
+
+/// How long a refused request's connection lingers after its reply
+/// ([`linger_close`]).
+const LINGER: Duration = Duration::from_millis(500);
+
+/// Most bytes a lingering close reads and discards.
+const LINGER_BYTES: usize = 64 * 1024;
+
+/// Count of live connection threads, waitable for shutdown draining.
 #[derive(Debug, Default)]
 struct Drain {
     active: Mutex<usize>,
-    idle: Condvar,
+    changed: Condvar,
 }
 
 impl Drain {
@@ -691,9 +714,9 @@ impl Drain {
         DrainGuard(Arc::clone(self))
     }
 
-    /// Wait until no handler is in flight; returns whether the pool
-    /// drained within `timeout`.
-    fn wait_idle(&self, timeout: Duration) -> bool {
+    /// Wait until no thread is left; returns whether the pool drained
+    /// within `timeout`.
+    fn wait_empty(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut n = self.active.lock().unwrap_or_else(PoisonError::into_inner);
         while *n > 0 {
@@ -702,7 +725,7 @@ impl Drain {
                 return false;
             }
             let (guard, _) = self
-                .idle
+                .changed
                 .wait_timeout(n, left)
                 .unwrap_or_else(PoisonError::into_inner);
             n = guard;
@@ -717,20 +740,121 @@ impl Drop for DrainGuard {
     fn drop(&mut self) {
         let mut n = self.0.active.lock().unwrap_or_else(PoisonError::into_inner);
         *n = n.saturating_sub(1);
-        self.0.idle.notify_all();
+        self.0.changed.notify_all();
     }
 }
 
-/// Handle to a running telemetry server; shuts down (and joins the
-/// accept thread) on drop.
-#[derive(Debug)]
+/// What the connection threads of one listener share. The listener
+/// itself is not here: only the threads hold it, so the port closes
+/// when the last of them exits.
+struct Pool {
+    obs: Obs,
+    opts: ServeOptions,
+    router: Option<Router>,
+    /// The deterministic ID mint: the last minted number.
+    next_id: AtomicU64,
+    /// Backing store of the `serve.inflight` gauge.
+    inflight: AtomicU64,
+    journal: RequestJournal,
+    shutdown: AtomicBool,
+    quit: AtomicBool,
+    /// Threads registered as parked in `accept()`.
+    parked: AtomicUsize,
+    /// Live threads; [`ServeHandle::shutdown`] waits for none.
+    drain: Arc<Drain>,
+}
+
+impl Pool {
+    fn mint_id(&self) -> String {
+        format!("r{:06}", self.next_id.fetch_add(1, Ordering::Relaxed) + 1)
+    }
+
+    /// Register the calling thread as parked in `accept()`, unless
+    /// [`IDLE_THREADS`] already are or the listener is shutting down.
+    /// The thread registers before it reads the shutdown flag, and
+    /// `shutdown()` sets the flag before it counts the parked threads,
+    /// so a thread either sees the flag or is counted and woken.
+    fn park(&self) -> bool {
+        let mut n = self.parked.load(Ordering::SeqCst);
+        loop {
+            if n >= IDLE_THREADS {
+                return false;
+            }
+            match self
+                .parked
+                .compare_exchange_weak(n, n + 1, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => break,
+                Err(now) => n = now,
+            }
+        }
+        if self.shutdown.load(Ordering::SeqCst) {
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+            return false;
+        }
+        true
+    }
+}
+
+/// Start one connection thread. Its live count is taken here, on the
+/// spawning thread, so `shutdown()` cannot miss a thread that has not
+/// started yet.
+fn spawn_thread(listener: &Arc<TcpListener>, pool: &Arc<Pool>) -> io::Result<()> {
+    let live = pool.drain.enter();
+    let listener = Arc::clone(listener);
+    let pool = Arc::clone(pool);
+    thread::Builder::new()
+        .name("casa-serve-conn".to_string())
+        .spawn(move || {
+            serve_connections(listener, &pool);
+            drop(live);
+        })
+        .map(drop)
+}
+
+/// A connection thread's life: park in `accept()`, serve the
+/// connection it gets itself, park again. When it takes the last
+/// parked slot it first starts a replacement, so a slow client never
+/// holds the port and concurrency stays unbounded; it exits when
+/// enough others are parked or the listener shuts down. Its handle on
+/// the listener drops before its live count does.
+fn serve_connections(listener: Arc<TcpListener>, pool: &Arc<Pool>) {
+    let mut parked = pool.park();
+    while parked {
+        let accepted = listener.accept();
+        let others = pool.parked.fetch_sub(1, Ordering::SeqCst) - 1;
+        if pool.shutdown.load(Ordering::SeqCst) {
+            return; // a wake-up from shutdown(), or too late to serve
+        }
+        let Ok((mut stream, _)) = accepted else {
+            parked = pool.park();
+            continue;
+        };
+        if others == 0 {
+            let _ = spawn_thread(&listener, pool);
+        }
+        let _ = handle_connection(pool, &mut stream);
+        // Park before closing: a client's next request follows the
+        // close, and must find this thread counted, or its accept
+        // starts a spare thread.
+        parked = pool.park();
+        drop(stream);
+    }
+}
+
+/// Handle to a running telemetry server; shuts down (and drains the
+/// connection threads) on drop.
 pub struct ServeHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    quit: Arc<AtomicBool>,
-    accept: Option<thread::JoinHandle<()>>,
-    drain: Arc<Drain>,
-    drain_timeout: Duration,
+    pool: Arc<Pool>,
+}
+
+impl fmt::Debug for ServeHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ServeHandle")
+            .field("addr", &self.addr)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ServeHandle {
@@ -742,7 +866,7 @@ impl ServeHandle {
 
     /// Whether a client has requested `/quitquitquit`.
     pub fn quit_requested(&self) -> bool {
-        self.quit.load(Ordering::SeqCst)
+        self.pool.quit.load(Ordering::SeqCst)
     }
 
     /// Block until a client requests `/quitquitquit` or `timeout`
@@ -760,19 +884,21 @@ impl ServeHandle {
         self.quit_requested()
     }
 
-    /// Stop accepting connections, join the accept thread, then
-    /// **drain**: wait (up to the configured drain timeout) for every
-    /// in-flight connection handler to finish writing its response.
-    /// Without the drain, a quit landing concurrently with a `/metrics`
-    /// scrape could tear the process down mid-response. Idempotent.
+    /// Stop accepting connections, wake every thread parked in
+    /// `accept()`, then **drain**: wait (up to the configured drain
+    /// timeout) for every in-flight connection handler to finish
+    /// writing its response. Without the drain, a quit landing
+    /// concurrently with a `/metrics` scrape could tear the process
+    /// down mid-response. Once it has drained the port is closed.
+    /// Idempotent.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
+        self.pool.shutdown.store(true, Ordering::SeqCst);
+        // One throwaway connection per parked thread; a thread that
+        // parks from here on sees the flag instead.
+        for _ in 0..self.pool.parked.load(Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
         }
-        self.drain.wait_idle(self.drain_timeout);
+        self.pool.drain.wait_empty(self.pool.opts.drain_timeout);
     }
 }
 
@@ -806,58 +932,22 @@ pub fn start_with(
             "telemetry server needs an enabled Obs handle (set CASA_TRACE=1)",
         ));
     }
-    let listener = TcpListener::bind(addr)?;
+    let listener = Arc::new(TcpListener::bind(addr)?);
     let local = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let quit = Arc::new(AtomicBool::new(false));
-    let drain = Arc::new(Drain::default());
-    let drain_timeout = opts.drain_timeout;
-    let state = Arc::new(ServeState {
+    let pool = Arc::new(Pool {
+        obs: obs.clone(),
         next_id: AtomicU64::new(0),
         inflight: AtomicU64::new(0),
         journal: RequestJournal::new(opts.journal_cap),
+        opts,
+        router,
+        shutdown: AtomicBool::new(false),
+        quit: AtomicBool::new(false),
+        parked: AtomicUsize::new(0),
+        drain: Arc::new(Drain::default()),
     });
-    let obs = obs.clone();
-    let t_shutdown = Arc::clone(&shutdown);
-    let t_quit = Arc::clone(&quit);
-    let t_drain = Arc::clone(&drain);
-    let accept = thread::Builder::new()
-        .name("casa-serve".to_string())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if t_shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let obs = obs.clone();
-                let shutdown = Arc::clone(&t_shutdown);
-                let quit = Arc::clone(&t_quit);
-                let opts = opts.clone();
-                let router = router.clone();
-                let state = Arc::clone(&state);
-                // The guard is taken on the accept thread — before
-                // shutdown can observe the listener unblocked — so a
-                // connection is either refused or fully drained, never
-                // half-tracked.
-                let guard = t_drain.enter();
-                let _ = thread::Builder::new()
-                    .name("casa-serve-conn".to_string())
-                    .spawn(move || {
-                        let _guard = guard;
-                        let _ = handle_connection(
-                            &obs, stream, &shutdown, &quit, &opts, &router, &state,
-                        );
-                    });
-            }
-        })?;
-    Ok(ServeHandle {
-        addr: local,
-        shutdown,
-        quit,
-        accept: Some(accept),
-        drain,
-        drain_timeout,
-    })
+    spawn_thread(&listener, &pool)?;
+    Ok(ServeHandle { addr: local, pool })
 }
 
 /// Why a request could not be read; each maps to an HTTP status.
@@ -997,21 +1087,6 @@ fn read_request(stream: &mut TcpStream, opts: &ServeOptions) -> Result<Request, 
     })
 }
 
-/// Shared per-listener request state: the deterministic ID mint, the
-/// in-flight gauge backing store, and the request journal.
-#[derive(Debug)]
-struct ServeState {
-    next_id: AtomicU64,
-    inflight: AtomicU64,
-    journal: RequestJournal,
-}
-
-impl ServeState {
-    fn mint_id(&self) -> String {
-        format!("r{:06}", self.next_id.fetch_add(1, Ordering::Relaxed) + 1)
-    }
-}
-
 /// Write `resp` with the correlation ID echoed (unless the router
 /// already set one); returns bytes written (head + body).
 fn write_response_with_id(
@@ -1077,9 +1152,7 @@ fn builtin_methods(path: &str) -> Option<&'static [&'static str]> {
 /// it can perturb response content.
 #[allow(clippy::too_many_arguments)]
 fn finish_request(
-    obs: &Obs,
-    state: &ServeState,
-    opts: &ServeOptions,
+    pool: &Pool,
     began: Instant,
     req_id: &str,
     method: &str,
@@ -1089,6 +1162,7 @@ fn finish_request(
     bytes_out: u64,
     solve: Option<SolveAttribution>,
 ) {
+    let (obs, opts) = (&pool.obs, &pool.opts);
     let handler_us = u64::try_from(began.elapsed().as_micros()).unwrap_or(u64::MAX);
     obs.add("serve.requests_total", 1);
     obs.add(&format!("serve.responses.{status}_total"), 1);
@@ -1127,7 +1201,7 @@ fn finish_request(
     };
     // The journal assigns the sequence number even when it retains
     // nothing (cap 0), so the access-log line below shares it.
-    state.journal.push(&mut entry);
+    pool.journal.push(&mut entry);
     if let Some(sink) = &opts.access_log {
         if let Ok(mut f) = std::fs::OpenOptions::new()
             .create(true)
@@ -1148,59 +1222,66 @@ fn finish_request(
     }
 }
 
-fn handle_connection(
-    obs: &Obs,
-    mut stream: TcpStream,
-    shutdown: &Arc<AtomicBool>,
-    quit: &Arc<AtomicBool>,
-    opts: &ServeOptions,
-    router: &Option<Router>,
-    state: &Arc<ServeState>,
-) -> io::Result<()> {
+fn handle_connection(pool: &Pool, stream: &mut TcpStream) -> io::Result<()> {
     let began = Instant::now();
-    let inflight = state.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-    obs.gauge_set("serve.inflight", inflight as f64);
-    let out = serve_one(obs, &mut stream, shutdown, quit, opts, router, state, began);
-    let inflight = state.inflight.fetch_sub(1, Ordering::Relaxed) - 1;
-    obs.gauge_set("serve.inflight", inflight as f64);
+    let inflight = pool.inflight.fetch_add(1, Ordering::Relaxed) + 1;
+    pool.obs.gauge_set("serve.inflight", inflight as f64);
+    let out = serve_one(pool, stream, began);
+    let inflight = pool.inflight.fetch_sub(1, Ordering::Relaxed) - 1;
+    pool.obs.gauge_set("serve.inflight", inflight as f64);
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn serve_one(
-    obs: &Obs,
-    stream: &mut TcpStream,
-    shutdown: &Arc<AtomicBool>,
-    quit: &Arc<AtomicBool>,
-    opts: &ServeOptions,
-    router: &Option<Router>,
-    state: &Arc<ServeState>,
-    began: Instant,
-) -> io::Result<()> {
-    let mut req = match read_request(stream, opts) {
+/// Close a connection whose request was refused before it was read in
+/// full: half-close the write side, then read and discard what the
+/// client still sends until it closes, for at most [`LINGER`] and
+/// [`LINGER_BYTES`]. Closing with unread bytes queued makes the kernel
+/// send a reset, and a reset can destroy the reply before the client
+/// reads it.
+fn linger_close(stream: &mut TcpStream) {
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + LINGER;
+    let mut chunk = [0u8; 4096];
+    let mut budget = LINGER_BYTES;
+    while budget > 0 {
+        match read_with_deadline(stream, &mut chunk, deadline) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => budget = budget.saturating_sub(n),
+        }
+    }
+}
+
+fn serve_one(pool: &Pool, stream: &mut TcpStream, began: Instant) -> io::Result<()> {
+    let obs = &pool.obs;
+    let mut req = match read_request(stream, &pool.opts) {
         Ok(req) => req,
         Err(e) => {
             // Even a request that never parsed gets an ID, an echo,
             // and a journal entry — "-" marks the unparsed fields.
-            let req_id = state.mint_id();
+            let req_id = pool.mint_id();
             let Some((status, body)) = e.response() else {
                 return Ok(()); // socket error: nothing to write to
             };
             let resp = Response::text(status, body);
             let write_res = write_response_with_id(stream, &resp, &req_id);
             let bytes_out = *write_res.as_ref().unwrap_or(&0);
-            finish_request(
-                obs, state, opts, began, &req_id, "-", "-", status, 0, bytes_out, None,
-            );
+            // Counted before the lingering close, so a client that
+            // reads the reply to its end already sees it counted.
+            finish_request(pool, began, &req_id, "-", "-", status, 0, bytes_out, None);
+            if write_res.is_ok() {
+                linger_close(stream);
+            }
             return write_res.map(|_| ());
         }
     };
     if req.req_id.is_empty() {
-        req.req_id = state.mint_id();
+        req.req_id = pool.mint_id();
     }
     // A panicking handler answers 500 like any other failure, so the
     // client gets a reply and the request is journaled and counted.
-    let routed = router.as_ref().and_then(|r| {
+    let routed = pool.router.as_ref().and_then(|r| {
         panic::catch_unwind(AssertUnwindSafe(|| r(&req)))
             .unwrap_or_else(|_| Some(Response::text(500, "internal error: handler panicked\n")))
     });
@@ -1216,18 +1297,16 @@ fn serve_one(
             },
             ("GET", "/snapshot.json") => Response::json(200, snapshot_to_json(&obs.snapshot())),
             ("GET", "/flight.json") => Response::json(200, obs.dump_flight()),
-            ("GET", "/requests.json") => Response::json(200, state.journal.to_json()),
+            ("GET", "/requests.json") => Response::json(200, pool.journal.to_json()),
             ("GET", "/healthz") => Response::text(200, "ok\n"),
             ("GET" | "POST", "/quitquitquit") => {
-                quit.store(true, Ordering::SeqCst);
+                pool.quit.store(true, Ordering::SeqCst);
                 Response::text(200, "bye\n")
             }
             ("GET", "/events") => {
-                let out = serve_events(obs, stream, shutdown, &req.req_id);
+                let out = serve_events(obs, stream, &pool.shutdown, &req.req_id);
                 finish_request(
-                    obs,
-                    state,
-                    opts,
+                    pool,
                     began,
                     &req.req_id,
                     &req.method,
@@ -1248,9 +1327,7 @@ fn serve_one(
     let write_res = write_response_with_id(stream, &resp, &req.req_id);
     let bytes_out = *write_res.as_ref().unwrap_or(&0);
     finish_request(
-        obs,
-        state,
-        opts,
+        pool,
         began,
         &req.req_id,
         &req.method,
@@ -1281,7 +1358,7 @@ impl Drop for SseGuard {
 fn serve_events(
     obs: &Obs,
     stream: &mut TcpStream,
-    shutdown: &Arc<AtomicBool>,
+    shutdown: &AtomicBool,
     req_id: &str,
 ) -> io::Result<()> {
     let Some(collector) = obs.collector().cloned() else {
@@ -1757,8 +1834,7 @@ mod tests {
         assert!(handle.wait_quit(Duration::from_secs(1)));
 
         handle.shutdown();
-        // After shutdown the port stops answering (the dummy unblock
-        // connection may still be accepted; a fresh request must not).
+        // After shutdown the port is closed.
         assert!(http_get(&addr, "/healthz", Duration::from_millis(300)).is_err());
     }
 
@@ -1937,16 +2013,15 @@ mod tests {
         handle.shutdown();
     }
 
-    /// Regression (shutdown race): `shutdown()` must drain in-flight
-    /// handlers, so a response that started before shutdown completes
-    /// in full and the handler finishes before `shutdown()` returns.
-    #[test]
-    fn shutdown_drains_inflight_handlers() {
-        let obs = Obs::enabled();
+    /// A router whose `/slow` route counts its calls, sleeps 250 ms,
+    /// notes when it finished and answers `slow-done`.
+    fn slow_router() -> (Router, Arc<AtomicUsize>, Arc<Mutex<Option<Instant>>>) {
+        let started = Arc::new(AtomicUsize::new(0));
         let handler_done: Arc<Mutex<Option<Instant>>> = Arc::new(Mutex::new(None));
-        let done = Arc::clone(&handler_done);
+        let (count, done) = (Arc::clone(&started), Arc::clone(&handler_done));
         let router: Router = Arc::new(move |req: &Request| {
             if req.path == "/slow" {
+                count.fetch_add(1, Ordering::SeqCst);
                 thread::sleep(Duration::from_millis(250));
                 *done.lock().unwrap() = Some(Instant::now());
                 Some(Response::text(200, "slow-done"))
@@ -1954,6 +2029,21 @@ mod tests {
                 None
             }
         });
+        (router, started, handler_done)
+    }
+
+    /// Live connection threads of a running listener.
+    fn live_threads(handle: &ServeHandle) -> usize {
+        *handle.pool.drain.active.lock().unwrap()
+    }
+
+    /// Regression (shutdown race): `shutdown()` must drain in-flight
+    /// handlers, so a response that started before shutdown completes
+    /// in full and the handler finishes before `shutdown()` returns.
+    #[test]
+    fn shutdown_drains_inflight_handlers() {
+        let obs = Obs::enabled();
+        let (router, _, handler_done) = slow_router();
         let mut handle =
             start_with(&obs, "127.0.0.1:0", ServeOptions::default(), Some(router)).expect("bind");
         let addr = handle.local_addr();
@@ -1968,6 +2058,94 @@ mod tests {
         assert!(finished <= returned);
         let (st, body) = client.join().unwrap().expect("response completes");
         assert_eq!((st, body.as_str()), (200, "slow-done"));
+    }
+
+    /// Threads that finish their connections after shutdown began must
+    /// not park in `accept()` again unseen: every reply of a burst
+    /// completes, `shutdown()` returns inside the drain timeout with no
+    /// thread left, and the port is closed.
+    #[test]
+    fn shutdown_after_a_burst_drains_every_reply_and_closes_the_port() {
+        const BURST: usize = 8;
+        let obs = Obs::enabled();
+        let (router, started, _) = slow_router();
+        let opts = ServeOptions::default();
+        let drain_timeout = opts.drain_timeout;
+        let mut handle = start_with(&obs, "127.0.0.1:0", opts, Some(router)).expect("bind");
+        let addr = handle.local_addr();
+        let clients: Vec<_> = (0..BURST)
+            .map(|_| thread::spawn(move || http_get(&addr, "/slow", Duration::from_secs(5))))
+            .collect();
+        // Shut down once every request is inside its handler.
+        let until = Instant::now() + Duration::from_secs(5);
+        while started.load(Ordering::SeqCst) < BURST && Instant::now() < until {
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(started.load(Ordering::SeqCst), BURST);
+        let began = Instant::now();
+        handle.shutdown();
+        assert!(
+            began.elapsed() < drain_timeout,
+            "shutdown took {:?}",
+            began.elapsed()
+        );
+        assert_eq!(live_threads(&handle), 0, "a thread outlived shutdown");
+        for c in clients {
+            let (st, body) = c.join().unwrap().expect("reply completes");
+            assert_eq!((st, body.as_str()), (200, "slow-done"));
+        }
+        assert!(
+            TcpStream::connect_timeout(&addr, Duration::from_millis(300)).is_err(),
+            "the port still accepts after shutdown"
+        );
+    }
+
+    /// More stalled clients than the pool keeps parked: each holds one
+    /// thread until the read deadline, the port keeps answering, and
+    /// once the stalls are cut off with 408 the pool shrinks back to
+    /// its parked threads.
+    #[test]
+    fn stalled_clients_cannot_starve_the_pool() {
+        let obs = Obs::enabled();
+        let opts = ServeOptions {
+            read_deadline: Duration::from_secs(1),
+            ..ServeOptions::default()
+        };
+        let deadline = opts.read_deadline;
+        let mut handle = start_with(&obs, "127.0.0.1:0", opts, None).expect("bind");
+        let addr = handle.local_addr();
+        let stalls: Vec<TcpStream> = (0..3 * IDLE_THREADS)
+            .map(|_| {
+                let mut s = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).unwrap();
+                s.write_all(b"GET /heal").unwrap();
+                s
+            })
+            .collect();
+        let began = Instant::now();
+        let (st, body) = http_get(&addr, "/healthz", Duration::from_secs(5)).unwrap();
+        assert_eq!((st, body.as_str()), (200, "ok\n"));
+        assert!(
+            began.elapsed() < deadline / 2,
+            "healthz waited {:?} behind the stalls",
+            began.elapsed()
+        );
+        for mut s in stalls {
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut raw = String::new();
+            s.read_to_string(&mut raw).expect("server closes");
+            assert!(raw.starts_with("HTTP/1.1 408"), "got {raw:?}");
+        }
+        let until = Instant::now() + Duration::from_secs(5);
+        while live_threads(&handle) > IDLE_THREADS && Instant::now() < until {
+            thread::sleep(Duration::from_millis(20));
+        }
+        assert!(
+            live_threads(&handle) <= IDLE_THREADS,
+            "{} threads live after the stalls",
+            live_threads(&handle)
+        );
+        handle.shutdown();
+        assert_eq!(live_threads(&handle), 0);
     }
 
     /// The satellite's scenario verbatim: quit lands concurrently with

@@ -41,8 +41,8 @@ use std::time::Instant;
 pub const TRACE_CAPACITY: usize = 8192;
 
 /// Threads a collector tracks at once. Past this, threads with no open
-/// span are forgotten, so a server that spawns a thread per connection
-/// keeps a bounded table.
+/// span are forgotten, so a server whose connection threads come and
+/// go keeps a bounded table.
 const MAX_TRACKS: usize = 256;
 
 /// One recording thread: its track ordinal and open-span stack.
@@ -200,9 +200,15 @@ impl CollectorState {
         (self.dropped..self.dropped + self.events.len()).map(|idx| self.view(idx))
     }
 
-    /// Fan an event out to every subscriber without ever blocking: a
-    /// full channel drops the event (counted), a dead one is pruned.
-    fn notify(&mut self, ev: &StreamEvent) {
+    /// Fan event number `idx`, wrapped by `kind`, out to every
+    /// subscriber without ever blocking: a full channel drops the event
+    /// (counted), a dead one is pruned. With no subscriber attached the
+    /// event is not copied at all.
+    fn tee(&mut self, idx: usize, kind: fn(TraceEvent) -> StreamEvent) {
+        if self.subscribers.is_empty() {
+            return;
+        }
+        let ev = kind(self.view(idx));
         let mut i = 0;
         while i < self.subscribers.len() {
             match self.subscribers[i].1.try_send(ev.clone()) {
@@ -222,7 +228,7 @@ impl CollectorState {
 /// Opaque handle identifying one live subscription, returned by
 /// [`TraceCollector::subscribe_tracked`] and accepted by
 /// [`TraceCollector::unsubscribe`]. Send-failure pruning inside
-/// `notify` still works without it; the id exists so a serving loop
+/// `tee` still works without it; the id exists so a serving loop
 /// can drop its tee **immediately** when the client goes away instead
 /// of waiting for the next event to flow (which, on an idle
 /// collector, never comes).
@@ -284,8 +290,7 @@ impl TraceCollector {
         };
         let idx = st.push(ev, self.cap);
         st.tracks[track].stack.push(idx);
-        let tee = StreamEvent::SpanBegin(st.view(idx));
-        st.notify(&tee);
+        st.tee(idx, StreamEvent::SpanBegin);
         Span {
             inner: Some((Arc::clone(self), idx)),
         }
@@ -305,14 +310,13 @@ impl TraceCollector {
         let ev = &mut st.events[k];
         ev.dur_us = Some(ts.saturating_sub(ev.ts_us));
         let tid = ev.tid;
-        let tee = StreamEvent::SpanEnd(st.view(idx));
         // Guards drop LIFO per thread in normal use; `retain` keeps
         // the stack sane even if one escapes its scope out of order.
         // A track with an open span is never forgotten.
         if let Some(t) = st.tracks.iter_mut().find(|t| t.tid == tid) {
             t.stack.retain(|&i| i != idx);
         }
-        st.notify(&tee);
+        st.tee(idx, StreamEvent::SpanEnd);
     }
 
     /// Record a point event on the current thread.
@@ -332,8 +336,7 @@ impl TraceCollector {
             args,
         };
         let idx = st.push(ev, self.cap);
-        let tee = StreamEvent::Instant(st.view(idx));
-        st.notify(&tee);
+        st.tee(idx, StreamEvent::Instant);
     }
 
     /// Attach a live subscriber: returns a **replay** of every
@@ -755,7 +758,7 @@ mod tests {
         let c = Arc::new(TraceCollector::new());
         let open = c.begin_span("open", Vec::new());
         // One short-lived thread per event, like a server's
-        // per-connection threads, run one at a time.
+        // connection threads coming and going, run one at a time.
         for _ in 0..2 * MAX_TRACKS {
             let c = Arc::clone(&c);
             std::thread::spawn(move || c.instant("conn", Vec::new()))
