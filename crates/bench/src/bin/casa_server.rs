@@ -137,7 +137,7 @@ fn error_json(message: &str) -> String {
 
 fn solve_response(service: &AllocService, job: SolveJob, req_id: &str) -> Response {
     match service.submit_tagged(job, Some(req_id)) {
-        Ok(reply) => Response::json(200, reply.body.clone())
+        Ok(reply) => Response::json(200, reply.body)
             .with_header("X-Casa-Cache", reply.cache.as_str())
             .with_solve(reply.attribution),
         Err(SubmitError::Overloaded) => Response::json(429, error_json("admission queue full")),
@@ -258,12 +258,8 @@ fn main() {
     println!("casa-server listening on http://{addr} (quit: POST /quitquitquit; safety timeout {max_seconds}s)");
 
     handle.wait_quit(Duration::from_secs(max_seconds));
+    // Requests solve on their connection threads, so once the listener
+    // has drained them every admitted request has its reply written.
     handle.shutdown();
-    // The listener drained first, so every admitted request has its
-    // reply written; dropping the handle releases the router's clone
-    // of the service, and the last drop joins the solver workers.
-    drop(handle);
-    drop(memo);
-    drop(service);
     println!("casa-server: shut down cleanly");
 }

@@ -38,8 +38,8 @@
 //!   density rank, root-LP reduced cost, capacity shadow price, and
 //!   flip distances, as a deterministic sorted-key JSON document.
 //! * [`server`] — allocation as a service: request schema, the
-//!   fingerprinted verify-on-hit solution cache, and the sharded
-//!   bounded-admission worker pool behind the `casa-server` binary.
+//!   fingerprinted verify-on-hit solution cache, and the lock-per-shard
+//!   bounded-admission service behind the `casa-server` binary.
 //! * [`session`] — record/replay: the versioned `.casa-session`
 //!   on-disk format capturing a solve's request, decision log, and
 //!   answer, plus byte-exact offline replay and divergence analysis.

@@ -1,6 +1,6 @@
 //! Allocation-as-a-service: the solve-request schema, the
-//! fingerprinted solution cache, and the sharded worker pool behind
-//! the `casa-server` binary.
+//! fingerprinted solution cache, and the sharded, lock-per-shard
+//! service behind the `casa-server` binary.
 //!
 //! The paper's allocator is a batch tool; this module turns it into a
 //! long-lived service. Three pieces:
@@ -15,13 +15,15 @@
 //!   fingerprint collision can never serve a wrong layout. Exact hits
 //!   replay the cached response verbatim; *capacity-adjacent* hits
 //!   (same graph + allocator, different SPM size) seed warm starts.
-//! * **The service** ([`AllocService`]) — a fixed-size worker pool,
-//!   one solution cache per worker, sharded by the cache's *base*
-//!   fingerprint so capacity-adjacent requests land on the worker
-//!   that holds their warm-start candidates. Admission is a bounded
-//!   queue: an overflowing shard rejects with
-//!   [`SubmitError::Overloaded`] (HTTP 429) instead of queueing
-//!   without bound.
+//! * **The service** ([`AllocService`]) — a fixed number of shards,
+//!   each one solution cache behind a lock, chosen by the request's
+//!   *base* fingerprint so capacity-adjacent requests meet the cache
+//!   that holds their warm-start candidates. A request solves on the
+//!   thread that submits it, once it holds its shard's lock, so at
+//!   most one solve per shard runs at a time. Admission is a bounded
+//!   count per shard: a shard with its solve and `queue_cap` waiters
+//!   rejects with [`SubmitError::Overloaded`] (HTTP 429) instead of
+//!   queueing without bound.
 //!
 //! # Determinism
 //!
@@ -33,7 +35,7 @@
 //! incumbents on strict improvement, so a warm start that already
 //! attains the optimal value survives verbatim even when the cold
 //! search would have returned a different (equally optimal, but
-//! canonically first in DFS order) layout. The worker therefore
+//! canonically first in DFS order) layout. The service therefore
 //! re-solves cold whenever a warm-started solve completes optimally
 //! with the warm layout as its answer — the **canonical re-solve**
 //! rule — so cache-on and cache-off servers are byte-identical for
@@ -51,16 +53,14 @@ use casa_obs::{fnv1a_64, jnum, json_escape, ArgValue, Obs, SolveAttribution};
 use serde::json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
-use std::thread;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Hard ceiling on per-request node budgets (and the effective budget
 /// of requests that ask for none): one request can never monopolize a
-/// worker indefinitely, and because the ceiling folds into the cache
+/// shard indefinitely, and because the ceiling folds into the cache
 /// key, clamped requests still hit.
 pub const DEFAULT_MAX_NODES: u64 = 2_000_000;
 
@@ -68,7 +68,7 @@ pub const DEFAULT_MAX_NODES: u64 = 2_000_000;
 // Request schema
 // ---------------------------------------------------------------------------
 
-/// One fully resolved solve request: everything the worker needs.
+/// One fully resolved solve request: everything a solve needs.
 #[derive(Debug, Clone)]
 pub struct SolveJob {
     /// The conflict graph to allocate.
@@ -514,7 +514,7 @@ impl SolveJob {
     /// size, so keying warm starts on it would never match across
     /// capacities. Shard assignment and the warm-start index use this
     /// key; two requests for the same graph at different capacities
-    /// therefore reach the same worker and see each other's optima.
+    /// therefore reach the same shard and see each other's optima.
     pub fn base_key(&self) -> Vec<u8> {
         let mut k = Vec::with_capacity(64 + 20 * self.graph.len());
         k.extend_from_slice(b"casa/solve/base/v1\0");
@@ -847,10 +847,11 @@ pub fn response_json(job: &SolveJob, out: &AllocOutcome, model: &EnergyModel<'_>
 /// Sizing knobs for [`AllocService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads (each owns one [`SolutionCache`] shard).
+    /// Shards, each one [`SolutionCache`] behind a lock: at most this
+    /// many solves run at once.
     pub workers: usize,
-    /// Bounded admission queue depth per shard; a full queue rejects
-    /// with [`SubmitError::Overloaded`].
+    /// Requests that may wait for a busy shard; the next one is
+    /// rejected with [`SubmitError::Overloaded`].
     pub queue_cap: usize,
     /// Exact-entry bound per shard cache (0 disables caching).
     pub cache_cap: usize,
@@ -880,7 +881,8 @@ impl Default for ServiceConfig {
 /// Why [`AllocService::submit`] refused a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The target shard's admission queue is full — HTTP 429.
+    /// The target shard is solving and `queue_cap` requests already
+    /// wait for it — HTTP 429.
     Overloaded,
     /// The service is shutting down — HTTP 503.
     Closed,
@@ -928,8 +930,8 @@ pub struct SolveReply {
     /// Per-request solve attribution for the observability layer:
     /// everything run-dependent that the body deliberately excludes
     /// (cache outcome, status, gap, nodes, budget stop, queue wait,
-    /// worker shard). Travels in headers / the request journal, never
-    /// in the response body.
+    /// shard). Travels in headers / the request journal, never in the
+    /// response body.
     pub attribution: SolveAttribution,
 }
 
@@ -940,87 +942,74 @@ struct JobKeys {
     base_key: Vec<u8>,
 }
 
-struct QueuedJob {
-    job: SolveJob,
-    keys: JobKeys,
-    /// Correlation ID of the HTTP request that queued this job, if
-    /// the caller tagged one ([`AllocService::submit_tagged`]).
-    req_id: Option<String>,
-    /// When the job was admitted — queue wait is measured from here
-    /// to the moment a worker dequeues it.
-    enqueued_at: Instant,
-    reply: SyncSender<SolveReply>,
+/// One shard: a solution cache behind the lock its solves take in
+/// turn, and the count of requests admitted to it. The count publishes
+/// no other data (the lock guards the cache), so it is `Relaxed`.
+#[derive(Debug)]
+struct Shard {
+    cache: Mutex<SolutionCache>,
+    /// Requests admitted and not yet answered, waiting for the lock or
+    /// solving.
+    admitted: AtomicUsize,
+    /// Name of the gauge that exports `admitted`.
+    gauge: String,
 }
 
-/// The sharded worker pool with per-shard solution caches. Requests
-/// shard by **base** fingerprint, so all capacities of one graph meet
-/// the same cache.
+/// A request's place in its shard's admission count. Dropping it gives
+/// the place back on every exit, unwinding included: a leaked place
+/// would leave the shard answering 429 for good.
+struct Admission<'a>(&'a Shard, &'a Obs);
+
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        let Admission(shard, obs) = *self;
+        let n = shard.admitted.fetch_sub(1, Ordering::Relaxed) - 1;
+        obs.gauge_set(&shard.gauge, n as f64);
+    }
+}
+
+/// The allocation service: solution caches sharded by **base**
+/// fingerprint, so all capacities of one graph meet the same cache.
+/// A request solves on the calling thread under its shard's lock, so
+/// each shard runs one solve at a time, and a shard admits its solve
+/// plus `queue_cap` waiters and rejects the rest.
 #[derive(Debug)]
 pub struct AllocService {
-    shards: Vec<SyncSender<QueuedJob>>,
-    /// Live depth of each shard's admission queue (incremented at
-    /// admission, decremented at dequeue) — exported as
-    /// `server.queue_depth.<shard>` gauges.
-    depths: Vec<Arc<AtomicU64>>,
-    joins: Vec<thread::JoinHandle<()>>,
+    shards: Vec<Shard>,
+    cfg: ServiceConfig,
+    closed: AtomicBool,
     obs: Obs,
-    max_nodes: u64,
 }
 
 impl AllocService {
-    /// Spawn the worker pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread cannot be spawned.
+    /// A service with `cfg.workers` shards (at least one). It starts
+    /// no thread: requests solve on their callers' threads.
     pub fn start(cfg: &ServiceConfig, obs: &Obs) -> AllocService {
-        let workers = cfg.workers.max(1);
-        let mut shards = Vec::with_capacity(workers);
-        let mut depths = Vec::with_capacity(workers);
-        let mut joins = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<QueuedJob>(cfg.queue_cap.max(1));
-            let cache = SolutionCache::new(cfg.cache_cap);
-            let depth = Arc::new(AtomicU64::new(0));
-            let worker_depth = Arc::clone(&depth);
-            let obs = obs.clone();
-            let session_dir = cfg.session_dir.clone();
-            let join = thread::Builder::new()
-                .name(format!("casa-solve-{w}"))
-                .spawn(move || {
-                    worker_loop(
-                        &rx,
-                        cache,
-                        &obs,
-                        w as u64,
-                        &worker_depth,
-                        session_dir.as_deref(),
-                    );
-                })
-                .expect("spawn solver worker");
-            shards.push(tx);
-            depths.push(depth);
-            joins.push(join);
-        }
+        let shards = (0..cfg.workers.max(1))
+            .map(|w| Shard {
+                cache: Mutex::new(SolutionCache::new(cfg.cache_cap)),
+                admitted: AtomicUsize::new(0),
+                gauge: format!("server.queue_depth.{w}"),
+            })
+            .collect();
         AllocService {
             shards,
-            depths,
-            joins,
+            cfg: cfg.clone(),
+            closed: AtomicBool::new(false),
             obs: obs.clone(),
-            max_nodes: cfg.max_nodes,
         }
     }
 
-    /// Submit one job and wait for its reply. Admission is bounded:
-    /// a full shard queue returns [`SubmitError::Overloaded`]
-    /// immediately (the HTTP layer maps it to 429) rather than
-    /// queueing without bound.
+    /// Solve one job on the calling thread and return its reply.
+    /// Admission is bounded: a shard with its solve and `queue_cap`
+    /// waiters returns [`SubmitError::Overloaded`] immediately (the
+    /// HTTP layer maps it to 429) rather than queueing without bound.
     pub fn submit(&self, job: SolveJob) -> Result<SolveReply, SubmitError> {
         self.submit_tagged(job, None)
     }
 
-    /// [`AllocService::submit`] with a correlation ID: the worker opens
-    /// a `server.request` span carrying `req_id` (parenting the
+    /// [`AllocService::submit`] with a correlation ID: the solve runs
+    /// inside a `server.request` span carrying `req_id` (parenting the
     /// engine/B&B spans it runs, since spans nest per-thread), so
     /// traces and flight dumps are filterable to one request. Tagging
     /// never changes the reply body — only what telemetry records
@@ -1030,249 +1019,207 @@ impl AllocService {
         mut job: SolveJob,
         req_id: Option<&str>,
     ) -> Result<SolveReply, SubmitError> {
-        job.normalize(self.max_nodes);
-        let base_key = job.base_key();
-        let base_fp = fnv1a_64(&base_key);
-        let exact_key = job.exact_key();
-        let exact_fp = fnv1a_64(&exact_key);
-        let shard = (base_fp % self.shards.len() as u64) as usize;
-        self.obs.add("server.requests_total", 1);
-        let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-        let queued = QueuedJob {
-            job,
-            keys: JobKeys {
-                exact_fp,
-                exact_key,
-                base_fp,
-                base_key,
-            },
-            req_id: req_id.map(str::to_string),
-            enqueued_at: Instant::now(),
-            reply: reply_tx,
+        if self.closed.load(Ordering::Relaxed) {
+            return Err(SubmitError::Closed);
+        }
+        job.normalize(self.cfg.max_nodes);
+        let (base_key, exact_key) = (job.base_key(), job.exact_key());
+        let keys = JobKeys {
+            exact_fp: fnv1a_64(&exact_key),
+            exact_key,
+            base_fp: fnv1a_64(&base_key),
+            base_key,
         };
-        // Count the admission before the send so the worker's matching
-        // decrement can never race the gauge below zero.
-        let depth = self.depths[shard].fetch_add(1, Ordering::Relaxed) + 1;
-        self.obs
-            .gauge_set(&format!("server.queue_depth.{shard}"), depth as f64);
-        match self.shards[shard].try_send(queued) {
-            Ok(()) => reply_rx.recv().map_err(|_| SubmitError::Closed),
-            Err(e) => {
-                let depth = self.depths[shard].fetch_sub(1, Ordering::Relaxed) - 1;
-                self.obs
-                    .gauge_set(&format!("server.queue_depth.{shard}"), depth as f64);
-                match e {
-                    TrySendError::Full(_) => {
-                        self.obs.add("server.rejected_total", 1);
-                        Err(SubmitError::Overloaded)
-                    }
-                    TrySendError::Disconnected(_) => Err(SubmitError::Closed),
+        let w = (keys.base_fp % self.shards.len() as u64) as usize;
+        let shard = &self.shards[w];
+        self.obs.add("server.requests_total", 1);
+        // At most `queue_cap` waiters plus the one solving.
+        let admit = |n: usize| (n <= self.cfg.queue_cap.max(1)).then_some(n + 1);
+        let Ok(before) = shard
+            .admitted
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, admit)
+        else {
+            self.obs.add("server.rejected_total", 1);
+            return Err(SubmitError::Overloaded);
+        };
+        let _admission = Admission(shard, &self.obs);
+        self.obs.gauge_set(&shard.gauge, (before + 1) as f64);
+        let admitted_at = Instant::now();
+        // A panicking solve poisons the lock, but the cache is written
+        // only once an answer is complete, so what it holds is sound.
+        let mut cache = shard.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let queue_wait_us = admitted_at.elapsed().as_micros() as u64;
+        self.obs.record("server.queue_wait_us", queue_wait_us);
+        // The request span opens once the lock is held and, declared
+        // after the guard, closes before the lock is released. The
+        // engine and B&B spans the solve produces nest under it — that
+        // parent/child link is what makes a trace, and a flight dump,
+        // filterable to one request ID.
+        let id = req_id.unwrap_or_default();
+        let _span = self.obs.span_with(
+            "server.request",
+            vec![
+                ("req_id".to_string(), ArgValue::Str(id.to_string())),
+                ("shard".to_string(), ArgValue::U64(w as u64)),
+            ],
+        );
+        Ok(self.solve_one(&job, &keys, &mut cache, w as u64, queue_wait_us, id))
+    }
+
+    /// Refuse later submissions with [`SubmitError::Closed`]; solves
+    /// already admitted finish on their own threads. Idempotent.
+    pub fn shutdown(&self) {
+        self.closed.store(true, Ordering::Relaxed);
+    }
+
+    /// Answer one admitted job from its shard's `cache`, solving on a
+    /// miss.
+    fn solve_one(
+        &self,
+        job: &SolveJob,
+        keys: &JobKeys,
+        cache: &mut SolutionCache,
+        shard: u64,
+        queue_wait_us: u64,
+        req_id: &str,
+    ) -> SolveReply {
+        let (obs, session_dir) = (&self.obs, self.cfg.session_dir.as_deref());
+        let collisions_before = cache.stats.collisions;
+        if let Some(ans) = cache.lookup(keys.exact_fp, &keys.exact_key) {
+            obs.add("server.cache_hits_total", 1);
+            return SolveReply {
+                attribution: SolveAttribution {
+                    cache: CacheOutcome::Hit.as_str().to_string(),
+                    status: ans.status.clone(),
+                    gap: ans.gap,
+                    nodes: 0,
+                    stopped_by: None,
+                    reason: None,
+                    queue_wait_us,
+                    worker: shard,
+                },
+                body: ans.body,
+                cache: CacheOutcome::Hit,
+            };
+        }
+        obs.add("server.cache_misses_total", 1);
+        let delta = cache.stats.collisions - collisions_before;
+        if delta > 0 {
+            obs.add("server.cache_collisions_total", delta);
+        }
+        let warm = cache.warm_lookup(keys.base_fp, &keys.base_key, job.capacity);
+        if warm.is_some() {
+            obs.add("server.cache_warm_hits_total", 1);
+        }
+        let model = EnergyModel::new(&job.graph, &job.table);
+        let budget = job.budget();
+        // Capture is on per request when a session directory is
+        // configured; a fresh one per attempt, so the canonical re-solve
+        // below records from scratch.
+        let fresh_capture = || {
+            if session_dir.is_some() {
+                Capture::on()
+            } else {
+                Capture::default()
+            }
+        };
+        let mut capture = fresh_capture();
+        let mut out = allocate_traced(
+            &model,
+            job.capacity,
+            job.allocator,
+            &budget,
+            warm.as_deref(),
+            obs,
+            &capture.log,
+            &capture.tree,
+        );
+        if let Some(w) = warm.as_deref() {
+            // Canonical re-solve: the B&B keeps incumbents on *strict*
+            // improvement, so a warm start that already attains the
+            // optimal value survives verbatim even though the cold search
+            // would return the first v*-attaining layout in DFS order.
+            // Re-solving cold in exactly that case keeps cache-on and
+            // cache-off responses byte-identical. The re-solve's capture
+            // wins too: it is the one the response describes, and it
+            // replays without divergence.
+            if out.status.is_optimal() && out.allocation.on_spm == w {
+                obs.add("server.canonical_resolves_total", 1);
+                capture = fresh_capture();
+                out = allocate_traced(
+                    &model,
+                    job.capacity,
+                    job.allocator,
+                    &budget,
+                    None,
+                    obs,
+                    &capture.log,
+                    &capture.tree,
+                );
+            }
+        }
+        obs.add(
+            &format!("server.responses_{}_total", out.status.as_str()),
+            1,
+        );
+        let body = response_json(job, &out, &model);
+        if let Some(dir) = session_dir {
+            // Best-effort by contract: captures and failed writes are only
+            // counted, and neither touches the reply.
+            let fp = format!("{:016x}", keys.exact_fp);
+            let mut meta = vec![("source".to_string(), "casa-server".to_string())];
+            if !req_id.is_empty() {
+                meta.push(("req_id".to_string(), req_id.to_string()));
+            }
+            meta.push(("exact_fp".to_string(), fp.clone()));
+            if let Some(captured) = capture.finish(job, &out, &model, meta, obs) {
+                let stem = if req_id.is_empty() { &fp } else { req_id };
+                match captured.write(dir, stem) {
+                    Ok(()) => obs.add("server.captures_total", 1),
+                    Err(_) => obs.add("server.capture_write_failures_total", 1),
                 }
             }
         }
-    }
-
-    /// Stop accepting work and join the workers (queued jobs finish
-    /// first). Idempotent.
-    pub fn shutdown(&mut self) {
-        self.shards.clear(); // closes the channels; workers drain and exit
-        for j in self.joins.drain(..) {
-            let _ = j.join();
-        }
-    }
-}
-
-impl Drop for AllocService {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn worker_loop(
-    rx: &Receiver<QueuedJob>,
-    mut cache: SolutionCache,
-    obs: &Obs,
-    worker: u64,
-    depth: &AtomicU64,
-    session_dir: Option<&Path>,
-) {
-    while let Ok(q) = rx.recv() {
-        let d = depth.fetch_sub(1, Ordering::Relaxed) - 1;
-        obs.gauge_set(&format!("server.queue_depth.{worker}"), d as f64);
-        let queue_wait_us = q.enqueued_at.elapsed().as_micros() as u64;
-        obs.record("server.queue_wait_us", queue_wait_us);
-        // The request span opens on the worker thread, so the engine
-        // and B&B spans the solve produces nest under it — that
-        // parent/child link is what makes a trace, and a flight dump,
-        // filterable to one request ID.
-        let id = q.req_id.clone().unwrap_or_default();
-        let _span = obs.span_with(
-            "server.request",
-            vec![
-                ("req_id".to_string(), ArgValue::Str(id.clone())),
-                ("shard".to_string(), ArgValue::U64(worker)),
-            ],
-        );
-        let reply = solve_one(
-            &q.job,
-            &q.keys,
-            &mut cache,
-            obs,
-            worker,
-            queue_wait_us,
-            &id,
-            session_dir,
-        );
-        let _ = q.reply.send(reply);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn solve_one(
-    job: &SolveJob,
-    keys: &JobKeys,
-    cache: &mut SolutionCache,
-    obs: &Obs,
-    worker: u64,
-    queue_wait_us: u64,
-    req_id: &str,
-    session_dir: Option<&Path>,
-) -> SolveReply {
-    let collisions_before = cache.stats.collisions;
-    if let Some(ans) = cache.lookup(keys.exact_fp, &keys.exact_key) {
-        obs.add("server.cache_hits_total", 1);
-        return SolveReply {
-            attribution: SolveAttribution {
-                cache: CacheOutcome::Hit.as_str().to_string(),
-                status: ans.status.clone(),
-                gap: ans.gap,
-                nodes: 0,
-                stopped_by: None,
-                reason: None,
-                queue_wait_us,
-                worker,
-            },
-            body: ans.body,
-            cache: CacheOutcome::Hit,
-        };
-    }
-    obs.add("server.cache_misses_total", 1);
-    let delta = cache.stats.collisions - collisions_before;
-    if delta > 0 {
-        obs.add("server.cache_collisions_total", delta);
-    }
-    let warm = cache.warm_lookup(keys.base_fp, &keys.base_key, job.capacity);
-    if warm.is_some() {
-        obs.add("server.cache_warm_hits_total", 1);
-    }
-    let model = EnergyModel::new(&job.graph, &job.table);
-    let budget = job.budget();
-    // Capture is on per request when a session directory is
-    // configured; a fresh one per attempt, so the canonical re-solve
-    // below records from scratch.
-    let fresh_capture = || {
-        if session_dir.is_some() {
-            Capture::on()
+        let outcome = if warm.is_some() {
+            CacheOutcome::Warm
         } else {
-            Capture::default()
-        }
-    };
-    let mut capture = fresh_capture();
-    let mut out = allocate_traced(
-        &model,
-        job.capacity,
-        job.allocator,
-        &budget,
-        warm.as_deref(),
-        obs,
-        &capture.log,
-        &capture.tree,
-    );
-    if let Some(w) = warm.as_deref() {
-        // Canonical re-solve: the B&B keeps incumbents on *strict*
-        // improvement, so a warm start that already attains the
-        // optimal value survives verbatim even though the cold search
-        // would return the first v*-attaining layout in DFS order.
-        // Re-solving cold in exactly that case keeps cache-on and
-        // cache-off responses byte-identical. The re-solve's capture
-        // wins too: it is the one the response describes, and it
-        // replays without divergence.
-        if out.status.is_optimal() && out.allocation.on_spm == w {
-            obs.add("server.canonical_resolves_total", 1);
-            capture = fresh_capture();
-            out = allocate_traced(
-                &model,
-                job.capacity,
-                job.allocator,
-                &budget,
-                None,
-                obs,
-                &capture.log,
-                &capture.tree,
-            );
-        }
-    }
-    obs.add(
-        &format!("server.responses_{}_total", out.status.as_str()),
-        1,
-    );
-    let body = response_json(job, &out, &model);
-    if let Some(dir) = session_dir {
-        // Best-effort by contract: captures and failed writes are only
-        // counted, and neither touches the reply.
-        let fp = format!("{:016x}", keys.exact_fp);
-        let mut meta = vec![("source".to_string(), "casa-server".to_string())];
-        if !req_id.is_empty() {
-            meta.push(("req_id".to_string(), req_id.to_string()));
-        }
-        meta.push(("exact_fp".to_string(), fp.clone()));
-        if let Some(captured) = capture.finish(job, &out, &model, meta, obs) {
-            let stem = if req_id.is_empty() { &fp } else { req_id };
-            match captured.write(dir, stem) {
-                Ok(()) => obs.add("server.captures_total", 1),
-                Err(_) => obs.add("server.capture_write_failures_total", 1),
-            }
-        }
-    }
-    let outcome = if warm.is_some() {
-        CacheOutcome::Warm
-    } else {
-        CacheOutcome::Miss
-    };
-    let attribution = SolveAttribution {
-        cache: outcome.as_str().to_string(),
-        status: out.status.as_str().to_string(),
-        gap: out.status.gap().filter(|g| g.is_finite()),
-        nodes: out.allocation.solver_nodes,
-        stopped_by: out.stopped_by.map(|k| k.as_str().to_string()),
-        reason: match &out.status {
-            AllocStatus::Fallback { reason } => Some(reason.clone()),
-            _ => None,
-        },
-        queue_wait_us,
-        worker,
-    };
-    cache.insert(
-        keys.exact_fp,
-        keys.exact_key.clone(),
-        CachedAnswer {
-            body: body.clone(),
+            CacheOutcome::Miss
+        };
+        let attribution = SolveAttribution {
+            cache: outcome.as_str().to_string(),
             status: out.status.as_str().to_string(),
             gap: out.status.gap().filter(|g| g.is_finite()),
-        },
-    );
-    if out.status.is_optimal() {
-        cache.warm_insert(
-            keys.base_fp,
-            keys.base_key.clone(),
-            job.capacity,
-            out.allocation.on_spm.clone(),
+            nodes: out.allocation.solver_nodes,
+            stopped_by: out.stopped_by.map(|k| k.as_str().to_string()),
+            reason: match &out.status {
+                AllocStatus::Fallback { reason } => Some(reason.clone()),
+                _ => None,
+            },
+            queue_wait_us,
+            worker: shard,
+        };
+        cache.insert(
+            keys.exact_fp,
+            keys.exact_key.clone(),
+            CachedAnswer {
+                body: body.clone(),
+                status: out.status.as_str().to_string(),
+                gap: out.status.gap().filter(|g| g.is_finite()),
+            },
         );
-    }
-    SolveReply {
-        body,
-        cache: outcome,
-        attribution,
+        if out.status.is_optimal() {
+            cache.warm_insert(
+                keys.base_fp,
+                keys.base_key.clone(),
+                job.capacity,
+                out.allocation.on_spm.clone(),
+            );
+        }
+        SolveReply {
+            body,
+            cache: outcome,
+            attribution,
+        }
     }
 }
 
@@ -1280,6 +1227,7 @@ fn solve_one(
 mod tests {
     use super::*;
     use std::sync::{Arc, Barrier};
+    use std::thread;
 
     fn lcg(seed: &mut u64) -> u64 {
         *seed = seed
@@ -1819,8 +1767,8 @@ mod tests {
         assert_eq!(tagged.attribution.gap, Some(0.0));
         assert_eq!(tagged.attribution.nodes, 0);
         assert!((plain.attribution.worker as usize) < 2);
-        // The tagged request's span carries the ID, on the worker
-        // thread, so engine spans nest under it.
+        // The tagged request's span carries the ID, on the thread that
+        // solves it, so engine spans nest under it.
         let events = obs.events();
         let req_span = events
             .iter()
@@ -2078,6 +2026,61 @@ mod tests {
         assert!(rejected >= 1, "no request was rejected under overload");
         assert!(served >= 1, "at least the admitted request must be served");
         assert_eq!(rejected + served, clients);
+    }
+
+    #[test]
+    fn one_shard_runs_one_solve_at_a_time() {
+        // Distinct graphs submitted at once to one shard: each solve
+        // holds the shard's lock for its whole `server.request` span,
+        // so no two spans overlap in time.
+        let obs = Obs::enabled();
+        let cfg = ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        };
+        let svc = AllocService::start(&cfg, &obs);
+        let barrier = Barrier::new(6);
+        thread::scope(|s| {
+            for c in 0..6 {
+                let (svc, barrier) = (&svc, &barrier);
+                s.spawn(move || {
+                    // Dense 18-object graphs under a node budget: solves
+                    // long enough for unlocked ones to overlap.
+                    let (mut seed, n) = (500 + c, 18);
+                    let edges = (0..n * n)
+                        .filter(|k| k / n != k % n)
+                        .map(|k| ((k / n, k % n), 1 + lcg(&mut seed) % 100))
+                        .collect();
+                    let fetches = (0..n).map(|_| 100 + lcg(&mut seed) % 900).collect();
+                    let mut job = random_job(&mut seed, 64, AllocatorKind::CasaBb);
+                    job.graph = ConflictGraph::from_parts(fetches, vec![8; n], edges);
+                    job.budget_nodes = Some(2_000);
+                    barrier.wait();
+                    svc.submit(job).expect("admitted");
+                });
+            }
+        });
+        let mut spans: Vec<(u64, u64)> = obs
+            .events()
+            .iter()
+            .filter(|e| e.name == "server.request")
+            .map(|e| (e.ts_us, e.dur_us.expect("closed span")))
+            .collect();
+        assert_eq!(spans.len(), 6);
+        spans.sort_unstable();
+        for w in spans.windows(2) {
+            assert!(w[1].0 >= w[0].0 + w[0].1, "spans overlap: {spans:?}");
+        }
+    }
+
+    #[test]
+    fn shutdown_refuses_later_submissions() {
+        let svc = AllocService::start(&ServiceConfig::default(), &Obs::disabled());
+        let mut seed = 17;
+        let job = random_job(&mut seed, 64, AllocatorKind::CasaBb);
+        svc.submit(job.clone()).expect("solve before shutdown");
+        svc.shutdown();
+        assert_eq!(svc.submit(job).unwrap_err(), SubmitError::Closed);
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //! in an `X-Casa-Request-Id` response header on *every* response —
 //! including read-error responses and the SSE stream — and is handed
 //! to the [`Router`] via [`Request::req_id`] so the application can
-//! thread it into worker pools and span trees. Each finished request
-//! emits an `http.access` instant event, appends a [`JournalEntry`]
+//! thread it into its span trees. Each finished request emits an
+//! `http.access` instant event, appends a [`JournalEntry`]
 //! to the journal (and to the optional `CASA_ACCESS_LOG` file sink,
 //! one JSON object per line), and records per-route latency
 //! histograms plus per-status counters. Requests slower than
@@ -397,10 +397,10 @@ pub struct SolveAttribution {
     pub stopped_by: Option<String>,
     /// Degradation reason when the engine fell back.
     pub reason: Option<String>,
-    /// Time the job waited in the admission queue before a worker
-    /// picked it up, microseconds.
+    /// Time from the job's admission to its shard until it held the
+    /// shard's lock, microseconds.
     pub queue_wait_us: u64,
-    /// Worker shard that solved the job.
+    /// Shard that solved the job.
     pub worker: u64,
 }
 
@@ -1172,9 +1172,6 @@ fn finish_request(
     );
     obs.add("serve.bytes_in_total", bytes_in);
     obs.add("serve.bytes_out_total", bytes_out);
-    if let Some(s) = &solve {
-        obs.record("serve.queue_wait_us", s.queue_wait_us);
-    }
     obs.instant(
         "http.access",
         vec![

@@ -202,16 +202,17 @@ impl CollectorState {
 
     /// Fan event number `idx`, wrapped by `kind`, out to every
     /// subscriber without ever blocking: a full channel drops the event
-    /// (counted), a dead one is pruned. With no subscriber attached the
-    /// event is not copied at all.
+    /// (counted), a dead one is pruned. The last subscriber takes the
+    /// event itself and the others a copy; with no subscriber attached
+    /// the event is not built at all.
     fn tee(&mut self, idx: usize, kind: fn(TraceEvent) -> StreamEvent) {
-        if self.subscribers.is_empty() {
-            return;
-        }
-        let ev = kind(self.view(idx));
+        let mut next = (!self.subscribers.is_empty()).then(|| kind(self.view(idx)));
         let mut i = 0;
-        while i < self.subscribers.len() {
-            match self.subscribers[i].1.try_send(ev.clone()) {
+        while let Some(ev) = next.take() {
+            if i + 1 < self.subscribers.len() {
+                next = Some(ev.clone());
+            }
+            match self.subscribers[i].1.try_send(ev) {
                 Ok(()) => i += 1,
                 Err(TrySendError::Full(_)) => {
                     self.sub_dropped += 1;
