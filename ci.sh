@@ -120,11 +120,23 @@ echo "== request observability: id echo, journal, slow-capture, byte-identity"
 # outcome, gap); (3) a "slow-" request must cross the threshold and
 # leave a flight dump tagged with its id; (4) a second server with the
 # journal disabled must answer the same request with byte-identical
-# /solve bytes — observability may never leak into answers.
+# /solve bytes — observability may never leak into answers; (5) the
+# same request with its graph members reversed, extra whitespace and
+# an unknown member, posted to that second server first (so it solves
+# against an empty cache), must answer those bytes too.
 rm -f /tmp/casa_req_addr /tmp/casa_req_body.json /tmp/casa_req_tail.txt \
-      /tmp/casa_solve_on.json /tmp/casa_solve_off.json /tmp/casa_slow_flight.json
+      /tmp/casa_solve_on.json /tmp/casa_solve_off.json /tmp/casa_slow_flight.json \
+      /tmp/casa_req_body_reordered.json /tmp/casa_solve_reordered.json
 cat > /tmp/casa_req_body.json <<'BODY'
 {"graph":{"fetches":[900,400,700],"sizes":[16,24,8],"edges":[[0,1,120],[1,0,80],[1,2,60]]},"cache":{"size":1024,"line":16,"assoc":1},"capacity":32,"allocator":"casa-bb"}
+BODY
+cat > /tmp/casa_req_body_reordered.json <<'BODY'
+{ "graph" : { "edges" : [ [0, 1, 120], [1, 0, 80], [1, 2, 60] ],
+              "sizes" : [16, 24, 8],
+              "fetches" : [900, 400, 700] },
+  "cache" : {"size": 1024, "line": 16, "assoc": 1},
+  "note" : "unknown members are ignored",
+  "capacity" : 32, "allocator" : "casa-bb" }
 BODY
 CASA_SLOW_REQ_MS=100 CASA_SELFTEST_SLOW_REQ=300 \
 cargo run --release -q -p casa-bench --bin casa-server -- \
@@ -159,6 +171,9 @@ SERVER_PID=$!
 i=0; while [ $i -lt 300 ] && ! test -s /tmp/casa_req_addr; do i=$((i+1)); sleep 0.1; done
 test -s /tmp/casa_req_addr || { echo "journal-off casa-server never published its address"; kill $SERVER_PID; exit 1; }
 REQ_ADDR="$(head -n1 /tmp/casa_req_addr)"
+cargo run --release -q -p casa-bench --bin diag -- post "$REQ_ADDR" /tmp/casa_req_body_reordered.json \
+  --req-id ci-req-reordered --out /tmp/casa_solve_reordered.json \
+  || { echo "reordered-body solve failed"; kill $SERVER_PID; exit 1; }
 cargo run --release -q -p casa-bench --bin diag -- post "$REQ_ADDR" /tmp/casa_req_body.json \
   --req-id ci-req-42 --out /tmp/casa_solve_off.json \
   || { echo "journal-off solve failed"; kill $SERVER_PID; exit 1; }
@@ -168,6 +183,8 @@ cargo run --release -q -p casa-bench --bin diag -- probe "$REQ_ADDR" \
 wait $SERVER_PID || { echo "journal-off casa-server did not exit cleanly"; exit 1; }
 cmp /tmp/casa_solve_on.json /tmp/casa_solve_off.json \
   || { echo "journal changed the /solve response bytes"; exit 1; }
+cmp /tmp/casa_solve_on.json /tmp/casa_solve_reordered.json \
+  || { echo "member order, whitespace or an unknown member changed the /solve response bytes"; exit 1; }
 
 echo "== budget-stress smoke: sweep --smoke --budget-nodes 1"
 # The harshest anytime setting: a single search node per cell. The

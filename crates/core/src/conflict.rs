@@ -34,34 +34,25 @@ pub struct ConflictGraph {
     conflict_sums: Vec<u64>,
 }
 
-fn build_csr(
-    n: usize,
-    edges: &HashMap<(usize, usize), u64>,
-) -> (Vec<usize>, Vec<(usize, u64)>, Vec<u64>) {
-    let mut sorted: Vec<((usize, usize), u64)> = edges.iter().map(|(&e, &m)| (e, m)).collect();
-    sorted.sort_unstable_by_key(|&(e, _)| e);
-    let mut row_ptr = vec![0usize; n + 1];
-    let mut adj = Vec::with_capacity(sorted.len());
-    let mut sums = vec![0u64; n];
-    for ((i, j), m) in sorted {
-        row_ptr[i + 1] += 1;
-        adj.push((j, m));
-        sums[i] += m;
-    }
-    for i in 0..n {
-        row_ptr[i + 1] += row_ptr[i];
-    }
-    (row_ptr, adj, sums)
-}
-
 impl ConflictGraph {
-    fn from_edge_map(
+    /// The one CSR builder: `edges` sorted by `(i, j)`, each pair once.
+    fn from_sorted_edges(
         fetches: Vec<u64>,
         sizes: Vec<u32>,
-        edges: &HashMap<(usize, usize), u64>,
+        edges: impl ExactSizeIterator<Item = (usize, usize, u64)>,
     ) -> Self {
         let n = fetches.len();
-        let (row_ptr, adj, conflict_sums) = build_csr(n, edges);
+        let mut row_ptr = vec![0usize; n + 1];
+        let mut adj = Vec::with_capacity(edges.len());
+        let mut conflict_sums = vec![0u64; n];
+        for (i, j, m) in edges {
+            row_ptr[i + 1] += 1;
+            adj.push((j, m));
+            conflict_sums[i] += m;
+        }
+        for i in 0..n {
+            row_ptr[i + 1] += row_ptr[i];
+        }
         ConflictGraph {
             fetches,
             sizes,
@@ -69,6 +60,47 @@ impl ConflictGraph {
             adj,
             conflict_sums,
         }
+    }
+
+    fn from_edge_map(
+        fetches: Vec<u64>,
+        sizes: Vec<u32>,
+        edges: &HashMap<(usize, usize), u64>,
+    ) -> Self {
+        let mut sorted: Vec<(usize, usize, u64)> =
+            edges.iter().map(|(&(i, j), &m)| (i, j, m)).collect();
+        sorted.sort_unstable();
+        ConflictGraph::from_sorted_edges(fetches, sizes, sorted.into_iter())
+    }
+
+    /// Construct from an edge list in any order, as a `/solve` body
+    /// lists it. A repeated `(i, j)` keeps its last `m`, the rule a map
+    /// insert per edge gives.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::from_parts`].
+    pub(crate) fn from_edge_list(
+        fetches: Vec<u64>,
+        sizes: Vec<u32>,
+        mut edges: Vec<(usize, usize, u64)>,
+    ) -> Self {
+        assert_eq!(fetches.len(), sizes.len());
+        let n = fetches.len();
+        for &(i, j, _) in &edges {
+            assert!(i < n && j < n, "edge ({i},{j}) out of range");
+        }
+        // Stable, so each run of one pair stays in list order; the
+        // dedup then moves the run's last `m` into the edge it keeps.
+        edges.sort_by_key(|&(i, j, _)| (i, j));
+        edges.dedup_by(|later, kept| {
+            let same = (later.0, later.1) == (kept.0, kept.1);
+            if same {
+                kept.2 = later.2;
+            }
+            same
+        });
+        ConflictGraph::from_sorted_edges(fetches, sizes, edges.into_iter())
     }
 
     fn row(&self, i: usize) -> &[(usize, u64)] {

@@ -49,9 +49,9 @@ use crate::engine::{allocate_traced, AllocOutcome, AllocStatus, Budget};
 use crate::flow::AllocatorKind;
 use casa_energy::{EnergyTable, TechParams};
 use casa_mem::cache::{CacheConfig, ReplacementPolicy};
-use casa_obs::{fnv1a_64, jnum, json_escape, ArgValue, Obs, SolveAttribution};
-use serde::json::Value;
-use std::collections::{HashMap, VecDeque};
+use casa_obs::{jnum, json_escape, ArgValue, Fnv1a, Obs, SolveAttribution};
+use serde::json::{ParseError, Reader, Value};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -159,9 +159,12 @@ pub fn parse_allocator(tag: &str) -> Option<AllocatorKind> {
 /// labels such as `graph.edges[k][i]` cost more to build than the
 /// numbers do to check.
 fn uint_field(v: &Value, what: impl fmt::Display) -> Result<u64, String> {
-    let n = v
-        .as_f64()
-        .ok_or_else(|| format!("{what} must be a number"))?;
+    uint_of(v.as_f64(), what)
+}
+
+/// [`uint_field`] of a value that is the number `n`, or no number.
+fn uint_of(n: Option<f64>, what: impl fmt::Display) -> Result<u64, String> {
+    let n = n.ok_or_else(|| format!("{what} must be a number"))?;
     if n < 0.0 || n.fract() != 0.0 || n > 9.007_199_254_740_992e15 {
         return Err(format!("{what} must be a non-negative integer, got {n}"));
     }
@@ -176,15 +179,6 @@ fn too_large(what: &str, n: u64) -> String {
 fn u32_field(v: &Value, what: &str) -> Result<u32, String> {
     let n = uint_field(v, what)?;
     u32::try_from(n).map_err(|_| too_large(what, n))
-}
-
-fn uint_array(v: &Value, what: impl fmt::Display) -> Result<Vec<u64>, String> {
-    v.as_array()
-        .ok_or_else(|| format!("{what} must be an array"))?
-        .iter()
-        .enumerate()
-        .map(|(i, x)| uint_field(x, format_args!("{what}[{i}]")))
-        .collect()
 }
 
 fn parse_budget(v: &Value) -> Result<(Option<u64>, Option<u64>), String> {
@@ -251,45 +245,180 @@ fn parse_table(v: &Value) -> Result<EnergyTable, String> {
     })
 }
 
-fn parse_graph(v: &Value) -> Result<ConflictGraph, String> {
-    let fetches = uint_array(
-        v.get("fetches").ok_or("graph.fetches is required")?,
-        "graph.fetches",
-    )?;
-    let sizes = uint_array(
-        v.get("sizes").ok_or("graph.sizes is required")?,
-        "graph.sizes",
-    )?
-    .into_iter()
-    .enumerate()
-    .map(|(i, s)| u32::try_from(s).map_err(|_| too_large(&format!("graph.sizes[{i}]"), s)))
-    .collect::<Result<Vec<u32>, String>>()?;
-    if fetches.len() != sizes.len() {
-        return Err(format!(
-            "graph.fetches ({}) and graph.sizes ({}) must have equal length",
-            fetches.len(),
-            sizes.len()
-        ));
+/// Read the value at `r` as a non-negative integer labelled `what`.
+/// The outer `Err` is a JSON syntax error; the inner one is the refusal
+/// [`uint_field`] gives the same value.
+fn read_uint(
+    r: &mut Reader<'_>,
+    what: impl fmt::Display,
+) -> Result<Result<u64, String>, ParseError> {
+    let n = match r.peek() {
+        Some(b'-' | b'0'..=b'9') => Some(r.number()?),
+        _ => {
+            r.value()?;
+            None
+        }
+    };
+    Ok(uint_of(n, what))
+}
+
+/// Read the array `what` (`graph.fetches`, `graph.sizes`) of
+/// non-negative integers at `r`: the values `keep` makes of them, or
+/// the first refusal. Every element is checked as a number before any
+/// refusal of `keep` (the `u32` bound) counts.
+fn read_uints<T>(
+    r: &mut Reader<'_>,
+    what: &str,
+    keep: impl Fn(usize, u64) -> Result<T, String>,
+) -> Result<Result<Vec<T>, String>, ParseError> {
+    if r.peek() != Some(b'[') {
+        r.value()?;
+        return Ok(Err(format!("{what} must be an array")));
     }
-    let n = fetches.len();
-    let mut edges = HashMap::new();
-    if let Some(raw) = v.get("edges") {
-        let raw = raw.as_array().ok_or("graph.edges must be an array")?;
-        for (k, e) in raw.iter().enumerate() {
-            let triple = uint_array(e, format_args!("graph.edges[{k}]"))?;
-            let [i, j, m] = triple[..] else {
-                return Err(format!("graph.edges[{k}] must be [i, j, misses]"));
-            };
-            let (i, j) = (i as usize, j as usize);
-            if i >= n || j >= n {
-                return Err(format!(
-                    "graph.edges[{k}]: bad endpoints ({i}, {j}) for {n} objects"
-                ));
+    let mut vals = Vec::new();
+    let (mut refusal, mut late) = (None, None);
+    r.array(|r, k| {
+        match read_uint(r, format_args!("{what}[{k}]"))? {
+            Err(e) => {
+                refusal.get_or_insert(e);
             }
-            edges.insert((i, j), m);
+            Ok(x) if refusal.is_none() => match keep(k, x) {
+                Ok(v) => vals.push(v),
+                Err(e) => {
+                    late.get_or_insert(e);
+                }
+            },
+            Ok(_) => {}
+        }
+        Ok(())
+    })?;
+    Ok(refusal.or(late).map_or(Ok(vals), Err))
+}
+
+/// Read edge `k`, `[i, j, misses]`, at `r`.
+fn read_edge(
+    r: &mut Reader<'_>,
+    k: usize,
+) -> Result<Result<(usize, usize, u64), String>, ParseError> {
+    if r.peek() != Some(b'[') {
+        r.value()?;
+        return Ok(Err(format!("graph.edges[{k}] must be an array")));
+    }
+    let (mut triple, mut len, mut refusal) = ([0u64; 3], 0, None);
+    r.array(|r, x| {
+        match read_uint(r, format_args!("graph.edges[{k}][{x}]"))? {
+            Ok(v) if x < 3 => triple[x] = v,
+            Ok(_) => {}
+            Err(e) => {
+                refusal.get_or_insert(e);
+            }
+        }
+        len = x + 1;
+        Ok(())
+    })?;
+    Ok(match refusal {
+        Some(e) => Err(e),
+        None if len != 3 => Err(format!("graph.edges[{k}] must be [i, j, misses]")),
+        None => Ok((triple[0] as usize, triple[1] as usize, triple[2])),
+    })
+}
+
+/// `graph.edges` as read: the well-formed edges in body order up to
+/// the first malformed one, and that one's refusal.
+#[derive(Default)]
+struct EdgeDraft {
+    list: Vec<(usize, usize, u64)>,
+    bad: Option<String>,
+}
+
+fn read_edges(r: &mut Reader<'_>) -> Result<EdgeDraft, ParseError> {
+    let mut d = EdgeDraft::default();
+    if r.peek() != Some(b'[') {
+        r.value()?;
+        d.bad = Some("graph.edges must be an array".to_string());
+        return Ok(d);
+    }
+    r.array(|r, k| {
+        let edge = read_edge(r, k)?;
+        if d.bad.is_none() {
+            match edge {
+                Ok(e) => d.list.push(e),
+                Err(e) => d.bad = Some(e),
+            }
+        }
+        Ok(())
+    })?;
+    Ok(d)
+}
+
+/// The `graph` member, read straight from the body into the vectors
+/// the graph is built from: no [`Value`] per number or edge. Each
+/// member's refusal is held rather than returned, because a JSON
+/// syntax error anywhere in the body and every envelope check come
+/// first, and [`GraphDraft::finish`] checks the members in one fixed
+/// order whatever order the body lists them in. A repeated member
+/// replaces the earlier one, as it does at every level.
+#[derive(Default)]
+struct GraphDraft {
+    fetches: Option<Result<Vec<u64>, String>>,
+    sizes: Option<Result<Vec<u32>, String>>,
+    edges: EdgeDraft,
+}
+
+impl GraphDraft {
+    fn read(r: &mut Reader<'_>) -> Result<GraphDraft, ParseError> {
+        let mut g = GraphDraft::default();
+        if r.peek() != Some(b'{') {
+            // Not an object, so no members: "graph.fetches is required".
+            r.value()?;
+            return Ok(g);
+        }
+        r.object(|r, key| {
+            match &*key {
+                "fetches" => g.fetches = Some(read_uints(r, "graph.fetches", |_, f| Ok(f))?),
+                "sizes" => {
+                    g.sizes = Some(read_uints(r, "graph.sizes", |k, s| {
+                        u32::try_from(s).map_err(|_| too_large(&format!("graph.sizes[{k}]"), s))
+                    })?)
+                }
+                "edges" => g.edges = read_edges(r)?,
+                _ => drop(r.value()?),
+            }
+            Ok(())
+        })?;
+        Ok(g)
+    }
+
+    /// The graph, or the first refusal in the order `DESIGN.md` §13
+    /// fixes: fetches, sizes, their lengths, then the edges in body
+    /// order, each edge's endpoints checked before the next edge's
+    /// shape.
+    fn finish(self) -> Result<ConflictGraph, String> {
+        let fetches = self.fetches.ok_or("graph.fetches is required")??;
+        let sizes = self.sizes.ok_or("graph.sizes is required")??;
+        if fetches.len() != sizes.len() {
+            return Err(format!(
+                "graph.fetches ({}) and graph.sizes ({}) must have equal length",
+                fetches.len(),
+                sizes.len()
+            ));
+        }
+        let n = fetches.len();
+        let EdgeDraft { list, bad } = self.edges;
+        if let Some((k, (i, j, _))) = list
+            .iter()
+            .enumerate()
+            .find(|(_, &(i, j, _))| i >= n || j >= n)
+        {
+            return Err(format!(
+                "graph.edges[{k}]: bad endpoints ({i}, {j}) for {n} objects"
+            ));
+        }
+        match bad {
+            Some(e) => Err(e),
+            None => Ok(ConflictGraph::from_edge_list(fetches, sizes, list)),
         }
     }
-    Ok(ConflictGraph::from_parts(fetches, sizes, edges))
 }
 
 /// The only wire-schema major version this build speaks.
@@ -354,21 +483,48 @@ impl From<&str> for RequestError {
     }
 }
 
-/// Parse a `/solve` request body. See `DESIGN.md` §13 for the schema
-/// and the compatibility policy.
+/// Parse a `/solve` request body. See `DESIGN.md` §13 for the schema,
+/// the compatibility policy and the order in which violations are
+/// reported.
 ///
 /// The optional `"v"` envelope field declares the wire-schema major
 /// version; absent means version 1 (every pre-envelope request is a
-/// valid v1 request). Unknown fields are ignored at every level.
+/// valid v1 request). Unknown fields are ignored at every level, and a
+/// repeated key keeps its last value.
 ///
 /// # Errors
 ///
 /// [`RequestError::UnsupportedVersion`] when `"v"` names a version
 /// other than [`WIRE_VERSION`]; [`RequestError::Invalid`] with a
-/// human-readable description of the first violation otherwise. The
+/// human-readable description of the first violation otherwise: a JSON
+/// syntax error anywhere in the body, then the envelope's fields, then
+/// the graph's members, whatever order the body lists them in. The
 /// server returns [`RequestError::http_body`] as the HTTP 400 body.
 pub fn parse_request(body: &str) -> Result<ParsedRequest, RequestError> {
-    let v = serde::json::parse(body).map_err(|e| RequestError::Invalid(e.to_string()))?;
+    // One pass over the body: every member but `graph` lands in the
+    // `Value` map the envelope checks below read, and `graph` goes
+    // straight into its vectors. The whole document is read before any
+    // check runs, so a syntax error anywhere wins.
+    let mut r = Reader::new(body);
+    let mut members = BTreeMap::new();
+    let mut graph = None;
+    let read = if r.peek() == Some(b'{') {
+        r.object(|r, key| {
+            if key == "graph" {
+                graph = Some(GraphDraft::read(r)?);
+            } else {
+                let v = r.value()?;
+                members.insert(key.into_owned(), v);
+            }
+            Ok(())
+        })
+    } else {
+        // Not an object, so no members: "capacity is required".
+        r.value().map(drop)
+    };
+    read.and_then(|()| r.end())
+        .map_err(|e| RequestError::Invalid(e.to_string()))?;
+    let v = Value::Obj(members);
     // The version gate runs before any field validation: a v2 request
     // should hear "unsupported version", not a complaint about some
     // v2-only field this build happens to trip over first.
@@ -434,10 +590,9 @@ pub fn parse_request(body: &str) -> Result<ParsedRequest, RequestError> {
             explain,
         }));
     }
-    let g = v
-        .get("graph")
-        .ok_or("either graph or workload is required")?;
-    let graph = parse_graph(g)?;
+    let graph = graph
+        .ok_or("either graph or workload is required")?
+        .finish()?;
     let table = match (v.get("table"), v.get("cache")) {
         (Some(t), _) => parse_table(t)?,
         (None, Some(c)) => {
@@ -516,12 +671,14 @@ impl SolveJob {
     /// key; two requests for the same graph at different capacities
     /// therefore reach the same shard and see each other's optima.
     pub fn base_key(&self) -> Vec<u8> {
-        let mut k = Vec::with_capacity(64 + 20 * self.graph.len());
+        // Room for the exact key's suffix too (`JobKeys::of`).
+        let n = self.graph.len();
+        let mut k = Vec::with_capacity(160 + 12 * n + 24 * self.graph.edge_count());
         k.extend_from_slice(b"casa/solve/base/v1\0");
         k.extend_from_slice(allocator_tag(self.allocator).as_bytes());
         k.push(0);
-        push_u64(&mut k, self.graph.len() as u64);
-        for i in 0..self.graph.len() {
+        push_u64(&mut k, n as u64);
+        for i in 0..n {
             push_u64(&mut k, self.graph.fetches_of(i));
             push_u32(&mut k, self.graph.size_of(i));
         }
@@ -541,6 +698,12 @@ impl SolveJob {
     /// them verbatim.
     pub fn exact_key(&self) -> Vec<u8> {
         let mut k = self.base_key();
+        self.push_exact_suffix(&mut k);
+        k
+    }
+
+    /// What [`Self::exact_key`] appends to the base key.
+    fn push_exact_suffix(&self, k: &mut Vec<u8>) {
         k.extend_from_slice(b"/exact/v1\0");
         let t = &self.table;
         for v in [
@@ -552,24 +715,23 @@ impl SolveJob {
             t.mm_word,
             t.l2_access,
         ] {
-            push_f64(&mut k, v);
+            push_f64(k, v);
         }
-        push_u32(&mut k, self.capacity);
+        push_u32(k, self.capacity);
         match self.budget_nodes {
             Some(n) => {
                 k.push(1);
-                push_u64(&mut k, n);
+                push_u64(k, n);
             }
             None => k.push(0),
         }
         match self.budget_ms {
             Some(ms) => {
                 k.push(1);
-                push_u64(&mut k, ms);
+                push_u64(k, ms);
             }
             None => k.push(0),
         }
-        k
     }
 }
 
@@ -639,9 +801,9 @@ const WARM_BUCKET_CAP: usize = 8;
 pub struct SolutionCache {
     cap: usize,
     len: usize,
-    entries: HashMap<u64, Vec<CacheEntry>>,
+    entries: BTreeMap<u64, Vec<CacheEntry>>,
     fifo: VecDeque<(u64, Vec<u8>)>,
-    warm: HashMap<u64, Vec<WarmEntry>>,
+    warm: BTreeMap<u64, Vec<WarmEntry>>,
     warm_fifo: VecDeque<u64>,
     /// Self-observed counters.
     pub stats: CacheStats,
@@ -653,9 +815,9 @@ impl SolutionCache {
         SolutionCache {
             cap,
             len: 0,
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
             fifo: VecDeque::new(),
-            warm: HashMap::new(),
+            warm: BTreeMap::new(),
             warm_fifo: VecDeque::new(),
             stats: CacheStats::default(),
         }
@@ -935,11 +1097,39 @@ pub struct SolveReply {
     pub attribution: SolveAttribution,
 }
 
+/// Both cache keys of one job, built and hashed once.
 struct JobKeys {
     exact_fp: u64,
-    exact_key: Vec<u8>,
     base_fp: u64,
-    base_key: Vec<u8>,
+    /// The exact key; its first `base_len` bytes are the base key.
+    key: Vec<u8>,
+    base_len: usize,
+}
+
+impl JobKeys {
+    /// The exact key is the base key plus a suffix, so one buffer holds
+    /// both, and one FNV-1a pass reads the base fingerprint off its
+    /// state after the base bytes. Both equal `fnv1a_64` of
+    /// [`SolveJob::base_key`] and [`SolveJob::exact_key`].
+    fn of(job: &SolveJob) -> JobKeys {
+        let mut key = job.base_key();
+        let base_len = key.len();
+        let mut h = Fnv1a::new();
+        h.update(&key);
+        let base_fp = h.finish();
+        job.push_exact_suffix(&mut key);
+        h.update(&key[base_len..]);
+        JobKeys {
+            exact_fp: h.finish(),
+            base_fp,
+            key,
+            base_len,
+        }
+    }
+
+    fn base_key(&self) -> &[u8] {
+        &self.key[..self.base_len]
+    }
 }
 
 /// One shard: a solution cache behind the lock its solves take in
@@ -1023,13 +1213,7 @@ impl AllocService {
             return Err(SubmitError::Closed);
         }
         job.normalize(self.cfg.max_nodes);
-        let (base_key, exact_key) = (job.base_key(), job.exact_key());
-        let keys = JobKeys {
-            exact_fp: fnv1a_64(&exact_key),
-            exact_key,
-            base_fp: fnv1a_64(&base_key),
-            base_key,
-        };
+        let keys = JobKeys::of(&job);
         let w = (keys.base_fp % self.shards.len() as u64) as usize;
         let shard = &self.shards[w];
         self.obs.add("server.requests_total", 1);
@@ -1063,7 +1247,7 @@ impl AllocService {
                 ("shard".to_string(), ArgValue::U64(w as u64)),
             ],
         );
-        Ok(self.solve_one(&job, &keys, &mut cache, w as u64, queue_wait_us, id))
+        Ok(self.solve_one(&job, keys, &mut cache, w as u64, queue_wait_us, id))
     }
 
     /// Refuse later submissions with [`SubmitError::Closed`]; solves
@@ -1077,7 +1261,7 @@ impl AllocService {
     fn solve_one(
         &self,
         job: &SolveJob,
-        keys: &JobKeys,
+        keys: JobKeys,
         cache: &mut SolutionCache,
         shard: u64,
         queue_wait_us: u64,
@@ -1085,7 +1269,7 @@ impl AllocService {
     ) -> SolveReply {
         let (obs, session_dir) = (&self.obs, self.cfg.session_dir.as_deref());
         let collisions_before = cache.stats.collisions;
-        if let Some(ans) = cache.lookup(keys.exact_fp, &keys.exact_key) {
+        if let Some(ans) = cache.lookup(keys.exact_fp, &keys.key) {
             obs.add("server.cache_hits_total", 1);
             return SolveReply {
                 attribution: SolveAttribution {
@@ -1107,7 +1291,7 @@ impl AllocService {
         if delta > 0 {
             obs.add("server.cache_collisions_total", delta);
         }
-        let warm = cache.warm_lookup(keys.base_fp, &keys.base_key, job.capacity);
+        let warm = cache.warm_lookup(keys.base_fp, keys.base_key(), job.capacity);
         if warm.is_some() {
             obs.add("server.cache_warm_hits_total", 1);
         }
@@ -1198,23 +1382,23 @@ impl AllocService {
             queue_wait_us,
             worker: shard,
         };
+        if out.status.is_optimal() {
+            cache.warm_insert(
+                keys.base_fp,
+                keys.base_key().to_vec(),
+                job.capacity,
+                out.allocation.on_spm.clone(),
+            );
+        }
         cache.insert(
             keys.exact_fp,
-            keys.exact_key.clone(),
+            keys.key,
             CachedAnswer {
                 body: body.clone(),
                 status: out.status.as_str().to_string(),
                 gap: out.status.gap().filter(|g| g.is_finite()),
             },
         );
-        if out.status.is_optimal() {
-            cache.warm_insert(
-                keys.base_fp,
-                keys.base_key.clone(),
-                job.capacity,
-                out.allocation.on_spm.clone(),
-            );
-        }
         SolveReply {
             body,
             cache: outcome,
@@ -1226,6 +1410,8 @@ impl AllocService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use casa_obs::fnv1a_64;
+    use std::collections::HashMap;
     use std::sync::{Arc, Barrier};
     use std::thread;
 
@@ -1411,6 +1597,192 @@ mod tests {
         }
     }
 
+    /// The decoder `parse_request` replaced, kept as its oracle: the
+    /// whole body parsed into a `Value` tree, the graph walked out of
+    /// it into an edge map. The envelope helpers it calls are shared.
+    mod reference {
+        use super::super::*;
+        use std::collections::HashMap;
+
+        fn uint_array(v: &Value, what: impl fmt::Display) -> Result<Vec<u64>, String> {
+            v.as_array()
+                .ok_or_else(|| format!("{what} must be an array"))?
+                .iter()
+                .enumerate()
+                .map(|(i, x)| uint_field(x, format_args!("{what}[{i}]")))
+                .collect()
+        }
+
+        fn parse_graph(v: &Value) -> Result<ConflictGraph, String> {
+            let fetches = uint_array(
+                v.get("fetches").ok_or("graph.fetches is required")?,
+                "graph.fetches",
+            )?;
+            let sizes = uint_array(
+                v.get("sizes").ok_or("graph.sizes is required")?,
+                "graph.sizes",
+            )?
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| u32::try_from(s).map_err(|_| too_large(&format!("graph.sizes[{i}]"), s)))
+            .collect::<Result<Vec<u32>, String>>()?;
+            if fetches.len() != sizes.len() {
+                return Err(format!(
+                    "graph.fetches ({}) and graph.sizes ({}) must have equal length",
+                    fetches.len(),
+                    sizes.len()
+                ));
+            }
+            let n = fetches.len();
+            let mut edges = HashMap::new();
+            if let Some(raw) = v.get("edges") {
+                let raw = raw.as_array().ok_or("graph.edges must be an array")?;
+                for (k, e) in raw.iter().enumerate() {
+                    let triple = uint_array(e, format_args!("graph.edges[{k}]"))?;
+                    let [i, j, m] = triple[..] else {
+                        return Err(format!("graph.edges[{k}] must be [i, j, misses]"));
+                    };
+                    let (i, j) = (i as usize, j as usize);
+                    if i >= n || j >= n {
+                        return Err(format!(
+                            "graph.edges[{k}]: bad endpoints ({i}, {j}) for {n} objects"
+                        ));
+                    }
+                    edges.insert((i, j), m);
+                }
+            }
+            Ok(ConflictGraph::from_parts(fetches, sizes, edges))
+        }
+
+        pub fn parse_request(body: &str) -> Result<ParsedRequest, RequestError> {
+            let v = serde::json::parse(body).map_err(|e| RequestError::Invalid(e.to_string()))?;
+            // The version gate runs before any field validation: a v2 request
+            // should hear "unsupported version", not a complaint about some
+            // v2-only field this build happens to trip over first.
+            let version = match v.get("v") {
+                Some(x) => uint_field(x, "v")?,
+                None => WIRE_VERSION,
+            };
+            if version != WIRE_VERSION {
+                return Err(RequestError::UnsupportedVersion { got: version });
+            }
+            let capacity = u32_field(v.get("capacity").ok_or("capacity is required")?, "capacity")?;
+            let allocator = match v.get("allocator") {
+                Some(a) => {
+                    let tag = a.as_str().ok_or("allocator must be a string")?;
+                    parse_allocator(tag).ok_or_else(|| format!("unknown allocator {tag:?}"))?
+                }
+                None => AllocatorKind::CasaBb,
+            };
+            let (budget_nodes, budget_ms) = parse_budget(&v)?;
+            let explain = match v.get("explain") {
+                Some(b) => b.as_bool().ok_or("explain must be a boolean")?,
+                None => false,
+            };
+            if let Some(w) = v.get("workload") {
+                let benchmark = w
+                    .get("benchmark")
+                    .and_then(Value::as_str)
+                    .ok_or("workload.benchmark is required")?
+                    .to_string();
+                let scale = match w.get("scale") {
+                    Some(s) => uint_field(s, "workload.scale")?.max(1),
+                    None => 1,
+                };
+                let seed = match w.get("seed") {
+                    Some(s) => uint_field(s, "workload.seed")?,
+                    None => 42,
+                };
+                let cache = match v.get("cache") {
+                    Some(c) => {
+                        let cfg = parse_cache_config(c)?;
+                        // A workload is simulated, and the simulator maps
+                        // addresses with shifts: lines and sets are powers of 2.
+                        if !cfg.line_size.is_power_of_two() || !cfg.num_sets().is_power_of_two() {
+                            return Err(RequestError::Invalid(invalid_geometry(
+                                cfg.size,
+                                cfg.line_size,
+                                cfg.associativity,
+                            )));
+                        }
+                        Some(cfg)
+                    }
+                    None => None,
+                };
+                return Ok(ParsedRequest::Workload(WorkloadRequest {
+                    benchmark,
+                    scale,
+                    seed,
+                    cache,
+                    capacity,
+                    allocator,
+                    budget_nodes,
+                    budget_ms,
+                    explain,
+                }));
+            }
+            let g = v
+                .get("graph")
+                .ok_or("either graph or workload is required")?;
+            let graph = parse_graph(g)?;
+            let table = match (v.get("table"), v.get("cache")) {
+                (Some(t), _) => parse_table(t)?,
+                (None, Some(c)) => {
+                    let cfg = parse_cache_config(c)?;
+                    EnergyTable::build(
+                        cfg.size,
+                        cfg.line_size,
+                        cfg.associativity,
+                        capacity,
+                        None,
+                        &TechParams::default(),
+                    )
+                }
+                (None, None) => {
+                    return Err(RequestError::Invalid(
+                        "either table or cache is required with graph".to_string(),
+                    ))
+                }
+            };
+            Ok(ParsedRequest::Graph(SolveJob {
+                graph,
+                table,
+                capacity,
+                allocator,
+                budget_nodes,
+                budget_ms,
+                explain,
+            }))
+        }
+    }
+
+    fn same_request(a: &ParsedRequest, b: &ParsedRequest) -> bool {
+        match (a, b) {
+            (ParsedRequest::Graph(a), ParsedRequest::Graph(b)) => {
+                a.graph == b.graph
+                    && a.table == b.table
+                    && a.capacity == b.capacity
+                    && a.allocator == b.allocator
+                    && (a.budget_nodes, a.budget_ms) == (b.budget_nodes, b.budget_ms)
+                    && a.explain == b.explain
+            }
+            (ParsedRequest::Workload(a), ParsedRequest::Workload(b)) => {
+                format!("{a:?}") == format!("{b:?}")
+            }
+            _ => false,
+        }
+    }
+
+    /// `parse_request` and the reference decoder agree on `body`: the
+    /// same request, or the same 400 body.
+    fn decodes_agree(body: &str) -> Result<(), String> {
+        match (parse_request(body), reference::parse_request(body)) {
+            (Ok(a), Ok(b)) if same_request(&a, &b) => Ok(()),
+            (Err(a), Err(b)) if a.http_body() == b.http_body() => Ok(()),
+            (a, b) => Err(format!("{a:?}\nreference: {b:?}\nfor {body}")),
+        }
+    }
+
     /// A body shaped like the serve-mix workload's requests: graph form
     /// with cache geometry, 8–80 objects and twice as many edges.
     fn serve_mix_body(seed: &mut u64) -> String {
@@ -1434,12 +1806,13 @@ mod tests {
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
         /// Mutation fuzz of the `/solve` decoder: 1–8 byte flips,
         /// deletions, truncations or inserted digits, quotes and
-        /// brackets on a serve-mix body. No edit panics, and every
-        /// refusal's 400 body is one JSON object with an `"error"` key.
+        /// brackets on a serve-mix body. No edit panics, every refusal's
+        /// 400 body is one JSON object with an `"error"` key, and the
+        /// reference decoder gives the same request or the same refusal.
         #[test]
         fn parse_request_survives_mutated_bodies(
             body_seed in proptest::prelude::any::<u64>(),
@@ -1472,7 +1845,138 @@ mod tests {
                     "refusal {reply} for {body}"
                 );
             }
+            let agree = decodes_agree(&body);
+            proptest::prop_assert!(agree.is_ok(), "{}", agree.unwrap_err());
         }
+
+        /// Unmutated serve-mix bodies, whose random edges repeat some
+        /// `(i, j)` pairs: both decoders give the same job.
+        #[test]
+        fn parse_request_matches_the_reference_on_serve_mix_bodies(
+            body_seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut seed = body_seed;
+            let body = serve_mix_body(&mut seed);
+            proptest::prop_assert!(matches!(parse_request(&body), Ok(ParsedRequest::Graph(_))));
+            let agree = decodes_agree(&body);
+            proptest::prop_assert!(agree.is_ok(), "{}", agree.unwrap_err());
+        }
+    }
+
+    /// The rules the direct decode keeps, each pinned against the
+    /// reference decoder and by its own outcome.
+    #[test]
+    fn parse_request_keeps_the_tree_walks_rules() {
+        let c = r#""cache":{"size":1024}"#;
+        let graph = |body: &str| match parse_request(body) {
+            Ok(ParsedRequest::Graph(job)) => job,
+            other => panic!("{other:?} for {body}"),
+        };
+        let refusal = |body: &str| parse_request(body).unwrap_err().http_body();
+        let bodies = [
+            // Graph members in reverse order, extra whitespace, an
+            // unknown member at each level.
+            format!(
+                r#"{{"capacity":64,{c},"graph":{{"edges":[[1,0,3],[0,1,5]],"sizes":[8,16],"fetches":[100,200]}}}}"#
+            ),
+            format!(
+                "{{ \"capacity\" : 64 , {c} ,\n \"x\":[1,{{}}], \"graph\" : {{ \"fetches\" : [ 100 , 200 ] ,\
+                 \"y\":\"z\", \"sizes\":[8,16], \"edges\" : [ [0,1,5] , [1,0,3] ] }} }}"
+            ),
+            // Duplicate keys at both levels: the last one wins.
+            format!(
+                r#"{{"capacity":32,"capacity":64,{c},"graph":{{"fetches":[9],"sizes":[8]}},"graph":{{"fetches":[1,2],"sizes":[8,16],"edges":7,"fetches":[100,200],"edges":[[0,1,5],[1,0,3]]}}}}"#
+            ),
+            // Duplicate edges: the last m wins.
+            format!(
+                r#"{{"capacity":64,{c},"graph":{{"fetches":[100,200],"sizes":[8,16],"edges":[[0,1,9],[1,0,3],[0,1,5]]}}}}"#
+            ),
+        ];
+        for body in &bodies {
+            decodes_agree(body).unwrap();
+            let job = graph(body);
+            assert_eq!(job.capacity, 64, "{body}");
+            assert_eq!(
+                (job.graph.fetches_of(0), job.graph.fetches_of(1)),
+                (100, 200)
+            );
+            assert_eq!((job.graph.size_of(0), job.graph.size_of(1)), (8, 16));
+            assert_eq!(job.graph.edge_count(), 2, "{body}");
+            assert_eq!(job.graph.misses_between(0, 1), 5, "{body}");
+            assert_eq!(job.graph.misses_between(1, 0), 3, "{body}");
+        }
+        let g = |members: &str| format!(r#"{{"capacity":64,{c},"graph":{{{members}}}}}"#);
+        for (body, want) in [
+            // An endpoint error at edge 1 comes before a shape error at
+            // edge 3, and the other way round.
+            (
+                g(r#""fetches":[1,2],"sizes":[8,8],"edges":[[0,1,5],[0,9,1],[1,0,2],[0,1]]"#),
+                r#"{"error":"graph.edges[1]: bad endpoints (0, 9) for 2 objects"}"#,
+            ),
+            (
+                g(r#""fetches":[1,2],"sizes":[8,8],"edges":[[0,1,5],[0,1],[1,0,2],[0,9,1]]"#),
+                r#"{"error":"graph.edges[1] must be [i, j, misses]"}"#,
+            ),
+            // Endpoints are checked against fetches listed after them,
+            // and fetches before sizes whatever the body order.
+            (
+                g(r#""edges":[[0,2,5]],"sizes":[8,8],"fetches":[1,2]"#),
+                r#"{"error":"graph.edges[0]: bad endpoints (0, 2) for 2 objects"}"#,
+            ),
+            (
+                g(r#""edges":[[0]],"sizes":[8,"s"],"fetches":[1,-1]"#),
+                r#"{"error":"graph.fetches[1] must be a non-negative integer, got -1"}"#,
+            ),
+            // Every size is checked as an integer before the u32 bound.
+            (
+                g(r#""fetches":[1,2],"sizes":[4294967304,1.5]"#),
+                r#"{"error":"graph.sizes[1] must be a non-negative integer, got 1.5"}"#,
+            ),
+            (
+                g(r#""fetches":[1,2],"sizes":[8,8],"edges":[[0,1,5,"m"]]"#),
+                r#"{"error":"graph.edges[0][3] must be a number"}"#,
+            ),
+            (
+                format!(r#"{{"capacity":64,{c},"graph":[1,2]}}"#),
+                r#"{"error":"graph.fetches is required"}"#,
+            ),
+            // A bad graph under "v":2 still answers unsupported_version,
+            // and the envelope checks come before the graph's.
+            (
+                r#"{"graph":{"fetches":"x","edges":7},"v":2}"#.to_string(),
+                r#"{"detail":"unsupported schema version 2","error":"unsupported_version","supported":[1]}"#,
+            ),
+            (
+                r#"{"graph":{"fetches":"x"},"capacity":"64"}"#.to_string(),
+                r#"{"error":"capacity must be a number"}"#,
+            ),
+            // A syntax error anywhere wins over every graph refusal.
+            (
+                g(r#""fetches":"x","sizes":[8],"edges":[[0,9,1]]"#) + ",",
+                r#"{"error":"JSON parse error at byte 91: trailing characters after document"}"#,
+            ),
+            (
+                format!(r#"{{"graph":{{"fetches":[1,"x"]}},"capacity":64,{c},"v":tru}}"#),
+                r#"{"error":"JSON parse error at byte 69: expected a JSON value"}"#,
+            ),
+        ] {
+            decodes_agree(&body).unwrap();
+            assert_eq!(refusal(&body), want, "for {body}");
+        }
+        // The workload form ignores a malformed graph member, apart
+        // from its JSON syntax.
+        let body = r#"{"capacity":64,"workload":{"benchmark":"adpcm"},"graph":{"fetches":[1,"x"],"edges":[[0,9]],"sizes":{}}}"#;
+        decodes_agree(body).unwrap();
+        assert!(matches!(
+            parse_request(body),
+            Ok(ParsedRequest::Workload(_))
+        ));
+        let body = r#"{"capacity":64,"workload":{"benchmark":"adpcm"},"graph":{"fetches":[1,}}"#;
+        decodes_agree(body).unwrap();
+        assert_eq!(
+            refusal(body),
+            r#"{"error":"JSON parse error at byte 70: expected a JSON value"}"#
+        );
     }
 
     #[test]
@@ -1613,6 +2117,30 @@ mod tests {
         e.normalize(DEFAULT_MAX_NODES);
         f.normalize(DEFAULT_MAX_NODES);
         assert_eq!(e.exact_key(), f.exact_key());
+    }
+
+    #[test]
+    fn one_pass_keys_equal_the_fingerprints_of_both_keys() {
+        let mut seed = 2004;
+        for round in 0..64 {
+            let kind = [
+                AllocatorKind::CasaBb,
+                AllocatorKind::CasaGreedy,
+                AllocatorKind::Steinke,
+                AllocatorKind::None,
+            ][round % 4];
+            let mut job = random_job(&mut seed, 32 << (round % 3), kind);
+            job.budget_ms = (round % 2 == 1).then_some(lcg(&mut seed));
+            job.budget_nodes = (round % 3 == 0).then_some(lcg(&mut seed));
+            if round % 5 == 0 {
+                job.normalize(DEFAULT_MAX_NODES);
+            }
+            let keys = JobKeys::of(&job);
+            assert_eq!(keys.base_fp, fnv1a_64(&job.base_key()));
+            assert_eq!(keys.exact_fp, fnv1a_64(&job.exact_key()));
+            assert_eq!(keys.base_key(), &job.base_key()[..]);
+            assert_eq!(keys.key, job.exact_key());
+        }
     }
 
     /// The satellite's collision-safety test. Constructing two graphs

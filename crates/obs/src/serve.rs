@@ -75,6 +75,7 @@ use crate::span::{ArgValue, StreamEvent};
 use crate::Obs;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -637,7 +638,8 @@ pub struct ServeOptions {
     /// drips one byte per second cannot pin a handler thread past it
     /// (the slowloris defence).
     pub read_deadline: Duration,
-    /// Maximum request-line + header bytes.
+    /// Maximum head bytes: the request line and headers, up to and
+    /// including the blank line that ends them.
     pub max_head_bytes: usize,
     /// Maximum request body bytes (`Content-Length` above this is
     /// rejected with 413 before reading the body).
@@ -1011,13 +1013,18 @@ fn head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
+/// Bytes asked of each socket read: a whole `/solve` request of a few
+/// KiB usually arrives in one.
+const READ_CHUNK: usize = 8 * 1024;
+
 /// Read one full request — head and (`Content-Length`-framed) body —
-/// under `opts`'s size and deadline bounds. Repeated `Content-Length`
-/// headers must agree; differing ones are refused.
+/// under `opts`'s size and deadline bounds. The head is the request
+/// line and headers up to and including the blank line that ends them.
+/// Repeated `Content-Length` headers must agree; differing ones are
+/// refused.
 fn read_request(stream: &mut TcpStream, opts: &ServeOptions) -> Result<Request, ReadError> {
     let deadline = Instant::now() + opts.read_deadline;
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 1024];
+    let mut buf = Vec::with_capacity(READ_CHUNK);
     let head_len = loop {
         if let Some(pos) = head_end(&buf) {
             break pos;
@@ -1025,12 +1032,18 @@ fn read_request(stream: &mut TcpStream, opts: &ServeOptions) -> Result<Request, 
         if buf.len() > opts.max_head_bytes {
             return Err(ReadError::HeadTooLarge);
         }
-        let n = read_with_deadline(stream, &mut chunk, deadline)?;
+        let have = buf.len();
+        buf.resize(have + READ_CHUNK, 0);
+        let n = read_with_deadline(stream, &mut buf[have..], deadline)?;
+        buf.truncate(have + n);
         if n == 0 {
             return Err(ReadError::Malformed("connection closed before request"));
         }
-        buf.extend_from_slice(&chunk[..n]);
     };
+    // A head that arrived in one read is bounded too.
+    if head_len + 4 > opts.max_head_bytes {
+        return Err(ReadError::HeadTooLarge);
+    }
     let head = String::from_utf8_lossy(&buf[..head_len]).into_owned();
     let first = head.lines().next().unwrap_or("");
     let mut parts = first.split_whitespace();
@@ -1067,15 +1080,19 @@ fn read_request(stream: &mut TcpStream, opts: &ServeOptions) -> Result<Request, 
     if content_length > opts.max_body_bytes {
         return Err(ReadError::BodyTooLarge);
     }
-    let mut body = buf[head_len + 4..].to_vec();
+    buf.drain(..head_len + 4);
+    let mut body = buf;
+    body.truncate(content_length);
     while body.len() < content_length {
-        let n = read_with_deadline(stream, &mut chunk, deadline)?;
+        // Grown as the bytes arrive, not to the declared length at once.
+        let have = body.len();
+        body.resize(content_length.min(have + READ_CHUNK), 0);
+        let n = read_with_deadline(stream, &mut body[have..], deadline)?;
+        body.truncate(have + n);
         if n == 0 {
             return Err(ReadError::Malformed("connection closed mid-body"));
         }
-        body.extend_from_slice(&chunk[..n]);
     }
-    body.truncate(content_length);
     let path = path.split('?').next().unwrap_or("").to_string();
     let bytes_in = (head_len + 4 + content_length) as u64;
     Ok(Request {
@@ -1088,13 +1105,17 @@ fn read_request(stream: &mut TcpStream, opts: &ServeOptions) -> Result<Request, 
 }
 
 /// Write `resp` with the correlation ID echoed (unless the router
-/// already set one); returns bytes written (head + body).
+/// already set one); returns bytes written (head + body). Head and body
+/// go out in one write: two would cost two syscalls and, on a socket
+/// without `TCP_NODELAY`, two wake-ups of the client.
 fn write_response_with_id(
     stream: &mut TcpStream,
     resp: &Response,
     req_id: &str,
 ) -> io::Result<u64> {
-    let mut head = format!(
+    let mut out = String::with_capacity(256 + resp.body.len());
+    let _ = write!(
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
         resp.status,
         status_text(resp.status),
@@ -1106,16 +1127,16 @@ fn write_response_with_id(
         .iter()
         .any(|(n, _)| n.eq_ignore_ascii_case(REQUEST_ID_HEADER))
     {
-        head.push_str(&format!("{REQUEST_ID_HEADER}: {req_id}\r\n"));
+        let _ = write!(out, "{REQUEST_ID_HEADER}: {req_id}\r\n");
     }
     for (name, value) in &resp.headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(resp.body.as_bytes())?;
+    out.push_str("\r\n");
+    out.push_str(&resp.body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()?;
-    Ok((head.len() + resp.body.len()) as u64)
+    Ok(out.len() as u64)
 }
 
 /// Normalize a path to a bounded per-route label so latency
@@ -1969,6 +1990,43 @@ mod tests {
         )
         .unwrap();
         assert_eq!(st, 413);
+        handle.shutdown();
+    }
+
+    /// A head that arrives in one read is held to the bound too: at
+    /// the bound it is served, one byte past it or 700 past it is 413.
+    #[test]
+    fn heads_read_in_one_piece_are_bounded() {
+        let obs = Obs::enabled();
+        let opts = ServeOptions {
+            max_head_bytes: 256,
+            ..ServeOptions::default()
+        };
+        let mut handle = start_with(&obs, "127.0.0.1:0", opts, None).expect("bind");
+        let addr = handle.local_addr();
+        let head = |len: usize| {
+            let bare = "GET /healthz HTTP/1.1\r\nX-Pad: \r\n\r\n".len();
+            format!(
+                "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+                "p".repeat(len - bare)
+            )
+        };
+        for (len, want) in [
+            (256, "HTTP/1.1 200"),
+            (257, "HTTP/1.1 413"),
+            (956, "HTTP/1.1 413"),
+        ] {
+            let request = head(len);
+            assert_eq!(request.len(), len);
+            let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).unwrap();
+            stream.write_all(request.as_bytes()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut raw = String::new();
+            let _ = stream.read_to_string(&mut raw);
+            assert!(raw.starts_with(want), "{len}-byte head: got {raw:?}");
+        }
         handle.shutdown();
     }
 
